@@ -103,6 +103,11 @@ FUNCTIONS: dict[str, tuple[int, int | None]] = {
 
 _ISO_FORMATS = ("%Y-%m-%dT%H:%M:%S", "%Y-%m-%d %H:%M:%S", "%Y-%m-%d")
 
+# Deepest nesting the parsers accept. A level is a parenthesis, a call, a unary
+# operator or one more operator in a binary chain, so the cap bounds the
+# recursion of parsing and of evaluating and printing the resulting tree.
+MAX_DEPTH = 64
+
 
 # ---------------------------------------------------------------------------
 # lexer
@@ -194,11 +199,22 @@ def tokenize(src: str) -> list[Token]:
 # parser (recursive descent)
 # ---------------------------------------------------------------------------
 
+_PRECEDENCE = {
+    "or": 1,
+    "and": 2,
+    "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
+    "+": 4, "-": 4,
+    "*": 5, "/": 5, "%": 5,
+}
+_UNARY_PREC = 6
+
+
 class _Parser:
     def __init__(self, src: str):
         self.src = src
         self.tokens = tokenize(src)
         self.i = 0
+        self.depth = 0
 
     @property
     def cur(self) -> Token:
@@ -214,51 +230,39 @@ class _Parser:
             raise ExprParseError(f"expected {kind}, found {self.cur.value!r}", self.cur.pos)
         return self.advance()
 
+    def deeper(self) -> None:
+        """Go one nesting level down; callers restore self.depth on the way up."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ExprParseError(f"expression nests deeper than {MAX_DEPTH} levels", self.cur.pos)
+
     def parse(self) -> Expr:
-        e = self.or_expr()
+        e = self.binary()
         if self.cur.kind != "EOF":
             raise ExprParseError(f"unexpected trailing input {self.cur.value!r}", self.cur.pos)
         return e
 
-    def or_expr(self) -> Expr:
-        e = self.and_expr()
-        while self.cur.kind == "IDENT" and self.cur.value == "or":
-            self.advance()
-            e = Binary("or", e, self.and_expr())
-        return e
-
-    def and_expr(self) -> Expr:
-        e = self.cmp_expr()
-        while self.cur.kind == "IDENT" and self.cur.value == "and":
-            self.advance()
-            e = Binary("and", e, self.cmp_expr())
-        return e
-
-    def cmp_expr(self) -> Expr:
-        e = self.add_expr()
-        if self.cur.kind == "OP" and self.cur.value in ("==", "!=", "<", "<=", ">", ">="):
+    def binary(self, prec: int = 1) -> Expr:
+        """Left-associative binary operators binding at least as tightly as `prec`."""
+        if prec == _UNARY_PREC:
+            return self.unary_expr()
+        depth = self.depth
+        e = self.binary(prec + 1)
+        while self.cur.kind in ("OP", "IDENT") and _PRECEDENCE.get(self.cur.value) == prec:
             op = self.advance().value
-            e = Binary(op, e, self.add_expr())
-        return e
-
-    def add_expr(self) -> Expr:
-        e = self.mul_expr()
-        while self.cur.kind == "OP" and self.cur.value in ("+", "-"):
-            op = self.advance().value
-            e = Binary(op, e, self.mul_expr())
-        return e
-
-    def mul_expr(self) -> Expr:
-        e = self.unary_expr()
-        while self.cur.kind == "OP" and self.cur.value in ("*", "/", "%"):
-            op = self.advance().value
-            e = Binary(op, e, self.unary_expr())
+            self.deeper()
+            e = Binary(op, e, self.binary(prec + 1))
+            if prec == _PRECEDENCE["=="]:
+                break  # comparisons do not chain
+        self.depth = depth
         return e
 
     def unary_expr(self) -> Expr:
         if self.cur.kind == "OP" and self.cur.value == "-":
             self.advance()
+            self.deeper()
             operand = self.unary_expr()
+            self.depth -= 1
             # fold negative numeric literals so printing round-trips
             if isinstance(operand, Lit) and isinstance(operand.value, (int, float)) \
                     and not isinstance(operand.value, bool):
@@ -266,7 +270,10 @@ class _Parser:
             return Unary("-", operand)
         if self.cur.kind == "IDENT" and self.cur.value == "not":
             self.advance()
-            return Unary("not", self.unary_expr())
+            self.deeper()
+            operand = self.unary_expr()
+            self.depth -= 1
+            return Unary("not", operand)
         return self.atom()
 
     def atom(self) -> Expr:
@@ -279,7 +286,9 @@ class _Parser:
             return Lit(tok.value)
         if tok.kind == "LPAREN":
             self.advance()
-            e = self.or_expr()
+            self.deeper()
+            e = self.binary()
+            self.depth -= 1
             self.expect("RPAREN")
             return e
         if tok.kind == "IDENT":
@@ -306,11 +315,13 @@ class _Parser:
                 self.advance()
                 self.expect("LPAREN")
                 args = []
+                self.deeper()
                 if self.cur.kind != "RPAREN":
-                    args.append(self.or_expr())
+                    args.append(self.binary())
                     while self.cur.kind == "COMMA":
                         self.advance()
-                        args.append(self.or_expr())
+                        args.append(self.binary())
+                self.depth -= 1
                 self.expect("RPAREN")
                 lo, hi = FUNCTIONS[word]
                 if len(args) < lo or (hi is not None and len(args) > hi):
@@ -332,16 +343,6 @@ def parse_expr(src: str) -> Expr:
 # ---------------------------------------------------------------------------
 # printer
 # ---------------------------------------------------------------------------
-
-_PRECEDENCE = {
-    "or": 1,
-    "and": 2,
-    "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
-    "+": 4, "-": 4,
-    "*": 5, "/": 5, "%": 5,
-}
-_UNARY_PREC = 6
-
 
 def _string_literal(s: str) -> str:
     out = s.replace("\\", "\\\\").replace('"', '\\"')

@@ -199,7 +199,12 @@ def write_trajectory_log(path: str | Path, traj: Trajectory, scores: dict | None
 
 def load_trajectory_log(path: str | Path) -> Trajectory:
     """Rebuild the trajectory (minus the search tree) from a JSONL log."""
-    lines = [json.loads(line) for line in Path(path).read_text().splitlines() if line.strip()]
+    try:
+        lines = [json.loads(line) for line in Path(path).read_text().splitlines() if line.strip()]
+    except json.JSONDecodeError as exc:
+        raise HarnessError(f"{path}: malformed log line: {exc}") from None
+    if not all(isinstance(line, dict) for line in lines):
+        raise HarnessError(f"{path}: every log line must be a JSON object")
     if not lines or lines[0].get("record") != "task":
         raise HarnessError(f"{path}: not a trajectory log (no task header)")
     terminal = lines[-1]
@@ -407,7 +412,11 @@ def replay_suite(
         if not log_path.exists():
             rows.append(CaseResult(task_id=bundle.task_id, status="missing_log"))
             continue
-        traj = load_trajectory_log(log_path)
+        try:
+            traj = load_trajectory_log(log_path)
+        except HarnessError as exc:
+            rows.append(CaseResult(task_id=bundle.task_id, status="load_error", error=str(exc)))
+            continue
         breakdown = score_trajectory(traj, bundle.target_table, weights=weights, judge=judge)
         rows.append(_case_from_scores(bundle.task_id, traj, breakdown, weights))
     rows.sort(key=lambda r: r.task_id)

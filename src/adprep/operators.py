@@ -29,11 +29,11 @@ import subprocess
 import tempfile
 from dataclasses import dataclass
 from datetime import datetime
-from functools import cmp_to_key
 from pathlib import Path
 from typing import Any, Callable, Protocol
 
 from .expr import (
+    MAX_DEPTH,
     EvalError,
     Expr,
     ExprParseError,
@@ -52,6 +52,8 @@ from .tables import (
     Schema,
     Table,
     TableError,
+    cell_hash_key,
+    cell_sort_key,
     coerce_cells,
     compare_cells,
     infer_column_dtype,
@@ -395,7 +397,7 @@ class _CallParser:
             raise OpParseError(f"expected {kind}, found {v!r}")
         return self.advance()[1]
 
-    def value(self) -> Any:
+    def value(self, depth: int = 0) -> Any:
         k, v = self.cur
         if k in ("STRING", "INT", "REAL"):
             self.advance()
@@ -410,13 +412,15 @@ class _CallParser:
                 return None
             return v  # bare identifier reads as text
         if k == "LBRACK":
+            if depth >= MAX_DEPTH:
+                raise OpParseError(f"lists nest deeper than {MAX_DEPTH} levels")
             self.advance()
             items = []
             if self.cur[0] != "RBRACK":
-                items.append(self.value())
+                items.append(self.value(depth + 1))
                 while self.cur[0] == "COMMA":
                     self.advance()
-                    items.append(self.value())
+                    items.append(self.value(depth + 1))
             self.expect("RBRACK")
             return items
         if k == "LBRACE":
@@ -605,21 +609,6 @@ def _is_number(v: Cell) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _group_key(v: Cell) -> Any:
-    """Hashable key matching cells_equal (2 and 2.0 collide, bools stay apart)."""
-    if v is None:
-        return ("null",)
-    if isinstance(v, bool):
-        return ("bool", v)
-    if isinstance(v, float) and v.is_integer():
-        return ("num", int(v))
-    if isinstance(v, (int, float)):
-        return ("num", v)
-    if isinstance(v, str):
-        return ("text", v)
-    return ("list", tuple(_group_key(x) for x in v))
-
-
 def _row_binding(t: Table, row: tuple) -> dict[str, Cell]:
     return dict(zip(t.column_names, row))
 
@@ -748,7 +737,7 @@ def _exec_imputation(op, state, backend):
         counts: dict[Any, int] = {}
         rep: dict[Any, Cell] = {}
         for c in present:
-            k = _group_key(c)
+            k = cell_hash_key(c)
             counts[k] = counts.get(k, 0) + 1
             rep.setdefault(k, c)
         best = max(counts.values())
@@ -766,7 +755,7 @@ def _dedupe_rows(rows, key_idxs, keep):
     source = rows if keep == "first" else list(reversed(rows))
     kept = []
     for row in source:
-        k = tuple(_group_key(row[i]) for i in key_idxs)
+        k = tuple(cell_hash_key(row[i]) for i in key_idxs)
         if k in seen:
             continue
         seen.add(k)
@@ -1075,14 +1064,10 @@ def _exec_sort(op, state, backend):
             op, f"ascending has {len(asc)} entries for {len(idxs)} keys", detail=p["table"]
         )
 
-    def cmp(a, b):
-        for i, up in zip(idxs, asc):
-            c = compare_cells(a[i], b[i])
-            if c != 0:
-                return c if up else -c
-        return 0
-
-    rows = sorted(t.rows, key=cmp_to_key(cmp))
+    # stable passes from the last key to the first; reverse=True keeps ties stable
+    rows = list(t.rows)
+    for i, up in reversed(list(zip(idxs, asc))):
+        rows.sort(key=lambda row: cell_sort_key(row[i]), reverse=not up)
     return _with(state, [], [Table(t.schema, tuple(rows))])
 
 
@@ -1103,7 +1088,7 @@ def _fold(fn: str, cells: list[Cell], op: OperatorInstance, where: str) -> Cell:
     if fn == "count":
         return len(present)
     if fn == "count_distinct":
-        return len({_group_key(c) for c in present})
+        return len({cell_hash_key(c) for c in present})
     if fn == "first":
         return cells[0] if cells else None
     if fn == "last":
@@ -1157,7 +1142,7 @@ def _exec_group_by(op, state, backend):
 
     groups: dict[tuple, list[tuple]] = {}
     for row in t.rows:
-        k = tuple(_group_key(row[i]) for i in key_idxs)
+        k = tuple(cell_hash_key(row[i]) for i in key_idxs)
         groups.setdefault(k, []).append(row)
 
     key_cells = [[] for _ in key_idxs]
@@ -1257,7 +1242,7 @@ def _exec_join(op, state, backend):
         key = tuple(row[i] for i in idxs)
         if any(v is None for v in key):
             return None  # null keys never match
-        return tuple(_group_key(v) for v in key)
+        return tuple(cell_hash_key(v) for v in key)
 
     r_index: dict[tuple, list[tuple]] = {}
     for row in right.rows:
@@ -1402,7 +1387,7 @@ def _exec_pivot(op, state, backend):
         if cv is None:
             raise ExecError(op, f"row {r}: null value in columns column", detail=p["columns"])
         label = render_cell(cv)
-        ik = tuple(_group_key(row[i]) for i in idx_idxs)
+        ik = tuple(cell_hash_key(row[i]) for i in idx_idxs)
         if ik not in index_reps:
             index_reps[ik] = tuple(row[i] for i in idx_idxs)
             index_keys.append(ik)

@@ -18,10 +18,9 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from functools import cmp_to_key
 
 from .operators import name_bearing_values, parse_operator_call
-from .tables import Table, cells_equal, compare_cells, tables_equal
+from .tables import Table, cell_sort_key, tables_equal
 from .tree import ReasoningTree
 from .agent import Trajectory
 
@@ -65,19 +64,10 @@ def shape_score(predicted: Table, target: Table) -> float:
     return math.exp(-abs(predicted.n_rows - target.n_rows) / target.n_rows)
 
 
-def _projected_sorted_rows(t: Table, names: list[str]) -> list[tuple]:
-    idx = [t.column_names.index(n) for n in names]
-    rows = [tuple(row[i] for i in idx) for row in t.rows]
-
-    def row_cmp(a, b):
-        for x, y in zip(a, b):
-            c = compare_cells(x, y)
-            if c != 0:
-                return c
-        return 0
-
-    rows.sort(key=cmp_to_key(row_cmp))
-    return rows
+def _sorted_row_keys(t: Table, names: list[str]) -> list[tuple]:
+    """Rows projected onto `names` as cell_sort_key tuples, in canonical order.
+    Sort keys are equal exactly when their cells are, so they stand in for them."""
+    return sorted(zip(*[map(cell_sort_key, t.column(n)) for n in names]))
 
 
 def cell_score(predicted: Table, target: Table) -> float:
@@ -89,24 +79,15 @@ def cell_score(predicted: Table, target: Table) -> float:
     uses the longer one, so extra or missing rows cost credit. No shared
     columns means no credit.
     """
-    shared = sorted(
-        set(predicted.column_names) & set(target.column_names),
-        key=lambda n: n.encode("utf-8"),
-    )
+    shared = sorted(set(predicted.column_names) & set(target.column_names))
     if not shared:
         return 0.0
-    n_lo = min(predicted.n_rows, target.n_rows)
     n_hi = max(predicted.n_rows, target.n_rows)
     if n_hi == 0:
         return 1.0
-    got = _projected_sorted_rows(predicted, shared)
-    want = _projected_sorted_rows(target, shared)
-    hits = sum(
-        1
-        for i in range(n_lo)
-        for j in range(len(shared))
-        if cells_equal(got[i][j], want[i][j])
-    )
+    got = _sorted_row_keys(predicted, shared)
+    want = _sorted_row_keys(target, shared)
+    hits = sum(x == y for g, w in zip(got, want) for x, y in zip(g, w))
     return hits / (len(shared) * n_hi)
 
 
@@ -302,14 +283,15 @@ def score_trajectory(
     judge=None,
 ) -> RewardBreakdown:
     predicted = traj.final_table
-    r_out = outcome_score(predicted, target)
-    r_part = partial_score(predicted, target)
     if predicted is None:
-        s_sch = s_shp = s_cnt = 0.0
+        r_out = r_part = s_sch = s_shp = s_cnt = 0.0
     else:
+        r_out = outcome_score(predicted, target)
         s_sch = schema_score(predicted, target)
         s_shp = shape_score(predicted, target)
         s_cnt = cell_score(predicted, target)
+        # partial_score's value, from the scores already in hand
+        r_part = 1.0 if r_out == 1.0 else (s_sch + s_shp + s_cnt) / 3.0
     judge_scores = (judge or RuleJudge()).score(traj)
     r_llm = judge_scores.mean
     total = weights.alpha * r_out + weights.beta * r_part + weights.gamma * r_llm

@@ -5,7 +5,9 @@ None, bool, int, float, str, or a tuple of scalars (one nesting level only).
 Integers must fit in 64 bits, reals must be finite (NaN and infinities are
 rejected at construction). Table equality ignores row order and column order
 but requires exact cell values, with integers and integer-valued reals
-comparing equal (2 == 2.0).
+comparing equal (2 == 2.0). Cells have one order key, cell_sort_key (Null <
+Boolean < numeric < Text < List), which every sort uses, and one hash key,
+cell_hash_key, under which tables_equal compares the two row multisets.
 
 The module also provides a deterministic markdown rendering used for agent
 observations, and csv / json-rows file I/O with an optional JSON sidecar
@@ -20,8 +22,8 @@ import csv
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import cmp_to_key
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -290,14 +292,6 @@ def compare_cells(a: Cell, b: Cell) -> int:
     return (len(a) > len(b)) - (len(a) < len(b))
 
 
-def _compare_rows(a: tuple, b: tuple) -> int:
-    for x, y in zip(a, b):
-        c = compare_cells(x, y)
-        if c != 0:
-            return c
-    return 0
-
-
 def cells_equal(a: Cell, b: Cell) -> bool:
     """Exact cell equality; ints equal int-valued reals, bools match only bools."""
     if a is None or b is None:
@@ -313,31 +307,57 @@ def cells_equal(a: Cell, b: Cell) -> bool:
     return False
 
 
+def cell_sort_key(v: Cell) -> tuple:
+    """Sort key giving compare_cells' order. Numbers stay raw, so int / real
+    order stays exact; text keys on the str, as code-point order is UTF-8 order."""
+    if v is None:
+        return (0,)
+    if isinstance(v, bool):
+        return (1, v)
+    if isinstance(v, (int, float)):
+        return (2, v)
+    if isinstance(v, str):
+        return (3, v)
+    return (4, tuple(map(cell_sort_key, v)))
+
+
+def cell_hash_key(v: Cell) -> Any:
+    """Hashable key, equal exactly when cells_equal holds. Null, numbers and text
+    key as themselves (2 == 2.0 and -0.0 == 0.0, with equal hashes); bools and
+    lists are tagged, so True stays apart from 1 and no list meets a scalar."""
+    if isinstance(v, bool):
+        return ("bool", v)
+    if isinstance(v, tuple):
+        return ("list", tuple(map(cell_hash_key, v)))
+    return v
+
+
 def canonicalize(t: Table) -> Table:
     """Reorder columns by name and rows lexicographically. Idempotent."""
     cols = t.schema.columns
-    order = sorted(range(len(cols)), key=lambda i: cols[i].name.encode("utf-8"))
+    order = sorted(range(len(cols)), key=lambda i: cols[i].name)
     new_cols = tuple(cols[i] for i in order)
     new_rows = [tuple(row[i] for i in order) for row in t.rows]
-    new_rows.sort(key=cmp_to_key(_compare_rows))
+    new_rows.sort(key=lambda row: tuple(map(cell_sort_key, row)))
     return Table(Schema(t.name, new_cols, t.schema.description), tuple(new_rows))
+
+
+def _hashed_rows(t: Table, names: Sequence[str]) -> Counter:
+    """Multiset of rows projected onto `names`, each cell keyed by cell_hash_key."""
+    columns = [map(cell_hash_key, t.column(n)) for n in names]
+    return Counter(zip(*columns))
 
 
 def tables_equal(a: Table, b: Table) -> bool:
     """Order-insensitive table equality.
 
-    Compares canonical column-name sequences and the exact row multiset.
-    Dtype labels are not compared; cell values decide.
+    Compares the column-name sets and the exact row multiset, with rows
+    hashed by cell_hash_key. Dtype labels are not compared; cell values decide.
     """
-    ca, cb = canonicalize(a), canonicalize(b)
-    if ca.column_names != cb.column_names:
+    names = sorted(a.column_names)
+    if names != sorted(b.column_names) or a.n_rows != b.n_rows:
         return False
-    if len(ca.rows) != len(cb.rows):
-        return False
-    for ra, rb in zip(ca.rows, cb.rows):
-        if not all(cells_equal(x, y) for x, y in zip(ra, rb)):
-            return False
-    return True
+    return _hashed_rows(a, names) == _hashed_rows(b, names)
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,19 @@ def test_protocol_errors_do_not_consume_turns():
     assert "protocol error (missing_decision)" in bad.feedback
 
 
+def test_deeply_nested_reply_is_a_protocol_error():
+    # nesting this deep used to overflow the parser's recursion and escape
+    # run_episode; it is now an ordinary bad_ops reply the policy can repair
+    nested = "(" * 150 + 'col("id") > 1' + ")" * 150
+    reply = f"<plan>filter movies</plan><expand>parent: root\nFilter('movies', '{nested}')</expand>"
+    assert category_of(reply) == "bad_ops"
+    traj = run_episode(make_task(), ScriptedPolicy([reply, EXPAND_REPLY, ANSWER_REPLY]))
+    assert traj.status == "answered"
+    assert [t.action for t in traj.turns] == ["protocol_error", "expand", "answer"]
+    assert traj.turns[0].category == "bad_ops"
+    assert "nests deeper" in traj.turns[0].feedback
+
+
 def test_two_consecutive_protocol_errors_abort():
     task = make_task()
     traj = run_episode(task, ScriptedPolicy(["junk", "<plan>still junk</plan>", ANSWER_REPLY]))

@@ -13,6 +13,7 @@ from adprep.expr import (
     EvalError,
     ExprParseError,
     Lit,
+    MAX_DEPTH,
     Unary,
     column_refs,
     eval_expr,
@@ -74,6 +75,29 @@ def test_parse_errors_carry_position():
         parse_expr('"unterminated')
     with pytest.raises(ExprParseError):
         parse_expr("lower(1, 2)")  # arity
+
+
+@pytest.mark.parametrize(
+    "nest",
+    [
+        lambda n: "(" * n + "1" + ")" * n,
+        lambda n: "- " * n + "1",
+        lambda n: "not " * n + "true",
+        lambda n: "to_int(" * n + "1" + ")" * n,
+        lambda n: " + ".join(["1"] * (n + 1)),
+        lambda n: " or ".join(["true"] * (n + 1)),
+    ],
+    ids=["parens", "negation", "not", "calls", "plus-chain", "or-chain"],
+)
+def test_nesting_depth_is_capped(nest):
+    # at the cap the tree parses, evaluates and prints; past it (and far past
+    # it, where recursion would overflow the stack) parsing fails cleanly
+    e = parse_expr(nest(MAX_DEPTH))
+    assert parse_expr(print_expr(e)) == e
+    eval_expr(e, {})
+    for n in (MAX_DEPTH + 1, 1500):
+        with pytest.raises(ExprParseError, match="nests deeper"):
+            parse_expr(nest(n))
 
 
 def test_eval_arithmetic():

@@ -187,3 +187,24 @@ def test_missing_and_truncated_logs(tmp_path):
     (logs / "task-001.jsonl").write_text("\n".join(good[:-1]) + "\n")
     with pytest.raises(HarnessError):
         load_trajectory_log(logs / "task-001.jsonl")
+
+
+def test_malformed_log_line_becomes_a_load_error_row(tmp_path):
+    suite = build_suite(tmp_path, seeds=(1, 7, 13))
+    logs = tmp_path / "logs"
+    run_benchmark(suite, gt_replay_policy, log_dir=logs)
+    lines = (logs / "task-007.jsonl").read_text().splitlines()
+    (logs / "task-007.jsonl").write_text('{"record": "task"\n' + "\n".join(lines[1:]) + "\n")
+    with pytest.raises(HarnessError, match="malformed log line"):
+        load_trajectory_log(logs / "task-007.jsonl")
+    (logs / "task-013.jsonl").write_text('["not", "an", "object"]\n')
+    with pytest.raises(HarnessError, match="JSON object"):
+        load_trajectory_log(logs / "task-013.jsonl")
+
+    report = replay_suite(suite, logs)
+    by_id = {r.task_id: r for r in report.rows}
+    assert by_id["task-007"].status == "load_error"
+    assert "malformed log line" in by_id["task-007"].error
+    assert by_id["task-013"].status == "load_error"
+    assert by_id["task-001"].status == "answered"
+    assert not report.all_attempted

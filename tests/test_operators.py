@@ -15,7 +15,7 @@ from adprep.operators import (
     registry_help,
     serialize_operator_call,
 )
-from adprep.tables import BOOL, INT, REAL, TEXT, make_table, tables_equal
+from adprep.tables import BOOL, INT, LIST, REAL, TEXT, make_table, tables_equal
 
 
 def run(op_text, state, **kwargs):
@@ -118,6 +118,8 @@ def test_parse_errors():
         ('GroupBy("t", ["a"], {"x": "median"})', "unknown aggregate"),
         ('DropNA("t", ["a"], ', "expected a value"),
         ('Filter("t", "unterminated', "unterminated string"),
+        ('DropNA("t", ' + "[" * 2000 + "]" * 2000 + ', "any")', "lists nest deeper"),
+        ('Filter("t", "' + "(" * 2000 + "true" + ")" * 2000 + '")', "nests deeper"),
     ]:
         with pytest.raises(OpParseError) as err:
             parse_operator_call(bad)
@@ -384,6 +386,41 @@ def test_sort_is_stable():
     t = make_table("t", [("k", INT), ("seq", INT)], [(1, 0), (1, 1), (0, 2), (1, 3)])
     out = run('Sort("t", ["k"], true)', {"t": t})
     assert out["t"].column("seq") == (2, 0, 1, 3)
+
+
+def test_sort_mixed_flags_ties_and_numbers_match_reference():
+    from itertools import product
+
+    from reference_ops import REF_HANDLERS, diff_states, plain_state
+
+    # int keys with ties and nulls, reals that tie across -0.0 / 0.0 and
+    # 2.0 / 2, list keys mixing int and real elements; seq exposes stability
+    t = make_table(
+        "t", [("k", INT), ("x", REAL), ("tags", LIST), ("seq", INT)],
+        [
+            (2, 0.0, (1, 2.0), 0),
+            (1, -0.0, (1.0, 2), 1),
+            (2, 2.0, (1,), 2),
+            (None, 2.5, None, 3),
+            (2, -0.0, (1, 2), 4),
+            (1, None, (), 5),
+            (1, 2.0, (1, 2.5), 6),
+            (2, 0.0, (1.0, 2.0), 7),
+            (None, None, (0, 9), 8),
+            (1, -0.0, (1, 2), 9),
+        ],
+    )
+    checked = 0
+    for keys in (["k", "x"], ["x", "k", "tags"], ["tags", "k"]):
+        for flags in product([True, False], repeat=len(keys)):
+            op = make_operator("Sort", "t", keys, list(flags))
+            out = execute_operator(op, {"t": t})
+            want = REF_HANDLERS["Sort"](op.params, plain_state({"t": t}))
+            assert diff_states(out, want) is None, (keys, flags)
+            checked += 1
+    assert checked == 16
+    out = execute_operator(make_operator("Sort", "t", ["k", "x"], [False, True]), {"t": t})
+    assert out["t"].column("seq") == (0, 4, 7, 2, 5, 1, 9, 6, 8, 3)
 
 
 def test_topk():

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import math
 import random
+from functools import cmp_to_key
 
 import pytest
 
 from adprep.tables import (
+    BOOL,
     INT,
     LIST,
     REAL,
@@ -18,6 +20,8 @@ from adprep.tables import (
     TableError,
     TableIOError,
     canonicalize,
+    cell_hash_key,
+    cell_sort_key,
     cells_equal,
     compare_cells,
     make_table,
@@ -43,8 +47,6 @@ def test_canonicalize_sorts_columns_and_rows():
 
 
 def test_canonicalize_cell_order_across_kinds():
-    from functools import cmp_to_key
-
     # ordering: Null < Boolean < numeric < Text < List
     cells = [None, False, True, -1, 0.5, 2, "a", "b", ("a",)]
     ordered = sorted(cells[::-1], key=cmp_to_key(compare_cells))
@@ -99,6 +101,136 @@ def test_cells_equal_lists():
     assert cells_equal((1, 2), (1, 2.0))
     assert not cells_equal((1, 2), (1, 2, 3))
     assert not cells_equal("a", ("a",))
+
+
+# -- order key and hash key: seeded properties against the comparator spec ---
+
+# values of each kind picked to collide: 2 / 2.0, -0.0 / 0.0, True / 1 (which
+# must stay apart), 2**63-1 / float(2**63) (which differ by one), non-BMP text,
+# () / (None,), and lists shaped like another kind's key
+CELL_POOL = {
+    INT: [0, 1, 2, -1, 2**63 - 1, -(2**63), 7],
+    REAL: [0.0, -0.0, 1.0, 2.0, 2.5, float(2**63), -1e300, 0.1],
+    BOOL: [True, False],
+    TEXT: ["", "a", "ab", "b", "\u00e9", "\uffff", "\U0001f600", "\U0001f600a"],
+}
+EDGE_CELLS = [
+    2, 2.0, -0.0, 0.0, True, 1, False, 0, 2**63 - 1, float(2**63),
+    "\U0001f600", "\uffff", (), (None,), (2, "a"), (2.0, "a"), (True,), (1,), None,
+    ("bool", 1), ("bool", True),
+]
+
+
+def _scalar(rng):
+    kind = rng.choice([None, INT, REAL, BOOL, TEXT])
+    return None if kind is None else rng.choice(CELL_POOL[kind])
+
+
+def _any_cell(rng, depth=2):
+    """A cell of any kind; lists mix kinds and may nest (the keys recurse)."""
+    if depth and rng.random() < 0.3:
+        return tuple(_any_cell(rng, depth - 1) for _ in range(rng.randint(0, 3)))
+    return _scalar(rng)
+
+
+def test_sort_key_orders_like_compare_cells():
+    rng = random.Random(2024)
+    for trial in range(300):
+        cells = [_any_cell(rng) for _ in range(rng.randint(0, 25))]
+        if trial % 10 == 0:
+            cells += EDGE_CELLS
+            rng.shuffle(cells)
+        by_key = sorted(range(len(cells)), key=lambda i: cell_sort_key(cells[i]))
+        by_cmp = sorted(
+            range(len(cells)), key=cmp_to_key(lambda i, j: compare_cells(cells[i], cells[j]))
+        )
+        assert by_key == by_cmp, [cells[i] for i in by_cmp]
+
+
+def test_keys_are_equal_exactly_when_cells_are():
+    rng = random.Random(77)
+    pool = EDGE_CELLS + [_any_cell(rng) for _ in range(120)]
+    for a in pool:
+        for b in pool:
+            same = cells_equal(a, b)
+            assert (cell_hash_key(a) == cell_hash_key(b)) == same, (a, b)
+            assert (cell_sort_key(a) == cell_sort_key(b)) == same, (a, b)
+            if same:
+                assert hash(cell_hash_key(a)) == hash(cell_hash_key(b)), (a, b)
+    assert cell_hash_key(2) == cell_hash_key(2.0)
+    assert cell_hash_key(-0.0) == cell_hash_key(0.0)
+    assert cell_hash_key(True) != cell_hash_key(1)
+    assert cell_hash_key(2**63 - 1) != cell_hash_key(float(2**63))
+    assert cell_hash_key(()) != cell_hash_key((None,))
+    assert cell_hash_key(("bool", 1)) != cell_hash_key(True)
+
+
+def _pool_table(rng):
+    """A small table of CELL_POOL values, with some rows repeated."""
+    n_cols = rng.randint(1, 4)
+    names = rng.sample(["a", "b", "c", "d", "e"], n_cols)
+    dtypes = [rng.choice([INT, REAL, BOOL, TEXT, LIST]) for _ in names]
+
+    def cell(dtype):
+        if rng.random() < 0.15:
+            return None
+        if dtype == LIST:
+            return tuple(_scalar(rng) for _ in range(rng.randint(0, 2)))
+        return rng.choice(CELL_POOL[dtype])
+
+    rows = [tuple(cell(d) for d in dtypes) for _ in range(rng.randint(0, 6))]
+    rows += [rng.choice(rows) for _ in range(rng.randint(0, 3))] if rows else []
+    return make_table("t", list(zip(names, dtypes)), rows)
+
+
+def _shuffled(rng, t):
+    """Rows and columns permuted; an int column may turn into equal reals."""
+    cols = list(range(len(t.schema.columns)))
+    rng.shuffle(cols)
+    specs = []
+    columns = []
+    for i in cols:
+        spec, cells = t.schema.columns[i], [row[i] for row in t.rows]
+        if spec.dtype == INT and rng.random() < 0.5 and all(c is None or float(c) == c for c in cells):
+            spec, cells = ColumnSpec(spec.name, REAL), [None if c is None else float(c) for c in cells]
+        specs.append(spec)
+        columns.append(cells)
+    rows = list(zip(*columns))
+    rng.shuffle(rows)
+    return Table(Schema("u", tuple(specs)), tuple(rows))
+
+
+def _flipped(rng, t):
+    """One cell replaced by a value that is not cells_equal to it."""
+    r, c = rng.randrange(t.n_rows), rng.randrange(len(t.schema.columns))
+    old, dtype = t.rows[r][c], t.schema.columns[c].dtype
+    choices = [(), ("x",)] if dtype == LIST else CELL_POOL[dtype]
+    new = rng.choice([v for v in choices if not cells_equal(v, old)])
+    rows = [list(row) for row in t.rows]
+    rows[r][c] = new
+    return Table(t.schema, tuple(tuple(row) for row in rows))
+
+
+def _reference_tables_equal(a, b):
+    ca, cb = canonicalize(a), canonicalize(b)
+    return (
+        ca.column_names == cb.column_names
+        and ca.n_rows == cb.n_rows
+        and all(cells_equal(x, y) for ra, rb in zip(ca.rows, cb.rows) for x, y in zip(ra, rb))
+    )
+
+
+def test_tables_equal_matches_canonical_reference():
+    rng = random.Random(31)
+    for _ in range(300):
+        t = _pool_table(rng)
+        same = _shuffled(rng, t)
+        assert tables_equal(t, same) and _reference_tables_equal(t, same)
+        if t.n_rows:
+            flipped = _flipped(rng, t)
+            assert not tables_equal(t, flipped) and not _reference_tables_equal(t, flipped)
+        other = _pool_table(rng)
+        assert tables_equal(t, other) == _reference_tables_equal(t, other)
 
 
 def test_nan_and_inf_rejected():
