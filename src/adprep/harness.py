@@ -24,7 +24,7 @@ from .agent import (
 )
 from .reward import DEFAULT_WEIGHTS, RewardWeights, RuleJudge, score_trajectory
 from .synthesis import SynthesisError, TaskBundle, read_bundle
-from .tables import table_to_json
+from .tables import TableError, table_to_json
 
 GPU_DOLLARS_PER_HOUR = 0.91
 
@@ -215,19 +215,24 @@ def load_trajectory_log(path: str | Path) -> Trajectory:
         for line in lines[1:-1]
         if line.get("record") == "turn"
     ]
-    data = {
-        "task_id": lines[0]["task_id"],
-        "status": terminal["status"],
-        "turns": turns,
-        "answer_path": terminal.get("answer_path"),
-        "answer_plan": terminal.get("answer_plan"),
-        "final_table": terminal.get("final_table"),
-        "wall_time": terminal.get("wall_time", 0.0),
-        "protocol_error_count": terminal.get("protocol_error_count", 0),
-        "usage": terminal.get("usage"),
-        "error": terminal.get("error"),
-    }
-    return trajectory_from_json(data)
+    try:
+        data = {
+            "task_id": lines[0]["task_id"],
+            "status": terminal["status"],
+            "turns": turns,
+            "answer_path": terminal.get("answer_path"),
+            "answer_plan": terminal.get("answer_plan"),
+            "final_table": terminal.get("final_table"),
+            "wall_time": terminal.get("wall_time", 0.0),
+            "protocol_error_count": terminal.get("protocol_error_count", 0),
+            "usage": terminal.get("usage"),
+            "error": terminal.get("error"),
+        }
+        return trajectory_from_json(data)
+    except KeyError as exc:
+        raise HarnessError(f"{path}: log record lacks {exc}") from None
+    except (TypeError, TableError) as exc:
+        raise HarnessError(f"{path}: malformed log record: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +410,7 @@ def replay_suite(
     for task_dir in discover_tasks(Path(suite_dir)):
         try:
             bundle = read_bundle(task_dir)
-        except SynthesisError as exc:
+        except (SynthesisError, TableError) as exc:
             rows.append(CaseResult(task_id=task_dir.name, status="load_error", error=str(exc)))
             continue
         log_path = Path(log_dir) / f"{bundle.task_id}.jsonl"

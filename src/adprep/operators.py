@@ -30,7 +30,7 @@ import tempfile
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import Any, Callable, Protocol
+from typing import Any, Callable, Collection, Protocol
 
 from .expr import (
     MAX_DEPTH,
@@ -61,6 +61,7 @@ from .tables import (
     render_scalar,
     table_from_csv_text,
     table_to_csv_text,
+    validate_cell,
 )
 
 TableSet = dict[str, Table]
@@ -620,23 +621,39 @@ def _eval_cell(func: Expr, t: Table, row: tuple, r: int, op: OperatorInstance) -
         raise ExecError(op, f"row {r}: {exc}", detail=exc.expr_text) from None
 
 
-def _rebuild_column(
-    t: Table, idx: int, cells: list[Cell], op: OperatorInstance, fallback: str | None = None
-) -> Table:
-    """Replace one column's cells, re-inferring its dtype."""
-    old = t.schema.columns[idx]
+def _resolve_column(
+    name: str, cells: list[Cell], op: OperatorInstance, fallback: str,
+    *, computed: bool, dtype: str | None = None,
+) -> tuple[str, list[Cell]]:
+    """Dtype and cells of an output column: the dtype is inferred unless given,
+    and ints in a real column become floats. Computed cells are also checked
+    with validate_cell; moved cells already passed it. A bad cell raises
+    ExecError naming the column."""
     try:
-        dtype = infer_column_dtype(cells, fallback or old.dtype)
-        cells = coerce_cells(dtype, cells)
+        if dtype is None:
+            dtype = infer_column_dtype(cells, fallback)
+            cells = coerce_cells(dtype, cells)
+        if computed:
+            where = f"column {name!r}"
+            cells = [validate_cell(v, dtype, where) for v in cells]
     except TableError as exc:
-        raise ExecError(op, str(exc), detail=old.name) from None
+        raise ExecError(op, str(exc), detail=name) from None
+    return dtype, cells
+
+
+def _rebuild_column(
+    t: Table, idx: int, cells: list[Cell], op: OperatorInstance,
+    fallback: str | None = None, dtype: str | None = None,
+) -> Table:
+    """Replace one column with computed cells, re-inferring its dtype unless given."""
+    old = t.schema.columns[idx]
+    dtype, cells = _resolve_column(
+        old.name, cells, op, fallback or old.dtype, computed=True, dtype=dtype
+    )
     cols = list(t.schema.columns)
     cols[idx] = ColumnSpec(old.name, dtype, old.description)
-    rows = [
-        tuple(cells[r] if j == idx else row[j] for j in range(len(cols)))
-        for r, row in enumerate(t.rows)
-    ]
-    return Table(Schema(t.name, tuple(cols), t.schema.description), tuple(rows))
+    rows = [row[:idx] + (cell,) + row[idx + 1:] for row, cell in zip(t.rows, cells)]
+    return _build_table(t.name, cols, rows, t.schema.description)
 
 
 def _append_column(
@@ -645,15 +662,10 @@ def _append_column(
 ) -> Table:
     if name in t.column_names:
         raise ExecError(op, f"column {name!r} already exists in table {t.name!r}", detail=name)
-    if dtype is None:
-        try:
-            dtype = infer_column_dtype(cells, fallback)
-            cells = coerce_cells(dtype, cells)
-        except TableError as exc:
-            raise ExecError(op, str(exc), detail=name) from None
+    dtype, cells = _resolve_column(name, cells, op, fallback, computed=True, dtype=dtype)
     cols = t.schema.columns + (ColumnSpec(name, dtype),)
-    rows = [row + (cells[r],) for r, row in enumerate(t.rows)]
-    return Table(Schema(t.name, cols, t.schema.description), tuple(rows))
+    rows = [row + (cell,) for row, cell in zip(t.rows, cells)]
+    return _build_table(t.name, cols, rows, t.schema.description)
 
 
 def _subset_indexes(t: Table, subset: list[str], op: OperatorInstance) -> list[int]:
@@ -664,16 +676,11 @@ def _subset_indexes(t: Table, subset: list[str], op: OperatorInstance) -> list[i
 
 
 def _build_table(
-    name: str,
-    cols: list[ColumnSpec],
-    rows: list[tuple],
-    op: OperatorInstance,
-    description: str | None = None,
+    name: str, cols: list[ColumnSpec], rows: list[tuple], description: str | None = None
 ) -> Table:
-    try:
-        return Table(Schema(name, tuple(cols), description), tuple(rows))
-    except TableError as exc:
-        raise ExecError(op, str(exc)) from None
+    """An operator's output table. Its cells are not checked again: each was
+    moved from a checked table or, if computed, checked by _resolve_column."""
+    return Table.trusted(Schema(name, tuple(cols), description), tuple(rows))
 
 
 def _infer_output_columns(
@@ -682,20 +689,17 @@ def _infer_output_columns(
     fallbacks: list[str],
     op: OperatorInstance,
     descriptions: list[str | None] | None = None,
+    computed: Collection[str] = (),
 ) -> tuple[list[ColumnSpec], list[tuple]]:
+    """Output columns from per-column cells; the `computed` ones are checked."""
     descs = descriptions or [None] * len(names)
     specs = []
     fixed = []
     for name, cells, fb, desc in zip(names, columns_cells, fallbacks, descs):
-        try:
-            dtype = infer_column_dtype(cells, fb)
-            fixed.append(coerce_cells(dtype, cells))
-        except TableError as exc:
-            raise ExecError(op, str(exc), detail=name) from None
+        dtype, cells = _resolve_column(name, cells, op, fb, computed=name in computed)
+        fixed.append(cells)
         specs.append(ColumnSpec(name, dtype, desc))
-    n_rows = len(fixed[0]) if fixed else 0
-    rows = [tuple(col[r] for col in fixed) for r in range(n_rows)]
-    return specs, rows
+    return specs, list(zip(*fixed))
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +714,7 @@ def _exec_dropna(op, state, backend):
         rows = [r for r in t.rows if all(r[i] is not None for i in idxs)]
     else:
         rows = [r for r in t.rows if any(r[i] is not None for i in idxs)]
-    return _with(state, [], [Table(t.schema, tuple(rows))])
+    return _with(state, [], [Table.trusted(t.schema, tuple(rows))])
 
 
 def _exec_imputation(op, state, backend):
@@ -768,7 +772,7 @@ def _exec_deduplicate(op, state, backend):
     t = _get_table(state, p["table"], op)
     idxs = _subset_indexes(t, p["subset"], op)
     rows = _dedupe_rows(list(t.rows), idxs, p["keep"])
-    return _with(state, [], [Table(t.schema, tuple(rows))])
+    return _with(state, [], [Table.trusted(t.schema, tuple(rows))])
 
 
 def _exec_error_detection(op, state, backend):
@@ -801,7 +805,7 @@ def _exec_outlier_detection(op, state, backend):
         return v is not None and abs(v - mean) > 3 * sd
     if p["action"] == "remove":
         rows = [row for row in t.rows if not is_outlier(row[idx])]
-        return _with(state, [], [Table(t.schema, tuple(rows))])
+        return _with(state, [], [Table.trusted(t.schema, tuple(rows))])
     flags = [is_outlier(row[idx]) for row in t.rows]
     out = _append_column(t, f"{p['column']}_outlier", flags, op, dtype=BOOL)
     return _with(state, [], [out])
@@ -911,14 +915,7 @@ def _exec_cast_type(op, state, backend):
             raise ExecError(
                 op, f"row {r}: cannot cast {render_cell(v)!r} to {dtype}", detail=render_cell(v)
             ) from None
-    old = t.schema.columns[idx]
-    cols = list(t.schema.columns)
-    cols[idx] = ColumnSpec(old.name, dtype, old.description)
-    rows = [
-        tuple(cells[r] if j == idx else row[j] for j in range(len(cols)))
-        for r, row in enumerate(t.rows)
-    ]
-    return _with(state, [], [_build_table(t.name, cols, rows, op, t.schema.description)])
+    return _with(state, [], [_rebuild_column(t, idx, cells, op, dtype=dtype)])
 
 
 # ---------------------------------------------------------------------------
@@ -939,7 +936,7 @@ def _exec_rename_column(op, state, backend):
         ColumnSpec(n, c.dtype, c.description)
         for n, c in zip(new_names, t.schema.columns)
     ]
-    return _with(state, [], [_build_table(t.name, cols, list(t.rows), op, t.schema.description)])
+    return _with(state, [], [_build_table(t.name, cols, list(t.rows), t.schema.description)])
 
 
 def _exec_add_new_column(op, state, backend):
@@ -959,7 +956,7 @@ def _exec_drop_column(op, state, backend):
         raise ExecError(op, "cannot drop every column", detail=p["table"])
     cols = [t.schema.columns[i] for i in keep]
     rows = [tuple(row[i] for i in keep) for row in t.rows]
-    return _with(state, [], [_build_table(t.name, cols, rows, op, t.schema.description)])
+    return _with(state, [], [_build_table(t.name, cols, rows, t.schema.description)])
 
 
 def _exec_split_column(op, state, backend):
@@ -996,8 +993,8 @@ def _exec_split_column(op, state, backend):
             cells.append([row[j] for row in t.rows])
             fallbacks.append(c.dtype)
             descs.append(c.description)
-    specs, rows = _infer_output_columns(names, cells, fallbacks, op, descs)
-    return _with(state, [], [_build_table(t.name, specs, rows, op, t.schema.description)])
+    specs, rows = _infer_output_columns(names, cells, fallbacks, op, descs, computed=targets)
+    return _with(state, [], [_build_table(t.name, specs, rows, t.schema.description)])
 
 
 def _exec_concatenate(op, state, backend):
@@ -1020,7 +1017,7 @@ def _exec_select_column(op, state, backend):
     keep = [i for i, c in enumerate(t.schema.columns) if c.name in keep_set]
     cols = [t.schema.columns[i] for i in keep]
     rows = [tuple(row[i] for i in keep) for row in t.rows]
-    return _with(state, [], [_build_table(t.name, cols, rows, op, t.schema.description)])
+    return _with(state, [], [_build_table(t.name, cols, rows, t.schema.description)])
 
 
 def _exec_subtitle(op, state, backend):
@@ -1047,7 +1044,7 @@ def _exec_filter(op, state, backend):
                 op, f"row {r}: func returned {render_cell(v)!r}, expected boolean",
                 detail=render_cell(v),
             )
-    return _with(state, [], [Table(t.schema, tuple(rows))])
+    return _with(state, [], [Table.trusted(t.schema, tuple(rows))])
 
 
 def _exec_sort(op, state, backend):
@@ -1068,7 +1065,7 @@ def _exec_sort(op, state, backend):
     rows = list(t.rows)
     for i, up in reversed(list(zip(idxs, asc))):
         rows.sort(key=lambda row: cell_sort_key(row[i]), reverse=not up)
-    return _with(state, [], [Table(t.schema, tuple(rows))])
+    return _with(state, [], [Table.trusted(t.schema, tuple(rows))])
 
 
 def _exec_topk(op, state, backend):
@@ -1076,7 +1073,7 @@ def _exec_topk(op, state, backend):
     t = _get_table(state, p["table"], op)
     if p["k"] < 0:
         raise ExecError(op, f"k must be non-negative, got {p['k']}", detail=str(p["k"]))
-    return _with(state, [], [Table(t.schema, t.rows[: p["k"]])])
+    return _with(state, [], [Table.trusted(t.schema, t.rows[: p["k"]])])
 
 
 # ---------------------------------------------------------------------------
@@ -1159,15 +1156,17 @@ def _exec_group_by(op, state, backend):
     for col, fn in agg.items():
         fallbacks.append(_agg_fallback(fn, t.schema.columns[agg_idxs[col]].dtype))
         descs.append(None)
-    specs, rows = _infer_output_columns(out_names, key_cells + agg_cells, fallbacks, op, descs)
-    return _with(state, [], [_build_table(t.name, specs, rows, op, t.schema.description)])
+    specs, rows = _infer_output_columns(
+        out_names, key_cells + agg_cells, fallbacks, op, descs, computed=out_names[len(key_idxs):]
+    )
+    return _with(state, [], [_build_table(t.name, specs, rows, t.schema.description)])
 
 
 def _exec_count(op, state, backend):
     p = op.params
     t = _get_table(state, p["table"], op)
     cols = [ColumnSpec("count", INT)]
-    return _with(state, [], [_build_table(t.name, cols, [(t.n_rows,)], op, t.schema.description)])
+    return _with(state, [], [_build_table(t.name, cols, [(t.n_rows,)], t.schema.description)])
 
 
 def _exec_calculate_statistic(op, state, backend):
@@ -1182,12 +1181,9 @@ def _exec_calculate_statistic(op, state, backend):
         result: Cell = 0
     else:
         result = _fold(stat, present, op, "func values")
-    try:
-        dtype = infer_column_dtype([result], INT)
-    except TableError as exc:
-        raise ExecError(op, str(exc), detail=stat) from None
+    dtype, (result,) = _resolve_column(stat, [result], op, INT, computed=True)
     cols = [ColumnSpec(stat, dtype)]
-    return _with(state, [], [_build_table(t.name, cols, [(result,)], op, t.schema.description)])
+    return _with(state, [], [_build_table(t.name, cols, [(result,)], t.schema.description)])
 
 
 # ---------------------------------------------------------------------------
@@ -1316,7 +1312,7 @@ def _exec_join(op, state, backend):
         fixed_rows.append(tuple(row))
 
     name = f"{p['left']}_{p['right']}_join"
-    out = _build_table(name, cols, fixed_rows, op)
+    out = _build_table(name, cols, fixed_rows)
     return _with(state, [p["left"], p["right"]], [out])
 
 
@@ -1342,7 +1338,7 @@ def _exec_union(op, state, backend):
     descs = [c.description for c in first.schema.columns]
     specs, rows = _infer_output_columns(list(base_names), cells, fallbacks, op, descs)
     out_name = "_".join(names) + "_union"
-    out = _build_table(out_name, specs, rows, op)
+    out = _build_table(out_name, specs, rows)
     return _with(state, list(dict.fromkeys(names)), [out])
 
 
@@ -1361,7 +1357,7 @@ def _exec_append(op, state, backend):
     fallbacks = [c.dtype for c in t.schema.columns]
     descs = [c.description for c in t.schema.columns]
     specs, rows = _infer_output_columns(list(t.column_names), cells, fallbacks, op, descs)
-    out = _build_table(t.name, specs, rows, op, t.schema.description)
+    out = _build_table(t.name, specs, rows, t.schema.description)
     remove = [p["other"]] if p["other"] != p["table"] else []
     return _with(state, remove, [out])
 
@@ -1428,8 +1424,8 @@ def _exec_pivot(op, state, backend):
     fallbacks += [_agg_fallback(fold_fn, t.schema.columns[val_idx].dtype)] * len(labels)
     descs: list[str | None] = [t.schema.columns[i].description for i in idx_idxs]
     descs += [None] * len(labels)
-    specs, rows = _infer_output_columns(names, cells, fallbacks, op, descs)
-    out = _build_table(f"{t.name}_pivot", specs, rows, op)
+    specs, rows = _infer_output_columns(names, cells, fallbacks, op, descs, computed=labels)
+    out = _build_table(f"{t.name}_pivot", specs, rows)
     return _with(state, [p["table"]], [out])
 
 
@@ -1462,7 +1458,7 @@ def _exec_stack(op, state, backend):
     fallbacks = [t.schema.columns[i].dtype for i in id_idxs] + [TEXT, TEXT]
     descs: list[str | None] = [t.schema.columns[i].description for i in id_idxs] + [None, None]
     specs, rows = _infer_output_columns(names, id_cells + [var_cells, val_cells], fallbacks, op, descs)
-    out = _build_table(f"{t.name}_stack", specs, rows, op)
+    out = _build_table(f"{t.name}_stack", specs, rows)
     return _with(state, [p["table"]], [out])
 
 
@@ -1519,7 +1515,7 @@ def _exec_wide_to_long(op, state, backend):
     fallbacks = [t.schema.columns[i].dtype for i in i_idxs] + [TEXT] + [TEXT] * len(stubs)
     descs: list[str | None] = [t.schema.columns[i].description for i in i_idxs] + [None] * (1 + len(stubs))
     specs, rows = _infer_output_columns(names, i_cells + [j_cells] + stub_cells, fallbacks, op, descs)
-    out = _build_table(f"{t.name}_widetolong", specs, rows, op)
+    out = _build_table(f"{t.name}_widetolong", specs, rows)
     return _with(state, [p["table"]], [out])
 
 
@@ -1535,7 +1531,7 @@ def _exec_transpose(op, state, backend):
             v = t.rows[r][j]
             row.append(None if v is None else render_cell(v))
         rows.append(tuple(row))
-    out = _build_table(f"{t.name}_transpose", cols, rows, op)
+    out = _build_table(f"{t.name}_transpose", cols, rows)
     return _with(state, [p["table"]], [out])
 
 
@@ -1557,7 +1553,7 @@ def _exec_explode(op, state, backend):
     fallbacks = [TEXT if j == idx else c.dtype for j, c in enumerate(t.schema.columns)]
     descs = [c.description for c in t.schema.columns]
     specs, rows = _infer_output_columns(names, cells, fallbacks, op, descs)
-    out = _build_table(f"{t.name}_explode", specs, rows, op, t.schema.description)
+    out = _build_table(f"{t.name}_explode", specs, rows, t.schema.description)
     return _with(state, [p["table"]], [out])
 
 
@@ -1649,7 +1645,8 @@ def _exec_execode(op, state, backend: ScriptBackend | None):
         raise ExecError(op, f"script backend failed: {exc}") from None
     if not isinstance(result, Table):
         raise ExecError(op, "script backend returned a non-table")
-    out = result.with_name(p["target"])
+    # script output is untrusted: the checked constructor re-validates every cell
+    out = Table(Schema(p["target"], result.schema.columns, result.schema.description), result.rows)
     return _with(state, list(dict.fromkeys(p["tables"])), [out])
 
 

@@ -2,12 +2,21 @@
 
 A Table is an immutable (schema, rows) pair. Cells are plain Python values:
 None, bool, int, float, str, or a tuple of scalars (one nesting level only).
-Integers must fit in 64 bits, reals must be finite (NaN and infinities are
-rejected at construction). Table equality ignores row order and column order
+Integers must fit in 64 bits, reals must be finite, and each cell's kind must
+match its column dtype. Table equality ignores row order and column order
 but requires exact cell values, with integers and integer-valued reals
 comparing equal (2 == 2.0). Cells have one order key, cell_sort_key (Null <
 Boolean < numeric < Text < List), which every sort uses, and one hash key,
 cell_hash_key, under which tables_equal compares the two row multisets.
+
+Cells are checked once, where they enter. Table(schema, rows) checks every
+cell and is the constructor for untrusted input: make_table,
+table_from_rows, table_from_json (logs and final tables), json-rows reads,
+ExeCode output and synthesis corruption all use it. The csv readers type
+and check each cell as they parse it. Table.trusted skips the check; it is
+for tables whose cells are already valid for their columns: operator
+outputs that move cells from checked tables, plus columns an operator
+computes, which it checks with validate_cell first.
 
 The module also provides a deterministic markdown rendering used for agent
 observations, and csv / json-rows file I/O with an optional JSON sidecar
@@ -24,6 +33,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -139,6 +149,7 @@ class Table:
 
     def __post_init__(self) -> None:
         cols = self.schema.columns
+        dtypes = [c.dtype for c in cols]
         checked = []
         for r, row in enumerate(self.rows):
             row = tuple(row)
@@ -146,13 +157,23 @@ class Table:
                 raise TableError(
                     f"table {self.name!r} row {r}: expected {len(cols)} cells, got {len(row)}"
                 )
-            checked.append(
-                tuple(
+            try:
+                checked.append(tuple(map(validate_cell, row, dtypes, repeat(""))))
+            except TableError:
+                # check the row again, naming each cell, so the error says where
+                for v, c in zip(row, cols):
                     validate_cell(v, c.dtype, f"table {self.name!r} row {r} column {c.name!r}")
-                    for v, c in zip(row, cols)
-                )
-            )
+                raise
         object.__setattr__(self, "rows", tuple(checked))
+
+    @classmethod
+    def trusted(cls, schema: Schema, rows: tuple[tuple[Cell, ...], ...]) -> "Table":
+        """Build without checking cells. `rows` must be a tuple of tuples whose
+        cells already pass validate_cell for their column dtypes."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "schema", schema)
+        object.__setattr__(t, "rows", rows)
+        return t
 
     @property
     def name(self) -> str:
@@ -175,10 +196,6 @@ class Table:
     def column(self, name: str) -> tuple[Cell, ...]:
         i = self.column_index(name)
         return tuple(row[i] for row in self.rows)
-
-    def with_name(self, new_name: str) -> "Table":
-        schema = Schema(new_name, self.schema.columns, self.schema.description)
-        return Table(schema, self.rows)
 
 
 def column_specs(cols: Sequence[ColumnSpec | tuple]) -> tuple[ColumnSpec, ...]:
@@ -339,7 +356,7 @@ def canonicalize(t: Table) -> Table:
     new_cols = tuple(cols[i] for i in order)
     new_rows = [tuple(row[i] for i in order) for row in t.rows]
     new_rows.sort(key=lambda row: tuple(map(cell_sort_key, row)))
-    return Table(Schema(t.name, new_cols, t.schema.description), tuple(new_rows))
+    return Table.trusted(Schema(t.name, new_cols, t.schema.description), tuple(new_rows))
 
 
 def _hashed_rows(t: Table, names: Sequence[str]) -> Counter:
@@ -475,34 +492,49 @@ def read_schema(path: str | Path) -> Schema:
     return schema_from_json(data)
 
 
-def _csv_parse_cell(text: str, dtype: str, where: str) -> Cell:
-    if text == "":
-        return None
-    try:
-        if dtype == INT:
-            if not _INT_RE.fullmatch(text):
-                raise ValueError("not an integer")
-            return int(text)
-        if dtype == REAL:
-            v = float(text)
-            if not math.isfinite(v):
-                raise ValueError("non-finite")
-            return v
-        if dtype == BOOL:
-            low = text.lower()
-            if low == "true":
-                return True
-            if low == "false":
-                return False
-            raise ValueError("not a boolean")
-        if dtype == LIST:
-            v = json.loads(text)
-            if not isinstance(v, list):
-                raise ValueError("not a json list")
-            return tuple(v)
-        return text
-    except (ValueError, json.JSONDecodeError) as exc:
-        raise TableIOError(f"{where}: cannot parse {text!r} as {dtype}: {exc}") from None
+def _csv_parse_cell(text: str, dtype: str) -> Cell:
+    """Typed value of a non-empty csv cell, checked as validate_cell would;
+    raises ValueError."""
+    if dtype == INT:
+        if not _INT_RE.fullmatch(text):
+            raise ValueError("not an integer")
+        v = int(text)
+        if not INT64_MIN <= v <= INT64_MAX:
+            raise ValueError("integer out of 64-bit range")
+        return v
+    if dtype == REAL:
+        v = float(text)
+        if not math.isfinite(v):
+            raise ValueError("non-finite")
+        return v
+    if dtype == BOOL:
+        low = text.lower()
+        if low == "true":
+            return True
+        if low == "false":
+            return False
+        raise ValueError("not a boolean")
+    if dtype == LIST:
+        v = json.loads(text)
+        if not isinstance(v, list):
+            raise ValueError("not a json list")
+        return tuple(_validate_scalar(x, "list element") for x in v)
+    return text
+
+
+def _csv_parse_column(cells: list[str], dtype: str, origin: str, name: str) -> list[Cell]:
+    """Typed cells of one csv column; an empty cell is Null."""
+    if dtype == TEXT:
+        return [None if c == "" else c for c in cells]
+    parsed = []
+    for r, text in enumerate(cells):
+        try:
+            parsed.append(None if text == "" else _csv_parse_cell(text, dtype))
+        except ValueError as exc:  # JSONDecodeError and TableError are ValueErrors
+            raise TableIOError(
+                f"{origin} row {r} column {name!r}: cannot parse {text!r} as {dtype}: {exc}"
+            ) from None
+    return parsed
 
 
 def _infer_cell_kind(text: str) -> str | None:
@@ -518,6 +550,18 @@ def _infer_cell_kind(text: str) -> str | None:
         except ValueError:
             pass
     if text.lower() in ("true", "false"):
+        return BOOL
+    return TEXT
+
+
+def _infer_csv_dtype(cells: list[str]) -> str:
+    """Column dtype from the observed cell kinds; all-null and mixed columns are text."""
+    kinds = {_infer_cell_kind(c) for c in cells} - {None}
+    if kinds == {INT}:
+        return INT
+    if kinds and kinds <= {INT, REAL}:
+        return REAL
+    if kinds == {BOOL}:
         return BOOL
     return TEXT
 
@@ -539,52 +583,22 @@ def _parse_csv_records(
             raise TableIOError(
                 f"{origin}: row {i} has {len(row)} cells, expected {len(header)}"
             )
+    if schema is not None and tuple(header) != schema.column_names:
+        raise TableIOError(
+            f"{origin}: header {header} does not match sidecar columns "
+            f"{list(schema.column_names)}"
+        )
 
-    if schema is not None:
-        if tuple(header) != schema.column_names:
-            raise TableIOError(
-                f"{origin}: header {header} does not match sidecar columns "
-                f"{list(schema.column_names)}"
-            )
-        rows = [
-            tuple(
-                _csv_parse_cell(cell, col.dtype, f"{origin} row {r} column {col.name!r}")
-                for cell, col in zip(row, schema.columns)
-            )
-            for r, row in enumerate(raw_rows)
-        ]
-        return Table(schema, tuple(rows))
-
-    # no sidecar: per-column inference over the observed cell kinds
-    cols = []
-    parsed_cols = []
-    for i, cname in enumerate(header):
-        cells = [row[i] for row in raw_rows]
-        kinds = {_infer_cell_kind(c) for c in cells} - {None}
-        if not kinds:
-            dtype = TEXT
-        elif kinds == {INT}:
-            dtype = INT
-        elif kinds <= {INT, REAL}:
-            dtype = REAL
-        elif kinds == {BOOL}:
-            dtype = BOOL
-        else:
-            dtype = TEXT
-        if dtype == TEXT:
-            parsed = [None if c == "" else c for c in cells]
-        else:
-            parsed = [
-                _csv_parse_cell(c, dtype, f"{origin} row {r} column {cname!r}")
-                for r, c in enumerate(cells)
-            ]
-        cols.append(ColumnSpec(cname, dtype))
-        parsed_cols.append(parsed)
-    rows = [
-        tuple(parsed_cols[i][r] for i in range(len(header)))
-        for r in range(len(raw_rows))
+    columns = [[row[i] for row in raw_rows] for i in range(len(header))]
+    if schema is None:  # no sidecar: per-column inference over the observed cell kinds
+        specs = (ColumnSpec(h, _infer_csv_dtype(cells)) for h, cells in zip(header, columns))
+        schema = Schema(name, tuple(specs))
+    parsed = [
+        _csv_parse_column(cells, c.dtype, origin, c.name)
+        for cells, c in zip(columns, schema.columns)
     ]
-    return Table(Schema(name, tuple(cols)), tuple(rows))
+    # every cell was typed and checked above, so the table skips the re-check
+    return Table.trusted(schema, tuple(zip(*parsed)))
 
 
 def _table_from_csv(path: Path, name: str, schema: Schema | None) -> Table:
@@ -647,9 +661,9 @@ def _table_from_json_rows(path: Path, name: str, schema: Schema | None) -> Table
                 raise TableIOError(f"{path}: row {r} column {n!r}: nested objects not allowed")
             row.append(v)
         rows.append(tuple(row))
-    if schema is not None:
-        return Table(schema, tuple(rows))
     try:
+        if schema is not None:
+            return Table(schema, tuple(rows))
         return table_from_rows(name, names, rows)
     except TableError as exc:
         raise TableIOError(f"{path}: {exc}") from None

@@ -52,6 +52,18 @@ class TreeNode:
     parent: "TreeNode | None"
     children: list["TreeNode"] = field(default_factory=list)
     failures: list[FailureRecord] = field(default_factory=list)
+    # the edge's call text and the node's path, each serialized once here
+    op_text: str | None = field(init=False, default=None)
+    _path: str = field(init=False, repr=False, default="root")
+
+    def __post_init__(self) -> None:
+        if self.op is None:
+            return
+        self.op_text = serialize_operator_call(self.op)
+        if self.parent.op is None:
+            self._path = self.op_text
+        else:
+            self._path = f"{self.parent._path} -> {self.op_text}"
 
     @property
     def prefix(self) -> tuple[OperatorInstance, ...]:
@@ -65,9 +77,8 @@ class TreeNode:
 
     @property
     def path_text(self) -> str:
-        if self.op is None:
-            return "root"
-        return " -> ".join(serialize_operator_call(op) for op in self.prefix)
+        """The chain's call texts joined with " -> ", or "root" at the root."""
+        return self._path
 
     def subtree_has_failure(self) -> bool:
         if self.failures:
@@ -107,14 +118,14 @@ class ReasoningTree:
         """
         node = self.root
         for op in prefix:
-            want = serialize_operator_call(op)
             nxt = None
             for child in node.children:
                 if child.op == op:
                     nxt = child
                     break
             if nxt is None:
-                have = ", ".join(serialize_operator_call(c.op) for c in node.children)
+                want = serialize_operator_call(op)
+                have = ", ".join(c.op_text for c in node.children)
                 raise TreeError(
                     f"no child {want} under {node.path_text}; children: {have or '(none)'}"
                 )
@@ -167,7 +178,7 @@ class ReasoningTree:
             nodes.append({
                 "id": n.node_id,
                 "parent": None if n.parent is None else n.parent.node_id,
-                "op": None if n.op is None else serialize_operator_call(n.op),
+                "op": n.op_text,
                 "tables": {
                     name: {"columns": list(t.column_names), "rows": t.n_rows}
                     for name, t in sorted(n.state.items())

@@ -21,7 +21,7 @@ from datetime import datetime
 from conftest import COLUMN_POOL, WORDS, random_scalar, random_table
 
 from adprep.operators import ExecError, execute_operator, make_operator
-from adprep.tables import BOOL, INT, LIST, REAL, TEXT, Table, make_table
+from adprep.tables import BOOL, INT, LIST, REAL, TEXT, Table, TableError, make_table
 
 AGGS = ("sum", "avg", "min", "max", "count", "count_distinct", "first", "last", "concat")
 
@@ -1388,6 +1388,16 @@ def run_operator_trials(kind: str, n: int, seed: int) -> dict:
             continue
         assert engine_err is None, f"{where}: engine failed ({engine_err}) but reference passed"
         assert ref_err is None, f"{where}: reference failed ({ref_err}) but engine passed"
+        for t in engine_out.values():
+            # handlers build outputs unchecked; the checked constructor must agree
+            assert isinstance(t.rows, tuple) and all(isinstance(r, tuple) for r in t.rows), (
+                f"{where}: table {t.name!r} rows are not a tuple of tuples"
+            )
+            try:
+                rechecked = Table(t.schema, t.rows)
+            except TableError as exc:
+                raise AssertionError(f"{where}: output fails the cell check: {exc}") from None
+            assert rechecked == t, f"{where}: table {t.name!r} changes when re-checked"
         diff = diff_states(engine_out, ref_out)
         assert diff is None, f"{where}: {diff}\ncall: {op!r}"
         stats["ok"] += 1

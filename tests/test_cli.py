@@ -130,3 +130,21 @@ def test_replay_from_reply_script(suite, tmp_path, capsys):
 def test_solve_bad_bundle(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "nothing")]) == 2
     assert capsys.readouterr().err
+
+
+def test_out_of_range_file_cell_is_reported_not_raised(suite, tmp_path, capsys):
+    target = suite / "task-001" / "target_table.csv"
+    header, first, *rest = target.read_text().splitlines()
+    cells = first.split(",")
+    cells[0] = "99999999999999999999"  # the sidecar types column 0 as int
+    target.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+    capsys.readouterr()
+    assert main(["validate", str(suite)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL task-001" in out and "64-bit" in out
+    assert "ok   task-000" in out
+    assert main(["solve", str(suite / "task-001"), "--policy", "gt"]) == 2
+    assert "64-bit" in capsys.readouterr().err
+    script = tmp_path / "replies.json"
+    script.write_text(json.dumps(["<plan>x</plan>\n<answer>\nroot\ntarget: t\n</answer>"]))
+    assert main(["replay", str(suite / "task-001"), str(script)]) == 2

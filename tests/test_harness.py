@@ -208,3 +208,60 @@ def test_malformed_log_line_becomes_a_load_error_row(tmp_path):
     assert by_id["task-013"].status == "load_error"
     assert by_id["task-001"].status == "answered"
     assert not report.all_attempted
+
+
+def test_malformed_bundle_csv_becomes_a_load_error_row(tmp_path):
+    suite = build_suite(tmp_path, seeds=(1, 7, 13))
+    logs = tmp_path / "logs"
+    run_benchmark(suite, gt_replay_policy, log_dir=logs)
+    target = suite / "task-007" / "target_table.csv"
+    text = target.read_text()
+    target.write_text(text[: text.rindex(",")] + "\n")  # last row loses a cell
+
+    report = replay_suite(suite, logs)
+    by_id = {r.task_id: r for r in report.rows}
+    assert by_id["task-007"].status == "load_error"
+    assert "cells" in by_id["task-007"].error
+    assert by_id["task-001"].status == "answered" and by_id["task-001"].outcome == 1.0
+    assert by_id["task-013"].status == "answered" and by_id["task-013"].outcome == 1.0
+    assert not report.all_attempted
+
+
+def _drop_task_id(records):
+    del records[0]["task_id"]
+
+
+def _drop_status(records):
+    del records[-1]["status"]
+
+
+def _drop_turn_index(records):
+    del next(r for r in records if r["record"] == "turn")["index"]
+
+
+def _out_of_range_final_table(records):
+    records[-1]["final_table"] = {
+        "schema": {"table_name": "t", "columns": [{"name": "n", "dtype": "int"}]},
+        "rows": [[2**63]],
+    }
+
+
+@pytest.mark.parametrize("damage", [
+    _drop_task_id, _drop_status, _drop_turn_index, _out_of_range_final_table,
+])
+def test_well_formed_log_with_bad_records_becomes_a_load_error_row(tmp_path, damage):
+    suite = build_suite(tmp_path, seeds=(1, 7))
+    logs = tmp_path / "logs"
+    run_benchmark(suite, gt_replay_policy, log_dir=logs)
+    path = logs / "task-007.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    damage(records)
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    with pytest.raises(HarnessError, match="task-007.jsonl"):
+        load_trajectory_log(path)
+
+    report = replay_suite(suite, logs)
+    by_id = {r.task_id: r for r in report.rows}
+    assert by_id["task-007"].status == "load_error"
+    assert by_id["task-001"].status == "answered"
+    assert not report.all_attempted

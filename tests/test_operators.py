@@ -15,7 +15,9 @@ from adprep.operators import (
     registry_help,
     serialize_operator_call,
 )
-from adprep.tables import BOOL, INT, LIST, REAL, TEXT, make_table, tables_equal
+from adprep.tables import (
+    BOOL, INT, LIST, REAL, TEXT, INT64_MAX, Schema, Table, make_table, tables_equal,
+)
 
 
 def run(op_text, state, **kwargs):
@@ -296,6 +298,17 @@ def test_cast_type_failure_cites_row_and_cell():
     assert err.value.detail == "2,5"
 
 
+def test_cast_type_of_twenty_digit_text_to_int_is_an_exec_error():
+    t = make_table("t", [("x", TEXT)], [("1",), ("12345678901234567890",)])
+    with pytest.raises(ExecError) as err:
+        run('CastType("t", "x", "int")', {"t": t})
+    assert "64-bit" in err.value.message
+    assert err.value.detail == "x"
+    t = make_table("t", [("x", REAL)], [(1e30,)])
+    with pytest.raises(ExecError, match="64-bit"):
+        run('CastType("t", "x", "int")', {"t": t})
+
+
 # --- schema editing ---------------------------------------------------------
 
 
@@ -477,6 +490,27 @@ def test_group_by_avg_is_real():
     out = run('GroupBy("t", ["k"], {"v": "avg"})', {"t": t})
     assert out["t"].rows == (("a", 1.5),)
     assert out["t"].schema.columns[1].dtype == REAL
+
+
+def test_group_by_sum_overflow_is_an_exec_error():
+    t = make_table("t", [("k", TEXT), ("v", INT)], [("a", INT64_MAX), ("a", 1), ("b", 1)])
+    with pytest.raises(ExecError) as err:
+        run('GroupBy("t", ["k"], {"v": "sum"})', {"t": t})
+    assert "64-bit" in err.value.message
+    assert err.value.detail == "v_sum"
+    t = make_table("t", [("k", TEXT), ("v", REAL)], [("a", 1e308), ("a", 1e308)])
+    with pytest.raises(ExecError, match="non-finite"):
+        run('GroupBy("t", ["k"], {"v": "sum"})', {"t": t})
+
+
+def test_computed_aggregates_are_checked_in_pivot_and_calculate_statistic():
+    t = make_table("t", [("k", TEXT), ("c", TEXT), ("v", INT)],
+                   [("a", "x", INT64_MAX), ("a", "x", 1)])
+    with pytest.raises(ExecError, match="64-bit"):
+        run('Pivot("t", ["k"], "c", "v", "sum")', {"t": t})
+    t = make_table("t", [("v", INT)], [(INT64_MAX,), (1,)])
+    with pytest.raises(ExecError, match="64-bit"):
+        run('CalculateStatistic("t", "sum", "col(\\"v\\")")', {"t": t})
 
 
 def test_count_and_calculate_statistic():
@@ -681,6 +715,14 @@ def test_execode_callable_backend():
     assert set(out) == {"result"}
     assert out["result"].name == "result"
     assert out["result"].rows == ((1,),)
+
+
+def test_execode_output_cells_are_checked():
+    t = make_table("t", [("a", INT)], [(1,)])
+    bad = Table.trusted(Schema("x", t.schema.columns), (("one",),))
+    backend = CallableScriptBackend(lambda code, tables, target: bad)
+    with pytest.raises(ExecError, match="text cell in int column"):
+        run('ExeCode(["t"], "result", "pass")', {"t": t}, script_backend=backend)
 
 
 def test_execode_subprocess_round_trip():

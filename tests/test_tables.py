@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from functools import cmp_to_key
@@ -253,6 +254,11 @@ def test_int64_bounds_enforced():
         make_table("t", [("a", "int")], [(2**63,)])
 
 
+def test_cell_error_names_table_row_and_column():
+    with pytest.raises(TableError, match="table 't' row 1 column 'b': non-finite"):
+        make_table("t", [("a", INT), ("b", REAL)], [(1, 2.0), (3, math.nan)])
+
+
 def test_duplicate_column_names_rejected():
     with pytest.raises(TableError):
         Schema("t", (ColumnSpec("a", "int"), ColumnSpec("a", "text")))
@@ -389,3 +395,52 @@ def test_table_from_rows_promotes_int_to_real():
 def test_table_from_rows_mixed_kinds_rejected():
     with pytest.raises(TableError):
         table_from_rows("t", ["a"], [(1,), ("x",)])
+
+
+def test_read_tables_pass_the_checked_constructor(tmp_path):
+    # csv reads build trusted tables; their cells must be exactly what the
+    # checked constructor would accept and store
+    rng = random.Random(15)
+    for i in range(25):
+        t = random_table(rng, name=f"t{i}")
+        path = tmp_path / f"t{i}.csv"
+        write_table(t, path)
+        (tmp_path / f"bare{i}.csv").write_bytes(path.read_bytes())
+        for back in (read_table(path), read_table(tmp_path / f"bare{i}.csv")):
+            assert isinstance(back.rows, tuple)
+            assert all(isinstance(row, tuple) for row in back.rows)
+            assert Table(back.schema, back.rows) == back
+
+
+def test_trusted_table_skips_the_check():
+    schema = Schema("t", (ColumnSpec("a", INT),))
+    t = Table.trusted(schema, ((1,), (2,)))
+    assert t == make_table("t", [("a", INT)], [(1,), (2,)])
+    with pytest.raises(TableError):
+        Table(schema, (("x",),))
+
+
+@pytest.mark.parametrize("dtype, text", [
+    ("int", "9223372036854775808"),
+    ("int", "-9223372036854775809"),
+    ("list", '[{"k": 1}]'),
+    ("list", "[[1]]"),
+    ("list", "[NaN]"),
+    ("list", "[1e999]"),
+    ("list", "[99999999999999999999]"),
+])
+def test_bad_sidecar_csv_cell_is_a_table_io_error(tmp_path, dtype, text):
+    path = tmp_path / "t.csv"
+    write_table(make_table("t", [("a", dtype)], []), path)
+    path.write_text("a\n" + ('"' + text.replace('"', '""') + '"') + "\n")
+    with pytest.raises(TableIOError, match="row 0 column 'a'"):
+        read_table(path)
+
+
+def test_bad_json_rows_cell_is_a_table_io_error(tmp_path):
+    path = tmp_path / "t.json"
+    write_table(make_table("t", [("a", INT)], [(1,)]), path, fmt="json-rows")
+    for value in (2**63, "x", [1]):
+        path.write_text(json.dumps([{"a": value}]))
+        with pytest.raises(TableIOError):
+            read_table(path, fmt="json-rows")

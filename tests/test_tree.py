@@ -83,6 +83,30 @@ def test_path_text():
     assert result.leaf.path_text == 'Deduplicate("people", ["id"], "first")'
 
 
+def test_each_edge_is_serialized_once(monkeypatch):
+    from adprep import tree as tree_module
+    from adprep.operators import serialize_operator_call
+
+    calls = []
+
+    def counting(op):
+        calls.append(op)
+        return serialize_operator_call(op)
+
+    monkeypatch.setattr(tree_module, "serialize_operator_call", counting)
+    tree = ReasoningTree(start_state())
+    ops = parse_pipeline(f"{DEDUP}\n{DROPNA}\nTopK(\"people\", 1)\n")
+    leaf = tree.expand(tree.root, ops).leaf
+    assert len(calls) == 3
+    for _ in range(3):
+        for node in tree.nodes:
+            node.path_text
+        assert tree.resolve(leaf.prefix) is leaf
+    assert len(calls) == 3
+    assert leaf.path_text == " -> ".join(serialize_operator_call(op) for op in ops)
+    assert leaf.parent.path_text == f"{DEDUP} -> {DROPNA}"
+
+
 def test_resolve_of_extracted_path_is_identity_randomized():
     rng = random.Random(77)
     for _ in range(30):
