@@ -119,21 +119,7 @@ class TurnRecord:
     feedback: str | None = None
 
     def to_json(self) -> dict:
-        return {
-            "index": self.index,
-            "reply": self.reply,
-            "action": self.action,
-            "plan": self.plan,
-            "category": self.category,
-            "parent_path": self.parent_path,
-            "op_texts": list(self.op_texts),
-            "created_paths": list(self.created_paths),
-            "leaf_path": self.leaf_path,
-            "failure_text": self.failure_text,
-            "failure_op_kind": self.failure_op_kind,
-            "failure_detail": self.failure_detail,
-            "feedback": self.feedback,
-        }
+        return dict(vars(self))
 
 
 @dataclass
@@ -547,10 +533,7 @@ def trajectory_from_json(data: dict) -> Trajectory:
     """Rebuild a trajectory from its log record (without the search tree)."""
     from .tables import table_from_json
 
-    turns = [
-        TurnRecord(**{k: v for k, v in t.items()})
-        for t in data.get("turns", [])
-    ]
+    turns = [TurnRecord(**t) for t in data.get("turns", [])]
     final = data.get("final_table")
     return Trajectory(
         task_id=data["task_id"],

@@ -31,6 +31,7 @@ from .agent import (
 )
 from .harness import (
     HarnessError,
+    discover_tasks,
     gt_replay_policy,
     replay_suite,
     run_benchmark,
@@ -118,10 +119,10 @@ def _cmd_synth(args) -> int:
 
 def _cmd_validate(args) -> int:
     root = Path(args.suite_dir)
-    if (root / "target_schema.json").exists():
-        dirs = [root]
-    else:
-        dirs = sorted(p for p in root.iterdir() if p.is_dir() and (p / "target_schema.json").exists())
+    try:
+        dirs = [root] if (root / "target_schema.json").exists() else discover_tasks(root)
+    except HarnessError as exc:
+        return _err(str(exc))
     if not dirs:
         return _err(f"{root}: no task bundles found")
     failures = 0

@@ -1,8 +1,15 @@
 """Benchmark harness: run a policy over a task suite and score the results.
 
 A suite is a directory of task bundle directories. Each episode writes an
-optional JSONL log holding the task header, every turn, and a terminal
-record that embeds the produced table, so a log can be re-scored later
+optional JSONL log, one JSON object per line, whose "record" key names its
+kind:
+
+    task    first line: {"record": "task", "task_id": ...}
+    turn    one per turn, in order: the fields of TurnRecord
+    result  last line: the rest of trajectory_to_json's record (status,
+            answer, the produced table, ...) plus the episode's "scores"
+
+The result embeds the produced table, so a log can be re-scored later
 without touching a model. Reports aggregate accuracy (exact-match rate),
 completion (answered rate), and a wall-clock cost estimate.
 """
@@ -24,7 +31,7 @@ from .agent import (
 )
 from .reward import DEFAULT_WEIGHTS, RewardWeights, RuleJudge, score_trajectory
 from .synthesis import SynthesisError, TaskBundle, read_bundle
-from .tables import TableError, table_to_json
+from .tables import TableError
 
 GPU_DOLLARS_PER_HOUR = 0.91
 
@@ -36,14 +43,6 @@ class HarnessError(Exception):
 def compute_cost(wall_seconds: float, dollars_per_hour: float = GPU_DOLLARS_PER_HOUR) -> float:
     """Serving cost of holding the hardware for the given wall time."""
     return dollars_per_hour * wall_seconds / 3600.0
-
-
-def compute_token_cost(usage: dict | None, prompt_per_1k: float, completion_per_1k: float) -> float:
-    if not usage:
-        return 0.0
-    prompt = usage.get("prompt_tokens", 0)
-    completion = usage.get("completion_tokens", 0)
-    return prompt * prompt_per_1k / 1000.0 + completion * completion_per_1k / 1000.0
 
 
 @dataclass
@@ -61,19 +60,7 @@ class CaseResult:
     error: str | None = None
 
     def to_row(self) -> dict:
-        return {
-            "task_id": self.task_id,
-            "status": self.status,
-            "outcome": self.outcome,
-            "partial": self.partial,
-            "process": self.process,
-            "total": self.total,
-            "turns": self.turns,
-            "protocol_errors": self.protocol_errors,
-            "wall_time": self.wall_time,
-            "usage": self.usage,
-            "error": self.error,
-        }
+        return dict(vars(self))
 
 
 @dataclass
@@ -177,23 +164,12 @@ def write_trajectory_log(path: str | Path, traj: Trajectory, scores: dict | None
     """One JSONL file per episode: header, turns, then the terminal record."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    records = [{"record": "task", "task_id": traj.task_id}]
-    for turn in traj.turns:
-        records.append({"record": "turn", **turn.to_json()})
-    terminal = {
-        "record": "result",
-        "status": traj.status,
-        "answer_path": traj.answer_path,
-        "answer_plan": traj.answer_plan,
-        "final_table": None if traj.final_table is None else table_to_json(traj.final_table),
-        "wall_time": traj.wall_time,
-        "protocol_error_count": traj.protocol_error_count,
-        "usage": traj.usage,
-        "error": traj.error,
-    }
+    result = trajectory_to_json(traj)
+    records = [{"record": "task", "task_id": result.pop("task_id")}]
+    records.extend({"record": "turn", **turn} for turn in result.pop("turns"))
     if scores is not None:
-        terminal["scores"] = scores
-    records.append(terminal)
+        result["scores"] = scores
+    records.append({"record": "result", **result})
     path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
 
 
@@ -210,24 +186,14 @@ def load_trajectory_log(path: str | Path) -> Trajectory:
     terminal = lines[-1]
     if terminal.get("record") != "result":
         raise HarnessError(f"{path}: log is truncated (no result record)")
-    turns = [
+    data = {k: v for k, v in terminal.items() if k not in ("record", "scores")}
+    data["turns"] = [
         {k: v for k, v in line.items() if k != "record"}
         for line in lines[1:-1]
         if line.get("record") == "turn"
     ]
     try:
-        data = {
-            "task_id": lines[0]["task_id"],
-            "status": terminal["status"],
-            "turns": turns,
-            "answer_path": terminal.get("answer_path"),
-            "answer_plan": terminal.get("answer_plan"),
-            "final_table": terminal.get("final_table"),
-            "wall_time": terminal.get("wall_time", 0.0),
-            "protocol_error_count": terminal.get("protocol_error_count", 0),
-            "usage": terminal.get("usage"),
-            "error": terminal.get("error"),
-        }
+        data["task_id"] = lines[0]["task_id"]
         return trajectory_from_json(data)
     except KeyError as exc:
         raise HarnessError(f"{path}: log record lacks {exc}") from None

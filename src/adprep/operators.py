@@ -55,7 +55,6 @@ from .tables import (
     cell_hash_key,
     cell_sort_key,
     coerce_cells,
-    compare_cells,
     infer_column_dtype,
     render_cell,
     render_scalar,
@@ -745,11 +744,7 @@ def _exec_imputation(op, state, backend):
             counts[k] = counts.get(k, 0) + 1
             rep.setdefault(k, c)
         best = max(counts.values())
-        candidates = [rep[k] for k, n in counts.items() if n == best]
-        fill = candidates[0]
-        for c in candidates[1:]:
-            if compare_cells(c, fill) < 0:
-                fill = c
+        fill = min((rep[k] for k, n in counts.items() if n == best), key=cell_sort_key)
     new_cells = [fill if c is None else c for c in cells]
     return _with(state, [], [_rebuild_column(t, idx, new_cells, op)])
 
@@ -1105,12 +1100,7 @@ def _fold(fn: str, cells: list[Cell], op: OperatorInstance, where: str) -> Cell:
     kinds = {type(True) if isinstance(c, bool) else (float if _is_number(c) else type(c)) for c in present}
     if len(kinds) > 1 or next(iter(kinds)) is tuple:
         raise ExecError(op, f"{fn} needs values of one comparable kind in {where}", detail=where)
-    best = present[0]
-    for c in present[1:]:
-        cmp = compare_cells(c, best)
-        if (fn == "min" and cmp < 0) or (fn == "max" and cmp > 0):
-            best = c
-    return best
+    return (min if fn == "min" else max)(present, key=cell_sort_key)
 
 
 def _agg_fallback(fn: str, src_dtype: str) -> str:
@@ -1566,16 +1556,6 @@ class ScriptBackend(Protocol):
 
     def run(self, code: str, tables: dict[str, Table], target: str) -> Table:
         ...
-
-
-@dataclass
-class CallableScriptBackend:
-    """In-process backend for tests: fn(code, tables, target) -> Table."""
-
-    fn: Callable[[str, dict[str, Table], str], Table]
-
-    def run(self, code: str, tables: dict[str, Table], target: str) -> Table:
-        return self.fn(code, tables, target)
 
 
 @dataclass

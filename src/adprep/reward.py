@@ -259,20 +259,7 @@ class RewardBreakdown:
     judge: JudgeScores
 
     def to_json(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "partial": self.partial,
-            "process": self.process,
-            "total": self.total,
-            "schema_sim": self.schema_sim,
-            "shape_sim": self.shape_sim,
-            "cell_sim": self.cell_sim,
-            "judge": {
-                "consistency": self.judge.consistency,
-                "responsiveness": self.judge.responsiveness,
-                "backtracking": self.judge.backtracking,
-            },
-        }
+        return {**vars(self), "judge": dict(vars(self.judge))}
 
 
 def score_trajectory(

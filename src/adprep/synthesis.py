@@ -22,6 +22,7 @@ from pathlib import Path
 
 from .operators import (
     OperatorInstance,
+    OpParseError,
     TableSet,
     execute_operator,
     ExecError,
@@ -223,7 +224,12 @@ def corrupt_table(
 # whole tasks
 # ---------------------------------------------------------------------------
 
-def _produced_table(before: TableSet, after: TableSet) -> Table:
+def _pipeline_output(ops, sources: TableSet, failure_prefix: str) -> Table:
+    """Run the pipeline and return the one table its last step produced."""
+    trace = run_pipeline(ops, sources)
+    if not trace.ok:
+        raise SynthesisError(f"{failure_prefix}: {trace.failure}")
+    before, after = trace.states[-2], trace.states[-1]
     fresh = [t for name, t in after.items() if before.get(name) is not t]
     if len(fresh) != 1:
         raise SynthesisError(
@@ -250,10 +256,7 @@ def synthesize_task(
     task_ops = tuple(task_ops)
     if not task_ops:
         raise SynthesisError("a task needs at least one operator")
-    trace = run_pipeline(task_ops, sources)
-    if not trace.ok:
-        raise SynthesisError(f"task pipeline fails on clean sources: {trace.failure}")
-    target = _produced_table(trace.states[-2], trace.states[-1])
+    target = _pipeline_output(task_ops, sources, "task pipeline fails on clean sources")
 
     corrupted: TableSet = {}
     cleaners: list[OperatorInstance] = []
@@ -267,10 +270,7 @@ def synthesize_task(
             applied[name] = [c.name for c in outcome.applied]
 
     gt = tuple(cleaners) + task_ops
-    verify_trace = run_pipeline(gt, corrupted)
-    if not verify_trace.ok:
-        raise SynthesisError(f"ground truth fails on corrupted sources: {verify_trace.failure}")
-    rebuilt = _produced_table(verify_trace.states[-2], verify_trace.states[-1])
+    rebuilt = _pipeline_output(gt, corrupted, "ground truth fails on corrupted sources")
     if not tables_equal(rebuilt, target):
         raise SynthesisError("ground truth does not rebuild the target table")
 
@@ -294,25 +294,6 @@ def synthesize_task(
             "cleaner_count": len(cleaners),
         },
     )
-
-
-def select_shortest_valid_pipeline(candidates, sources: TableSet, target: Table):
-    """Pick the shortest candidate that rebuilds the target; ties keep order."""
-    best = None
-    for ops in candidates:
-        ops = tuple(ops)
-        trace = run_pipeline(ops, dict(sources))
-        if not trace.ok:
-            continue
-        try:
-            produced = _produced_table(trace.states[-2], trace.states[-1]) if ops else None
-        except SynthesisError:
-            continue
-        if produced is None or not tables_equal(produced, target):
-            continue
-        if best is None or len(ops) < len(best):
-            best = ops
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -404,12 +385,22 @@ def read_bundle(directory: str | Path) -> TaskBundle:
     schema = read_schema(root / "target_schema.json")
     target = read_table(root / "target_table.csv")
     gt_text = root / "gt_pipeline.txt"
-    gt = tuple(parse_pipeline(gt_text.read_text())) if gt_text.exists() else ()
+    try:
+        gt = tuple(parse_pipeline(gt_text.read_text())) if gt_text.exists() else ()
+    except OpParseError as exc:
+        raise SynthesisError(f"{gt_text}: {exc}") from None
     provenance = {}
     prov_path = root / "provenance.json"
     if prov_path.exists():
-        provenance = json.loads(prov_path.read_text())
+        try:
+            provenance = json.loads(prov_path.read_text())
+        except json.JSONDecodeError as exc:
+            raise SynthesisError(f"{prov_path}: malformed json: {exc}") from None
+        if not isinstance(provenance, dict):
+            raise SynthesisError(f"{prov_path}: expected a json object")
     task_id = provenance.pop("task_id", root.name)
+    if not isinstance(task_id, str):
+        raise SynthesisError(f"{prov_path}: task_id must be a string")
     return TaskBundle(
         task_id=task_id,
         sources=sources,
@@ -424,9 +415,8 @@ def verify_bundle(bundle: TaskBundle) -> None:
     """Re-run the ground truth over the stored sources; raise on any drift."""
     if not bundle.gt_pipeline:
         raise SynthesisError(f"{bundle.task_id}: bundle has no ground-truth pipeline")
-    trace = run_pipeline(bundle.gt_pipeline, dict(bundle.sources))
-    if not trace.ok:
-        raise SynthesisError(f"{bundle.task_id}: ground truth fails: {trace.failure}")
-    produced = _produced_table(trace.states[-2], trace.states[-1])
+    produced = _pipeline_output(
+        bundle.gt_pipeline, bundle.sources, f"{bundle.task_id}: ground truth fails"
+    )
     if not tables_equal(produced, bundle.target_table):
         raise SynthesisError(f"{bundle.task_id}: ground truth no longer rebuilds the target")

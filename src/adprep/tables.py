@@ -287,6 +287,9 @@ def compare_cells(a: Cell, b: Cell) -> int:
 
     Numeric comparison is exact across int and real. Text compares by
     UTF-8 byte order. Lists compare elementwise, then by length.
+
+    The engine orders cells with cell_sort_key; this comparator spells the
+    order out and is the reference the tests check that key against.
     """
     ra, rb = _cell_rank(a), _cell_rank(b)
     if ra != rb:

@@ -154,6 +154,43 @@ def test_parse_reply_fuzz_never_raises_unknown(rng_factory=random.Random):
             assert exc.category in known
 
 
+_FUZZ_TAGS = ("<plan>", "</plan>", "<expand>", "</expand>", "<answer>", "</answer>", "<execute>")
+_FUZZ_CHARS = '<>/()[]{}",-\\\n :#x0'
+
+
+def _mutate(rng, reply):
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(reply) + 1)
+        j = min(len(reply), i + rng.randint(1, 4))
+        kind = rng.randrange(5)
+        if kind == 0:  # delete characters
+            reply = reply[:i] + reply[j:]
+        elif kind == 1:  # insert a character
+            reply = reply[:i] + rng.choice(_FUZZ_CHARS) + reply[i:]
+        elif kind == 2:  # duplicate characters
+            reply = reply[:j] + reply[i:j] + reply[j:]
+        elif kind == 3:  # insert a tag
+            reply = reply[:i] + rng.choice(_FUZZ_TAGS) + reply[i:]
+        else:  # delete a tag
+            tag = rng.choice(_FUZZ_TAGS)
+            k = reply.find(tag)
+            if k >= 0:
+                reply = reply[:k] + reply[k + len(tag):]
+    return reply
+
+
+def test_mutated_replies_end_in_a_documented_status():
+    rng = random.Random(2024)
+    task = make_task()
+    seen = set()
+    for _ in range(2000):
+        replies = [_mutate(rng, r) for r in (EXPAND_REPLY, ANSWER_REPLY, EXPAND_REPLY, ANSWER_REPLY)]
+        traj = run_episode(task, ScriptedPolicy(replies), max_turns=3)
+        assert traj.status in ("answered", "turn_limit", "protocol_error", "empty_result")
+        seen.add(traj.status)
+    assert seen >= {"answered", "protocol_error", "empty_result"}
+
+
 # -- episode loop ------------------------------------------------------------
 
 def test_scripted_episode_answers():

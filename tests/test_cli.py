@@ -49,6 +49,31 @@ def test_validate_flags_tampering(suite, capsys):
     assert "ok   task-000" in out
 
 
+def test_validate_single_bundle_and_missing_dir(suite, tmp_path, capsys):
+    capsys.readouterr()
+    assert main(["validate", str(suite / "task-002")]) == 0
+    assert "1/1 bundles verify" in capsys.readouterr().out
+    assert main(["validate", str(tmp_path / "nope")]) == 2
+    assert "does not exist" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, text", [
+    ("gt_pipeline.txt", 'Sort("orders", ['),
+    ("provenance.json", "[1, 2]"),
+])
+def test_malformed_bundle_file_is_reported_not_raised(suite, tmp_path, capsys, name, text):
+    logs = tmp_path / "logs"
+    assert main(["run", str(suite), "--policy", "gt", "--log-dir", str(logs)]) == 0
+    (suite / "task-001" / name).write_text(text)
+    capsys.readouterr()
+    assert main(["validate", str(suite)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL task-001" in out and name in out
+    assert "ok   task-000" in out
+    assert main(["score", str(suite), str(logs)]) == 1
+    assert "load_error" in capsys.readouterr().out
+
+
 def test_run_gt_policy(suite, capsys):
     assert main(["run", str(suite), "--policy", "gt"]) == 0
     out = capsys.readouterr().out

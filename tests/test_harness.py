@@ -11,12 +11,12 @@ from adprep.harness import (
     HarnessError,
     Report,
     compute_cost,
-    compute_token_cost,
     discover_tasks,
     gt_replay_policy,
     load_trajectory_log,
     replay_suite,
     run_benchmark,
+    write_trajectory_log,
 )
 from adprep.synthesis import synthesize_demo_task, write_bundle
 from adprep.tables import tables_equal
@@ -49,13 +49,6 @@ def test_compute_cost():
     assert compute_cost(1800.0) == pytest.approx(0.455, abs=1e-9)
     assert compute_cost(0.0) == 0.0
     assert compute_cost(7200.0, dollars_per_hour=2.0) == pytest.approx(4.0, abs=1e-9)
-
-
-def test_compute_token_cost():
-    usage = {"prompt_tokens": 2000, "completion_tokens": 500}
-    assert compute_token_cost(usage, 0.5, 1.5) == pytest.approx(1.75)
-    assert compute_token_cost(None, 0.5, 1.5) == 0.0
-    assert compute_token_cost({}, 0.5, 1.5) == 0.0
 
 
 # -- benchmark runs ----------------------------------------------------------
@@ -113,6 +106,24 @@ def test_logs_round_trip(tmp_path):
     assert last["scores"]["outcome"] == 1.0
 
 
+GOLDEN_LOG = Path(__file__).parent / "data" / "golden_trajectory.jsonl"
+
+
+def test_golden_log_loads_and_rewrites_byte_for_byte(tmp_path):
+    # a committed log pins the format: task header, one record per turn
+    # (protocol error, failed op, expand, answer), result with scores
+    traj = load_trajectory_log(GOLDEN_LOG)
+    assert traj.task_id == "golden" and traj.status == "answered"
+    assert [t.action for t in traj.turns] == ["protocol_error", "expand", "expand", "answer"]
+    assert traj.turns[1].failure_op_kind == "Count"
+    assert traj.usage == {"completion_tokens": 40, "prompt_tokens": 300}
+    assert traj.final_table.rows == ((1, 2.5), (3, 4.0))
+    scores = json.loads(GOLDEN_LOG.read_text().splitlines()[-1])["scores"]
+    again = tmp_path / "again.jsonl"
+    write_trajectory_log(again, traj, scores)
+    assert again.read_bytes() == GOLDEN_LOG.read_bytes()
+
+
 def test_replay_matches_live_scores(tmp_path):
     suite = build_suite(tmp_path)
     logs = tmp_path / "logs"
@@ -152,6 +163,22 @@ def test_load_error_rows(tmp_path):
     assert by_id["task-broken"].error
     assert not report.all_attempted
     assert report.accuracy == 50.0  # the broken task still counts against
+
+
+@pytest.mark.parametrize("name, text", [
+    ("gt_pipeline.txt", 'Sort("orders", ['),
+    ("provenance.json", "{not json"),
+    ("provenance.json", '{"task_id": 7}'),
+])
+def test_malformed_bundle_file_is_a_typed_load_error_row(tmp_path, name, text):
+    suite = build_suite(tmp_path, seeds=(1, 7))
+    (suite / "task-007" / name).write_text(text)
+    report = run_benchmark(suite, gt_replay_policy)
+    by_id = {r.task_id: r for r in report.rows}
+    assert by_id["task-007"].status == "load_error"
+    assert by_id["task-007"].error.startswith("SynthesisError: ")
+    assert name in by_id["task-007"].error
+    assert by_id["task-001"].status == "answered"
 
 
 def test_empty_suite(tmp_path):

@@ -1,10 +1,12 @@
 """Operator registry, call syntax, and executor behavior."""
 
+from dataclasses import dataclass
+from typing import Callable
+
 import pytest
 
 from adprep.operators import (
     REGISTRY,
-    CallableScriptBackend,
     ExecError,
     OpParseError,
     SubprocessScriptBackend,
@@ -189,6 +191,22 @@ def test_imputation_mode_breaks_ties_low():
     t = make_table("t", [("a", TEXT)], [("b",), ("a",), ("b",), ("a",), (None,)])
     out = run('MissingValueImputation("t", "a", "mode")', {"t": t})
     assert out["t"].rows[-1] == ("a",)
+
+
+def test_min_max_and_mode_order_text_without_encoding_it():
+    # a lone surrogate has no UTF-8 form; it still orders by code point
+    t = make_table("t", [("k", INT), ("s", TEXT)],
+                   [(1, "\ud800"), (1, "a"), (1, None), (2, "b")])
+    out = run('GroupBy("t", ["k"], {"s": "max"})', {"t": t})
+    assert out["t"].rows == ((1, "\ud800"), (2, "b"))
+    out = run('GroupBy("t", ["k"], {"s": "min"})', {"t": t})
+    assert out["t"].rows == ((1, "a"), (2, "b"))
+    t = make_table("t", [("s", TEXT)], [("\ud800",), ("a",), (None,)])
+    out = run('MissingValueImputation("t", "s", "mode")', {"t": t})
+    assert out["t"].rows[-1] == ("a",)
+    t = make_table("t", [("s", TEXT)], [("\ud800",), ("a",), ("\ud800",), (None,)])
+    out = run('MissingValueImputation("t", "s", "mode")', {"t": t})
+    assert out["t"].rows[-1] == ("\ud800",)
 
 
 def test_imputation_rejects_all_null_and_text_mean():
@@ -699,6 +717,16 @@ def test_explode():
 
 
 # --- program synthesis ------------------------------------------------------
+
+
+@dataclass
+class CallableScriptBackend:
+    """In-process ExeCode backend: fn(code, tables, target) -> Table."""
+
+    fn: Callable[[str, dict[str, Table], str], Table]
+
+    def run(self, code: str, tables: dict[str, Table], target: str) -> Table:
+        return self.fn(code, tables, target)
 
 
 def test_execode_disabled_by_default():

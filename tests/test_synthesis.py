@@ -13,7 +13,6 @@ from adprep.synthesis import (
     SynthesisError,
     corrupt_table,
     read_bundle,
-    select_shortest_valid_pipeline,
     synthesize_demo_task,
     synthesize_task,
     verify_bundle,
@@ -198,20 +197,14 @@ def test_verify_bundle_detects_tampering(tmp_path):
         verify_bundle(loaded)
 
 
-def test_select_shortest_valid_pipeline():
-    t = make_table("t", [("a", INT), ("b", INT)], [(2, 1), (1, 2)])
-    target_state = run_pipeline([make_operator("SelectColumn", "t", ["a"])], {"t": t})
-    target = target_state.states[-1]["t"]
-    long_way = (
-        make_operator("Subtitle", "t", "x", "tmp"),
-        make_operator("DropColumn", "t", ["tmp"]),
-        make_operator("SelectColumn", "t", ["a"]),
-    )
-    short_way = (make_operator("SelectColumn", "t", ["a"]),)
-    broken = (make_operator("Count", "ghost"),)
-    wrong = (make_operator("SelectColumn", "t", ["b"]),)
-    picked = select_shortest_valid_pipeline(
-        [long_way, broken, short_way, wrong], {"t": t}, target
-    )
-    assert picked == short_way
-    assert select_shortest_valid_pipeline([broken, wrong], {"t": t}, target) is None
+@pytest.mark.parametrize("name, text", [
+    ("gt_pipeline.txt", 'Sort("orders", ['),
+    ("provenance.json", "{not json"),
+    ("provenance.json", "[1, 2]"),
+    ("provenance.json", '{"task_id": 5}'),
+])
+def test_read_bundle_rejects_malformed_files(tmp_path, name, text):
+    root = write_bundle(synthesize_demo_task(random.Random(3), "task-000"), tmp_path / "b")
+    (root / name).write_text(text)
+    with pytest.raises(SynthesisError, match=name):
+        read_bundle(root)
