@@ -615,8 +615,8 @@ class ScriptedPolicy:
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedPolicy":
         try:
-            data = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise PolicyError(f"cannot load reply script {path}: {exc}") from None
         if not isinstance(data, list) or not all(isinstance(r, str) for r in data):
             raise PolicyError(f"{path}: expected a json array of reply strings")

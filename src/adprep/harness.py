@@ -103,10 +103,11 @@ class Report:
     def all_attempted(self) -> bool:
         """True when every row came from a real episode that ran to completion.
 
-        Rows with a synthetic status (the bundle or log never loaded) or a
-        recorded transport failure do not count as attempts.
+        Rows with a synthetic status (the bundle or log never loaded, or the
+        harness itself raised) or a recorded transport failure do not count
+        as attempts.
         """
-        skipped = ("load_error", "missing_log")
+        skipped = ("load_error", "missing_log", "internal_error")
         return all(r.status not in skipped and not r.error for r in self.rows)
 
     def to_json(self) -> dict:
@@ -170,13 +171,19 @@ def write_trajectory_log(path: str | Path, traj: Trajectory, scores: dict | None
     if scores is not None:
         result["scores"] = scores
     records.append({"record": "result", **result})
-    path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+    path.write_text(
+        "".join(json.dumps(r, sort_keys=True) + "\n" for r in records), encoding="utf-8"
+    )
 
 
 def load_trajectory_log(path: str | Path) -> Trajectory:
     """Rebuild the trajectory (minus the search tree) from a JSONL log."""
     try:
-        lines = [json.loads(line) for line in Path(path).read_text().splitlines() if line.strip()]
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise HarnessError(f"cannot read log {path}: {exc}") from None
+    try:
+        lines = [json.loads(line) for line in text.splitlines() if line.strip()]
     except json.JSONDecodeError as exc:
         raise HarnessError(f"{path}: malformed log line: {exc}") from None
     if not all(isinstance(line, dict) for line in lines):
@@ -309,8 +316,10 @@ def run_benchmark(
 
     policy_factory is called once per task, with the loaded bundle, so each
     episode starts fresh. Bundles that fail to load still produce a row
-    (status "load_error"). With log_dir set, each episode writes a JSONL
-    trajectory log and the finished report lands there as report.json.
+    (status "load_error"), and so does a task whose judge, scoring or log
+    write raises (status "internal_error", keeping the exception text), so
+    one task cannot stop the others. With log_dir set, each episode writes a
+    JSONL trajectory log and the finished report lands there as report.json.
     """
     dirs = discover_tasks(suite_dir)
     if not dirs:
@@ -334,16 +343,23 @@ def run_benchmark(
                 error=f"policy: {exc}",
             )
         log_path = None if log_dir is None else Path(log_dir) / f"{bundle.task_id}.jsonl"
-        return score_case(
-            bundle,
-            policy,
-            weights=weights,
-            judge=judge_factory() if judge_factory else None,
-            max_turns=max_turns,
-            sample_rows=sample_rows,
-            script_backend=script_backend,
-            log_path=log_path,
-        )
+        try:
+            return score_case(
+                bundle,
+                policy,
+                weights=weights,
+                judge=judge_factory() if judge_factory else None,
+                max_turns=max_turns,
+                sample_rows=sample_rows,
+                script_backend=script_backend,
+                log_path=log_path,
+            )
+        except Exception as exc:
+            return CaseResult(
+                task_id=bundle.task_id,
+                status="internal_error",
+                error=f"{type(exc).__name__}: {exc}",
+            )
 
     if threads <= 1:
         rows = [run_one(d) for d in dirs]
@@ -355,7 +371,9 @@ def run_benchmark(
     if log_dir is not None:
         report_path = Path(log_dir) / "report.json"
         report_path.parent.mkdir(parents=True, exist_ok=True)
-        report_path.write_text(json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n")
+        report_path.write_text(
+            json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        )
     return report
 
 

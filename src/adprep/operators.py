@@ -25,6 +25,7 @@ input state untouched.
 from __future__ import annotations
 
 import math
+import re
 import subprocess
 import tempfile
 from dataclasses import dataclass
@@ -81,6 +82,34 @@ DATE_PATTERNS = (
     "%b %d, %Y",
     "%d %b %Y",
 )
+
+# regex per strptime directive, each accepting at least what CPython's
+# strptime accepts there (its %d also takes a space-padded day, " 5")
+_DATE_SHAPE_PARTS = {
+    "%Y": r"\d{4}", "%y": r"\d\d", "%d": r" ?\d{1,2}", "%m": r"\d{1,2}",
+    "%H": r"\d{1,2}", "%M": r"\d{1,2}", "%S": r"\d{1,2}", "%B": ".+?", "%b": ".+?",
+}
+
+
+def _date_shape(pattern: str) -> re.Pattern:
+    """A regex that fullmatches every string strptime accepts for the pattern.
+
+    It may accept more (strptime still decides); it only lets a cell skip
+    patterns that cannot parse it, without paying for a raised ValueError.
+    strptime matches case-insensitively and reads a whitespace run as \\s+.
+    """
+    parts = []
+    for token in re.findall(r"%.|\s+|.", pattern):
+        if token[0] == "%":
+            parts.append(_DATE_SHAPE_PARTS[token])  # a new directive needs an entry above
+        elif token.isspace():
+            parts.append(r"\s+")
+        else:
+            parts.append(re.escape(token))
+    return re.compile("".join(parts), re.IGNORECASE)
+
+
+_DATE_SHAPES = tuple((pattern, _date_shape(pattern)) for pattern in DATE_PATTERNS)
 
 
 class OpParseError(ValueError):
@@ -824,7 +853,9 @@ def _exec_value_transform(op, state, backend):
 
 
 def _parse_any_date(text: str) -> datetime | None:
-    for pattern in DATE_PATTERNS:
+    for pattern, shape in _DATE_SHAPES:
+        if shape.fullmatch(text) is None:
+            continue  # strptime would raise here
         try:
             dt = datetime.strptime(text, pattern)
         except ValueError:

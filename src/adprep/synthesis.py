@@ -365,9 +365,10 @@ def write_bundle(bundle: TaskBundle, directory: str | Path) -> Path:
         write_table(bundle.sources[name], root / "sources" / f"{name}.csv")
     write_schema(bundle.target_schema, root / "target_schema.json")
     write_table(bundle.target_table, root / "target_table.csv")
-    (root / "gt_pipeline.txt").write_text(serialize_pipeline(bundle.gt_pipeline))
+    (root / "gt_pipeline.txt").write_text(serialize_pipeline(bundle.gt_pipeline), encoding="utf-8")
     provenance = {"task_id": bundle.task_id, **bundle.provenance}
-    (root / "provenance.json").write_text(json.dumps(provenance, indent=2, sort_keys=True) + "\n")
+    provenance_text = json.dumps(provenance, indent=2, sort_keys=True) + "\n"
+    (root / "provenance.json").write_text(provenance_text, encoding="utf-8")
     return root
 
 
@@ -386,16 +387,16 @@ def read_bundle(directory: str | Path) -> TaskBundle:
     target = read_table(root / "target_table.csv")
     gt_text = root / "gt_pipeline.txt"
     try:
-        gt = tuple(parse_pipeline(gt_text.read_text())) if gt_text.exists() else ()
-    except OpParseError as exc:
+        gt = tuple(parse_pipeline(gt_text.read_text(encoding="utf-8"))) if gt_text.exists() else ()
+    except (OSError, OpParseError, UnicodeDecodeError) as exc:
         raise SynthesisError(f"{gt_text}: {exc}") from None
     provenance = {}
     prov_path = root / "provenance.json"
     if prov_path.exists():
         try:
-            provenance = json.loads(prov_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise SynthesisError(f"{prov_path}: malformed json: {exc}") from None
+            provenance = json.loads(prov_path.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise SynthesisError(f"{prov_path}: cannot read json: {exc}") from None
         if not isinstance(provenance, dict):
             raise SynthesisError(f"{prov_path}: expected a json object")
     task_id = provenance.pop("task_id", root.name)

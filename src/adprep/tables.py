@@ -484,13 +484,14 @@ def sidecar_path(path: str | Path) -> Path:
 
 
 def write_schema(schema: Schema, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(schema_to_json(schema), indent=2, sort_keys=True) + "\n")
+    text = json.dumps(schema_to_json(schema), indent=2, sort_keys=True) + "\n"
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def read_schema(path: str | Path) -> Schema:
     try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise TableIOError(f"cannot read schema {path}: {exc}") from None
     return schema_from_json(data)
 
@@ -610,7 +611,7 @@ def _table_from_csv(path: Path, name: str, schema: Schema | None) -> Table:
             data = list(csv.reader(fh))
     except OSError as exc:
         raise TableIOError(f"cannot read {path}: {exc}") from None
-    except csv.Error as exc:
+    except (csv.Error, UnicodeDecodeError) as exc:
         raise TableIOError(f"{path}: malformed csv: {exc}") from None
     return _parse_csv_records(data, str(path), name, schema)
 
@@ -640,8 +641,8 @@ def table_to_csv_text(t: Table) -> str:
 
 def _table_from_json_rows(path: Path, name: str, schema: Schema | None) -> Table:
     try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise TableIOError(f"cannot read {path}: {exc}") from None
     if not isinstance(data, list) or any(not isinstance(r, dict) for r in data):
         raise TableIOError(f"{path}: json-rows file must be a list of objects")
@@ -717,7 +718,7 @@ def write_table(t: Table, path: str | Path, fmt: str = "csv", *, sidecar: bool =
             {c.name: _jsonable(v) for c, v in zip(t.schema.columns, row)}
             for row in t.rows
         ]
-        path.write_text(json.dumps(data, indent=2, ensure_ascii=False) + "\n")
+        path.write_text(json.dumps(data, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
     else:
         raise ValueError(f"unknown table format {fmt!r}")
     if sidecar:

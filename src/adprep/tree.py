@@ -13,7 +13,8 @@ tried and why it broke.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 
 from .operators import (
     ExecError,
@@ -44,26 +45,42 @@ class FailureRecord:
         return text
 
 
-@dataclass(eq=False)
 class TreeNode:
-    node_id: int
-    op: OperatorInstance | None  # edge from the parent; None at the root
-    state: TableSet
-    parent: "TreeNode | None"
-    children: list["TreeNode"] = field(default_factory=list)
-    failures: list[FailureRecord] = field(default_factory=list)
-    # the edge's call text and the node's path, each serialized once here
-    op_text: str | None = field(init=False, default=None)
-    _path: str = field(init=False, repr=False, default="root")
+    """One table-set state; `op` is the edge from its parent (None at the root).
 
-    def __post_init__(self) -> None:
-        if self.op is None:
+    A node holds its parent through a weakref, so a finished tree holds no
+    reference cycle and is freed as soon as its ReasoningTree is dropped: the
+    tree's node list owns every node, so `parent` and `prefix` need the
+    tree kept alive.
+    """
+
+    def __init__(
+        self,
+        node_id: int,
+        op: OperatorInstance | None,
+        state: TableSet,
+        parent: "TreeNode | None",
+    ):
+        self.node_id = node_id
+        self.op = op
+        self.state = state
+        self._parent = None if parent is None else weakref.ref(parent)
+        self.children: list[TreeNode] = []
+        self.failures: list[FailureRecord] = []
+        # the edge's call text and the node's path, each serialized once here
+        self.op_text: str | None = None
+        self._path = "root"
+        if op is None:
             return
-        self.op_text = serialize_operator_call(self.op)
-        if self.parent.op is None:
+        self.op_text = serialize_operator_call(op)
+        if parent.op is None:
             self._path = self.op_text
         else:
-            self._path = f"{self.parent._path} -> {self.op_text}"
+            self._path = f"{parent._path} -> {self.op_text}"
+
+    @property
+    def parent(self) -> "TreeNode | None":
+        return None if self._parent is None else self._parent()
 
     @property
     def prefix(self) -> tuple[OperatorInstance, ...]:

@@ -1,8 +1,10 @@
 """Episode loop tests: reply parsing, turn accounting, policies."""
 
+import gc
 import json
 import random
 import threading
+import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -217,6 +219,25 @@ def test_scripted_episode_answers():
     assert "turns remaining: 4" in expand_turn.feedback
 
 
+def test_dropped_trajectory_frees_its_tree_without_the_cycle_collector():
+    gc.disable()
+    try:
+        traj = run_episode(make_task(), ScriptedPolicy([
+            "<plan>no decision</plan>",
+            "<plan>poke</plan><expand>parent: root\nDropColumn(\"movies\", [\"ghost\"])</expand>",
+            EXPAND_REPLY,
+            ANSWER_REPLY,
+        ]))
+        assert traj.status == "answered"
+        leaf = traj.tree.nodes[-1]
+        assert leaf.parent.parent is traj.tree.root
+        root = weakref.ref(traj.tree.root)
+        del traj, leaf
+        assert root() is None
+    finally:
+        gc.enable()
+
+
 def test_protocol_errors_do_not_consume_turns():
     task = make_task()
     policy = ScriptedPolicy(["<plan>oops, no decision</plan>", EXPAND_REPLY, ANSWER_REPLY])
@@ -368,6 +389,13 @@ def test_scripted_policy_exhaustion_aborts_episode():
     assert "script exhausted" in traj.error
     # the expand before exhaustion is still recorded
     assert traj.turns[0].action == "expand"
+
+
+def test_scripted_policy_from_non_utf8_file_is_a_policy_error(tmp_path):
+    script = tmp_path / "replies.json"
+    script.write_bytes(b"\xff\xfe")
+    with pytest.raises(PolicyError, match="cannot load reply script"):
+        ScriptedPolicy.from_file(script)
 
 
 def test_scripted_policy_fresh_and_from_file(tmp_path):

@@ -74,6 +74,26 @@ def test_malformed_bundle_file_is_reported_not_raised(suite, tmp_path, capsys, n
     assert "load_error" in capsys.readouterr().out
 
 
+def test_non_utf8_files_are_reported_not_raised(suite, tmp_path, capsys):
+    logs = tmp_path / "logs"
+    assert main(["run", str(suite), "--policy", "gt", "--log-dir", str(logs)]) == 0
+    (suite / "task-001" / "gt_pipeline.txt").write_bytes(b"\xff\xfe")
+    (logs / "task-002.jsonl").write_bytes(b"\xff\xfe")
+    script = tmp_path / "replies.json"
+    script.write_bytes(b"\xff\xfe")
+    capsys.readouterr()
+    assert main(["validate", str(suite)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL task-001" in out and "utf-8" in out
+    assert main(["score", str(suite), str(logs)]) == 1
+    out = capsys.readouterr().out
+    assert out.count("load_error") == 2
+    assert main(["replay", str(suite / "task-000"), str(script)]) == 2
+    captured = capsys.readouterr()
+    assert "utf-8" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_run_gt_policy(suite, capsys):
     assert main(["run", str(suite), "--policy", "gt"]) == 0
     out = capsys.readouterr().out

@@ -18,6 +18,7 @@ from adprep.harness import (
     run_benchmark,
     write_trajectory_log,
 )
+from adprep.reward import RuleJudge
 from adprep.synthesis import synthesize_demo_task, write_bundle
 from adprep.tables import tables_equal
 
@@ -181,6 +182,29 @@ def test_malformed_bundle_file_is_a_typed_load_error_row(tmp_path, name, text):
     assert by_id["task-001"].status == "answered"
 
 
+class _BrokenJudge:
+    """Raises on one task, as a broken judge or scorer would."""
+
+    def score(self, traj):
+        if traj.task_id == "task-007":
+            raise RuntimeError("judge fell over")
+        return RuleJudge().score(traj)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_task_that_raises_becomes_an_internal_error_row(tmp_path, threads):
+    suite = build_suite(tmp_path)
+    report = run_benchmark(suite, gt_replay_policy, judge_factory=_BrokenJudge, threads=threads)
+    by_id = {r.task_id: r for r in report.rows}
+    assert by_id["task-007"].status == "internal_error"
+    assert by_id["task-007"].error == "RuntimeError: judge fell over"
+    assert not report.all_attempted
+    for task_id in ("task-001", "task-013", "task-029"):
+        assert by_id[task_id].status == "answered"
+        assert by_id[task_id].outcome == 1.0
+    assert report.accuracy == 75.0
+
+
 def test_empty_suite(tmp_path):
     empty = tmp_path / "none"
     empty.mkdir()
@@ -235,6 +259,22 @@ def test_malformed_log_line_becomes_a_load_error_row(tmp_path):
     assert by_id["task-013"].status == "load_error"
     assert by_id["task-001"].status == "answered"
     assert not report.all_attempted
+
+
+def test_non_utf8_log_becomes_a_load_error_row(tmp_path):
+    suite = build_suite(tmp_path, seeds=(1, 7))
+    logs = tmp_path / "logs"
+    run_benchmark(suite, gt_replay_policy, log_dir=logs)
+    (logs / "task-007.jsonl").write_bytes(b"\xff\xfe")
+    with pytest.raises(HarnessError, match="utf-8"):
+        load_trajectory_log(logs / "task-007.jsonl")
+    (logs / "task-007.jsonl").unlink()
+    (logs / "task-007.jsonl").mkdir()  # exists, but cannot be read
+    with pytest.raises(HarnessError, match="cannot read log"):
+        load_trajectory_log(logs / "task-007.jsonl")
+    by_id = {r.task_id: r for r in replay_suite(suite, logs).rows}
+    assert by_id["task-007"].status == "load_error"
+    assert by_id["task-001"].status == "answered"
 
 
 def test_malformed_bundle_csv_becomes_a_load_error_row(tmp_path):

@@ -1,15 +1,22 @@
 """Operator registry, call syntax, and executor behavior."""
 
+import calendar
+import random
+import re
+from collections import Counter
 from dataclasses import dataclass
+from datetime import datetime
 from typing import Callable
 
 import pytest
 
 from adprep.operators import (
+    DATE_PATTERNS,
     REGISTRY,
     ExecError,
     OpParseError,
     SubprocessScriptBackend,
+    _parse_any_date,
     execute_operator,
     make_operator,
     name_bearing_values,
@@ -20,6 +27,7 @@ from adprep.operators import (
 from adprep.tables import (
     BOOL, INT, LIST, REAL, TEXT, INT64_MAX, Schema, Table, make_table, tables_equal,
 )
+from reference_ops import REF_DATE_PATTERNS, REF_HANDLERS, diff_states, plain_state
 
 
 def run(op_text, state, **kwargs):
@@ -291,6 +299,140 @@ def test_standardize_datetime_bad_cell_reports_value():
         run('StandardizeDatetime("t", "d", "%Y-%m-%d")', {"t": t})
     assert err.value.detail == "not a date"
     assert "row 1" in err.value.message
+
+
+def _strptime_loop(text):
+    """The plain loop the shape filter must agree with: every pattern, in order."""
+    for pattern in REF_DATE_PATTERNS:
+        try:
+            dt = datetime.strptime(text, pattern)
+        except ValueError:
+            continue
+        if "%Y" in pattern and dt.year < 1000:
+            continue
+        return pattern, dt
+    return None, None
+
+
+_MONTHS = [calendar.month_name[i] for i in range(1, 13)]
+_MONTH_ABBRS = [calendar.month_abbr[i] for i in range(1, 13)]
+_EDIT_CHARS = "0123456789 \t\n-/:,.TtZ%aAyY\u0663\uff13\u00a0"
+
+
+def _recase(rng, word):
+    return rng.choice([word, word.upper(), word.lower(), word.swapcase()])
+
+
+def _date_field(rng, directive):
+    """One field, mostly valid; sometimes out of range, mis-sized or misnamed."""
+    roll = rng.random()
+    if directive == "%Y":
+        if roll < 0.1:
+            return f"{rng.randint(1, 999):04d}"  # four digits, yet below 1000
+        if roll < 0.2:
+            return rng.choice([f"{rng.randint(0, 99):02d}", str(rng.randint(10000, 99999))])
+        return f"{rng.randint(1900, 2099):04d}"
+    if directive == "%y":
+        if roll < 0.1:
+            return str(rng.choice([rng.randint(0, 9), rng.randint(100, 999)]))
+        return f"{rng.randint(0, 99):02d}"
+    if directive == "%d":
+        day = rng.randint(1, 31) if roll < 0.93 else rng.choice([0, 32, 123])
+        return rng.choice([str(day), f"{day:02d}", f"{day:2d}"])  # "%2d" pads with a space
+    if directive == "%m":
+        month = rng.randint(1, 12) if roll < 0.93 else rng.choice([0, 13, 123])
+        return rng.choice([str(month), f"{month:02d}"])
+    if directive in ("%H", "%M", "%S"):
+        value = rng.randint(0, 59) if roll < 0.93 else rng.choice([24, 60, 61, 99, 100])
+        return rng.choice([str(value), f"{value:02d}"])
+    if roll < 0.1:
+        return rng.choice(["Sept", "Janu", "Mayo", "x", ""])
+    names = _MONTHS if (directive == "%B") == (roll < 0.85) else _MONTH_ABBRS
+    return _recase(rng, rng.choice(names))
+
+
+def _date_text(rng):
+    """A string in the style of one pattern, with seeded variations and damage."""
+    pattern = rng.choice(REF_DATE_PATTERNS)
+    parts = []
+    for token in re.findall(r"%.|\s|.", pattern):
+        if token.startswith("%"):
+            parts.append(_date_field(rng, token))
+        elif token == " ":
+            parts.append(rng.choice([" ", " ", " ", "  ", "\t", " \t "]))
+        elif token == "T":
+            parts.append(rng.choice("TTt "))
+        else:
+            parts.append(token if rng.random() < 0.97 else rng.choice("-/:,. "))
+    text = "".join(parts)
+    roll = rng.random()
+    if roll < 0.05:
+        text += rng.choice([" x", "Z", "0", ".5", " ", "\n"])
+    elif roll < 0.08:
+        text = rng.choice([" ", "\t", "0"]) + text
+    elif roll < 0.13:  # Arabic-Indic and fullwidth digits, which \d and strptime accept
+        text = "".join(
+            chr(int(c) + rng.choice([0x660, 0xFF10])) if c in "0123456789" and rng.random() < 0.5
+            else c
+            for c in text
+        )
+    for _ in range(rng.choice([0] * 7 + [1, 2, 3])):
+        i = rng.randint(0, len(text))
+        edit = rng.random()
+        if edit < 0.4 and text:
+            text = text[:i] + text[i + 1:]
+        elif edit < 0.7:
+            text = text[:i] + rng.choice(_EDIT_CHARS) + text[i:]
+        elif text:
+            text = text[:i] + rng.choice(_EDIT_CHARS) + text[i + 1:]
+    return text
+
+
+def test_date_patterns_match_the_reference():
+    assert DATE_PATTERNS == REF_DATE_PATTERNS
+
+
+def test_shape_filter_agrees_with_the_plain_strptime_loop():
+    rng = random.Random(5150)
+    winners = Counter()
+    for _ in range(20000):
+        text = _date_text(rng)
+        pattern, want = _strptime_loop(text)
+        assert _parse_any_date(text) == want, repr(text)
+        winners[pattern] += 1
+    # the corpus reaches every pattern and a fair share of misses
+    assert set(winners) == set(REF_DATE_PATTERNS) | {None}
+    assert 4000 < winners[None] < 16000
+    for text, want in [
+        ("2023-01-05t10:00:00", datetime(2023, 1, 5, 10)),
+        ("5 JANUARY 2023", datetime(2023, 1, 5)),
+        ("march\t \t5,  2021", datetime(2021, 3, 5)),
+        ("01/ 7/2023", datetime(2023, 1, 7)),
+        ("\u0662\u0660\u0662\u0663-01-05", datetime(2023, 1, 5)),
+        ("0099-01-05", None),
+        ("02/30/2023", None),
+        ("2023-01-05 x", None),
+    ]:
+        assert _strptime_loop(text)[1] == want, text
+        assert _parse_any_date(text) == want, text
+
+
+def test_standardize_datetime_patterns_the_oracle_never_renders():
+    # the oracle's generator only renders six of the eleven patterns
+    t = make_table("t", [("d", TEXT), ("k", INT)], [
+        ("2023-01-05 10:11:12", 0), ("05-01-2023", 1), ("5 January 2023", 2),
+        ("Jan 5, 2023", 3), ("5 Jan 2023", 4), (" 7 MARCH 2021", 5), ("dec 31, 1999", 6),
+        ("31 Dec 1999", 7), ("2023-01-05  23:59:59", 8), (None, 9),
+    ])
+    op = make_operator("StandardizeDatetime", "t", "d", "%Y-%m-%d %H:%M")
+    out = execute_operator(op, {"t": t})
+    want = REF_HANDLERS["StandardizeDatetime"](op.params, plain_state({"t": t}))
+    assert diff_states(out, want) is None
+    assert out["t"].column("d") == (
+        "2023-01-05 10:11", "2023-01-05 00:00", "2023-01-05 00:00", "2023-01-05 00:00",
+        "2023-01-05 00:00", "2021-03-07 00:00", "1999-12-31 00:00", "1999-12-31 00:00",
+        "2023-01-05 23:59", None,
+    )
 
 
 def test_cast_type_conversions():

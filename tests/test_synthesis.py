@@ -18,7 +18,7 @@ from adprep.synthesis import (
     verify_bundle,
     write_bundle,
 )
-from adprep.tables import INT, REAL, TEXT, make_table, tables_equal
+from adprep.tables import INT, REAL, TEXT, TableIOError, make_table, tables_equal
 
 
 def clean_table():
@@ -207,4 +207,21 @@ def test_read_bundle_rejects_malformed_files(tmp_path, name, text):
     root = write_bundle(synthesize_demo_task(random.Random(3), "task-000"), tmp_path / "b")
     (root / name).write_text(text)
     with pytest.raises(SynthesisError, match=name):
+        read_bundle(root)
+
+
+@pytest.mark.parametrize("name, error", [
+    ("gt_pipeline.txt", SynthesisError),
+    ("provenance.json", SynthesisError),
+    ("target_schema.json", TableIOError),
+    ("target_table.csv", TableIOError),
+])
+def test_read_bundle_rejects_non_utf8_files(tmp_path, name, error):
+    root = write_bundle(synthesize_demo_task(random.Random(3), "task-000"), tmp_path / "b")
+    (root / name).write_bytes(b"\xff\xfe")
+    with pytest.raises(error, match=name):
+        read_bundle(root)
+    (root / name).unlink()
+    (root / name).mkdir()  # unreadable as a file
+    with pytest.raises(error, match=name):
         read_bundle(root)

@@ -28,6 +28,7 @@ from adprep.tables import (
     make_table,
     read_table,
     serialize_table,
+    sidecar_path,
     table_from_rows,
     tables_equal,
     write_table,
@@ -444,3 +445,16 @@ def test_bad_json_rows_cell_is_a_table_io_error(tmp_path):
         path.write_text(json.dumps([{"a": value}]))
         with pytest.raises(TableIOError):
             read_table(path, fmt="json-rows")
+
+
+
+@pytest.mark.parametrize("fmt, damaged", [
+    ("csv", "table"), ("csv", "sidecar"), ("json-rows", "table"),
+])
+def test_non_utf8_file_is_a_table_io_error(tmp_path, fmt, damaged):
+    path = tmp_path / "t.data"
+    write_table(make_table("t", [("a", TEXT)], [("é",)]), path, fmt=fmt)
+    assert "é".encode("utf-8") in path.read_bytes()  # utf-8 whatever the locale
+    (sidecar_path(path) if damaged == "sidecar" else path).write_bytes(b"\xff\xfe")
+    with pytest.raises(TableIOError, match="utf-8"):
+        read_table(path, fmt=fmt)
