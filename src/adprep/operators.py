@@ -55,6 +55,7 @@ from .tables import (
     TableError,
     cell_hash_key,
     cell_sort_key,
+    clean_column_kind,
     coerce_cells,
     infer_column_dtype,
     render_cell,
@@ -654,14 +655,15 @@ def _resolve_column(
     *, computed: bool, dtype: str | None = None,
 ) -> tuple[str, list[Cell]]:
     """Dtype and cells of an output column: the dtype is inferred unless given,
-    and ints in a real column become floats. Computed cells are also checked
-    with validate_cell; moved cells already passed it. A bad cell raises
+    and ints in a real column become floats. Computed cells are also checked,
+    in one pass when clean_column_kind vouches for the column and else with
+    validate_cell per cell; moved cells already passed it. A bad cell raises
     ExecError naming the column."""
     try:
         if dtype is None:
             dtype = infer_column_dtype(cells, fallback)
             cells = coerce_cells(dtype, cells)
-        if computed:
+        if computed and clean_column_kind(cells) not in (None, dtype):
             where = f"column {name!r}"
             cells = [validate_cell(v, dtype, where) for v in cells]
     except TableError as exc:

@@ -91,16 +91,20 @@ def cell_score(predicted: Table, target: Table) -> float:
     return hits / (len(shared) * n_hi)
 
 
+def _partial_credit(exact: bool, schema: float, shape: float, cell: float) -> float:
+    """Full credit for an exact match, else the mean of the three similarities."""
+    return 1.0 if exact else (schema + shape + cell) / 3.0
+
+
 def partial_score(predicted: Table | None, target: Table) -> float:
     if predicted is None:
         return 0.0
-    if tables_equal(predicted, target):
-        return 1.0
-    return (
-        schema_score(predicted, target)
-        + shape_score(predicted, target)
-        + cell_score(predicted, target)
-    ) / 3.0
+    return _partial_credit(
+        tables_equal(predicted, target),
+        schema_score(predicted, target),
+        shape_score(predicted, target),
+        cell_score(predicted, target),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +281,7 @@ def score_trajectory(
         s_sch = schema_score(predicted, target)
         s_shp = shape_score(predicted, target)
         s_cnt = cell_score(predicted, target)
-        # partial_score's value, from the scores already in hand
-        r_part = 1.0 if r_out == 1.0 else (s_sch + s_shp + s_cnt) / 3.0
+        r_part = _partial_credit(r_out == 1.0, s_sch, s_shp, s_cnt)
     judge_scores = (judge or RuleJudge()).score(traj)
     r_llm = judge_scores.mean
     total = weights.alpha * r_out + weights.beta * r_part + weights.gamma * r_llm

@@ -12,11 +12,18 @@ cell_hash_key, under which tables_equal compares the two row multisets.
 Cells are checked once, where they enter. Table(schema, rows) checks every
 cell and is the constructor for untrusted input: make_table,
 table_from_rows, table_from_json (logs and final tables), json-rows reads,
-ExeCode output and synthesis corruption all use it. The csv readers type
-and check each cell as they parse it. Table.trusted skips the check; it is
-for tables whose cells are already valid for their columns: operator
-outputs that move cells from checked tables, plus columns an operator
-computes, which it checks with validate_cell first.
+ExeCode output and synthesis corruption all use it. It checks a column in
+one pass at C speed (clean_column_kind) when every non-null cell is exactly
+the column's Python type (int, float, str or bool), with the 64-bit range
+of an int column read off its min and max and the reals tested with
+math.isfinite; the rows are then kept as given. Any other table (a list
+column, a bool in an int column, a subclass of int or str, a bad cell, a
+ragged row) is checked row by row with validate_cell, which gives the same
+rows and the same error text. The csv readers type and check each cell as
+they parse it. Table.trusted skips the check; it is for tables whose cells
+are already valid for their columns: operator outputs that move cells from
+checked tables, plus columns an operator computes, which it checks with the
+same column kernel first.
 
 The module also provides a deterministic markdown rendering used for agent
 observations, and csv / json-rows file I/O with an optional JSON sidecar
@@ -110,6 +117,34 @@ def validate_cell(value: Cell, dtype: str, where: str) -> Cell:
     return value
 
 
+_CLEAN_KINDS = {int: INT, float: REAL, str: TEXT, bool: BOOL}  # exact type -> dtype
+_NULL_TYPE = type(None)
+
+
+def clean_column_kind(cells: Sequence[Cell]) -> str | None:
+    """The dtype of a column that one pass at C speed shows to be valid as it
+    stands: every non-null cell is exactly int, float, str or bool (one of
+    them), ints fit in 64 bits and reals are finite, so validate_cell would
+    return each cell unchanged. None for an all-null column. "" when the pass
+    cannot vouch for the column (list cells, mixed kinds, subclasses, a bad
+    cell): such a column is checked cell by cell."""
+    types = set(map(type, cells))
+    has_nulls = _NULL_TYPE in types
+    types.discard(_NULL_TYPE)
+    if len(types) != 1:
+        return "" if types else None
+    kind = _CLEAN_KINDS.get(types.pop(), "")
+    if kind in (INT, REAL):
+        values = [v for v in cells if v is not None] if has_nulls else cells
+        if kind == INT:
+            fits = INT64_MIN <= min(values) and max(values) <= INT64_MAX
+        else:
+            fits = all(map(math.isfinite, values))
+        if not fits:
+            return ""
+    return kind
+
+
 @dataclass(frozen=True)
 class ColumnSpec:
     name: str
@@ -150,8 +185,19 @@ class Table:
     def __post_init__(self) -> None:
         cols = self.schema.columns
         dtypes = [c.dtype for c in cols]
+        rows = self.rows if type(self.rows) is tuple else tuple(self.rows)
+        if (
+            LIST not in dtypes  # list cells are normalized cell by cell
+            and set(map(type, rows)) <= {tuple}
+            and set(map(len, rows)) <= {len(cols)}
+            and all(clean_column_kind(col) in (None, dt) for col, dt in zip(zip(*rows), dtypes))
+        ):
+            object.__setattr__(self, "rows", rows)
+            return
+        # some column needs a cell-by-cell look: check row by row, so the first
+        # error is the first bad cell in row order
         checked = []
-        for r, row in enumerate(self.rows):
+        for r, row in enumerate(rows):
             row = tuple(row)
             if len(row) != len(cols):
                 raise TableError(
@@ -218,12 +264,15 @@ def make_table(
     return Table(Schema(name, column_specs(cols), description), tuple(tuple(r) for r in rows))
 
 
-def infer_column_dtype(cells: Iterable[Cell], fallback: str = TEXT) -> str:
+def infer_column_dtype(cells: Sequence[Cell], fallback: str = TEXT) -> str:
     """Resolve a column dtype from cell kinds.
 
     All-null columns take the fallback. A pure int / real mix promotes to
     real; any other mix is an error.
     """
+    kind = clean_column_kind(cells)
+    if kind != "":
+        return kind or fallback
     kinds = {value_kind(c) for c in cells if c is not None}
     if not kinds:
         return fallback
@@ -507,6 +556,8 @@ def _csv_parse_cell(text: str, dtype: str) -> Cell:
             raise ValueError("integer out of 64-bit range")
         return v
     if dtype == REAL:
+        if not _REAL_RE.fullmatch(text):  # float() alone also takes "1_0", " 2", "inf"
+            raise ValueError("not a real number")
         v = float(text)
         if not math.isfinite(v):
             raise ValueError("non-finite")

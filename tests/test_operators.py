@@ -11,7 +11,23 @@ from typing import Callable
 import pytest
 
 from adprep.operators import (
+    AGG_FNS,
     DATE_PATTERNS,
+    P_AGG_MAP,
+    P_ASCENDING,
+    P_CODE,
+    P_COLUMN,
+    P_COLUMN_LIST,
+    P_ENUM,
+    P_EXPR,
+    P_INT,
+    P_NAME_LIST,
+    P_NEW_COLUMN,
+    P_NEW_COLUMN_LIST,
+    P_RENAME_MAP,
+    P_TABLE,
+    P_TABLE_LIST,
+    P_TEXT,
     REGISTRY,
     ExecError,
     OpParseError,
@@ -25,9 +41,13 @@ from adprep.operators import (
     serialize_operator_call,
 )
 from adprep.tables import (
-    BOOL, INT, LIST, REAL, TEXT, INT64_MAX, Schema, Table, make_table, tables_equal,
+    BOOL, INT, LIST, REAL, TEXT, INT64_MAX, ColumnSpec, Schema, Table, make_table,
+    tables_equal,
 )
 from reference_ops import REF_DATE_PATTERNS, REF_HANDLERS, diff_states, plain_state
+from conftest import COLUMN_POOL, random_table_set
+from test_expr import _random_expr
+from test_tables import _typed
 
 
 def run(op_text, state, **kwargs):
@@ -948,3 +968,108 @@ def test_single_table_ops_replace_in_place():
     assert set(out) == set(state)
     assert out["movies"].n_rows == 3
     assert state["movies"].n_rows == 4
+
+
+# --- out-of-domain executor fuzz ----------------------------------------------
+
+# names that the random tables hold, names they never hold, and names that
+# need escapes in call text
+FUZZ_NAMES = COLUMN_POOL + ["long_name", "zz", 'qu"ote', "back\\slash", "new\nline"]
+FUZZ_TEXTS = ["out", "%Y-%m-%d", "%d/%m/%Y %H:%M", "%B %d, %Y", "", 'qu"ote', "tab\t", "\u00e9"]
+
+
+def _fuzz_value(rng, p, state, near):
+    """A value for one parameter of a REGISTRY signature. Names come mostly
+    from the table set: tables from `near`, which share column names, and
+    columns from its first table; sometimes they come from elsewhere."""
+    k = p.kind
+    tables = list(state)
+    cols = list(state[near[0]].column_names)
+
+    def column():
+        return rng.choice(cols) if cols and rng.random() < 0.85 else rng.choice(FUZZ_NAMES)
+
+    if k == P_TABLE:
+        return rng.choice(near) if rng.random() < 0.7 else rng.choice(tables + ["ghost"])
+    if k == P_TABLE_LIST:
+        return [rng.choice(tables) for _ in range(rng.randint(1, 3))]
+    if k == P_COLUMN:
+        return column()
+    if k == P_NEW_COLUMN:
+        return rng.choice(FUZZ_NAMES)
+    if k == P_COLUMN_LIST:
+        return list(dict.fromkeys(column() for _ in range(rng.randint(0, 3))))
+    if k in (P_NEW_COLUMN_LIST, P_NAME_LIST):
+        return rng.sample(FUZZ_NAMES, rng.randint(1, 3))
+    if k == P_RENAME_MAP:
+        return {rng.choice(FUZZ_NAMES): rng.choice(FUZZ_NAMES) for _ in range(rng.randint(0, 2))}
+    if k == P_AGG_MAP:
+        return {rng.choice(FUZZ_NAMES): rng.choice(AGG_FNS) for _ in range(rng.randint(0, 3))}
+    if k == P_EXPR:
+        return _random_expr(rng, rng.randint(0, 3))
+    if k == P_CODE:
+        return "pass"
+    if k == P_TEXT:
+        return rng.choice(FUZZ_TEXTS)
+    if k == P_ENUM:
+        return rng.choice(p.options)
+    if k == P_INT:
+        return rng.randint(-2, 10)
+    if k == P_ASCENDING:
+        if rng.random() < 0.5:
+            return rng.random() < 0.5
+        return [rng.random() < 0.5 for _ in range(rng.randint(1, 3))]
+    raise AssertionError(f"no fuzz values for parameter kind {k}")
+
+
+def _real_twin(rng, t, name):
+    """t's rows shuffled under a new name, with its int columns recast as
+    real, so joins and unions meet int / real column pairs."""
+    specs = tuple(ColumnSpec(c.name, REAL if c.dtype == INT else c.dtype) for c in t.schema.columns)
+    rows = [
+        tuple(float(v) if c.dtype == REAL and type(v) is int else v for v, c in zip(row, specs))
+        for row in t.rows
+    ]
+    rng.shuffle(rows)
+    return Table(Schema(name, specs), tuple(rows))
+
+
+def test_executor_fuzz_out_of_domain():
+    # random ops over random tables whose columns often have the wrong type for
+    # the op: only ExecError may escape, every output the checked constructor
+    # would accept unchanged, and every call text round-trips
+    rng = random.Random(909)
+    backend = CallableScriptBackend(lambda code, tables, target: rng.choice(list(tables.values())))
+    kinds = list(REGISTRY)
+    done = Counter()
+    for _ in range(2000):
+        state = random_table_set(rng, n_tables=rng.randint(1, 3), max_rows=6)
+        if rng.random() < 0.5:
+            state["twin"] = _real_twin(rng, state["t0"], "twin")
+        for _ in range(10):
+            kind = rng.choice(kinds)
+            if {"t0", "twin"} <= state.keys() and rng.random() < 0.5:
+                near = ["t0", "twin"]
+            else:
+                near = [rng.choice(list(state))]
+            op = make_operator(
+                kind, *(_fuzz_value(rng, p, state, near) for p in REGISTRY[kind].params)
+            )
+            text = serialize_operator_call(op)
+            back = parse_operator_call(text)
+            assert back == op and serialize_operator_call(back) == text, text
+            try:
+                out = execute_operator(op, state, script_backend=backend)
+            except ExecError:
+                done["failed"] += 1
+                continue
+            done["ok"] += 1
+            inputs = {id(t) for t in state.values()}
+            for t in out.values():
+                if id(t) in inputs:
+                    continue
+                assert type(t.rows) is tuple and all(type(row) is tuple for row in t.rows), text
+                assert _typed(Table(t.schema, t.rows).rows) == _typed(t.rows), text
+            if rng.random() < 0.5:
+                state = out
+    assert done["ok"] > 5000 and done["failed"] > 5000, done

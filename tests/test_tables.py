@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
 from functools import cmp_to_key
 
 import pytest
@@ -31,9 +32,10 @@ from adprep.tables import (
     sidecar_path,
     table_from_rows,
     tables_equal,
+    validate_cell,
     write_table,
 )
-from conftest import random_table
+from conftest import random_cell, random_table
 
 
 def test_canonicalize_sorts_columns_and_rows():
@@ -458,3 +460,158 @@ def test_non_utf8_file_is_a_table_io_error(tmp_path, fmt, damaged):
     (sidecar_path(path) if damaged == "sidecar" else path).write_bytes(b"\xff\xfe")
     with pytest.raises(TableIOError, match="utf-8"):
         read_table(path, fmt=fmt)
+
+
+@pytest.mark.parametrize("text", ["1_0", " 2", "2 "])
+def test_sidecar_real_cell_takes_only_what_inference_takes(tmp_path, text):
+    path = tmp_path / "t.csv"
+    write_table(make_table("t", [("a", REAL)], []), path)
+    path.write_text(f'a\n"{text}"\n')
+    with pytest.raises(TableIOError, match=f"row 0 column 'a': cannot parse {text!r} as real"):
+        read_table(path)
+    # the same text is no number to an int column or to inference either
+    write_table(make_table("t", [("a", INT)], []), path)
+    path.write_text(f'a\n"{text}"\n')
+    with pytest.raises(TableIOError, match="not an integer"):
+        read_table(path)
+    sidecar_path(path).unlink()
+    assert read_table(path).schema.columns[0].dtype == TEXT
+
+
+def test_real_reprs_round_trip_through_csv(tmp_path):
+    cells = [1e16, 1.5e-07, -2.5e-300, 1.7976931348623157e308, 5e-324, 0.1, -0.0, 123.0]
+    t = make_table("t", [("a", REAL)], [(v,) for v in cells])
+    path = tmp_path / "t.csv"
+    write_table(t, path)
+    assert "1e+16" in path.read_text() and "1.5e-07" in path.read_text()
+    back = read_table(path)
+    assert back == t
+    assert [repr(v) for (v,) in back.rows] == [repr(v) for v in cells]
+
+
+# -- the checked constructor's column kernel against a cell-by-cell reference --
+
+def _reference_rows(schema, rows):
+    """Rows as the checked constructor gave them when it checked every cell in
+    row order with validate_cell; raises the same TableError."""
+    cols = schema.columns
+    checked = []
+    for r, row in enumerate(rows):
+        row = tuple(row)
+        if len(row) != len(cols):
+            raise TableError(
+                f"table {schema.table_name!r} row {r}: expected {len(cols)} cells, got {len(row)}"
+            )
+        checked.append(tuple(
+            validate_cell(v, c.dtype, f"table {schema.table_name!r} row {r} column {c.name!r}")
+            for v, c in zip(row, cols)
+        ))
+    return tuple(checked)
+
+
+def _typed(v):
+    """A value with the type of every part, so True != 1 and 1 != 1.0 here."""
+    if isinstance(v, (tuple, list)):
+        return type(v), tuple(map(_typed, v))
+    return type(v), v
+
+
+def _outcome(build):
+    try:
+        return "rows", _typed(build())
+    except TableError as exc:
+        return "error", str(exc)
+
+
+def _assert_kernel_matches_reference(schema, rows):
+    want = _outcome(lambda: _reference_rows(schema, rows))
+    got = _outcome(lambda: Table(schema, rows).rows)
+    assert got == want, (schema, rows)
+    return got
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+ODD_CELLS = [
+    True, False, 0, 1, 2.5, -0.0, "x", "",
+    2**63, -(2**63) - 1, 2**63 - 1, -(2**63),
+    math.nan, math.inf, -math.inf, _Int(3), _Str("s"),
+    [1, "a"], [], [[1]], (1, (2,)), (math.nan,), [2**63], b"raw", {"k": 1},
+]
+
+
+def _schema(*dtypes):
+    return Schema("k", tuple(ColumnSpec(f"c{i}", d) for i, d in enumerate(dtypes)))
+
+
+@pytest.mark.parametrize("dtypes, rows, error", [
+    ((INT,), ((1,), (True,)), "row 1 column 'c0': bool cell in int column"),
+    ((REAL,), ((1.5,), (2,)), "row 1 column 'c0': int cell in real column"),
+    ((INT, TEXT), ((_Int(4), _Str("s")), (None, "t")), None),
+    ((INT,), ((2**63 - 1,), (-(2**63),), (None,)), None),
+    ((INT,), ((0,), (2**63,)), "row 1 column 'c0': integer out of 64-bit range"),
+    ((INT,), ((None,), (-(2**63) - 1,)), "row 1 column 'c0': integer out of 64-bit range"),
+    ((REAL,), ((1.0,), (math.nan,)), "row 1 column 'c0': non-finite real value"),
+    ((REAL,), ((math.inf,),), "non-finite real value"),
+    ((REAL,), ((None,), (-math.inf,)), "non-finite real value"),
+    ((TEXT,), (("a",), (["a"],)), "row 1 column 'c0': list cell in text column"),
+    ((LIST,), (([1, "a"],), ((2,),), (None,)), None),
+    ((LIST,), (([1, [2]],),), "row 0 column 'c0': unsupported cell value of type list"),
+    ((INT, BOOL), [[1, True], (2, False)], None),
+    ((INT, INT), ((1, 2), (3,), ("x", 4)), "row 1: expected 2 cells, got 1"),
+    ((INT, INT), ((1, 2), ("x", 4), (3,)), "row 1 column 'c0': text cell in int column"),
+    ((INT, TEXT), ((1, 2), ("x", "y")), "row 0 column 'c1': int cell in text column"),
+    ((), ((), (), ()), None),
+])
+def test_column_kernel_cases(dtypes, rows, error):
+    kind, value = _assert_kernel_matches_reference(_schema(*dtypes), rows)
+    if error is None:
+        assert kind == "rows"
+        assert len(value[1]) == len(rows)
+    else:
+        assert kind == "error" and error in value
+
+
+def test_clean_rows_are_kept_as_given():
+    rows = ((1, 2.5, "a", True), (None, None, None, None)) * 3
+    t = Table(_schema(INT, REAL, TEXT, BOOL), rows)
+    assert t.rows is rows
+    assert Table(_schema(INT), (r for r in [(1,), (2,)])).rows == ((1,), (2,))
+
+
+def _kernel_case(rng):
+    """Random cells as the tests use them, plus odd cells, list-typed cells
+    and rows, and ragged rows."""
+    dtypes = [rng.choice((INT, REAL, TEXT, BOOL, LIST)) for _ in range(rng.randint(0, 5))]
+    null_rate = rng.choice([0.0, 0.15, 0.9])
+    rows = [[random_cell(rng, d, null_rate) for d in dtypes] for _ in range(rng.randint(0, 8))]
+    for row in rows:
+        for i, v in enumerate(row):
+            if type(v) is tuple and rng.random() < 0.3:
+                row[i] = list(v)
+    if rows and dtypes:
+        for _ in range(rng.choice([0, 0, 0, 1, 2])):
+            rng.choice(rows)[rng.randrange(len(dtypes))] = rng.choice(ODD_CELLS)
+    if rows and rng.random() < 0.1:
+        row = rng.choice(rows)
+        if row and rng.random() < 0.5:
+            row.pop()
+        else:
+            row.append(1)
+    rows = [tuple(row) if rng.random() < 0.95 else row for row in rows]
+    return _schema(*dtypes), tuple(rows) if rng.random() < 0.9 else rows
+
+
+def test_column_kernel_matches_cell_by_cell_reference():
+    rng = random.Random(606)
+    kinds = Counter()
+    for _ in range(5000):
+        schema, rows = _kernel_case(rng)
+        kinds[_assert_kernel_matches_reference(schema, rows)[0]] += 1
+    assert kinds["rows"] > 1000 and kinds["error"] > 500, kinds
