@@ -35,7 +35,7 @@ from .operators import (
     registry_help,
     serialize_operator_call,
 )
-from .pipeline import PipelineError, final_table, parse_pipeline, run_pipeline, serialize_pipeline
+from .pipeline import parse_pipeline, run_pipeline, serialize_pipeline
 from .tree import FailureRecord, ReasoningTree, TreeError
 from .agent import (
     HttpChatPolicy,
@@ -94,8 +94,6 @@ __all__ = [
     "parse_operator_call",
     "registry_help",
     "serialize_operator_call",
-    "PipelineError",
-    "final_table",
     "parse_pipeline",
     "run_pipeline",
     "serialize_pipeline",

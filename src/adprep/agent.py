@@ -147,9 +147,6 @@ class Trajectory:
 # reply parsing
 # ---------------------------------------------------------------------------
 
-_TAGS = ("plan", "expand", "answer")
-
-
 def _extract_tag(reply: str, tag: str) -> list[str]:
     opens = reply.count(f"<{tag}>")
     closes = reply.count(f"</{tag}>")
@@ -189,17 +186,21 @@ def split_chain(text: str) -> list[str]:
     return [p.strip() for p in parts]
 
 
+def _parse_calls(texts, category: str, where: str) -> tuple[OperatorInstance, ...]:
+    ops = []
+    for text in texts:
+        try:
+            ops.append(parse_operator_call(text))
+        except OpParseError as exc:
+            raise ProtocolViolation(category, f"bad operator {where}: {exc}") from None
+    return tuple(ops)
+
+
 def _parse_chain(text: str, category: str) -> tuple[OperatorInstance, ...]:
     text = text.strip()
     if text == "root" or not text:
         return ()
-    ops = []
-    for piece in split_chain(text):
-        try:
-            ops.append(parse_operator_call(piece))
-        except OpParseError as exc:
-            raise ProtocolViolation(category, f"bad operator in chain: {exc}") from None
-    return tuple(ops)
+    return _parse_calls(split_chain(text), category, "in chain")
 
 
 def parse_reply(reply: str) -> ParsedReply:
@@ -233,13 +234,8 @@ def parse_reply(reply: str) -> ParsedReply:
         parent = _parse_chain(lines[0][len("parent:"):], "bad_parent")
         if len(lines) == 1:
             raise ProtocolViolation("bad_ops", "an <expand> needs at least one operator line")
-        ops = []
-        for line in lines[1:]:
-            try:
-                ops.append(parse_operator_call(line))
-            except OpParseError as exc:
-                raise ProtocolViolation("bad_ops", f"bad operator line: {exc}") from None
-        return ParsedReply(plan, "expand", parent=parent, ops=tuple(ops))
+        ops = _parse_calls(lines[1:], "bad_ops", "line")
+        return ParsedReply(plan, "expand", parent=parent, ops=ops)
 
     lines = [ln.strip() for ln in answers[0].splitlines() if ln.strip()]
     target = None
@@ -253,13 +249,7 @@ def parse_reply(reply: str) -> ParsedReply:
     if len(lines) == 1:
         chain = _parse_chain(lines[0], "bad_answer")
     else:
-        ops = []
-        for line in lines:
-            try:
-                ops.append(parse_operator_call(line))
-            except OpParseError as exc:
-                raise ProtocolViolation("bad_answer", f"bad operator line: {exc}") from None
-        chain = tuple(ops)
+        chain = _parse_calls(lines, "bad_answer", "line")
     return ParsedReply(plan, "answer", answer_chain=chain, answer_target=target)
 
 

@@ -25,9 +25,10 @@ multiplicative, unary (not, -), then calls and atoms.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from .tables import INT64_MAX, INT64_MIN, Cell, cells_equal, render_scalar
 
@@ -114,18 +115,25 @@ MAX_DEPTH = 64
 # ---------------------------------------------------------------------------
 
 _TWO_CHAR_OPS = ("==", "!=", "<=", ">=")
-_ONE_CHAR_OPS = "+-*/%<>"
+_EXPR_PUNCT = {"(": "LPAREN", ")": "RPAREN", ",": "COMMA", **dict.fromkeys("+-*/%<>", "OP")}
+_CALL_PUNCT = {
+    "(": "LPAREN", ")": "RPAREN", ",": "COMMA", "[": "LBRACK", "]": "RBRACK",
+    "{": "LBRACE", "}": "RBRACE", ":": "COLON",
+}
 _ESCAPES = {"\\": "\\", '"': '"', "'": "'", "n": "\n", "t": "\t", "r": "\r"}
+_IDENT_TAIL = re.compile(r"\w*")  # \w is exactly str.isalnum() or "_"
+
+Token = tuple[str, Any, int]  # (kind, value, position)
 
 
-@dataclass
-class Token:
-    kind: str  # IDENT, INT, REAL, STRING, OP, LPAREN, RPAREN, COMMA, EOF
-    value: Any
-    pos: int
+def tokenize(src: str, call: bool = False) -> list[Token]:
+    """Split DSL text, or operator-call text when `call` is set, into tokens.
 
-
-def tokenize(src: str) -> list[Token]:
+    Kinds: IDENT, INT, REAL, STRING, OP, LPAREN, RPAREN, COMMA, and a final
+    EOF. The call grammar has no OP; it adds LBRACK, RBRACK, LBRACE, RBRACE
+    and COLON, and reads a "-" directly before a digit or "." as a sign.
+    """
+    punct = _CALL_PUNCT if call else _EXPR_PUNCT
     tokens = []
     i, n = 0, len(src)
     while i < n:
@@ -133,31 +141,19 @@ def tokenize(src: str) -> list[Token]:
         if ch.isspace():
             i += 1
             continue
-        if src[i : i + 2] in _TWO_CHAR_OPS:
-            tokens.append(Token("OP", src[i : i + 2], i))
+        if not call and src[i : i + 2] in _TWO_CHAR_OPS:
+            tokens.append(("OP", src[i : i + 2], i))
             i += 2
             continue
-        if ch in _ONE_CHAR_OPS:
-            tokens.append(Token("OP", ch, i))
+        if ch in punct:
+            tokens.append((punct[ch], ch, i))
             i += 1
             continue
-        if ch == "(":
-            tokens.append(Token("LPAREN", ch, i))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(Token("RPAREN", ch, i))
-            i += 1
-            continue
-        if ch == ",":
-            tokens.append(Token("COMMA", ch, i))
-            i += 1
-            continue
-        if ch in "\"'":
-            quote, start = ch, i
+        start = i
+        if ch == '"' or ch == "'":
             i += 1
             out = []
-            while i < n and src[i] != quote:
+            while i < n and src[i] != ch:
                 if src[i] == "\\":
                     if i + 1 >= n or src[i + 1] not in _ESCAPES:
                         raise ExprParseError("bad escape sequence", i)
@@ -168,30 +164,31 @@ def tokenize(src: str) -> list[Token]:
                     i += 1
             if i >= n:
                 raise ExprParseError("unterminated string literal", start)
-            tokens.append(Token("STRING", "".join(out), start))
+            tokens.append(("STRING", "".join(out), start))
             i += 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and src[i + 1].isdigit()):
-            start = i
+        if ch.isdigit() or (i + 1 < n and (
+            (ch == "." and src[i + 1].isdigit())
+            or (call and ch == "-" and (src[i + 1].isdigit() or src[i + 1] == "."))
+        )):
+            i += 1  # the first digit, "." or sign
             while i < n and (src[i].isdigit() or src[i] in ".eE" or (src[i] in "+-" and src[i - 1] in "eE")):
                 i += 1
             text = src[start:i]
             try:
-                if any(c in text for c in ".eE"):
-                    tokens.append(Token("REAL", float(text), start))
+                if "." in text or "e" in text or "E" in text:
+                    tokens.append(("REAL", float(text), start))
                 else:
-                    tokens.append(Token("INT", int(text), start))
+                    tokens.append(("INT", int(text), start))
             except ValueError:
                 raise ExprParseError(f"bad number literal {text!r}", start) from None
             continue
         if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (src[i].isalnum() or src[i] == "_"):
-                i += 1
-            tokens.append(Token("IDENT", src[start:i], start))
+            i = _IDENT_TAIL.match(src, i + 1).end()
+            tokens.append(("IDENT", src[start:i], start))
             continue
         raise ExprParseError(f"unexpected character {ch!r}", i)
-    tokens.append(Token("EOF", None, n))
+    tokens.append(("EOF", None, n))
     return tokens
 
 
@@ -211,7 +208,6 @@ _UNARY_PREC = 6
 
 class _Parser:
     def __init__(self, src: str):
-        self.src = src
         self.tokens = tokenize(src)
         self.i = 0
         self.depth = 0
@@ -226,20 +222,22 @@ class _Parser:
         return tok
 
     def expect(self, kind: str) -> Token:
-        if self.cur.kind != kind:
-            raise ExprParseError(f"expected {kind}, found {self.cur.value!r}", self.cur.pos)
+        k, v, pos = self.cur
+        if k != kind:
+            raise ExprParseError(f"expected {kind}, found {v!r}", pos)
         return self.advance()
 
     def deeper(self) -> None:
         """Go one nesting level down; callers restore self.depth on the way up."""
         self.depth += 1
         if self.depth > MAX_DEPTH:
-            raise ExprParseError(f"expression nests deeper than {MAX_DEPTH} levels", self.cur.pos)
+            raise ExprParseError(f"expression nests deeper than {MAX_DEPTH} levels", self.cur[2])
 
     def parse(self) -> Expr:
         e = self.binary()
-        if self.cur.kind != "EOF":
-            raise ExprParseError(f"unexpected trailing input {self.cur.value!r}", self.cur.pos)
+        k, v, pos = self.cur
+        if k != "EOF":
+            raise ExprParseError(f"unexpected trailing input {v!r}", pos)
         return e
 
     def binary(self, prec: int = 1) -> Expr:
@@ -248,8 +246,8 @@ class _Parser:
             return self.unary_expr()
         depth = self.depth
         e = self.binary(prec + 1)
-        while self.cur.kind in ("OP", "IDENT") and _PRECEDENCE.get(self.cur.value) == prec:
-            op = self.advance().value
+        while self.cur[0] in ("OP", "IDENT") and _PRECEDENCE.get(self.cur[1]) == prec:
+            op = self.advance()[1]
             self.deeper()
             e = Binary(op, e, self.binary(prec + 1))
             if prec == _PRECEDENCE["=="]:
@@ -258,7 +256,8 @@ class _Parser:
         return e
 
     def unary_expr(self) -> Expr:
-        if self.cur.kind == "OP" and self.cur.value == "-":
+        kind, value, _ = self.cur
+        if kind == "OP" and value == "-":
             self.advance()
             self.deeper()
             operand = self.unary_expr()
@@ -268,7 +267,7 @@ class _Parser:
                     and not isinstance(operand.value, bool):
                 return Lit(-operand.value)
             return Unary("-", operand)
-        if self.cur.kind == "IDENT" and self.cur.value == "not":
+        if kind == "IDENT" and value == "not":
             self.advance()
             self.deeper()
             operand = self.unary_expr()
@@ -277,62 +276,58 @@ class _Parser:
         return self.atom()
 
     def atom(self) -> Expr:
-        tok = self.cur
-        if tok.kind == "INT" or tok.kind == "REAL":
+        kind, value, pos = self.cur
+        if kind == "INT" or kind == "REAL" or kind == "STRING":
             self.advance()
-            return Lit(tok.value)
-        if tok.kind == "STRING":
-            self.advance()
-            return Lit(tok.value)
-        if tok.kind == "LPAREN":
+            return Lit(value)
+        if kind == "LPAREN":
             self.advance()
             self.deeper()
             e = self.binary()
             self.depth -= 1
             self.expect("RPAREN")
             return e
-        if tok.kind == "IDENT":
-            word = tok.value
-            if word == "true":
+        if kind == "IDENT":
+            if value == "true":
                 self.advance()
                 return Lit(True)
-            if word == "false":
+            if value == "false":
                 self.advance()
                 return Lit(False)
-            if word == "null":
+            if value == "null":
                 self.advance()
                 return Lit(None)
-            if word == "col":
+            if value == "col":
                 self.advance()
                 self.expect("LPAREN")
-                name_tok = self.cur
-                if name_tok.kind != "STRING":
-                    raise ExprParseError("col() takes a string literal", name_tok.pos)
+                name_kind, name, name_pos = self.cur
+                if name_kind != "STRING":
+                    raise ExprParseError("col() takes a string literal", name_pos)
                 self.advance()
                 self.expect("RPAREN")
-                return ColRef(name_tok.value)
-            if word in FUNCTIONS:
+                return ColRef(name)
+            if value in FUNCTIONS:
                 self.advance()
                 self.expect("LPAREN")
                 args = []
                 self.deeper()
-                if self.cur.kind != "RPAREN":
+                if self.cur[0] != "RPAREN":
                     args.append(self.binary())
-                    while self.cur.kind == "COMMA":
+                    while self.cur[0] == "COMMA":
                         self.advance()
                         args.append(self.binary())
                 self.depth -= 1
                 self.expect("RPAREN")
-                lo, hi = FUNCTIONS[word]
+                lo, hi = FUNCTIONS[value]
                 if len(args) < lo or (hi is not None and len(args) > hi):
                     raise ExprParseError(
-                        f"{word}() takes {lo}{'+' if hi is None else f'..{hi}'} arguments, "
+                        f"{value}() takes {lo}{'+' if hi is None else f'..{hi}'} arguments, "
                         f"got {len(args)}",
-                        tok.pos,
+                        pos,
                     )
-                return Call(word, tuple(args))
-            raise ExprParseError(f"unknown identifier {word!r}", tok.pos)
-        raise ExprParseError(f"expected expression, found {tok.value!r}", tok.pos)
+                return Call(value, tuple(args))
+            raise ExprParseError(f"unknown identifier {value!r}", pos)
+        raise ExprParseError(f"expected expression, found {value!r}", pos)
 
 
 def parse_expr(src: str) -> Expr:

@@ -29,7 +29,7 @@ from .agent import (
     trajectory_from_json,
     trajectory_to_json,
 )
-from .reward import DEFAULT_WEIGHTS, RewardWeights, RuleJudge, score_trajectory
+from .reward import DEFAULT_WEIGHTS, RewardWeights, score_trajectory
 from .synthesis import SynthesisError, TaskBundle, read_bundle
 from .tables import TableError
 
@@ -239,6 +239,11 @@ def _case_from_scores(bundle_id: str, traj: Trajectory, breakdown, weights) -> C
     )
 
 
+def _internal_error(task_id: str, exc: Exception) -> CaseResult:
+    """The row of a task whose judge, scoring or log handling raised."""
+    return CaseResult(task_id=task_id, status="internal_error", error=f"{type(exc).__name__}: {exc}")
+
+
 def score_case(
     bundle: TaskBundle,
     policy,
@@ -355,11 +360,7 @@ def run_benchmark(
                 log_path=log_path,
             )
         except Exception as exc:
-            return CaseResult(
-                task_id=bundle.task_id,
-                status="internal_error",
-                error=f"{type(exc).__name__}: {exc}",
-            )
+            return _internal_error(bundle.task_id, exc)
 
     if threads <= 1:
         rows = [run_one(d) for d in dirs]
@@ -388,7 +389,9 @@ def replay_suite(
 
     Process scores are judged from the logged turns alone; the search tree
     is not part of the log, so a backtracking switch can score lower here
-    than it did live.
+    than it did live. A task whose scoring raises (a logged call that no
+    longer parses, a failing judge) becomes an "internal_error" row, as in
+    run_benchmark.
     """
     rows = []
     for task_dir in discover_tasks(Path(suite_dir)):
@@ -406,8 +409,11 @@ def replay_suite(
         except HarnessError as exc:
             rows.append(CaseResult(task_id=bundle.task_id, status="load_error", error=str(exc)))
             continue
-        breakdown = score_trajectory(traj, bundle.target_table, weights=weights, judge=judge)
-        rows.append(_case_from_scores(bundle.task_id, traj, breakdown, weights))
+        try:
+            breakdown = score_trajectory(traj, bundle.target_table, weights=weights, judge=judge)
+            rows.append(_case_from_scores(bundle.task_id, traj, breakdown, weights))
+        except Exception as exc:
+            rows.append(_internal_error(bundle.task_id, exc))
     rows.sort(key=lambda r: r.task_id)
     if not rows:
         return Report(note="no tasks")

@@ -38,9 +38,12 @@ from .expr import (
     EvalError,
     Expr,
     ExprParseError,
+    Token,
     eval_expr,
     parse_expr,
     print_expr,
+    tokenize,
+    _is_number,
     _string_literal as _quote,
 )
 from .tables import (
@@ -154,12 +157,6 @@ P_NAME_LIST = "name_list"  # name-bearing text list (WideToLong stubs)
 P_ENUM = "enum"
 P_INT = "int"
 P_ASCENDING = "ascending"  # bool or list of bools
-
-_NAME_BEARING = {
-    P_TABLE, P_TABLE_LIST, P_COLUMN, P_COLUMN_LIST,
-    P_NEW_COLUMN, P_NEW_COLUMN_LIST, P_RENAME_MAP, P_NAME_LIST,
-}
-
 
 @dataclass(frozen=True)
 class Param:
@@ -343,92 +340,33 @@ def name_bearing_values(op: OperatorInstance) -> list[str]:
 # call parsing
 # ---------------------------------------------------------------------------
 
-_PUNCT = {
-    "(": "LPAREN", ")": "RPAREN", "[": "LBRACK", "]": "RBRACK",
-    "{": "LBRACE", "}": "RBRACE", ",": "COMMA", ":": "COLON",
-}
-_OP_ESCAPES = {"\\": "\\", '"': '"', "'": "'", "n": "\n", "t": "\t", "r": "\r"}
-
-
-def _scan_call(src: str) -> list[tuple[str, Any]]:
-    tokens: list[tuple[str, Any]] = []
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append((_PUNCT[ch], ch))
-            i += 1
-            continue
-        if ch in "\"'":
-            quote = ch
-            i += 1
-            out = []
-            while i < n and src[i] != quote:
-                if src[i] == "\\":
-                    if i + 1 >= n or src[i + 1] not in _OP_ESCAPES:
-                        raise OpParseError(f"bad escape sequence at position {i}")
-                    out.append(_OP_ESCAPES[src[i + 1]])
-                    i += 2
-                else:
-                    out.append(src[i])
-                    i += 1
-            if i >= n:
-                raise OpParseError("unterminated string literal")
-            tokens.append(("STRING", "".join(out)))
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and (src[i + 1].isdigit() or src[i + 1] == ".")) \
-                or (ch == "." and i + 1 < n and src[i + 1].isdigit()):
-            start = i
-            if ch == "-":
-                i += 1
-            while i < n and (src[i].isdigit() or src[i] in ".eE" or (src[i] in "+-" and src[i - 1] in "eE")):
-                i += 1
-            text = src[start:i]
-            try:
-                if any(c in text for c in ".eE"):
-                    tokens.append(("REAL", float(text)))
-                else:
-                    tokens.append(("INT", int(text)))
-            except ValueError:
-                raise OpParseError(f"bad number literal {text!r}") from None
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (src[i].isalnum() or src[i] == "_"):
-                i += 1
-            tokens.append(("IDENT", src[start:i]))
-            continue
-        raise OpParseError(f"unexpected character {ch!r} at position {i}")
-    tokens.append(("EOF", None))
-    return tokens
-
-
 class _CallParser:
+    """Recursive descent over the call grammar of the DSL's lexer."""
+
     def __init__(self, src: str):
-        self.tokens = _scan_call(src)
+        try:
+            self.tokens = tokenize(src, call=True)
+        except ExprParseError as exc:
+            raise OpParseError(str(exc)) from None
         self.i = 0
 
     @property
-    def cur(self) -> tuple[str, Any]:
+    def cur(self) -> Token:
         return self.tokens[self.i]
 
-    def advance(self) -> tuple[str, Any]:
+    def advance(self) -> Token:
         tok = self.cur
         self.i += 1
         return tok
 
     def expect(self, kind: str) -> Any:
-        k, v = self.cur
+        k, v, _ = self.cur
         if k != kind:
             raise OpParseError(f"expected {kind}, found {v!r}")
         return self.advance()[1]
 
     def value(self, depth: int = 0) -> Any:
-        k, v = self.cur
+        k, v, _ = self.cur
         if k in ("STRING", "INT", "REAL"):
             self.advance()
             return v
@@ -469,7 +407,7 @@ class _CallParser:
         raise OpParseError(f"expected a value, found {v!r}")
 
     def _map_text(self, what: str) -> str:
-        k, v = self.cur
+        k, v, _ = self.cur
         if k in ("STRING", "IDENT"):
             self.advance()
             return v
@@ -560,7 +498,7 @@ def make_operator(kind: str, *args: Any) -> OperatorInstance:
 def parse_operator_call(src: str) -> OperatorInstance:
     """Parse one operator call like Deduplicate("movies", ["id"], "first")."""
     parser = _CallParser(src)
-    k, v = parser.cur
+    k, v, _ = parser.cur
     if k != "IDENT":
         raise OpParseError(f"expected an operator name, found {v!r}")
     parser.advance()
@@ -633,10 +571,6 @@ def _with(state: TableSet, remove: list[str], add: list[Table]) -> TableSet:
     for t in add:
         out[t.name] = t
     return out
-
-
-def _is_number(v: Cell) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _row_binding(t: Table, row: tuple) -> dict[str, Cell]:

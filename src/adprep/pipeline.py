@@ -25,11 +25,6 @@ from .operators import (
     parse_operator_call,
     serialize_operator_call,
 )
-from .tables import Table
-
-
-class PipelineError(ValueError):
-    """Result extraction failure: no table, a missing name, or an ambiguous set."""
 
 
 @dataclass
@@ -38,13 +33,12 @@ class ExecutionTrace:
 
     states[0] is the input table set and states[i + 1] the result of the
     i-th executed operator, so len(states) - 1 operators succeeded. When an
-    operator fails, `failure` holds its error and `failed_index` its
-    position; the trace ends at the last good state.
+    operator fails, `failure` holds its error; the trace ends at the last
+    good state.
     """
 
     states: list[TableSet]
     failure: ExecError | None = None
-    failed_index: int | None = None
 
     @property
     def ok(self) -> bool:
@@ -53,10 +47,6 @@ class ExecutionTrace:
     @property
     def final_state(self) -> TableSet:
         return self.states[-1]
-
-    @property
-    def steps_completed(self) -> int:
-        return len(self.states) - 1
 
 
 def run_pipeline(
@@ -67,32 +57,12 @@ def run_pipeline(
 ) -> ExecutionTrace:
     """Apply operators in order, short-circuiting on the first failure."""
     states = [dict(initial)]
-    for i, op in enumerate(ops):
+    for op in ops:
         try:
             states.append(execute_operator(op, states[-1], script_backend=script_backend))
         except ExecError as exc:
-            return ExecutionTrace(states, failure=exc, failed_index=i)
+            return ExecutionTrace(states, failure=exc)
     return ExecutionTrace(states)
-
-
-def final_table(state: TableSet, target_name: str | None = None) -> Table:
-    """Pick the answer table out of a table set.
-
-    With a target name, that table must exist. Without one, the set must
-    have exactly one table; anything else is ambiguous.
-    """
-    if target_name is not None:
-        t = state.get(target_name)
-        if t is None:
-            raise PipelineError(
-                f"no table named {target_name!r}; have {sorted(state) or 'nothing'}"
-            )
-        return t
-    if not state:
-        raise PipelineError("the table set is empty")
-    if len(state) > 1:
-        raise PipelineError(f"ambiguous result: {sorted(state)}")
-    return next(iter(state.values()))
 
 
 def serialize_pipeline(ops) -> str:

@@ -56,8 +56,10 @@ DTYPES = (INT, REAL, TEXT, BOOL, LIST)
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
-_INT_RE = re.compile(r"[+-]?\d+")
-_REAL_RE = re.compile(r"[+-]?(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?")
+# ASCII digits only: int() and float() also read other Unicode digits, which
+# would then write back as different text
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+_REAL_RE = re.compile(r"[+-]?([0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)([eE][+-]?[0-9]+)?")
 
 
 class TableError(ValueError):
@@ -319,48 +321,6 @@ def table_from_rows(
 # ordering and equality
 # ---------------------------------------------------------------------------
 
-def _cell_rank(v: Cell) -> int:
-    if v is None:
-        return 0
-    if isinstance(v, bool):
-        return 1
-    if isinstance(v, (int, float)):
-        return 2
-    if isinstance(v, str):
-        return 3
-    return 4  # tuple
-
-
-def compare_cells(a: Cell, b: Cell) -> int:
-    """Total order over cells: Null < Boolean < numeric < Text < List.
-
-    Numeric comparison is exact across int and real. Text compares by
-    UTF-8 byte order. Lists compare elementwise, then by length.
-
-    The engine orders cells with cell_sort_key; this comparator spells the
-    order out and is the reference the tests check that key against.
-    """
-    ra, rb = _cell_rank(a), _cell_rank(b)
-    if ra != rb:
-        return -1 if ra < rb else 1
-    if ra == 0:
-        return 0
-    if ra in (1, 2):
-        if a == b:
-            return 0
-        return -1 if a < b else 1
-    if ra == 3:
-        ba, bb = a.encode("utf-8"), b.encode("utf-8")
-        if ba == bb:
-            return 0
-        return -1 if ba < bb else 1
-    for x, y in zip(a, b):
-        c = compare_cells(x, y)
-        if c != 0:
-            return c
-    return (len(a) > len(b)) - (len(a) < len(b))
-
-
 def cells_equal(a: Cell, b: Cell) -> bool:
     """Exact cell equality; ints equal int-valued reals, bools match only bools."""
     if a is None or b is None:
@@ -377,8 +337,10 @@ def cells_equal(a: Cell, b: Cell) -> bool:
 
 
 def cell_sort_key(v: Cell) -> tuple:
-    """Sort key giving compare_cells' order. Numbers stay raw, so int / real
-    order stays exact; text keys on the str, as code-point order is UTF-8 order."""
+    """Sort key for the total order over cells: Null < Boolean < numeric <
+    Text < List. Numbers stay raw, so int / real order stays exact; text keys
+    on the str, as code-point order is UTF-8 order; lists compare elementwise,
+    then by length."""
     if v is None:
         return (0,)
     if isinstance(v, bool):

@@ -97,6 +97,10 @@ class TreeNode:
         """The chain's call texts joined with " -> ", or "root" at the root."""
         return self._path
 
+    def child(self, op: OperatorInstance) -> "TreeNode | None":
+        """The first child whose edge equals `op`, or None."""
+        return next((c for c in self.children if c.op == op), None)
+
     def subtree_has_failure(self) -> bool:
         if self.failures:
             return True
@@ -135,11 +139,7 @@ class ReasoningTree:
         """
         node = self.root
         for op in prefix:
-            nxt = None
-            for child in node.children:
-                if child.op == op:
-                    nxt = child
-                    break
+            nxt = node.child(op)
             if nxt is None:
                 want = serialize_operator_call(op)
                 have = ", ".join(c.op_text for c in node.children)
@@ -166,11 +166,7 @@ class ReasoningTree:
         node = parent
         chain: list[TreeNode] = []
         for op in ops:
-            existing = None
-            for child in node.children:
-                if child.op == op:
-                    existing = child
-                    break
+            existing = node.child(op)
             if existing is not None:
                 node = existing
                 chain.append(existing)

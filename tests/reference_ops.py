@@ -90,6 +90,49 @@ def ref_sort_key(v):
     return (4, tuple(ref_sort_key(x) for x in v))
 
 
+def _cell_rank(v) -> int:
+    if v is None:
+        return 0
+    if isinstance(v, bool):
+        return 1
+    if isinstance(v, (int, float)):
+        return 2
+    if isinstance(v, str):
+        return 3
+    return 4  # tuple
+
+
+def compare_cells(a, b) -> int:
+    """Total order over cells: Null < Boolean < numeric < Text < List.
+
+    Numeric comparison is exact across int and real. Text compares by
+    UTF-8 byte order. Lists compare elementwise, then by length.
+
+    The engine orders cells with adprep.tables.cell_sort_key; this
+    comparator spells the order out and is the reference the tests check
+    that key against.
+    """
+    ra, rb = _cell_rank(a), _cell_rank(b)
+    if ra != rb:
+        return -1 if ra < rb else 1
+    if ra == 0:
+        return 0
+    if ra in (1, 2):
+        if a == b:
+            return 0
+        return -1 if a < b else 1
+    if ra == 3:
+        ba, bb = a.encode("utf-8"), b.encode("utf-8")
+        if ba == bb:
+            return 0
+        return -1 if ba < bb else 1
+    for x, y in zip(a, b):
+        c = compare_cells(x, y)
+        if c != 0:
+            return c
+    return (len(a) > len(b)) - (len(a) < len(b))
+
+
 def ref_infer(cells, fallback):
     kinds = set()
     for c in cells:

@@ -148,6 +148,15 @@ def test_score_after_run(suite, tmp_path, capsys):
     assert main(["score", str(suite), str(logs)]) == 1
     assert "missing_log" in capsys.readouterr().out
 
+    # a log whose turn holds a call that no longer parses is one failed row
+    path = sorted(logs.glob("*.jsonl"))[0]
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    next(r for r in records if r["record"] == "turn")["op_texts"] = ['Nope("x"']
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert main(["score", str(suite), str(logs), "--json"]) == 1
+    statuses = [row["status"] for row in json.loads(capsys.readouterr().out)["rows"]]
+    assert sorted(statuses) == ["answered", "internal_error", "missing_log"]
+
 
 def test_replay_from_reply_script(suite, tmp_path, capsys):
     from adprep.synthesis import read_bundle

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from adprep.expr import (
     ColRef,
     EvalError,
     ExprParseError,
+    FUNCTIONS,
     Lit,
     MAX_DEPTH,
     Unary,
@@ -19,7 +22,9 @@ from adprep.expr import (
     eval_expr,
     parse_expr,
     print_expr,
+    tokenize,
 )
+from reference_lexers import call_tokenize, expr_tokenize
 
 
 def test_parse_simple_arithmetic():
@@ -249,3 +254,46 @@ def test_eval_is_pure():
     row = {"s": "hi"}
     assert eval_expr(e, row) == eval_expr(e, row) == "hi!"
     assert row == {"s": "hi"}
+
+
+# --- one lexer for both grammars ---------------------------------------------
+
+# pieces the lexer fuzz joins into inputs: every character either grammar
+# treats specially, non-ASCII digits, letters and spaces, and whole tokens
+_LEX_PIECES = list("()[]{}:,+-*/%<>=!.eE_'\"\\ntr0159aZ@ \t\n") + [
+    "\u0661", "\u0663", "\u00b2", "\u00e9", "\u00a0", "\u2003", "12", "3.5", "1e5",
+    "-2", ".7", "1e-3", "==", "<=", "\\n", '\\"', "col", "true", '"ab"', "'c'",
+]
+# the only messages the merged lexer changed: call-text errors now end with
+# the position the old call scanner left out
+_CALL_MESSAGES_GAINING_A_POSITION = ("unterminated string literal", "bad number literal ")
+
+
+def _lex_outcome(tokens_of, src):
+    try:
+        return [(*tok, type(tok[1])) for tok in tokens_of(src)]
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("call", [False, True], ids=["expr", "call"])
+def test_lexer_matches_the_scanners_it_replaced(call):
+    """Same tokens (with positions where the old scanner gave them) or the same error."""
+    rng = random.Random(1807 if call else 1806)
+    if call:
+        old, new = call_tokenize, lambda src: [tok[:2] for tok in tokenize(src, call=True)]
+    else:
+        old, new = lambda src: [(t.kind, t.value, t.pos) for t in expr_tokenize(src)], tokenize
+    for _ in range(20_000):
+        src = "".join(rng.choice(_LEX_PIECES) for _ in range(rng.randint(0, 12)))
+        want, got = _lex_outcome(old, src), _lex_outcome(new, src)
+        if call and isinstance(want, str) and want.startswith(_CALL_MESSAGES_GAINING_A_POSITION):
+            assert re.fullmatch(re.escape(want) + r" at position \d+", got), src
+        else:
+            assert got == want, src
+
+
+def test_readme_lists_exactly_the_dsl_functions():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"fixed function list \(([^)]*)\)", readme).group(1)
+    assert re.findall(r"`(\w+)`", listed) == list(FUNCTIONS)

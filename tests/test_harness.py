@@ -205,6 +205,28 @@ def test_a_task_that_raises_becomes_an_internal_error_row(tmp_path, threads):
     assert report.accuracy == 75.0
 
 
+def test_a_log_that_fails_to_score_becomes_an_internal_error_row(tmp_path):
+    suite = build_suite(tmp_path, seeds=(1, 7, 13))
+    logs = tmp_path / "logs"
+    run_benchmark(suite, gt_replay_policy, log_dir=logs)
+    judged = replay_suite(suite, logs, judge=_BrokenJudge())
+    assert {r.task_id: r.error for r in judged.rows} == {
+        "task-001": None, "task-007": "RuntimeError: judge fell over", "task-013": None,
+    }
+
+    path = logs / "task-007.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    next(r for r in records if r["record"] == "turn")["op_texts"] = ['Nope("x"']
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    report = replay_suite(suite, logs)
+    by_id = {r.task_id: r for r in report.rows}
+    assert by_id["task-007"].status == "internal_error"
+    assert by_id["task-007"].error.startswith("OpParseError: ")
+    assert [r.status for r in report.rows].count("internal_error") == 1
+    assert by_id["task-001"].status == by_id["task-013"].status == "answered"
+    assert not report.all_attempted
+
+
 def test_empty_suite(tmp_path):
     empty = tmp_path / "none"
     empty.mkdir()

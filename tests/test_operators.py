@@ -46,7 +46,7 @@ from adprep.tables import (
 )
 from reference_ops import REF_DATE_PATTERNS, REF_HANDLERS, diff_states, plain_state
 from conftest import COLUMN_POOL, random_table_set
-from test_expr import _random_expr
+from test_expr import _LEX_PIECES, _random_expr
 from test_tables import _typed
 
 
@@ -156,6 +156,18 @@ def test_parse_errors():
         with pytest.raises(OpParseError) as err:
             parse_operator_call(bad)
         assert fragment in str(err.value)
+
+
+def test_parse_call_fuzz_raises_only_op_parse_error():
+    rng = random.Random(1808)
+    kinds = sorted(REGISTRY) + ["Nope", "col"]
+    pieces = _LEX_PIECES + ['"t"', '"a"', ", ", "[", "]", "{", "}", '"a": "b"', '"col(\\"a\\") > 1"']
+    for _ in range(5_000):
+        args = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 10)))
+        try:
+            parse_operator_call(f"{rng.choice(kinds)}({args}{rng.choice([')', ''])}")
+        except OpParseError:
+            pass
 
 
 def test_serialize_round_trip():

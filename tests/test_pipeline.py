@@ -1,17 +1,11 @@
-"""Pipeline execution, result extraction, and text round-trip."""
+"""Pipeline execution and text round-trip."""
 
 import random
 
 import pytest
 
-from adprep.operators import OpParseError, parse_operator_call
-from adprep.pipeline import (
-    PipelineError,
-    final_table,
-    parse_pipeline,
-    run_pipeline,
-    serialize_pipeline,
-)
+from adprep.operators import OpParseError
+from adprep.pipeline import parse_pipeline, run_pipeline, serialize_pipeline
 from adprep.tables import INT, TEXT, make_table, tables_equal
 from conftest import random_table_set
 
@@ -60,7 +54,6 @@ def test_run_pipeline_records_every_state():
     ops = parse_pipeline(PIPELINE_TEXT)
     trace = run_pipeline(ops, sample_state())
     assert trace.ok
-    assert trace.steps_completed == 2
     assert len(trace.states) == 3
     assert set(trace.states[0]) == {"movies", "directors"}
     assert set(trace.states[1]) == {"movies", "directors"}
@@ -76,8 +69,8 @@ def test_run_pipeline_short_circuits():
     )
     trace = run_pipeline(ops, sample_state())
     assert not trace.ok
-    assert trace.failed_index == 1
-    assert trace.steps_completed == 1
+    assert len(trace.states) == 2  # one operator ran before the failing one
+    assert trace.failure.op == ops[1]
     assert trace.failure.detail == "missing"
     # the failing operator left no partial state behind
     assert set(trace.final_state) == {"movies", "directors"}
@@ -96,19 +89,6 @@ def test_empty_pipeline_is_identity():
     trace = run_pipeline([], state)
     assert trace.ok
     assert trace.final_state == state
-
-
-def test_final_table_selection():
-    state = sample_state()
-    assert final_table(state, "movies").name == "movies"
-    with pytest.raises(PipelineError):
-        final_table(state, "ghost")
-    with pytest.raises(PipelineError):
-        final_table(state)  # two tables, no name
-    with pytest.raises(PipelineError):
-        final_table({})
-    only = {"x": state["movies"]}
-    assert final_table(only) is state["movies"]
 
 
 def test_random_pipelines_round_trip_and_replay():

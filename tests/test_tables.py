@@ -25,17 +25,19 @@ from adprep.tables import (
     cell_hash_key,
     cell_sort_key,
     cells_equal,
-    compare_cells,
     make_table,
     read_table,
     serialize_table,
     sidecar_path,
+    table_from_csv_text,
     table_from_rows,
+    table_to_csv_text,
     tables_equal,
     validate_cell,
     write_table,
 )
 from conftest import random_cell, random_table
+from reference_ops import compare_cells
 
 
 def test_canonicalize_sorts_columns_and_rows():
@@ -476,6 +478,19 @@ def test_sidecar_real_cell_takes_only_what_inference_takes(tmp_path, text):
         read_table(path)
     sidecar_path(path).unlink()
     assert read_table(path).schema.columns[0].dtype == TEXT
+
+
+def test_non_ascii_digits_read_as_text_and_round_trip(tmp_path):
+    text = "a,b\n\u0661\u0662,\u0663.\u0665\n"  # 12 and 3.5 in Arabic-Indic digits
+    t = table_from_csv_text(text, "t")
+    assert [c.dtype for c in t.schema.columns] == [TEXT, TEXT]
+    assert t.rows == (("\u0661\u0662", "\u0663.\u0665"),)
+    assert table_to_csv_text(t) == text
+    path = tmp_path / "t.csv"
+    write_table(make_table("t", [("a", INT)], []), path)
+    path.write_text("a\n\u0661\u0662\n", encoding="utf-8")
+    with pytest.raises(TableIOError, match="not an integer"):
+        read_table(path)
 
 
 def test_real_reprs_round_trip_through_csv(tmp_path):
