@@ -1,0 +1,8 @@
+"""`python -m adprep ...` runs the command-line interface, as `adprep ...` does."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -122,6 +122,8 @@ _CALL_PUNCT = {
 }
 _ESCAPES = {"\\": "\\", '"': '"', "'": "'", "n": "\n", "t": "\t", "r": "\r"}
 _IDENT_TAIL = re.compile(r"\w*")  # \w is exactly str.isalnum() or "_"
+# the text tokenize reads as one number; float() takes only decimal digits (\d)
+_NUMBER_TEXT = re.compile(r"-?(?:[\d.]|[eE][+-]?)+")
 
 Token = tuple[str, Any, int]  # (kind, value, position)
 
@@ -192,6 +194,15 @@ def tokenize(src: str, call: bool = False) -> list[Token]:
     return tokens
 
 
+def real_literal(value: float, src: str, pos: int) -> float:
+    """The value of a REAL token at `pos` in `src`. A literal too large for a
+    float reads as inf, which prints back as no literal, so it is an error."""
+    if not math.isfinite(value):
+        text = _NUMBER_TEXT.match(src, pos).group()
+        raise ExprParseError(f"bad number literal {text!r}", pos)
+    return value
+
+
 # ---------------------------------------------------------------------------
 # parser (recursive descent)
 # ---------------------------------------------------------------------------
@@ -208,6 +219,7 @@ _UNARY_PREC = 6
 
 class _Parser:
     def __init__(self, src: str):
+        self.src = src
         self.tokens = tokenize(src)
         self.i = 0
         self.depth = 0
@@ -277,6 +289,8 @@ class _Parser:
 
     def atom(self) -> Expr:
         kind, value, pos = self.cur
+        if kind == "REAL":
+            value = real_literal(value, self.src, pos)
         if kind == "INT" or kind == "REAL" or kind == "STRING":
             self.advance()
             return Lit(value)

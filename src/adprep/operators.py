@@ -42,6 +42,7 @@ from .expr import (
     eval_expr,
     parse_expr,
     print_expr,
+    real_literal,
     tokenize,
     _is_number,
     _string_literal as _quote,
@@ -59,10 +60,11 @@ from .tables import (
     cell_hash_key,
     cell_sort_key,
     clean_column_kind,
-    coerce_cells,
-    infer_column_dtype,
+    column_keys,
+    infer_column,
     render_cell,
     render_scalar,
+    row_keys,
     table_from_csv_text,
     table_to_csv_text,
     validate_cell,
@@ -344,6 +346,7 @@ class _CallParser:
     """Recursive descent over the call grammar of the DSL's lexer."""
 
     def __init__(self, src: str):
+        self.src = src
         try:
             self.tokens = tokenize(src, call=True)
         except ExprParseError as exc:
@@ -366,7 +369,12 @@ class _CallParser:
         return self.advance()[1]
 
     def value(self, depth: int = 0) -> Any:
-        k, v, _ = self.cur
+        k, v, pos = self.cur
+        if k == "REAL":
+            try:
+                v = real_literal(v, self.src, pos)
+            except ExprParseError as exc:
+                raise OpParseError(str(exc)) from None
         if k in ("STRING", "INT", "REAL"):
             self.advance()
             return v
@@ -595,9 +603,10 @@ def _resolve_column(
     ExecError naming the column."""
     try:
         if dtype is None:
-            dtype = infer_column_dtype(cells, fallback)
-            cells = coerce_cells(dtype, cells)
-        if computed and clean_column_kind(cells) not in (None, dtype):
+            dtype, cells, clean = infer_column(cells, fallback)
+        else:
+            clean = clean_column_kind(cells) in (None, dtype)
+        if computed and not clean:
             where = f"column {name!r}"
             cells = [validate_cell(v, dtype, where) for v in cells]
     except TableError as exc:
@@ -714,24 +723,21 @@ def _exec_imputation(op, state, backend):
     return _with(state, [], [_rebuild_column(t, idx, new_cells, op)])
 
 
-def _dedupe_rows(rows, key_idxs, keep):
-    seen = set()
-    source = rows if keep == "first" else list(reversed(rows))
-    kept = []
-    for row in source:
-        k = tuple(cell_hash_key(row[i]) for i in key_idxs)
-        if k in seen:
-            continue
-        seen.add(k)
-        kept.append(row)
-    return kept if keep == "first" else list(reversed(kept))
+def _dedupe_rows(rows, keys, keep):
+    """The first (or last) row of each distinct key, in row order."""
+    n = len(rows)
+    if keep == "first":  # later entries overwrite earlier ones, so go backwards
+        pos = dict(zip(reversed(keys), range(n - 1, -1, -1)))
+    else:
+        pos = dict(zip(keys, range(n)))
+    return [rows[i] for i in sorted(pos.values())]
 
 
 def _exec_deduplicate(op, state, backend):
     p = op.params
     t = _get_table(state, p["table"], op)
     idxs = _subset_indexes(t, p["subset"], op)
-    rows = _dedupe_rows(list(t.rows), idxs, p["keep"])
+    rows = _dedupe_rows(t.rows, row_keys(t, idxs), p["keep"])
     return _with(state, [], [Table.trusted(t.schema, tuple(rows))])
 
 
@@ -1024,10 +1030,11 @@ def _exec_sort(op, state, backend):
         )
 
     # stable passes from the last key to the first; reverse=True keeps ties stable
-    rows = list(t.rows)
+    order = list(range(t.n_rows))
     for i, up in reversed(list(zip(idxs, asc))):
-        rows.sort(key=lambda row: cell_sort_key(row[i]), reverse=not up)
-    return _with(state, [], [Table.trusted(t.schema, tuple(rows))])
+        order.sort(key=column_keys(t, i, sort=True).__getitem__, reverse=not up)
+    rows = tuple(map(t.rows.__getitem__, order))
+    return _with(state, [], [Table.trusted(t.schema, rows)])
 
 
 def _exec_topk(op, state, backend):
@@ -1095,8 +1102,7 @@ def _exec_group_by(op, state, backend):
         raise ExecError(op, f"duplicate output column {dupes[0]!r}", detail=dupes[0])
 
     groups: dict[tuple, list[tuple]] = {}
-    for row in t.rows:
-        k = tuple(cell_hash_key(row[i]) for i in key_idxs)
+    for k, row in zip(row_keys(t, key_idxs), t.rows):
         groups.setdefault(k, []).append(row)
 
     key_cells = [[] for _ in key_idxs]
@@ -1191,24 +1197,22 @@ def _exec_join(op, state, backend):
             raise ExecError(op, f"duplicate output column {c.name!r}", detail=c.name)
         seen.add(c.name)
 
-    def key_of(row, idxs):
-        key = tuple(row[i] for i in idxs)
-        if any(v is None for v in key):
-            return None  # null keys never match
-        return tuple(cell_hash_key(v) for v in key)
+    def index(keys, rows):
+        """Rows by key; a key holding a null never matches, so it is left out."""
+        out: dict[tuple, list[tuple]] = {}
+        for k, row in zip(keys, rows):
+            if None not in k:
+                out.setdefault(k, []).append(row)
+        return out
 
-    r_index: dict[tuple, list[tuple]] = {}
-    for row in right.rows:
-        k = key_of(row, r_keys)
-        if k is not None:
-            r_index.setdefault(k, []).append(row)
-
+    l_row_keys = row_keys(left, l_keys)
+    r_row_keys = row_keys(right, r_keys)
     rows = []
     matched_right_keys = set()
     if how in ("inner", "left", "outer"):
-        for l_row in left.rows:
-            k = key_of(l_row, l_keys)
-            matches = r_index.get(k, []) if k is not None else []
+        r_index = index(r_row_keys, right.rows)
+        for k, l_row in zip(l_row_keys, left.rows):
+            matches = r_index.get(k)
             if matches:
                 matched_right_keys.add(k)
                 for r_row in matches:
@@ -1224,23 +1228,17 @@ def _exec_join(op, state, backend):
                     + (None,) * len(r_rest)
                 )
         if how == "outer":
-            for r_row in right.rows:
-                k = key_of(r_row, r_keys)
-                if k is None or k not in matched_right_keys:
+            for k, r_row in zip(r_row_keys, right.rows):
+                if k not in matched_right_keys:
                     rows.append(
                         tuple(r_row[i] for i in r_keys)
                         + (None,) * len(l_rest)
                         + tuple(r_row[i] for i in r_rest)
                     )
     else:  # right join: every right row survives, in right order
-        l_index: dict[tuple, list[tuple]] = {}
-        for row in left.rows:
-            k = key_of(row, l_keys)
-            if k is not None:
-                l_index.setdefault(k, []).append(row)
-        for r_row in right.rows:
-            k = key_of(r_row, r_keys)
-            matches = l_index.get(k, []) if k is not None else []
+        l_index = index(l_row_keys, left.rows)
+        for k, r_row in zip(r_row_keys, right.rows):
+            matches = l_index.get(k)
             if matches:
                 for l_row in matches:
                     rows.append(
@@ -1289,7 +1287,9 @@ def _exec_union(op, state, backend):
         order = [t.column_index(n) for n in base_names]
         all_rows.extend(tuple(row[i] for i in order) for row in t.rows)
     if p["how"] == "distinct":
-        all_rows = _dedupe_rows(all_rows, list(range(len(base_names))), "first")
+        # per-cell keys: a column may be int in one table and real in another
+        keys = [tuple(map(cell_hash_key, row)) for row in all_rows]
+        all_rows = _dedupe_rows(all_rows, keys, "first")
     cells = [[row[j] for row in all_rows] for j in range(len(base_names))]
     fallbacks = [c.dtype for c in first.schema.columns]
     descs = [c.description for c in first.schema.columns]
@@ -1335,12 +1335,11 @@ def _exec_pivot(op, state, backend):
     index_reps: dict[tuple, tuple] = {}
     labels: list[str] = []
     buckets: dict[tuple, dict[str, list[Cell]]] = {}
-    for r, row in enumerate(t.rows):
+    for r, (row, ik) in enumerate(zip(t.rows, row_keys(t, idx_idxs))):
         cv = row[col_idx]
         if cv is None:
             raise ExecError(op, f"row {r}: null value in columns column", detail=p["columns"])
         label = render_cell(cv)
-        ik = tuple(cell_hash_key(row[i]) for i in idx_idxs)
         if ik not in index_reps:
             index_reps[ik] = tuple(row[i] for i in idx_idxs)
             index_keys.append(ik)

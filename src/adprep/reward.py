@@ -18,9 +18,11 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from itertools import chain
+from operator import eq, itemgetter
 
 from .operators import name_bearing_values, parse_operator_call
-from .tables import Table, cell_sort_key, tables_equal
+from .tables import Table, cell_sort_key, self_keyed, tables_equal
 from .tree import ReasoningTree
 from .agent import Trajectory
 
@@ -64,10 +66,24 @@ def shape_score(predicted: Table, target: Table) -> float:
     return math.exp(-abs(predicted.n_rows - target.n_rows) / target.n_rows)
 
 
-def _sorted_row_keys(t: Table, names: list[str]) -> list[tuple]:
-    """Rows projected onto `names` as cell_sort_key tuples, in canonical order.
-    Sort keys are equal exactly when their cells are, so they stand in for them."""
-    return sorted(zip(*[map(cell_sort_key, t.column(n)) for n in names]))
+def _sort_key_columns(a: Table, b: Table, names: list[str]) -> tuple[list, list]:
+    """Per shared column, the cells of a and of b as sort keys that compare
+    alike across the two tables: the raw cells where the column is self_keyed
+    for sorting in both, else cell_sort_key of each cell on both sides. Sort
+    keys are equal exactly when their cells are, so they stand in for them."""
+    a_cols, b_cols = [], []
+    for n in names:
+        ia, ib = a.column_index(n), b.column_index(n)
+        ka = list(map(itemgetter(ia), a.rows))
+        kb = list(map(itemgetter(ib), b.rows))
+        if not (
+            self_keyed(a.schema.columns[ia].dtype, ka, sort=True)
+            and self_keyed(b.schema.columns[ib].dtype, kb, sort=True)
+        ):
+            ka, kb = list(map(cell_sort_key, ka)), list(map(cell_sort_key, kb))
+        a_cols.append(ka)
+        b_cols.append(kb)
+    return a_cols, b_cols
 
 
 def cell_score(predicted: Table, target: Table) -> float:
@@ -85,9 +101,10 @@ def cell_score(predicted: Table, target: Table) -> float:
     n_hi = max(predicted.n_rows, target.n_rows)
     if n_hi == 0:
         return 1.0
-    got = _sorted_row_keys(predicted, shared)
-    want = _sorted_row_keys(target, shared)
-    hits = sum(x == y for g, w in zip(got, want) for x, y in zip(g, w))
+    got_cols, want_cols = _sort_key_columns(predicted, target, shared)
+    got, want = sorted(zip(*got_cols)), sorted(zip(*want_cols))
+    # rows pair up to the shorter table, so their flattened cells do too
+    hits = sum(map(eq, chain.from_iterable(got), chain.from_iterable(want)))
     return hits / (len(shared) * n_hi)
 
 
@@ -280,7 +297,9 @@ def score_trajectory(
         r_out = outcome_score(predicted, target)
         s_sch = schema_score(predicted, target)
         s_shp = shape_score(predicted, target)
-        s_cnt = cell_score(predicted, target)
+        # equal row multisets sort into equal key lists, so every cell pairs;
+        # a table with no columns still gets cell_score's 0.0
+        s_cnt = 1.0 if r_out == 1.0 and predicted.column_names else cell_score(predicted, target)
         r_part = _partial_credit(r_out == 1.0, s_sch, s_shp, s_cnt)
     judge_scores = (judge or RuleJudge()).score(traj)
     r_llm = judge_scores.mean

@@ -8,6 +8,11 @@ but requires exact cell values, with integers and integer-valued reals
 comparing equal (2 == 2.0). Cells have one order key, cell_sort_key (Null <
 Boolean < numeric < Text < List), which every sort uses, and one hash key,
 cell_hash_key, under which tables_equal compares the two row multisets.
+Whole columns are keyed at once (column_keys, row_keys): an int, real or
+text column holds only Null and its one kind, so its cells are their own
+hash keys and, when it holds no Null, their own sort keys; only bool and
+list columns, and for sorting a column holding a Null, are keyed cell by
+cell.
 
 Cells are checked once, where they enter. Table(schema, rows) checks every
 cell and is the constructor for untrusted input: make_table,
@@ -41,6 +46,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -266,30 +272,25 @@ def make_table(
     return Table(Schema(name, column_specs(cols), description), tuple(tuple(r) for r in rows))
 
 
-def infer_column_dtype(cells: Sequence[Cell], fallback: str = TEXT) -> str:
-    """Resolve a column dtype from cell kinds.
+def infer_column(cells: list[Cell], fallback: str = TEXT) -> tuple[str, list[Cell], bool]:
+    """Resolve a column from its cells: its dtype, its cells with ints cast to
+    float when it resolved to real, and whether clean_column_kind vouches for
+    those cells (validate_cell would then pass each as it stands).
 
     All-null columns take the fallback. A pure int / real mix promotes to
-    real; any other mix is an error.
+    real; any other mix is an error. Unless the column is an int / real mix,
+    one clean_column_kind pass serves both the dtype and the check.
     """
     kind = clean_column_kind(cells)
     if kind != "":
-        return kind or fallback
+        return kind or fallback, cells, True
     kinds = {value_kind(c) for c in cells if c is not None}
-    if not kinds:
-        return fallback
     if len(kinds) == 1:
-        return kinds.pop()
+        return kinds.pop(), cells, False
     if kinds <= {INT, REAL}:
-        return REAL
+        cells = [float(c) if isinstance(c, int) else c for c in cells]
+        return REAL, cells, clean_column_kind(cells) == REAL
     raise TableError(f"mixed cell kinds {sorted(kinds)} in one column")
-
-
-def coerce_cells(dtype: str, cells: Sequence[Cell]) -> list[Cell]:
-    """Cast int cells to float when a column resolved to real."""
-    if dtype != REAL:
-        return list(cells)
-    return [float(c) if isinstance(c, int) and not isinstance(c, bool) else c for c in cells]
 
 
 def table_from_rows(
@@ -309,10 +310,9 @@ def table_from_rows(
     cols = []
     coerced_cols = []
     for i, cname in enumerate(column_names):
-        cells = [row[i] for row in rows]
-        dtype = infer_column_dtype(cells)
+        dtype, cells, _ = infer_column([row[i] for row in rows])
         cols.append(ColumnSpec(cname, dtype, descs[i]))
-        coerced_cols.append(coerce_cells(dtype, cells))
+        coerced_cols.append(cells)
     fixed_rows = [tuple(coerced_cols[i][r] for i in range(n)) for r in range(len(rows))]
     return Table(Schema(name, tuple(cols), description), tuple(fixed_rows))
 
@@ -373,10 +373,36 @@ def canonicalize(t: Table) -> Table:
     return Table.trusted(Schema(t.name, new_cols, t.schema.description), tuple(new_rows))
 
 
+_SELF_KEYED = (INT, REAL, TEXT)
+
+
+def self_keyed(dtype: str, cells: Sequence[Cell], sort: bool = False) -> bool:
+    """Whether a column's cells are their own keys. A checked or trusted int,
+    real or text column holds only Null and its one kind, and cell_hash_key
+    returns such a cell as it is. Raw cells also order as their cell_sort_key
+    tuples do, unless a Null (which orders against nothing) is among them."""
+    return dtype in _SELF_KEYED and not (sort and None in cells)
+
+
+def column_keys(t: Table, i: int, sort: bool = False) -> list:
+    """Column i's keys: cell_sort_key if `sort`, else cell_hash_key, per cell,
+    except that a self_keyed column is returned as its raw cells."""
+    cells = list(map(itemgetter(i), t.rows))
+    if self_keyed(t.schema.columns[i].dtype, cells, sort):
+        return cells
+    return list(map(cell_sort_key if sort else cell_hash_key, cells))
+
+
+def row_keys(t: Table, idxs: Sequence[int]) -> list[tuple]:
+    """Each row's tuple of hash keys (column_keys) over the columns idxs."""
+    if not idxs:
+        return [()] * t.n_rows
+    return list(zip(*[column_keys(t, i) for i in idxs]))
+
+
 def _hashed_rows(t: Table, names: Sequence[str]) -> Counter:
-    """Multiset of rows projected onto `names`, each cell keyed by cell_hash_key."""
-    columns = [map(cell_hash_key, t.column(n)) for n in names]
-    return Counter(zip(*columns))
+    """Multiset of rows projected onto `names`, keyed as cell_hash_key keys them."""
+    return Counter(row_keys(t, [t.column_index(n) for n in names]))
 
 
 def tables_equal(a: Table, b: Table) -> bool:
@@ -388,7 +414,9 @@ def tables_equal(a: Table, b: Table) -> bool:
     names = sorted(a.column_names)
     if names != sorted(b.column_names) or a.n_rows != b.n_rows:
         return False
-    return _hashed_rows(a, names) == _hashed_rows(b, names)
+    # plain dict equality: Counter's own == walks every key in Python, and
+    # counts taken from rows are all positive, so the two tests agree
+    return dict.__eq__(_hashed_rows(a, names), _hashed_rows(b, names))
 
 
 # ---------------------------------------------------------------------------

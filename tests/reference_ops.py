@@ -21,7 +21,9 @@ from datetime import datetime
 from conftest import COLUMN_POOL, WORDS, random_scalar, random_table
 
 from adprep.operators import ExecError, execute_operator, make_operator
-from adprep.tables import BOOL, INT, LIST, REAL, TEXT, Table, TableError, make_table
+from adprep.tables import (
+    BOOL, INT, LIST, REAL, TEXT, Table, TableError, cell_sort_key, make_table,
+)
 
 AGGS = ("sum", "avg", "min", "max", "count", "count_distinct", "first", "last", "concat")
 
@@ -1445,3 +1447,21 @@ def run_operator_trials(kind: str, n: int, seed: int) -> dict:
         assert diff is None, f"{where}: {diff}\ncall: {op!r}"
         stats["ok"] += 1
     return stats
+
+
+# --- scoring -----------------------------------------------------------------
+
+
+def ref_cell_score(predicted: Table, target: Table) -> float:
+    """adprep.reward.cell_score as it was before column keys: every cell of
+    both tables keyed by cell_sort_key."""
+    shared = sorted(set(predicted.column_names) & set(target.column_names))
+    if not shared:
+        return 0.0
+    n_hi = max(predicted.n_rows, target.n_rows)
+    if n_hi == 0:
+        return 1.0
+    got = sorted(zip(*[map(cell_sort_key, predicted.column(n)) for n in shared]))
+    want = sorted(zip(*[map(cell_sort_key, target.column(n)) for n in shared]))
+    hits = sum(x == y for g, w in zip(got, want) for x, y in zip(g, w))
+    return hits / (len(shared) * n_hi)

@@ -1,6 +1,10 @@
 """CLI tests drive main() in process and check output plus exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,17 @@ def suite(tmp_path):
     out = tmp_path / "suite"
     assert main(["synth", str(out), "--tasks", "3", "--seed", "9"]) == 0
     return out
+
+
+def test_python_dash_m_runs_the_cli_from_the_source_tree(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "adprep", "--help"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: adprep")
 
 
 def test_synth_writes_bundles(suite, capsys):

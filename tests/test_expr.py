@@ -82,6 +82,21 @@ def test_parse_errors_carry_position():
         parse_expr("lower(1, 2)")  # arity
 
 
+def test_overflowing_real_literal_is_a_bad_number_literal():
+    # a literal that reads as inf would print as `inf`, which does not parse back
+    for src, pos, text in [
+        ("1e400", 0, "1e400"),
+        ("-1e400", 1, "1e400"),
+        ("1E+400 > 2", 0, "1E+400"),
+        ('col("a") * .5e999', 11, ".5e999"),
+    ]:
+        with pytest.raises(ExprParseError) as err:
+            parse_expr(src)
+        assert str(err.value) == f"bad number literal {text!r} at position {pos}"
+    assert parse_expr("1.7e308") == Lit(1.7e308)
+    assert parse_expr("1e-400") == Lit(0.0)
+
+
 @pytest.mark.parametrize(
     "nest",
     [

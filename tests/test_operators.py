@@ -158,6 +158,18 @@ def test_parse_errors():
         assert fragment in str(err.value)
 
 
+def test_overflowing_real_literal_is_a_parse_error():
+    # a literal that reads as inf would serialize as `inf`, which does not parse back
+    for text, message in [
+        ('TopK("t", 1e400)', "bad number literal '1e400' at position 10"),
+        ('Sort("t", ["a"], [-1e400])', "bad number literal '-1e400' at position 18"),
+        ('AddNewColumn("t", "x", "1e400")', "bad number literal '1e400' at position 0"),
+    ]:
+        with pytest.raises(OpParseError) as err:
+            parse_operator_call(text)
+        assert message in str(err.value)
+
+
 def test_parse_call_fuzz_raises_only_op_parse_error():
     rng = random.Random(1808)
     kinds = sorted(REGISTRY) + ["Nope", "col"]
