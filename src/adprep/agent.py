@@ -582,7 +582,7 @@ class HttpChatPolicy:
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as response:
                 body = json.loads(response.read().decode("utf-8"))
-        except (urllib.error.URLError, TimeoutError, json.JSONDecodeError) as exc:
+        except (urllib.error.URLError, TimeoutError, json.JSONDecodeError, RecursionError) as exc:
             raise PolicyError(f"chat endpoint failed: {exc}") from None
         content = body.get("content")
         if not isinstance(content, str):
@@ -606,7 +606,7 @@ class ScriptedPolicy:
     def from_file(cls, path: str | Path) -> "ScriptedPolicy":
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise PolicyError(f"cannot load reply script {path}: {exc}") from None
         if not isinstance(data, list) or not all(isinstance(r, str) for r in data):
             raise PolicyError(f"{path}: expected a json array of reply strings")

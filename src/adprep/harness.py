@@ -184,7 +184,7 @@ def load_trajectory_log(path: str | Path) -> Trajectory:
         raise HarnessError(f"cannot read log {path}: {exc}") from None
     try:
         lines = [json.loads(line) for line in text.splitlines() if line.strip()]
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise HarnessError(f"{path}: malformed log line: {exc}") from None
     if not all(isinstance(line, dict) for line in lines):
         raise HarnessError(f"{path}: every log line must be a JSON object")

@@ -30,8 +30,9 @@ import subprocess
 import tempfile
 from dataclasses import dataclass
 from datetime import datetime
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Collection, Protocol
+from typing import Any, Callable, Collection, Protocol, Sequence
 
 from .expr import (
     MAX_DEPTH,
@@ -581,13 +582,12 @@ def _with(state: TableSet, remove: list[str], add: list[Table]) -> TableSet:
     return out
 
 
-def _row_binding(t: Table, row: tuple) -> dict[str, Cell]:
-    return dict(zip(t.column_names, row))
-
-
-def _eval_cell(func: Expr, t: Table, row: tuple, r: int, op: OperatorInstance) -> Cell:
+def _eval_cell(
+    func: Expr, names: Sequence[str], row: tuple, r: int, op: OperatorInstance
+) -> Cell:
+    """func over row r, whose cells are bound to the column names."""
     try:
-        return eval_expr(func, _row_binding(t, row))
+        return eval_expr(func, dict(zip(names, row)))
     except EvalError as exc:
         raise ExecError(op, f"row {r}: {exc}", detail=exc.expr_text) from None
 
@@ -745,9 +745,10 @@ def _exec_error_detection(op, state, backend):
     p = op.params
     t = _get_table(state, p["table"], op)
     _col_index(t, p["column"], op)
+    names = t.column_names
     flags = []
     for r, row in enumerate(t.rows):
-        v = _eval_cell(p["func"], t, row, r, op)
+        v = _eval_cell(p["func"], names, row, r, op)
         if v is not None and not isinstance(v, bool):
             raise ExecError(op, f"row {r}: func must return boolean or null", detail=p["column"])
         flags.append(v)
@@ -785,12 +786,13 @@ def _exec_value_transform(op, state, backend):
     p = op.params
     t = _get_table(state, p["table"], op)
     idx = _col_index(t, p["column"], op)
+    names = t.column_names
     cells = []
     for r, row in enumerate(t.rows):
         if row[idx] is None:
             cells.append(None)  # nulls pass through without evaluating func
         else:
-            cells.append(_eval_cell(p["func"], t, row, r, op))
+            cells.append(_eval_cell(p["func"], names, row, r, op))
     return _with(state, [], [_rebuild_column(t, idx, cells, op)])
 
 
@@ -910,7 +912,8 @@ def _exec_rename_column(op, state, backend):
 def _exec_add_new_column(op, state, backend):
     p = op.params
     t = _get_table(state, p["table"], op)
-    cells = [_eval_cell(p["func"], t, row, r, op) for r, row in enumerate(t.rows)]
+    names = t.column_names
+    cells = [_eval_cell(p["func"], names, row, r, op) for r, row in enumerate(t.rows)]
     return _with(state, [], [_append_column(t, p["name"], cells, op)])
 
 
@@ -938,12 +941,13 @@ def _exec_split_column(op, state, backend):
     for name in targets:
         if name in remaining:
             raise ExecError(op, f"target column {name!r} already exists", detail=name)
+    names = t.column_names
     pieces = []
     for r, row in enumerate(t.rows):
         if row[src_idx] is None:
             pieces.append((None,) * len(targets))
             continue
-        v = _eval_cell(p["func"], t, row, r, op)
+        v = _eval_cell(p["func"], names, row, r, op)
         if not isinstance(v, tuple):
             raise ExecError(op, f"row {r}: func must yield a list", detail=p["source"])
         padded = tuple(v[: len(targets)]) + (None,) * max(0, len(targets) - len(v))
@@ -971,7 +975,8 @@ def _exec_concatenate(op, state, backend):
     if not p["columns"]:
         raise ExecError(op, "columns must not be empty", detail=p["table"])
     _col_indexes(t, p["columns"], op)
-    cells = [_eval_cell(p["func"], t, row, r, op) for r, row in enumerate(t.rows)]
+    names = t.column_names
+    cells = [_eval_cell(p["func"], names, row, r, op) for r, row in enumerate(t.rows)]
     return _with(state, [], [_append_column(t, p["target"], cells, op)])
 
 
@@ -1002,9 +1007,10 @@ def _exec_subtitle(op, state, backend):
 def _exec_filter(op, state, backend):
     p = op.params
     t = _get_table(state, p["table"], op)
+    names = t.column_names
     rows = []
     for r, row in enumerate(t.rows):
-        v = _eval_cell(p["func"], t, row, r, op)
+        v = _eval_cell(p["func"], names, row, r, op)
         if v is True:
             rows.append(row)
         elif v is not None and not isinstance(v, bool):
@@ -1135,8 +1141,9 @@ def _exec_count(op, state, backend):
 def _exec_calculate_statistic(op, state, backend):
     p = op.params
     t = _get_table(state, p["table"], op)
+    names = t.column_names
     stat = p["stat"]
-    values = [_eval_cell(p["func"], t, row, r, op) for r, row in enumerate(t.rows)]
+    values = [_eval_cell(p["func"], names, row, r, op) for r, row in enumerate(t.rows)]
     present = [v for v in values if v is not None]
     if not present and stat != "sum":
         raise ExecError(op, f"{stat} over no values", detail=stat)
@@ -1161,6 +1168,17 @@ def _reconcile_dtype(a: ColumnSpec, b: ColumnSpec, op: OperatorInstance) -> str:
     raise ExecError(
         op, f"column {a.name!r} has incompatible dtypes {a.dtype} and {b.dtype}", detail=a.name
     )
+
+
+def _picker(idxs: Sequence[int]) -> Callable[[tuple], tuple]:
+    """Row -> the tuple of its cells at idxs. itemgetter returns a bare cell
+    for one index and takes no empty list, so those two are spelled out."""
+    if len(idxs) > 1:
+        return itemgetter(*idxs)
+    if idxs:
+        i = idxs[0]
+        return lambda row: (row[i],)
+    return lambda row: ()
 
 
 def _exec_join(op, state, backend):
@@ -1197,77 +1215,63 @@ def _exec_join(op, state, backend):
             raise ExecError(op, f"duplicate output column {c.name!r}", detail=c.name)
         seen.add(c.name)
 
-    def index(keys, rows):
-        """Rows by key; a key holding a null never matches, so it is left out."""
+    def index(keys, parts):
+        """Row parts by key; a key holding a null never matches, so it is left out."""
         out: dict[tuple, list[tuple]] = {}
-        for k, row in zip(keys, rows):
+        for k, part in zip(keys, parts):
             if None not in k:
-                out.setdefault(k, []).append(row)
+                out.setdefault(k, []).append(part)
         return out
 
+    # an output row is the left keys and rest, then the right rest; a right
+    # row without a match leads with its own keys
+    l_part, r_part, r_lead = _picker(l_keys + l_rest), _picker(r_rest), _picker(r_keys)
+    l_pad, r_pad = (None,) * len(l_rest), (None,) * len(r_rest)
     l_row_keys = row_keys(left, l_keys)
     r_row_keys = row_keys(right, r_keys)
     rows = []
     matched_right_keys = set()
     if how in ("inner", "left", "outer"):
-        r_index = index(r_row_keys, right.rows)
+        r_index = index(r_row_keys, map(r_part, right.rows))
         for k, l_row in zip(l_row_keys, left.rows):
             matches = r_index.get(k)
             if matches:
                 matched_right_keys.add(k)
-                for r_row in matches:
-                    rows.append(
-                        tuple(l_row[i] for i in l_keys)
-                        + tuple(l_row[i] for i in l_rest)
-                        + tuple(r_row[i] for i in r_rest)
-                    )
+                lp = l_part(l_row)
+                rows.extend([lp + rp for rp in matches])
             elif how in ("left", "outer"):
-                rows.append(
-                    tuple(l_row[i] for i in l_keys)
-                    + tuple(l_row[i] for i in l_rest)
-                    + (None,) * len(r_rest)
-                )
+                rows.append(l_part(l_row) + r_pad)
         if how == "outer":
             for k, r_row in zip(r_row_keys, right.rows):
                 if k not in matched_right_keys:
-                    rows.append(
-                        tuple(r_row[i] for i in r_keys)
-                        + (None,) * len(l_rest)
-                        + tuple(r_row[i] for i in r_rest)
-                    )
+                    rows.append(r_lead(r_row) + l_pad + r_part(r_row))
     else:  # right join: every right row survives, in right order
-        l_index = index(l_row_keys, left.rows)
+        l_index = index(l_row_keys, map(l_part, left.rows))
         for k, r_row in zip(r_row_keys, right.rows):
             matches = l_index.get(k)
+            rp = r_part(r_row)
             if matches:
-                for l_row in matches:
-                    rows.append(
-                        tuple(l_row[i] for i in l_keys)
-                        + tuple(l_row[i] for i in l_rest)
-                        + tuple(r_row[i] for i in r_rest)
-                    )
+                rows.extend([lp + rp for lp in matches])
             else:
-                rows.append(
-                    tuple(r_row[i] for i in r_keys)
-                    + (None,) * len(l_rest)
-                    + tuple(r_row[i] for i in r_rest)
-                )
+                rows.append(r_lead(r_row) + l_pad + rp)
 
     # coerce int cells in promoted key columns
-    fixed_rows = []
     real_keys = [
         j for j in range(len(l_keys))
         if cols[j].dtype == REAL
     ]
-    for row in rows:
-        row = list(row)
-        for j in real_keys:
-            if isinstance(row[j], int) and not isinstance(row[j], bool):
-                row[j] = float(row[j])
-        fixed_rows.append(tuple(row))
+    if real_keys:
+        fixed_rows = []
+        for row in rows:
+            row = list(row)
+            for j in real_keys:
+                if isinstance(row[j], int) and not isinstance(row[j], bool):
+                    row[j] = float(row[j])
+            fixed_rows.append(tuple(row))
+        rows = fixed_rows
 
     name = f"{p['left']}_{p['right']}_join"
-    out = _build_table(name, cols, fixed_rows)
+    out = _build_table(name, cols, rows)
     return _with(state, [p["left"], p["right"]], [out])
 
 

@@ -253,7 +253,7 @@ class LLMJudge:
             raise JudgeError("judge reply holds no JSON object")
         try:
             data = json.loads(match.group(0))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise JudgeError(f"judge reply is not valid JSON: {exc}") from None
         scores = []
         for key in ("consistency", "responsiveness", "backtracking"):

@@ -395,7 +395,7 @@ def read_bundle(directory: str | Path) -> TaskBundle:
     if prov_path.exists():
         try:
             provenance = json.loads(prov_path.read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise SynthesisError(f"{prov_path}: cannot read json: {exc}") from None
         if not isinstance(provenance, dict):
             raise SynthesisError(f"{prov_path}: expected a json object")

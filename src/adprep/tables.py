@@ -24,16 +24,20 @@ of an int column read off its min and max and the reals tested with
 math.isfinite; the rows are then kept as given. Any other table (a list
 column, a bool in an int column, a subclass of int or str, a bad cell, a
 ragged row) is checked row by row with validate_cell, which gives the same
-rows and the same error text. The csv readers type and check each cell as
-they parse it. Table.trusted skips the check; it is for tables whose cells
+rows and the same error text. The csv readers type and check a column at a
+time as they parse it (_csv_typed): one regex over the joined texts of an
+int or real column, then int / float and the range check over all of them,
+or one set of lowered texts for a bool column. A column that pass does not
+take (a list column, a bad cell) is parsed cell by cell, which names the
+first bad cell. Table.trusted skips the check; it is for tables whose cells
 are already valid for their columns: operator outputs that move cells from
 checked tables, plus columns an operator computes, which it checks with the
 same column kernel first.
 
 The module also provides a deterministic markdown rendering used for agent
 observations, and csv / json-rows file I/O with an optional JSON sidecar
-schema. Without a sidecar, csv dtypes are inferred per column by trying
-integer, then real, then boolean, then falling back to text; an empty csv
+schema. Without a sidecar, a csv column's dtype is the first of integer,
+real and boolean that parses the whole column, else text; an empty csv
 cell always reads as Null.
 """
 
@@ -65,7 +69,7 @@ INT64_MAX = 2**63 - 1
 # ASCII digits only: int() and float() also read other Unicode digits, which
 # would then write back as different text
 _INT_RE = re.compile(r"[+-]?[0-9]+")
-_REAL_RE = re.compile(r"[+-]?([0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)([eE][+-]?[0-9]+)?")
+_REAL_RE = re.compile(r"[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
 class TableError(ValueError):
@@ -509,10 +513,9 @@ def table_to_json(t: Table) -> dict:
 def table_from_json(data: dict) -> Table:
     schema = schema_from_json(data["schema"])
     try:
-        rows = tuple(
-            tuple(tuple(c) if isinstance(c, list) else c for c in row)
-            for row in data["rows"]
-        )
+        # the checked constructor turns a list cell of a list column into a
+        # tuple, and rejects a list in a scalar column as it rejects a tuple
+        rows = tuple(map(tuple, data["rows"]))
     except TypeError as exc:
         raise TableIOError(f"malformed table json: {exc}") from None
     return Table(schema, rows)
@@ -530,14 +533,55 @@ def write_schema(schema: Schema, path: str | Path) -> None:
 def read_schema(path: str | Path) -> Schema:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise TableIOError(f"cannot read schema {path}: {exc}") from None
     return schema_from_json(data)
 
 
+def _column_re(cell: re.Pattern) -> re.Pattern:
+    """A whole column of `cell`-shaped texts joined with newlines."""
+    return re.compile(f"{cell.pattern}(?:\n{cell.pattern})*")
+
+
+# A quoted csv cell may hold a newline. It then breaks the joined pattern (an
+# empty line) or has digits on both sides of it, which int / float reject.
+_CSV_NUMBERS = {INT: (_column_re(_INT_RE), int), REAL: (_column_re(_REAL_RE), float)}
+_CSV_BOOLS = {"true": True, "false": False}
+
+
+def _csv_typed(values: Sequence[str], dtype: str) -> Sequence[Cell] | None:
+    """Typed cells of a column of non-empty csv cells, parsed a column at a
+    time at C speed: int and real columns by one regex over the joined
+    column, then int / float and a range check over all cells at once; bool
+    columns by one set of lowered texts. Exactly when every cell parses as
+    _csv_parse_cell would parse it, the result is those cells; else (and for
+    list columns) it is None."""
+    if dtype == TEXT or not values:
+        return values
+    if dtype == BOOL:
+        lowered = list(map(str.lower, values))
+        if set(lowered) <= _CSV_BOOLS.keys():
+            return list(map(_CSV_BOOLS.__getitem__, lowered))
+        return None
+    if dtype not in _CSV_NUMBERS:
+        return None
+    shape, convert = _CSV_NUMBERS[dtype]
+    if shape.fullmatch("\n".join(values)) is None:
+        return None
+    try:
+        typed = list(map(convert, values))
+    except ValueError:
+        return None
+    if dtype == INT:
+        fits = INT64_MIN <= min(typed) and max(typed) <= INT64_MAX
+    else:
+        fits = all(map(math.isfinite, typed))
+    return typed if fits else None
+
+
 def _csv_parse_cell(text: str, dtype: str) -> Cell:
     """Typed value of a non-empty csv cell, checked as validate_cell would;
-    raises ValueError."""
+    raises ValueError (or RecursionError for a deeply nested list)."""
     if dtype == INT:
         if not _INT_RE.fullmatch(text):
             raise ValueError("not an integer")
@@ -567,48 +611,39 @@ def _csv_parse_cell(text: str, dtype: str) -> Cell:
     return text
 
 
-def _csv_parse_column(cells: list[str], dtype: str, origin: str, name: str) -> list[Cell]:
-    """Typed cells of one csv column; an empty cell is Null."""
-    if dtype == TEXT:
-        return [None if c == "" else c for c in cells]
-    parsed = []
-    for r, text in enumerate(cells):
-        try:
-            parsed.append(None if text == "" else _csv_parse_cell(text, dtype))
-        except ValueError as exc:  # JSONDecodeError and TableError are ValueErrors
-            raise TableIOError(
-                f"{origin} row {r} column {name!r}: cannot parse {text!r} as {dtype}: {exc}"
-            ) from None
-    return parsed
+def _csv_parse_column(
+    cells: Sequence[str], dtype: str | None, origin: str, name: str
+) -> tuple[str, Sequence[Cell]]:
+    """Dtype and typed cells of one csv column; an empty cell is Null.
 
-
-def _infer_cell_kind(text: str) -> str | None:
-    """Inference order for a raw csv cell: Null, integer, real, boolean, text."""
-    if text == "":
-        return None
-    if _INT_RE.fullmatch(text) and INT64_MIN <= int(text) <= INT64_MAX:
-        return INT
-    if _REAL_RE.fullmatch(text):
-        try:
-            if math.isfinite(float(text)):
-                return REAL
-        except ValueError:
-            pass
-    if text.lower() in ("true", "false"):
-        return BOOL
-    return TEXT
-
-
-def _infer_csv_dtype(cells: list[str]) -> str:
-    """Column dtype from the observed cell kinds; all-null and mixed columns are text."""
-    kinds = {_infer_cell_kind(c) for c in cells} - {None}
-    if kinds == {INT}:
-        return INT
-    if kinds and kinds <= {INT, REAL}:
-        return REAL
-    if kinds == {BOOL}:
-        return BOOL
-    return TEXT
+    Without a dtype (no sidecar) the column is the first of int, real and
+    bool that parses it, else text; an all-null column is text. A column
+    that _csv_typed does not take is parsed cell by cell, which names the
+    first bad cell in a TableIOError.
+    """
+    values = [c for c in cells if c != ""] if "" in cells else cells
+    if dtype is not None:
+        typed = _csv_typed(values, dtype)
+    else:
+        for dtype in (INT, REAL, BOOL, TEXT) if values else (TEXT,):
+            typed = _csv_typed(values, dtype)
+            if typed is not None:
+                break
+    if typed is None:
+        parsed = []
+        for r, text in enumerate(cells):
+            try:
+                parsed.append(None if text == "" else _csv_parse_cell(text, dtype))
+            # JSONDecodeError and TableError are ValueErrors
+            except (ValueError, RecursionError) as exc:
+                raise TableIOError(
+                    f"{origin} row {r} column {name!r}: cannot parse {text!r} as {dtype}: {exc}"
+                ) from None
+        return dtype, parsed
+    if len(typed) == len(cells):
+        return dtype, typed
+    fill = iter(typed).__next__
+    return dtype, [fill() if c else None for c in cells]
 
 
 def _parse_csv_records(
@@ -616,34 +651,32 @@ def _parse_csv_records(
 ) -> Table:
     if not data:
         raise TableIOError(f"{origin}: empty input, expected a header row")
-    # a blank line is a record with a single empty field
-    data = [row if row else [""] for row in data]
+    if [] in data:  # a blank line is a record with a single empty field
+        data = [row or [""] for row in data]
     header, raw_rows = data[0], data[1:]
-    if not header or any(h == "" for h in header):
+    if "" in header:
         raise TableIOError(f"{origin}: empty column name in header")
     if len(set(header)) != len(header):
         raise TableIOError(f"{origin}: duplicate column names in header")
-    for i, row in enumerate(raw_rows):
-        if len(row) != len(header):
-            raise TableIOError(
-                f"{origin}: row {i} has {len(row)} cells, expected {len(header)}"
-            )
+    if set(map(len, raw_rows)) - {len(header)}:
+        i, row = next((i, row) for i, row in enumerate(raw_rows) if len(row) != len(header))
+        raise TableIOError(f"{origin}: row {i} has {len(row)} cells, expected {len(header)}")
     if schema is not None and tuple(header) != schema.column_names:
         raise TableIOError(
             f"{origin}: header {header} does not match sidecar columns "
             f"{list(schema.column_names)}"
         )
 
-    columns = [[row[i] for row in raw_rows] for i in range(len(header))]
-    if schema is None:  # no sidecar: per-column inference over the observed cell kinds
-        specs = (ColumnSpec(h, _infer_csv_dtype(cells)) for h, cells in zip(header, columns))
-        schema = Schema(name, tuple(specs))
-    parsed = [
-        _csv_parse_column(cells, c.dtype, origin, c.name)
-        for cells, c in zip(columns, schema.columns)
+    columns = list(zip(*raw_rows)) or [()] * len(header)
+    dtypes = [None] * len(header) if schema is None else [c.dtype for c in schema.columns]
+    typed = [
+        _csv_parse_column(cells, dtype, origin, h)
+        for cells, dtype, h in zip(columns, dtypes, header)
     ]
+    if schema is None:
+        schema = Schema(name, tuple(ColumnSpec(h, dtype) for h, (dtype, _) in zip(header, typed)))
     # every cell was typed and checked above, so the table skips the re-check
-    return Table.trusted(schema, tuple(zip(*parsed)))
+    return Table.trusted(schema, tuple(zip(*(cells for _, cells in typed))))
 
 
 def _table_from_csv(path: Path, name: str, schema: Schema | None) -> Table:
@@ -683,7 +716,7 @@ def table_to_csv_text(t: Table) -> str:
 def _table_from_json_rows(path: Path, name: str, schema: Schema | None) -> Table:
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise TableIOError(f"cannot read {path}: {exc}") from None
     if not isinstance(data, list) or any(not isinstance(r, dict) for r in data):
         raise TableIOError(f"{path}: json-rows file must be a list of objects")

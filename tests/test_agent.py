@@ -451,7 +451,7 @@ class _ChatHandler(BaseHTTPRequestHandler):
         length = int(self.headers["Content-Length"])
         _ChatHandler.requests.append(json.loads(self.rfile.read(length)))
         status, body = _ChatHandler.responses.pop(0)
-        payload = json.dumps(body).encode("utf-8")
+        payload = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -496,4 +496,7 @@ def test_http_chat_policy_bad_body(chat_server):
     handler.responses = [(200, {"no_content": True})]
     policy = HttpChatPolicy(endpoint, "m")
     with pytest.raises(PolicyError):
+        policy.complete([{"role": "user", "content": "x"}])
+    handler.responses = [(200, b"[" * 100_000)]
+    with pytest.raises(PolicyError, match="chat endpoint failed"):
         policy.complete([{"role": "user", "content": "x"}])

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from adprep.agent import IdentityPolicy
+from adprep.agent import IdentityPolicy, ScriptedPolicy
 from adprep.harness import (
     HarnessError,
     Report,
@@ -20,7 +20,7 @@ from adprep.harness import (
 )
 from adprep.reward import RuleJudge
 from adprep.synthesis import synthesize_demo_task, write_bundle
-from adprep.tables import tables_equal
+from adprep.tables import LIST, make_table, tables_equal, write_table
 
 
 def build_suite(root: Path, seeds=(1, 7, 13, 29)) -> Path:
@@ -354,3 +354,79 @@ def test_well_formed_log_with_bad_records_becomes_a_load_error_row(tmp_path, dam
     assert by_id["task-007"].status == "load_error"
     assert by_id["task-001"].status == "answered"
     assert not report.all_attempted
+
+
+# -- deeply nested json in any file a run reads ------------------------------
+
+DEEP_JSON = "[" * 100_000  # json.loads raises RecursionError, not JSONDecodeError
+
+
+def _deep_target_schema(task):
+    (task / "target_schema.json").write_text(DEEP_JSON)
+
+
+def _deep_sidecar(task):
+    next((task / "sources").glob("*.csv.schema.json")).write_text(DEEP_JSON)
+
+
+def _deep_provenance(task):
+    (task / "provenance.json").write_text(DEEP_JSON)
+
+
+def _deep_list_cell(task):
+    path = task / "sources" / "deep.csv"
+    write_table(make_table("deep", [("x", LIST)], []), path)
+    path.write_text("x\n[1]\n" + DEEP_JSON + "\n")
+
+
+@pytest.mark.parametrize("damage", [
+    _deep_target_schema, _deep_sidecar, _deep_provenance, _deep_list_cell,
+])
+def test_deeply_nested_json_in_a_bundle_becomes_a_load_error_row(tmp_path, damage):
+    suite = build_suite(tmp_path, seeds=(1, 7))
+    logs = tmp_path / "logs"
+    run_benchmark(suite, gt_replay_policy, log_dir=logs)
+    damage(suite / "task-007")
+    run = {r.task_id: r for r in run_benchmark(suite, gt_replay_policy).rows}
+    replayed = {r.task_id: r for r in replay_suite(suite, logs).rows}
+    for by_id in (run, replayed):
+        assert by_id["task-007"].status == "load_error"
+        assert "recursion" in by_id["task-007"].error
+        assert by_id["task-001"].status == "answered"
+    assert run["task-007"].error.startswith(("TableIOError: ", "SynthesisError: "))
+
+
+def test_deeply_nested_json_log_or_reply_script_becomes_a_load_error_row(tmp_path):
+    suite = build_suite(tmp_path, seeds=(1, 7))
+    logs = tmp_path / "logs"
+    run_benchmark(suite, gt_replay_policy, log_dir=logs)
+    (logs / "task-007.jsonl").write_text(DEEP_JSON + "\n")
+    with pytest.raises(HarnessError, match="malformed log line"):
+        load_trajectory_log(logs / "task-007.jsonl")
+    by_id = {r.task_id: r for r in replay_suite(suite, logs).rows}
+    assert by_id["task-007"].status == "load_error"
+    assert by_id["task-001"].status == "answered"
+
+    script = tmp_path / "replies.json"
+    script.write_text(DEEP_JSON)
+    report = run_benchmark(suite, lambda bundle: ScriptedPolicy.from_file(script))
+    assert [r.status for r in report.rows] == ["load_error", "load_error"]
+    assert all(r.error.startswith("policy: cannot load reply script") for r in report.rows)
+
+
+def test_list_cell_in_an_int_column_of_a_logged_final_table(tmp_path):
+    suite = build_suite(tmp_path, seeds=(1,))
+    logs = tmp_path / "logs"
+    run_benchmark(suite, gt_replay_policy, log_dir=logs)
+    path = logs / "task-001.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    records[-1]["final_table"] = {
+        "schema": {"table_name": "t", "columns": [{"name": "n", "dtype": "int"}]},
+        "rows": [[1], [[1, 2]]],
+    }
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    with pytest.raises(HarnessError) as exc:
+        load_trajectory_log(path)
+    assert str(exc.value) == (
+        f"{path}: malformed log record: table 't' row 1 column 'n': list cell in int column"
+    )

@@ -233,6 +233,8 @@ def test_llm_judge_rejects_bad_replies():
         LLMJudge(CannedAdapter('{"consistency": 1.0}')).score(traj)
     with pytest.raises(JudgeError):
         LLMJudge(CannedAdapter('{"consistency": "high", "responsiveness": 1, "backtracking": 1}')).score(traj)
+    with pytest.raises(JudgeError, match="not valid JSON"):
+        LLMJudge(CannedAdapter('{"a": ' * 100_000 + "1" + "}" * 100_000)).score(traj)
 
 
 # -- combined ----------------------------------------------------------------

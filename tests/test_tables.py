@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import random
@@ -10,8 +12,10 @@ from functools import cmp_to_key
 
 import pytest
 
+from adprep import tables
 from adprep.tables import (
     BOOL,
+    DTYPES,
     INT,
     LIST,
     REAL,
@@ -28,8 +32,10 @@ from adprep.tables import (
     make_table,
     read_table,
     serialize_table,
+    _csv_parse_column,
     sidecar_path,
     table_from_csv_text,
+    table_from_json,
     table_from_rows,
     table_to_csv_text,
     tables_equal,
@@ -37,6 +43,7 @@ from adprep.tables import (
     write_table,
 )
 from conftest import random_cell, random_table
+import reference_csv
 from reference_ops import compare_cells
 
 
@@ -630,3 +637,189 @@ def test_column_kernel_matches_cell_by_cell_reference():
         schema, rows = _kernel_case(rng)
         kinds[_assert_kernel_matches_reference(schema, rows)[0]] += 1
     assert kinds["rows"] > 1000 and kinds["error"] > 500, kinds
+
+
+# -- the column-at-once csv parser against the cell-by-cell reference ----------
+
+CSV_ODD_CELLS = [
+    "1\n2", "5\n", "\n5", "1\n", "\n", "1_0", " 2", "2 ", "\t1", "1\r", "+5", "-0", "-0.0",
+    "1e400", "-1e400", "1" * 400, str(2**63), str(-(2**63)), str(2**63 - 1),
+    str(-(2**63) - 1), "١٢", "٣.٥", "²", "TRUE", "False", "tRuE",
+    "yes", "nan", "inf", "Infinity", "1e5", ".5", "5.", ".", "-", "+", "1.5.2", "0x10",
+    "[1, 2]", "[]", '["a", null]', "[1e400]", "[[1]]", '{"k": 1}', "[", "1.5\n2", "1\n\n2",
+]
+
+
+def _csv_text(rng, dtype):
+    if dtype == INT:
+        return rng.choice([str(rng.randint(-50, 50)), str(rng.randint(-(2**63), 2**63 - 1))])
+    if dtype == REAL:
+        return rng.choice([repr(rng.uniform(-100, 100)), f"{rng.uniform(-1, 1):.3e}", "1.", ".5"])
+    if dtype == BOOL:
+        return "".join(c.upper() if rng.random() < 0.5 else c for c in rng.choice(["true", "false"]))
+    if dtype == LIST:
+        return json.dumps([rng.randint(-5, 5) for _ in range(rng.randint(0, 3))])
+    return rng.choice(["alpha", "x y", "", "a,b", 'say "hi"'])
+
+
+def _csv_column(rng):
+    """Raw csv cells of one column: mostly one kind, sometimes mixed, with
+    nulls and odd cells."""
+    theme = rng.choice([INT, REAL, BOOL, TEXT, LIST, None])
+    null_rate = rng.choice([0.0, 0.0, 0.2, 0.9, 1.0])
+    odd_rate = rng.choice([0.0, 0.0, 0.1])
+    cells = []
+    for _ in range(rng.randint(0, 12)):
+        if rng.random() < null_rate:
+            cells.append("")
+        elif rng.random() < odd_rate:
+            cells.append(rng.choice(CSV_ODD_CELLS))
+        else:
+            cells.append(_csv_text(rng, theme or rng.choice([INT, REAL, BOOL, TEXT, LIST])))
+    return cells
+
+
+def _csv_outcome(parse):
+    try:
+        dtype, cells = parse()
+        return dtype, _typed(list(cells))
+    except TableError as exc:
+        return "error", str(exc)
+
+
+def test_csv_column_parser_matches_cell_by_cell_reference():
+    rng = random.Random(909)
+    seen = Counter()
+    for _ in range(4000):
+        cells = _csv_column(rng)
+        for dtype in (None, INT, REAL, BOOL, TEXT, LIST):
+            want_dtype = dtype or reference_csv.infer_dtype(cells)
+            want = _csv_outcome(
+                lambda: (want_dtype, reference_csv.parse_column(cells, want_dtype, "t.csv", "a"))
+            )
+            got = _csv_outcome(lambda: _csv_parse_column(tuple(cells), dtype, "t.csv", "a"))
+            assert got == want, (cells, dtype)
+            seen[dtype, want[0]] += 1
+    # inference reaches every dtype it can give, and each sidecar dtype both
+    # parses and fails
+    for dtype in (INT, REAL, BOOL, TEXT):
+        assert seen[None, dtype] > 100, seen
+    for dtype in (INT, REAL, BOOL, LIST):
+        assert seen[dtype, dtype] > 100 and seen[dtype, "error"] > 100, seen
+
+
+@pytest.mark.parametrize("text", CSV_ODD_CELLS)
+def test_odd_csv_cells_read_as_the_reference_reads_them(text):
+    for cells in ([text], ["7", text, ""], ["", "1.5", text], ["true", text]):
+        for dtype in (None, INT, REAL, BOOL, TEXT, LIST):
+            want_dtype = dtype or reference_csv.infer_dtype(cells)
+            want = _csv_outcome(
+                lambda: (want_dtype, reference_csv.parse_column(cells, want_dtype, "t.csv", "a"))
+            )
+            got = _csv_outcome(lambda: _csv_parse_column(tuple(cells), dtype, "t.csv", "a"))
+            assert got == want, (cells, dtype)
+
+
+def test_csv_records_match_the_reference_table():
+    rng = random.Random(910)
+    for i in range(300):
+        columns = [_csv_column(rng) for _ in range(rng.randint(1, 3))]
+        n_rows = min(map(len, columns))
+        header = [f"c{j}" for j in range(len(columns))]
+        buf = io.StringIO()
+        writer = csv.writer(buf)  # quotes a cell holding "\r" or "\n"
+        writer.writerow(header)
+        writer.writerows(zip(*(col[:n_rows] for col in columns)))
+        raw = [col[:n_rows] for col in columns]
+        sidecar = rng.random() < 0.5
+        dtypes = [rng.choice(DTYPES) if sidecar else reference_csv.infer_dtype(c) for c in raw]
+        schema = Schema("t", tuple(ColumnSpec(h, d) for h, d in zip(header, dtypes)))
+
+        def reference():
+            parsed = [
+                reference_csv.parse_column(c, d, "table 't'", h)
+                for c, d, h in zip(raw, dtypes, header)
+            ]
+            return schema, tuple(zip(*parsed))
+
+        def engine():
+            t = table_from_csv_text(buf.getvalue(), "t", schema if sidecar else None)
+            return t.schema, t.rows
+
+        assert _outcome(engine) == _outcome(reference), (i, buf.getvalue(), dtypes)
+
+
+def test_csv_ragged_row_and_blank_line_messages():
+    with pytest.raises(TableIOError, match=r"^table 't': row 2 has 1 cells, expected 2$"):
+        table_from_csv_text("a,b\n1,2\n3,4\n5\n6,7,8\n", "t")
+    with pytest.raises(TableIOError, match=r"^table 't': row 1 has 1 cells, expected 2$"):
+        table_from_csv_text("a,b\n1,2\n\n3,4\n", "t")
+    with pytest.raises(TableIOError, match="empty column name in header"):
+        table_from_csv_text("\na\n1\n", "t")
+    t = table_from_csv_text("a\n1\n\n2\n", "t")
+    assert t.schema.columns[0].dtype == INT and t.rows == ((1,), (None,), (2,))
+    t = table_from_csv_text("a,b\n", "t")
+    assert [c.dtype for c in t.schema.columns] == [TEXT, TEXT] and t.rows == ()
+
+
+def test_clean_csv_columns_parse_without_the_per_cell_parser(tmp_path, monkeypatch):
+    """A clean column never reaches _csv_parse_cell, with or without a sidecar;
+    a silent fall back to parsing cell by cell fails here."""
+    rng = random.Random(911)
+    rows = [
+        tuple(None if rng.random() < 0.1 else v for v in (
+            rng.randint(-(2**63), 2**63 - 1),
+            rng.uniform(-1e6, 1e6),
+            rng.random() < 0.5,
+            rng.choice(["alpha", "bravo", "x y"]),
+        ))
+        for _ in range(1000)
+    ]
+    t = make_table("t", [("i", INT), ("r", REAL), ("b", BOOL), ("s", TEXT)], rows)
+    path = tmp_path / "t.csv"
+    write_table(t, path)
+    calls = []
+    per_cell = tables._csv_parse_cell
+    monkeypatch.setattr(
+        tables, "_csv_parse_cell", lambda text, dtype: calls.append(dtype) or per_cell(text, dtype)
+    )
+    assert read_table(path) == t
+    sidecar_path(path).unlink()
+    assert read_table(path) == t
+    assert calls == []
+    write_table(make_table("t", [("i", INT)], []), tmp_path / "bad.csv")
+    (tmp_path / "bad.csv").write_text("i\n1\nx\n")
+    with pytest.raises(TableIOError, match="row 1 column 'i': cannot parse 'x' as int"):
+        read_table(tmp_path / "bad.csv")
+    assert calls == [INT, INT]  # the fall back is what names the bad cell
+
+
+def test_deeply_nested_list_cell_is_a_table_io_error(tmp_path):
+    path = tmp_path / "t.csv"
+    write_table(make_table("t", [("a", LIST)], []), path)
+    path.write_text("a\n[1]\n" + "[" * 100_000 + "\n")
+    with pytest.raises(TableIOError, match="row 1 column 'a': cannot parse .* as list"):
+        read_table(path)
+    for fmt, damaged in (("csv", sidecar_path(path)), ("json-rows", tmp_path / "t.json")):
+        write_table(make_table("t", [("a", INT)], [(1,)]), tmp_path / "t.json", fmt="json-rows")
+        damaged.write_text("[" * 100_000)
+        with pytest.raises(TableIOError, match="recursion"):
+            read_table(path if fmt == "csv" else damaged, fmt=fmt)
+
+
+def test_table_from_json_list_in_scalar_column_error_is_unchanged():
+    data = {
+        "schema": {"table_name": "t", "columns": [
+            {"name": "n", "dtype": "int"}, {"name": "l", "dtype": "list"},
+        ]},
+        "rows": [[1, [1, "a"]], [2, None]],
+    }
+    assert table_from_json(data).rows == ((1, (1, "a")), (2, None))
+    for dtype in (INT, TEXT):
+        data = {"schema": {"table_name": "t", "columns": [{"name": "n", "dtype": dtype}]}}
+        for cell in ([1, 2], (1, 2)):
+            with pytest.raises(TableError) as exc:
+                table_from_json({**data, "rows": [[None], [cell]]})
+            assert str(exc.value) == f"table 't' row 1 column 'n': list cell in {dtype} column"
+        with pytest.raises(TableIOError, match="malformed table json"):
+            table_from_json({**data, "rows": [[1], 2]})
