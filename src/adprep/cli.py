@@ -70,11 +70,19 @@ def _add_policy_args(p):
     p.add_argument("--endpoint", help="chat completion URL (policy=http)")
     p.add_argument("--model", help="model name sent to the endpoint (policy=http)")
     p.add_argument("--temperature", type=float, default=0.01)
+
+
+def _add_episode_args(p):
     p.add_argument("--max-turns", type=int, default=5)
     p.add_argument(
         "--script-runner",
         help='interpreter argv for ExeCode, e.g. "python3"; scripts stay disabled without it',
     )
+
+
+def _add_single_episode_args(p):
+    p.add_argument("--log", help="write the episode's JSONL trajectory log here")
+    p.add_argument("--rows", type=int, default=10, help="sample rows to print")
 
 
 def _policy_factory(args):
@@ -229,14 +237,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log-dir", help="write one JSONL trajectory log per task")
     p.add_argument("--json", action="store_true", help="print the report as JSON")
     _add_policy_args(p)
+    _add_episode_args(p)
     _add_weight_args(p)
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("solve", help="run one episode on a single bundle")
     p.add_argument("bundle_dir")
-    p.add_argument("--log", help="write the episode's JSONL trajectory log here")
-    p.add_argument("--rows", type=int, default=10, help="sample rows to print")
+    _add_single_episode_args(p)
     _add_policy_args(p)
+    _add_episode_args(p)
     _add_weight_args(p)
     p.set_defaults(fn=_cmd_solve)
 
@@ -250,13 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replay", help="re-drive one episode from a reply script")
     p.add_argument("bundle_dir")
     p.add_argument("script", help="json file holding the list of canned replies")
-    p.add_argument("--log", help="write the episode's JSONL trajectory log here")
-    p.add_argument("--rows", type=int, default=10, help="sample rows to print")
-    p.add_argument("--max-turns", type=int, default=5)
-    p.add_argument(
-        "--script-runner",
-        help='interpreter argv for ExeCode, e.g. "python3"; scripts stay disabled without it',
-    )
+    _add_single_episode_args(p)
+    _add_episode_args(p)
     _add_weight_args(p)
     p.set_defaults(fn=_cmd_replay)
 

@@ -17,7 +17,6 @@ completion (answered rate), and a wall-clock cost estimate.
 from __future__ import annotations
 
 import json
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -217,20 +216,13 @@ def _case_from_scores(bundle_id: str, traj: Trajectory, breakdown, weights) -> C
     # answer; this keeps accuracy <= completion even in degenerate cases like
     # an empty target table
     outcome = breakdown.outcome if traj.status == "answered" else 0.0
-    total = breakdown.total
-    if outcome != breakdown.outcome:
-        total = (
-            weights.alpha * outcome
-            + weights.beta * breakdown.partial
-            + weights.gamma * breakdown.process
-        )
     return CaseResult(
         task_id=bundle_id,
         status=traj.status,
         outcome=outcome,
         partial=breakdown.partial,
         process=breakdown.process,
-        total=total,
+        total=weights.blend(outcome, breakdown.partial, breakdown.process),
         turns=len([t for t in traj.turns if t.action in ("expand", "answer")]),
         protocol_errors=traj.protocol_error_count,
         wall_time=traj.wall_time,

@@ -13,13 +13,13 @@ A scalar is accepted where a list is expected and becomes a one-element
 list. `func` parameters carry expression DSL source (see expr); ExeCode's
 `func` is raw script text for the pluggable backend.
 
-Execution is pure: a handler returns a new table set in which only the
-operator's own tables changed. Input tables named by the operator are
-consumed, i.e. replaced by the output table (which keeps the input name for
-single-table operators and takes a derived name for Join, Union, the
-reshaping operators, and ExeCode). Tables not named by the operator are
-carried over by reference. Any failure raises ExecError and leaves the
-input state untouched.
+Execution is pure. Each handler maps the tables its operator names to one
+output table, and execute_operator alone applies the consume rule: every
+table the operator names leaves the table set, and the output joins it under
+its own name (single-table operators keep their input's table name; Join,
+Union, the reshaping operators and ExeCode derive one). Tables not named by
+the operator are carried over by reference. Any failure raises ExecError and
+leaves the input state untouched.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Collection, Protocol, Sequence
+from typing import Any, Callable, Collection, Iterator, Protocol, Sequence
 
 from .expr import (
     MAX_DEPTH,
@@ -555,13 +555,6 @@ def serialize_operator_call(op: OperatorInstance) -> str:
 # execution helpers
 # ---------------------------------------------------------------------------
 
-def _get_table(state: TableSet, name: str, op: OperatorInstance) -> Table:
-    t = state.get(name)
-    if t is None:
-        raise ExecError(op, f"no table named {name!r}", detail=name)
-    return t
-
-
 def _col_index(t: Table, name: str, op: OperatorInstance) -> int:
     try:
         return t.column_index(name)
@@ -573,23 +566,20 @@ def _col_indexes(t: Table, names: list[str], op: OperatorInstance) -> list[int]:
     return [_col_index(t, n, op) for n in names]
 
 
-def _with(state: TableSet, remove: list[str], add: list[Table]) -> TableSet:
-    out = dict(state)
-    for name in remove:
-        out.pop(name, None)
-    for t in add:
-        out[t.name] = t
-    return out
-
-
-def _eval_cell(
-    func: Expr, names: Sequence[str], row: tuple, r: int, op: OperatorInstance
-) -> Cell:
-    """func over row r, whose cells are bound to the column names."""
-    try:
-        return eval_expr(func, dict(zip(names, row)))
-    except EvalError as exc:
-        raise ExecError(op, f"row {r}: {exc}", detail=exc.expr_text) from None
+def _func_cells(op: OperatorInstance, t: Table, null_idx: int | None = None) -> Iterator[Cell]:
+    """The op's func over each row of t, with the cells bound to the column
+    names; null wherever column null_idx is null, without evaluating func.
+    Lazy, so a caller's check on row r runs before row r+1 is evaluated and
+    the first failing row names the error."""
+    names = t.column_names
+    for r, row in enumerate(t.rows):
+        if null_idx is not None and row[null_idx] is None:
+            yield None
+            continue
+        try:
+            yield eval_expr(op.params["func"], dict(zip(names, row)))
+        except EvalError as exc:
+            raise ExecError(op, f"row {r}: {exc}", detail=exc.expr_text) from None
 
 
 def _resolve_column(
@@ -679,20 +669,18 @@ def _infer_output_columns(
 # cleaning
 # ---------------------------------------------------------------------------
 
-def _exec_dropna(op, state, backend):
+def _exec_dropna(op, t):
     p = op.params
-    t = _get_table(state, p["table"], op)
     idxs = _subset_indexes(t, p["subset"], op)
     if p["how"] == "any":
         rows = [r for r in t.rows if all(r[i] is not None for i in idxs)]
     else:
         rows = [r for r in t.rows if any(r[i] is not None for i in idxs)]
-    return _with(state, [], [Table.trusted(t.schema, tuple(rows))])
+    return Table.trusted(t.schema, tuple(rows))
 
 
-def _exec_imputation(op, state, backend):
+def _exec_imputation(op, t):
     p = op.params
-    t = _get_table(state, p["table"], op)
     idx = _col_index(t, p["column"], op)
     cells = [row[idx] for row in t.rows]
     present = [c for c in cells if c is not None]
@@ -720,7 +708,7 @@ def _exec_imputation(op, state, backend):
         best = max(counts.values())
         fill = min((rep[k] for k, n in counts.items() if n == best), key=cell_sort_key)
     new_cells = [fill if c is None else c for c in cells]
-    return _with(state, [], [_rebuild_column(t, idx, new_cells, op)])
+    return _rebuild_column(t, idx, new_cells, op)
 
 
 def _dedupe_rows(rows, keys, keep):
@@ -733,32 +721,26 @@ def _dedupe_rows(rows, keys, keep):
     return [rows[i] for i in sorted(pos.values())]
 
 
-def _exec_deduplicate(op, state, backend):
+def _exec_deduplicate(op, t):
     p = op.params
-    t = _get_table(state, p["table"], op)
     idxs = _subset_indexes(t, p["subset"], op)
     rows = _dedupe_rows(t.rows, row_keys(t, idxs), p["keep"])
-    return _with(state, [], [Table.trusted(t.schema, tuple(rows))])
+    return Table.trusted(t.schema, tuple(rows))
 
 
-def _exec_error_detection(op, state, backend):
+def _exec_error_detection(op, t):
     p = op.params
-    t = _get_table(state, p["table"], op)
     _col_index(t, p["column"], op)
-    names = t.column_names
     flags = []
-    for r, row in enumerate(t.rows):
-        v = _eval_cell(p["func"], names, row, r, op)
+    for r, v in enumerate(_func_cells(op, t)):
         if v is not None and not isinstance(v, bool):
             raise ExecError(op, f"row {r}: func must return boolean or null", detail=p["column"])
         flags.append(v)
-    out = _append_column(t, f"{p['column']}_invalid", flags, op, dtype=BOOL)
-    return _with(state, [], [out])
+    return _append_column(t, f"{p['column']}_invalid", flags, op, dtype=BOOL)
 
 
-def _exec_outlier_detection(op, state, backend):
+def _exec_outlier_detection(op, t):
     p = op.params
-    t = _get_table(state, p["table"], op)
     idx = _col_index(t, p["column"], op)
     if t.schema.columns[idx].dtype not in (INT, REAL):
         raise ExecError(op, "outlier detection needs a numeric column", detail=p["column"])
@@ -772,28 +754,19 @@ def _exec_outlier_detection(op, state, backend):
         return v is not None and abs(v - mean) > 3 * sd
     if p["action"] == "remove":
         rows = [row for row in t.rows if not is_outlier(row[idx])]
-        return _with(state, [], [Table.trusted(t.schema, tuple(rows))])
+        return Table.trusted(t.schema, tuple(rows))
     flags = [is_outlier(row[idx]) for row in t.rows]
-    out = _append_column(t, f"{p['column']}_outlier", flags, op, dtype=BOOL)
-    return _with(state, [], [out])
+    return _append_column(t, f"{p['column']}_outlier", flags, op, dtype=BOOL)
 
 
 # ---------------------------------------------------------------------------
 # normalization
 # ---------------------------------------------------------------------------
 
-def _exec_value_transform(op, state, backend):
+def _exec_value_transform(op, t):
     p = op.params
-    t = _get_table(state, p["table"], op)
     idx = _col_index(t, p["column"], op)
-    names = t.column_names
-    cells = []
-    for r, row in enumerate(t.rows):
-        if row[idx] is None:
-            cells.append(None)  # nulls pass through without evaluating func
-        else:
-            cells.append(_eval_cell(p["func"], names, row, r, op))
-    return _with(state, [], [_rebuild_column(t, idx, cells, op)])
+    return _rebuild_column(t, idx, list(_func_cells(op, t, idx)), op)
 
 
 def _parse_any_date(text: str) -> datetime | None:
@@ -810,9 +783,8 @@ def _parse_any_date(text: str) -> datetime | None:
     return None
 
 
-def _exec_standardize_datetime(op, state, backend):
+def _exec_standardize_datetime(op, t):
     p = op.params
-    t = _get_table(state, p["table"], op)
     idx = _col_index(t, p["column"], op)
     cells = []
     for r, row in enumerate(t.rows):
@@ -826,7 +798,7 @@ def _exec_standardize_datetime(op, state, backend):
         if dt is None:
             raise ExecError(op, f"row {r}: cannot parse date {v!r}", detail=v)
         cells.append(dt.strftime(p["format"]))
-    return _with(state, [], [_rebuild_column(t, idx, cells, op, fallback=TEXT)])
+    return _rebuild_column(t, idx, cells, op, fallback=TEXT)
 
 
 def _cast_cell(v: Cell, dtype: str) -> Cell:
@@ -868,9 +840,8 @@ def _cast_cell(v: Cell, dtype: str) -> Cell:
     raise ValueError(f"cannot cast {type(v).__name__} to bool")
 
 
-def _exec_cast_type(op, state, backend):
+def _exec_cast_type(op, t):
     p = op.params
-    t = _get_table(state, p["table"], op)
     idx = _col_index(t, p["column"], op)
     dtype = p["dtype"]
     cells = []
@@ -885,16 +856,15 @@ def _exec_cast_type(op, state, backend):
             raise ExecError(
                 op, f"row {r}: cannot cast {render_cell(v)!r} to {dtype}", detail=render_cell(v)
             ) from None
-    return _with(state, [], [_rebuild_column(t, idx, cells, op, dtype=dtype)])
+    return _rebuild_column(t, idx, cells, op, dtype=dtype)
 
 
 # ---------------------------------------------------------------------------
 # schema editing
 # ---------------------------------------------------------------------------
 
-def _exec_rename_column(op, state, backend):
+def _exec_rename_column(op, t):
     p = op.params
-    t = _get_table(state, p["table"], op)
     mapping = p["rename_map"]
     for old in mapping:
         _col_index(t, old, op)
@@ -906,20 +876,15 @@ def _exec_rename_column(op, state, backend):
         ColumnSpec(n, c.dtype, c.description)
         for n, c in zip(new_names, t.schema.columns)
     ]
-    return _with(state, [], [_build_table(t.name, cols, list(t.rows), t.schema.description)])
+    return _build_table(t.name, cols, list(t.rows), t.schema.description)
 
 
-def _exec_add_new_column(op, state, backend):
+def _exec_add_new_column(op, t):
+    return _append_column(t, op.params["name"], list(_func_cells(op, t)), op)
+
+
+def _exec_drop_column(op, t):
     p = op.params
-    t = _get_table(state, p["table"], op)
-    names = t.column_names
-    cells = [_eval_cell(p["func"], names, row, r, op) for r, row in enumerate(t.rows)]
-    return _with(state, [], [_append_column(t, p["name"], cells, op)])
-
-
-def _exec_drop_column(op, state, backend):
-    p = op.params
-    t = _get_table(state, p["table"], op)
     _col_indexes(t, p["columns"], op)
     drop = set(p["columns"])
     keep = [i for i, c in enumerate(t.schema.columns) if c.name not in drop]
@@ -927,12 +892,11 @@ def _exec_drop_column(op, state, backend):
         raise ExecError(op, "cannot drop every column", detail=p["table"])
     cols = [t.schema.columns[i] for i in keep]
     rows = [tuple(row[i] for i in keep) for row in t.rows]
-    return _with(state, [], [_build_table(t.name, cols, rows, t.schema.description)])
+    return _build_table(t.name, cols, rows, t.schema.description)
 
 
-def _exec_split_column(op, state, backend):
+def _exec_split_column(op, t):
     p = op.params
-    t = _get_table(state, p["table"], op)
     src_idx = _col_index(t, p["source"], op)
     targets = p["target"]
     remaining = [c.name for i, c in enumerate(t.schema.columns) if i != src_idx]
@@ -941,13 +905,11 @@ def _exec_split_column(op, state, backend):
     for name in targets:
         if name in remaining:
             raise ExecError(op, f"target column {name!r} already exists", detail=name)
-    names = t.column_names
     pieces = []
-    for r, row in enumerate(t.rows):
+    for r, (row, v) in enumerate(zip(t.rows, _func_cells(op, t, src_idx))):
         if row[src_idx] is None:
             pieces.append((None,) * len(targets))
             continue
-        v = _eval_cell(p["func"], names, row, r, op)
         if not isinstance(v, tuple):
             raise ExecError(op, f"row {r}: func must yield a list", detail=p["source"])
         padded = tuple(v[: len(targets)]) + (None,) * max(0, len(targets) - len(v))
@@ -966,23 +928,19 @@ def _exec_split_column(op, state, backend):
             fallbacks.append(c.dtype)
             descs.append(c.description)
     specs, rows = _infer_output_columns(names, cells, fallbacks, op, descs, computed=targets)
-    return _with(state, [], [_build_table(t.name, specs, rows, t.schema.description)])
+    return _build_table(t.name, specs, rows, t.schema.description)
 
 
-def _exec_concatenate(op, state, backend):
+def _exec_concatenate(op, t):
     p = op.params
-    t = _get_table(state, p["table"], op)
     if not p["columns"]:
         raise ExecError(op, "columns must not be empty", detail=p["table"])
     _col_indexes(t, p["columns"], op)
-    names = t.column_names
-    cells = [_eval_cell(p["func"], names, row, r, op) for r, row in enumerate(t.rows)]
-    return _with(state, [], [_append_column(t, p["target"], cells, op)])
+    return _append_column(t, p["target"], list(_func_cells(op, t)), op)
 
 
-def _exec_select_column(op, state, backend):
+def _exec_select_column(op, t):
     p = op.params
-    t = _get_table(state, p["table"], op)
     if not p["columns"]:
         raise ExecError(op, "must keep at least one column", detail=p["table"])
     _col_indexes(t, p["columns"], op)
@@ -990,27 +948,22 @@ def _exec_select_column(op, state, backend):
     keep = [i for i, c in enumerate(t.schema.columns) if c.name in keep_set]
     cols = [t.schema.columns[i] for i in keep]
     rows = [tuple(row[i] for i in keep) for row in t.rows]
-    return _with(state, [], [_build_table(t.name, cols, rows, t.schema.description)])
+    return _build_table(t.name, cols, rows, t.schema.description)
 
 
-def _exec_subtitle(op, state, backend):
+def _exec_subtitle(op, t):
     p = op.params
-    t = _get_table(state, p["table"], op)
     cells = [p["title"]] * t.n_rows
-    return _with(state, [], [_append_column(t, p["target_col"], cells, op, dtype=TEXT)])
+    return _append_column(t, p["target_col"], cells, op, dtype=TEXT)
 
 
 # ---------------------------------------------------------------------------
 # row selection
 # ---------------------------------------------------------------------------
 
-def _exec_filter(op, state, backend):
-    p = op.params
-    t = _get_table(state, p["table"], op)
-    names = t.column_names
+def _exec_filter(op, t):
     rows = []
-    for r, row in enumerate(t.rows):
-        v = _eval_cell(p["func"], names, row, r, op)
+    for r, (row, v) in enumerate(zip(t.rows, _func_cells(op, t))):
         if v is True:
             rows.append(row)
         elif v is not None and not isinstance(v, bool):
@@ -1018,12 +971,11 @@ def _exec_filter(op, state, backend):
                 op, f"row {r}: func returned {render_cell(v)!r}, expected boolean",
                 detail=render_cell(v),
             )
-    return _with(state, [], [Table.trusted(t.schema, tuple(rows))])
+    return Table.trusted(t.schema, tuple(rows))
 
 
-def _exec_sort(op, state, backend):
+def _exec_sort(op, t):
     p = op.params
-    t = _get_table(state, p["table"], op)
     if not p["by"]:
         raise ExecError(op, "sort needs at least one key column", detail=p["table"])
     idxs = _col_indexes(t, p["by"], op)
@@ -1040,15 +992,14 @@ def _exec_sort(op, state, backend):
     for i, up in reversed(list(zip(idxs, asc))):
         order.sort(key=column_keys(t, i, sort=True).__getitem__, reverse=not up)
     rows = tuple(map(t.rows.__getitem__, order))
-    return _with(state, [], [Table.trusted(t.schema, rows)])
+    return Table.trusted(t.schema, rows)
 
 
-def _exec_topk(op, state, backend):
+def _exec_topk(op, t):
     p = op.params
-    t = _get_table(state, p["table"], op)
     if p["k"] < 0:
         raise ExecError(op, f"k must be non-negative, got {p['k']}", detail=str(p["k"]))
-    return _with(state, [], [Table.trusted(t.schema, t.rows[: p["k"]])])
+    return Table.trusted(t.schema, t.rows[: p["k"]])
 
 
 # ---------------------------------------------------------------------------
@@ -1093,9 +1044,8 @@ def _agg_fallback(fn: str, src_dtype: str) -> str:
     return src_dtype
 
 
-def _exec_group_by(op, state, backend):
+def _exec_group_by(op, t):
     p = op.params
-    t = _get_table(state, p["table"], op)
     key_idxs = _col_indexes(t, p["by"], op)
     agg: dict[str, str] = p["agg"]
     agg_idxs = {col: _col_index(t, col, op) for col in agg}
@@ -1128,23 +1078,18 @@ def _exec_group_by(op, state, backend):
     specs, rows = _infer_output_columns(
         out_names, key_cells + agg_cells, fallbacks, op, descs, computed=out_names[len(key_idxs):]
     )
-    return _with(state, [], [_build_table(t.name, specs, rows, t.schema.description)])
+    return _build_table(t.name, specs, rows, t.schema.description)
 
 
-def _exec_count(op, state, backend):
-    p = op.params
-    t = _get_table(state, p["table"], op)
+def _exec_count(op, t):
     cols = [ColumnSpec("count", INT)]
-    return _with(state, [], [_build_table(t.name, cols, [(t.n_rows,)], t.schema.description)])
+    return _build_table(t.name, cols, [(t.n_rows,)], t.schema.description)
 
 
-def _exec_calculate_statistic(op, state, backend):
+def _exec_calculate_statistic(op, t):
     p = op.params
-    t = _get_table(state, p["table"], op)
-    names = t.column_names
     stat = p["stat"]
-    values = [_eval_cell(p["func"], names, row, r, op) for r, row in enumerate(t.rows)]
-    present = [v for v in values if v is not None]
+    present = [v for v in _func_cells(op, t) if v is not None]
     if not present and stat != "sum":
         raise ExecError(op, f"{stat} over no values", detail=stat)
     if stat == "sum" and not present:
@@ -1153,7 +1098,7 @@ def _exec_calculate_statistic(op, state, backend):
         result = _fold(stat, present, op, "func values")
     dtype, (result,) = _resolve_column(stat, [result], op, INT, computed=True)
     cols = [ColumnSpec(stat, dtype)]
-    return _with(state, [], [_build_table(t.name, cols, [(result,)], t.schema.description)])
+    return _build_table(t.name, cols, [(result,)], t.schema.description)
 
 
 # ---------------------------------------------------------------------------
@@ -1181,10 +1126,8 @@ def _picker(idxs: Sequence[int]) -> Callable[[tuple], tuple]:
     return lambda row: ()
 
 
-def _exec_join(op, state, backend):
+def _exec_join(op, left, right):
     p = op.params
-    left = _get_table(state, p["left"], op)
-    right = _get_table(state, p["right"], op)
     on = p["on"]
     if not on:
         raise ExecError(op, "join needs at least one key column", detail=p["left"])
@@ -1270,27 +1213,27 @@ def _exec_join(op, state, backend):
             fixed_rows.append(tuple(row))
         rows = fixed_rows
 
-    name = f"{p['left']}_{p['right']}_join"
-    out = _build_table(name, cols, rows)
-    return _with(state, [p["left"], p["right"]], [out])
+    return _build_table(f"{p['left']}_{p['right']}_join", cols, rows)
 
 
-def _exec_union(op, state, backend):
-    p = op.params
-    names = p["tables"]
-    tabs = [_get_table(state, n, op) for n in names]
-    first = tabs[0]
+def _stack(
+    op: OperatorInstance, tables: list[Table], name: str,
+    description: str | None = None, distinct: bool = False,
+) -> Table:
+    """The tables' rows one below another, in the first table's column order;
+    every table must have its column names. `distinct` keeps the first of
+    equal rows."""
+    first = tables[0]
     base_names = first.column_names
     all_rows: list[tuple] = []
-    for t in tabs:
+    for t in tables:
         if set(t.column_names) != set(base_names):
             raise ExecError(
                 op, f"table {t.name!r} columns {sorted(t.column_names)} do not match "
                     f"{sorted(base_names)}", detail=t.name,
             )
-        order = [t.column_index(n) for n in base_names]
-        all_rows.extend(tuple(row[i] for i in order) for row in t.rows)
-    if p["how"] == "distinct":
+        all_rows.extend(map(_picker([t.column_index(n) for n in base_names]), t.rows))
+    if distinct:
         # per-cell keys: a column may be int in one table and real in another
         keys = [tuple(map(cell_hash_key, row)) for row in all_rows]
         all_rows = _dedupe_rows(all_rows, keys, "first")
@@ -1298,38 +1241,24 @@ def _exec_union(op, state, backend):
     fallbacks = [c.dtype for c in first.schema.columns]
     descs = [c.description for c in first.schema.columns]
     specs, rows = _infer_output_columns(list(base_names), cells, fallbacks, op, descs)
-    out_name = "_".join(names) + "_union"
-    out = _build_table(out_name, specs, rows)
-    return _with(state, list(dict.fromkeys(names)), [out])
+    return _build_table(name, specs, rows, description)
 
 
-def _exec_append(op, state, backend):
+def _exec_union(op, tables):
     p = op.params
-    t = _get_table(state, p["table"], op)
-    other = _get_table(state, p["other"], op)
-    if set(other.column_names) != set(t.column_names):
-        raise ExecError(
-            op, f"table {other.name!r} columns {sorted(other.column_names)} do not match "
-                f"{sorted(t.column_names)}", detail=other.name,
-        )
-    order = [other.column_index(n) for n in t.column_names]
-    all_rows = list(t.rows) + [tuple(row[i] for i in order) for row in other.rows]
-    cells = [[row[j] for row in all_rows] for j in range(len(t.column_names))]
-    fallbacks = [c.dtype for c in t.schema.columns]
-    descs = [c.description for c in t.schema.columns]
-    specs, rows = _infer_output_columns(list(t.column_names), cells, fallbacks, op, descs)
-    out = _build_table(t.name, specs, rows, t.schema.description)
-    remove = [p["other"]] if p["other"] != p["table"] else []
-    return _with(state, remove, [out])
+    return _stack(op, tables, "_".join(p["tables"]) + "_union", distinct=p["how"] == "distinct")
+
+
+def _exec_append(op, t, other):
+    return _stack(op, [t, other], t.name, t.schema.description)
 
 
 # ---------------------------------------------------------------------------
 # reshaping
 # ---------------------------------------------------------------------------
 
-def _exec_pivot(op, state, backend):
+def _exec_pivot(op, t):
     p = op.params
-    t = _get_table(state, p["table"], op)
     idx_idxs = _col_indexes(t, p["index"], op)
     col_idx = _col_index(t, p["columns"], op)
     val_idx = _col_index(t, p["values"], op)
@@ -1385,13 +1314,11 @@ def _exec_pivot(op, state, backend):
     descs: list[str | None] = [t.schema.columns[i].description for i in idx_idxs]
     descs += [None] * len(labels)
     specs, rows = _infer_output_columns(names, cells, fallbacks, op, descs, computed=labels)
-    out = _build_table(f"{t.name}_pivot", specs, rows)
-    return _with(state, [p["table"]], [out])
+    return _build_table(f"{t.name}_pivot", specs, rows)
 
 
-def _exec_stack(op, state, backend):
+def _exec_stack(op, t):
     p = op.params
-    t = _get_table(state, p["table"], op)
     id_idxs = _col_indexes(t, p["id_vars"], op)
     if not p["value_vars"]:
         raise ExecError(op, "value_vars must not be empty", detail=p["table"])
@@ -1418,13 +1345,11 @@ def _exec_stack(op, state, backend):
     fallbacks = [t.schema.columns[i].dtype for i in id_idxs] + [TEXT, TEXT]
     descs: list[str | None] = [t.schema.columns[i].description for i in id_idxs] + [None, None]
     specs, rows = _infer_output_columns(names, id_cells + [var_cells, val_cells], fallbacks, op, descs)
-    out = _build_table(f"{t.name}_stack", specs, rows)
-    return _with(state, [p["table"]], [out])
+    return _build_table(f"{t.name}_stack", specs, rows)
 
 
-def _exec_wide_to_long(op, state, backend):
+def _exec_wide_to_long(op, t):
     p = op.params
-    t = _get_table(state, p["table"], op)
     stubs = p["stubnames"]
     i_idxs = _col_indexes(t, p["i"], op)
     j_name = p["j"]
@@ -1475,13 +1400,10 @@ def _exec_wide_to_long(op, state, backend):
     fallbacks = [t.schema.columns[i].dtype for i in i_idxs] + [TEXT] + [TEXT] * len(stubs)
     descs: list[str | None] = [t.schema.columns[i].description for i in i_idxs] + [None] * (1 + len(stubs))
     specs, rows = _infer_output_columns(names, i_cells + [j_cells] + stub_cells, fallbacks, op, descs)
-    out = _build_table(f"{t.name}_widetolong", specs, rows)
-    return _with(state, [p["table"]], [out])
+    return _build_table(f"{t.name}_widetolong", specs, rows)
 
 
-def _exec_transpose(op, state, backend):
-    p = op.params
-    t = _get_table(state, p["table"], op)
+def _exec_transpose(op, t):
     names = ["column"] + [f"r{i}" for i in range(t.n_rows)]
     cols = [ColumnSpec(n, TEXT) for n in names]
     rows = []
@@ -1491,13 +1413,11 @@ def _exec_transpose(op, state, backend):
             v = t.rows[r][j]
             row.append(None if v is None else render_cell(v))
         rows.append(tuple(row))
-    out = _build_table(f"{t.name}_transpose", cols, rows)
-    return _with(state, [p["table"]], [out])
+    return _build_table(f"{t.name}_transpose", cols, rows)
 
 
-def _exec_explode(op, state, backend):
+def _exec_explode(op, t):
     p = op.params
-    t = _get_table(state, p["table"], op)
     idx = _col_index(t, p["column"], op)
     exploded: list[tuple] = []
     for row in t.rows:
@@ -1513,8 +1433,7 @@ def _exec_explode(op, state, backend):
     fallbacks = [TEXT if j == idx else c.dtype for j, c in enumerate(t.schema.columns)]
     descs = [c.description for c in t.schema.columns]
     specs, rows = _infer_output_columns(names, cells, fallbacks, op, descs)
-    out = _build_table(f"{t.name}_explode", specs, rows, t.schema.description)
-    return _with(state, [p["table"]], [out])
+    return _build_table(f"{t.name}_explode", specs, rows, t.schema.description)
 
 
 # ---------------------------------------------------------------------------
@@ -1580,15 +1499,14 @@ class SubprocessScriptBackend:
             Path(script.name).unlink(missing_ok=True)
 
 
-def _exec_execode(op, state, backend: ScriptBackend | None):
+def _exec_execode(op, tables, backend: ScriptBackend | None):
     p = op.params
-    tabs = {name: _get_table(state, name, op) for name in p["tables"]}
     if not p["target"]:
         raise ExecError(op, "target table name must be non-empty", detail="target")
     if backend is None:
         raise ExecError(op, "script backend is disabled", detail="backend")
     try:
-        result = backend.run(p["func"], tabs, p["target"])
+        result = backend.run(p["func"], dict(zip(p["tables"], tables)), p["target"])
     except ExecError as exc:
         raise ExecError(op, exc.message, exc.detail) from None
     except Exception as exc:  # backend bug or script misbehavior
@@ -1596,15 +1514,17 @@ def _exec_execode(op, state, backend: ScriptBackend | None):
     if not isinstance(result, Table):
         raise ExecError(op, "script backend returned a non-table")
     # script output is untrusted: the checked constructor re-validates every cell
-    out = Table(Schema(p["target"], result.schema.columns, result.schema.description), result.rows)
-    return _with(state, list(dict.fromkeys(p["tables"])), [out])
+    return Table(Schema(p["target"], result.schema.columns, result.schema.description), result.rows)
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
 
-_HANDLERS: dict[str, Callable[[OperatorInstance, TableSet, ScriptBackend | None], TableSet]] = {
+# each handler takes the op, then one Table per P_TABLE parameter and one list
+# per P_TABLE_LIST parameter, in parameter order (ExeCode also the backend),
+# and returns its one output table
+_HANDLERS: dict[str, Callable[..., Table]] = {
     "DropNA": _exec_dropna,
     "MissingValueImputation": _exec_imputation,
     "Deduplicate": _exec_deduplicate,
@@ -1648,15 +1568,35 @@ def execute_operator(
 ) -> TableSet:
     """Apply one operator to a table set, returning a new table set.
 
-    Tables the operator does not name are carried over by reference. Raises
-    ExecError on any failure; the input state is never mutated.
+    The tables the operator names are consumed: they leave the set, and the
+    handler's one output takes their place under its own name. Tables the
+    operator does not name are carried over by reference. Raises ExecError
+    on any failure; the input state is never mutated.
     """
     handler = _HANDLERS.get(op.kind)
     if handler is None:
         raise ExecError(op, f"unknown operator {op.kind!r}", detail=op.kind)
+    named: list[str] = []
+    args: list[Any] = []
+    for param in REGISTRY[op.kind].params:
+        if param.kind in (P_TABLE, P_TABLE_LIST):
+            value = op.params[param.name]
+            names = [value] if param.kind == P_TABLE else value
+            for name in names:
+                if name not in state:
+                    raise ExecError(op, f"no table named {name!r}", detail=name)
+            named += names
+            tables = [state[name] for name in names]
+            args.append(tables[0] if param.kind == P_TABLE else tables)
+    if op.kind == "ExeCode":
+        args.append(script_backend)
     try:
-        return handler(op, state, script_backend)
+        out = handler(op, *args)
     except ExecError:
         raise
     except (TableError, EvalError) as exc:
         raise ExecError(op, str(exc)) from None
+    # an output named like a table already in the set keeps that table's slot
+    new_state = {k: t for k, t in state.items() if k == out.name or k not in named}
+    new_state[out.name] = out
+    return new_state

@@ -37,6 +37,10 @@ class RewardWeights:
     beta: float = 0.5
     gamma: float = 0.2
 
+    def blend(self, outcome: float, partial: float, process: float) -> float:
+        """The total reward: alpha * outcome + beta * partial + gamma * process."""
+        return self.alpha * outcome + self.beta * partial + self.gamma * process
+
 
 DEFAULT_WEIGHTS = RewardWeights()
 
@@ -303,12 +307,11 @@ def score_trajectory(
         r_part = _partial_credit(r_out == 1.0, s_sch, s_shp, s_cnt)
     judge_scores = (judge or RuleJudge()).score(traj)
     r_llm = judge_scores.mean
-    total = weights.alpha * r_out + weights.beta * r_part + weights.gamma * r_llm
     return RewardBreakdown(
         outcome=r_out,
         partial=r_part,
         process=r_llm,
-        total=total,
+        total=weights.blend(r_out, r_part, r_llm),
         schema_sim=s_sch,
         shape_sim=s_shp,
         cell_sim=s_cnt,

@@ -48,7 +48,7 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path

@@ -193,6 +193,10 @@ def test_replay_from_reply_script(suite, tmp_path, capsys):
     assert "status: answered" in out
     assert "outcome: 1" in out
 
+    # one turn is spent on the expand, so the answer never comes
+    assert main(["replay", str(bundle_dir), str(script), "--max-turns", "1"]) == 1
+    assert "status: turn_limit" in capsys.readouterr().out
+
     assert main(["replay", str(bundle_dir), str(tmp_path / "missing.json")]) == 2
 
 

@@ -994,6 +994,29 @@ def test_single_table_ops_replace_in_place():
     assert state["movies"].n_rows == 4
 
 
+def test_op_consumes_the_key_it_names():
+    # a key that differs from its table's name is consumed like any other;
+    # the output is stored under its own name
+    t = make_table("t", [("a", INT)], [(1,), (None,)])
+    out = run('DropNA("x", [], "any")', {"x": t})
+    assert set(out) == {"t"} and out["t"].rows == ((1,),)
+    assert set(run('Transpose("x")', {"x": t})) == {"t_transpose"}
+
+
+@pytest.mark.parametrize("call, message", [
+    ('Filter("t", "10 / col(\\"a\\")")', "row 0: func returned '10.0', expected boolean"),
+    ('ErrorDetection("t", "a", "10 / col(\\"a\\")")', "row 0: func must return boolean or null"),
+    ('SplitColumn("t", "a", ["b"], "10 / col(\\"a\\")")', "row 0: func must yield a list"),
+])
+def test_first_failing_row_names_the_error(call, message):
+    # row 0's result has the wrong type and row 1 divides by zero: func runs
+    # row by row, so the check on row 0 fails before row 1 is evaluated
+    t = make_table("t", [("a", INT)], [(1,), (0,)])
+    with pytest.raises(ExecError) as err:
+        run(call, {"t": t})
+    assert err.value.message == message
+
+
 # --- out-of-domain executor fuzz ----------------------------------------------
 
 # names that the random tables hold, names they never hold, and names that
@@ -1082,18 +1105,29 @@ def test_executor_fuzz_out_of_domain():
             text = serialize_operator_call(op)
             back = parse_operator_call(text)
             assert back == op and serialize_operator_call(back) == text, text
+            before = dict(state)
             try:
                 out = execute_operator(op, state, script_backend=backend)
             except ExecError:
                 done["failed"] += 1
                 continue
             done["ok"] += 1
+            assert state.keys() == before.keys(), text
+            assert all(state[k] is t for k, t in before.items()), text
+            # the named tables are consumed and one new table takes their
+            # place under its own name; every other table is carried over
+            named = set()
+            for p in REGISTRY[kind].params:
+                if p.kind == P_TABLE:
+                    named.add(op.params[p.name])
+                elif p.kind == P_TABLE_LIST:
+                    named.update(op.params[p.name])
             inputs = {id(t) for t in state.values()}
-            for t in out.values():
-                if id(t) in inputs:
-                    continue
-                assert type(t.rows) is tuple and all(type(row) is tuple for row in t.rows), text
-                assert _typed(Table(t.schema, t.rows).rows) == _typed(t.rows), text
+            (t,) = [t for t in out.values() if id(t) not in inputs]
+            assert out.keys() == (state.keys() - named) | {t.name} and out[t.name] is t, text
+            assert all(out[k] is state[k] for k in out if k != t.name), text
+            assert type(t.rows) is tuple and all(type(row) is tuple for row in t.rows), text
+            assert _typed(Table(t.schema, t.rows).rows) == _typed(t.rows), text
             if rng.random() < 0.5:
                 state = out
     assert done["ok"] > 5000 and done["failed"] > 5000, done
