@@ -118,13 +118,14 @@ class TurnRecord:
     failure_detail: str | None = None
     feedback: str | None = None
 
-    def to_json(self) -> dict:
-        return dict(vars(self))
-
 
 @dataclass
 class Trajectory:
-    """Everything one episode produced."""
+    """Everything one episode produced.
+
+    Every field but `tree` is written to the episode's JSONL log by
+    harness.write_trajectory_log; a trajectory loaded from a log has no tree.
+    """
 
     task_id: str
     status: str
@@ -499,44 +500,6 @@ def run_episode(
         messages.append({"role": "user", "content": feedback})
 
     return finish()
-
-
-def trajectory_to_json(traj: Trajectory) -> dict:
-    """Log record for one episode; the final table is embedded for re-scoring."""
-    from .tables import table_to_json
-
-    return {
-        "task_id": traj.task_id,
-        "status": traj.status,
-        "answer_path": traj.answer_path,
-        "answer_plan": traj.answer_plan,
-        "turns": [t.to_json() for t in traj.turns],
-        "final_table": None if traj.final_table is None else table_to_json(traj.final_table),
-        "wall_time": traj.wall_time,
-        "protocol_error_count": traj.protocol_error_count,
-        "usage": traj.usage,
-        "error": traj.error,
-    }
-
-
-def trajectory_from_json(data: dict) -> Trajectory:
-    """Rebuild a trajectory from its log record (without the search tree)."""
-    from .tables import table_from_json
-
-    turns = [TurnRecord(**t) for t in data.get("turns", [])]
-    final = data.get("final_table")
-    return Trajectory(
-        task_id=data["task_id"],
-        status=data["status"],
-        turns=turns,
-        answer_path=data.get("answer_path"),
-        answer_plan=data.get("answer_plan"),
-        final_table=None if final is None else table_from_json(final),
-        wall_time=data.get("wall_time", 0.0),
-        protocol_error_count=data.get("protocol_error_count", 0),
-        usage=data.get("usage"),
-        error=data.get("error"),
-    )
 
 
 # ---------------------------------------------------------------------------

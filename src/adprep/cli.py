@@ -21,24 +21,17 @@ import shlex
 import sys
 from pathlib import Path
 
-from .agent import (
-    HttpChatPolicy,
-    IdentityPolicy,
-    PolicyError,
-    ScriptedPolicy,
-    Task,
-    run_episode,
-)
+from .agent import HttpChatPolicy, IdentityPolicy, PolicyError, ScriptedPolicy
 from .harness import (
     HarnessError,
     discover_tasks,
     gt_replay_policy,
     replay_suite,
     run_benchmark,
-    write_trajectory_log,
+    score_case,
 )
 from .operators import SubprocessScriptBackend
-from .reward import RewardWeights, score_trajectory
+from .reward import RewardWeights
 from .synthesis import SynthesisError, read_bundle, synthesize_demo_task, verify_bundle, write_bundle
 from .tables import TableIOError, serialize_table
 
@@ -165,13 +158,14 @@ def _cmd_run(args) -> int:
 
 
 def _run_single_episode(args, bundle, policy) -> int:
-    task = Task(bundle.task_id, bundle.sources, bundle.target_schema)
-    traj = run_episode(
-        task, policy, max_turns=args.max_turns, script_backend=_script_backend(args)
+    traj, breakdown = score_case(
+        bundle,
+        policy,
+        weights=_weights(args),
+        max_turns=args.max_turns,
+        script_backend=_script_backend(args),
+        log_path=args.log,
     )
-    breakdown = score_trajectory(traj, bundle.target_table, weights=_weights(args))
-    if args.log:
-        write_trajectory_log(args.log, traj, breakdown.to_json())
     print(f"status: {traj.status}")
     if traj.answer_path is not None:
         print(f"answer: {traj.answer_path}")

@@ -6,12 +6,16 @@ kind:
 
     task    first line: {"record": "task", "task_id": ...}
     turn    one per turn, in order: the fields of TurnRecord
-    result  last line: the rest of trajectory_to_json's record (status,
-            answer, the produced table, ...) plus the episode's "scores"
+    result  last line: every other Trajectory field but the search tree
+            (status, answer, the produced table, ...) plus the episode's
+            "scores"
 
-The result embeds the produced table, so a log can be re-scored later
-without touching a model. Reports aggregate accuracy (exact-match rate),
-completion (answered rate), and a wall-clock cost estimate.
+The log is the one serialized form of an episode, and every score is taken
+from what it holds: the result embeds the produced table and the process
+judge reads only the turns, so `adprep score` re-scores a log without a
+model and gives the scores the live run gave. Reports aggregate accuracy
+(exact-match rate), completion (answered rate), and a wall-clock cost
+estimate.
 """
 
 from __future__ import annotations
@@ -21,16 +25,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .agent import (
-    Task,
-    Trajectory,
-    run_episode,
-    trajectory_from_json,
-    trajectory_to_json,
-)
-from .reward import DEFAULT_WEIGHTS, RewardWeights, score_trajectory
+from .agent import Task, Trajectory, TurnRecord, run_episode
+from .reward import DEFAULT_WEIGHTS, RewardBreakdown, RewardWeights, score_trajectory
 from .synthesis import SynthesisError, TaskBundle, read_bundle
-from .tables import TableError
+from .tables import TableError, table_from_json, table_to_json
 
 GPU_DOLLARS_PER_HOUR = 0.91
 
@@ -160,16 +158,30 @@ class Report:
 # episode logs
 # ---------------------------------------------------------------------------
 
+# The Trajectory fields a result record holds beside "status". The task id
+# heads the log, each turn has its own record, and the search tree is not
+# logged. The final table is stored as table_to_json.
+_RESULT_FIELDS = (
+    "answer_path", "answer_plan", "final_table", "wall_time", "protocol_error_count",
+    "usage", "error",
+)
+
+
 def write_trajectory_log(path: str | Path, traj: Trajectory, scores: dict | None = None) -> None:
     """One JSONL file per episode: header, turns, then the terminal record."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    result = trajectory_to_json(traj)
-    records = [{"record": "task", "task_id": result.pop("task_id")}]
-    records.extend({"record": "turn", **turn} for turn in result.pop("turns"))
+    result = {"record": "result", "status": traj.status}
+    result.update((k, getattr(traj, k)) for k in _RESULT_FIELDS)
+    if traj.final_table is not None:
+        result["final_table"] = table_to_json(traj.final_table)
     if scores is not None:
         result["scores"] = scores
-    records.append({"record": "result", **result})
+    records = [
+        {"record": "task", "task_id": traj.task_id},
+        *({"record": "turn", **vars(turn)} for turn in traj.turns),
+        result,
+    ]
     path.write_text(
         "".join(json.dumps(r, sort_keys=True) + "\n" for r in records), encoding="utf-8"
     )
@@ -189,40 +201,39 @@ def load_trajectory_log(path: str | Path) -> Trajectory:
         raise HarnessError(f"{path}: every log line must be a JSON object")
     if not lines or lines[0].get("record") != "task":
         raise HarnessError(f"{path}: not a trajectory log (no task header)")
-    terminal = lines[-1]
-    if terminal.get("record") != "result":
+    result = lines[-1]
+    if result.get("record") != "result":
         raise HarnessError(f"{path}: log is truncated (no result record)")
-    data = {k: v for k, v in terminal.items() if k not in ("record", "scores")}
-    data["turns"] = [
-        {k: v for k, v in line.items() if k != "record"}
-        for line in lines[1:-1]
-        if line.get("record") == "turn"
-    ]
     try:
-        data["task_id"] = lines[0]["task_id"]
-        return trajectory_from_json(data)
+        task_id = lines[0]["task_id"]
+        turns = [
+            TurnRecord(**{k: v for k, v in line.items() if k != "record"})
+            for line in lines[1:-1]
+            if line.get("record") == "turn"
+        ]
+        status = result["status"]
+        fields = {k: result[k] for k in _RESULT_FIELDS if k in result}
+        if fields.get("final_table") is not None:
+            fields["final_table"] = table_from_json(fields["final_table"])
     except KeyError as exc:
         raise HarnessError(f"{path}: log record lacks {exc}") from None
     except (TypeError, TableError) as exc:
         raise HarnessError(f"{path}: malformed log record: {exc}") from None
+    return Trajectory(task_id, status, turns, **fields)
 
 
 # ---------------------------------------------------------------------------
 # running and scoring
 # ---------------------------------------------------------------------------
 
-def _case_from_scores(bundle_id: str, traj: Trajectory, breakdown, weights) -> CaseResult:
-    # a task only counts as solved when the episode actually finished with an
-    # answer; this keeps accuracy <= completion even in degenerate cases like
-    # an empty target table
-    outcome = breakdown.outcome if traj.status == "answered" else 0.0
+def _case_from_scores(bundle_id: str, traj: Trajectory, breakdown: RewardBreakdown) -> CaseResult:
     return CaseResult(
         task_id=bundle_id,
         status=traj.status,
-        outcome=outcome,
+        outcome=breakdown.outcome,
         partial=breakdown.partial,
         process=breakdown.process,
-        total=weights.blend(outcome, breakdown.partial, breakdown.process),
+        total=breakdown.total,
         turns=len([t for t in traj.turns if t.action in ("expand", "answer")]),
         protocol_errors=traj.protocol_error_count,
         wall_time=traj.wall_time,
@@ -246,7 +257,8 @@ def score_case(
     sample_rows: int = 5,
     script_backend=None,
     log_path: str | Path | None = None,
-) -> CaseResult:
+) -> tuple[Trajectory, RewardBreakdown]:
+    """Run one episode on a bundle, score it, and write its log if asked."""
     task = Task(bundle.task_id, bundle.sources, bundle.target_schema)
     traj = run_episode(
         task,
@@ -258,7 +270,7 @@ def score_case(
     breakdown = score_trajectory(traj, bundle.target_table, weights=weights, judge=judge)
     if log_path is not None:
         write_trajectory_log(log_path, traj, breakdown.to_json())
-    return _case_from_scores(bundle.task_id, traj, breakdown, weights)
+    return traj, breakdown
 
 
 def gt_replay_policy(bundle: TaskBundle):
@@ -341,7 +353,7 @@ def run_benchmark(
             )
         log_path = None if log_dir is None else Path(log_dir) / f"{bundle.task_id}.jsonl"
         try:
-            return score_case(
+            traj, breakdown = score_case(
                 bundle,
                 policy,
                 weights=weights,
@@ -353,6 +365,7 @@ def run_benchmark(
             )
         except Exception as exc:
             return _internal_error(bundle.task_id, exc)
+        return _case_from_scores(bundle.task_id, traj, breakdown)
 
     if threads <= 1:
         rows = [run_one(d) for d in dirs]
@@ -379,11 +392,10 @@ def replay_suite(
 ) -> Report:
     """Re-score logged episodes against the suite's targets, no model needed.
 
-    Process scores are judged from the logged turns alone; the search tree
-    is not part of the log, so a backtracking switch can score lower here
-    than it did live. A task whose scoring raises (a logged call that no
-    longer parses, a failing judge) becomes an "internal_error" row, as in
-    run_benchmark.
+    Each row is scored as run_benchmark scored it live: the outcome and
+    partial credit from the logged final table, the process from the logged
+    turns. A task whose scoring raises (a logged call that no longer parses,
+    a failing judge) becomes an "internal_error" row, as in run_benchmark.
     """
     rows = []
     for task_dir in discover_tasks(Path(suite_dir)):
@@ -403,7 +415,7 @@ def replay_suite(
             continue
         try:
             breakdown = score_trajectory(traj, bundle.target_table, weights=weights, judge=judge)
-            rows.append(_case_from_scores(bundle.task_id, traj, breakdown, weights))
+            rows.append(_case_from_scores(bundle.task_id, traj, breakdown))
         except Exception as exc:
             rows.append(_internal_error(bundle.task_id, exc))
     rows.sort(key=lambda r: r.task_id)

@@ -23,7 +23,6 @@ from operator import eq, itemgetter
 
 from .operators import name_bearing_values, parse_operator_call
 from .tables import Table, cell_sort_key, self_keyed, tables_equal
-from .tree import ReasoningTree
 from .agent import Trajectory
 
 
@@ -161,9 +160,17 @@ class RuleJudge:
       Scored over failures that had a following turn; none applicable is 1.
     - backtracking: expanding from somewhere other than the previous
       expand's deepest node abandons that line of work, which is justified
-      only when the abandoned subtree recorded a failure (judged on the
-      finished tree). Score is the fraction of justified switches; never
+      only when the abandoned subtree recorded a failure anywhere in the
+      episode. Score is the fraction of justified switches; never
       switching is 1.
+
+    Every criterion reads the turns alone, so a trajectory loaded from its
+    log scores exactly as it did live. A failed expand is recorded on the
+    deepest node it reached, which is that turn's leaf_path, so a node's
+    subtree holds a failure exactly when some failed expand's leaf_path is
+    the node's path or extends it by " -> " and more calls. (An expand ends
+    at "root" only when its first op failed there, so a switch away from
+    "root" always finds that failure.)
     """
 
     def score(self, traj: Trajectory) -> JudgeScores:
@@ -208,17 +215,15 @@ class RuleJudge:
         expands = [t for t in traj.turns if t.action == "expand"]
         if len(expands) < 2:
             return 1.0
-        by_path = {}
-        if isinstance(traj.tree, ReasoningTree):
-            by_path = {node.path_text: node for node in traj.tree.nodes}
+        failed = [t.leaf_path for t in expands if t.failure_op_kind is not None]
         switches = 0
         justified = 0
         for prev, cur in zip(expands, expands[1:]):
             if cur.parent_path == prev.leaf_path:
                 continue
             switches += 1
-            abandoned = by_path.get(prev.leaf_path)
-            if abandoned is not None and abandoned.subtree_has_failure():
+            below = prev.leaf_path + " -> "
+            if any(f == prev.leaf_path or f.startswith(below) for f in failed):
                 justified += 1
         return justified / switches if switches else 1.0
 
@@ -294,17 +299,24 @@ def score_trajectory(
     weights: RewardWeights = DEFAULT_WEIGHTS,
     judge=None,
 ) -> RewardBreakdown:
+    """Score one episode against its target table.
+
+    Only an answered episode solves its task: an empty_result whose 0-row
+    table equals a 0-row target keeps its partial credit but scores outcome
+    0, which keeps accuracy <= completion.
+    """
     predicted = traj.final_table
     if predicted is None:
         r_out = r_part = s_sch = s_shp = s_cnt = 0.0
     else:
-        r_out = outcome_score(predicted, target)
+        exact = outcome_score(predicted, target) == 1.0
         s_sch = schema_score(predicted, target)
         s_shp = shape_score(predicted, target)
         # equal row multisets sort into equal key lists, so every cell pairs;
         # a table with no columns still gets cell_score's 0.0
-        s_cnt = 1.0 if r_out == 1.0 and predicted.column_names else cell_score(predicted, target)
-        r_part = _partial_credit(r_out == 1.0, s_sch, s_shp, s_cnt)
+        s_cnt = 1.0 if exact and predicted.column_names else cell_score(predicted, target)
+        r_part = _partial_credit(exact, s_sch, s_shp, s_cnt)
+        r_out = 1.0 if exact and traj.answered else 0.0
     judge_scores = (judge or RuleJudge()).score(traj)
     r_llm = judge_scores.mean
     return RewardBreakdown(

@@ -456,7 +456,7 @@ def render_cell(v: Cell) -> str:
 
 
 def _md_escape(s: str) -> str:
-    return s.replace("\\", "\\\\").replace("|", "\\|").replace("\n", "\\n")
+    return s.replace("\\", "\\\\").replace("|", "\\|").replace("\n", "\\n").replace("\r", "\\r")
 
 
 def serialize_table(t: Table, sample_rows: int = 5) -> str:
@@ -702,14 +702,18 @@ def table_from_csv_text(text: str, name: str, schema: Schema | None = None) -> T
 
 
 def table_to_csv_text(t: Table) -> str:
-    """Render a table as csv text (header plus rows, RFC 4180 quoting)."""
+    r"""Render a table as csv text (header plus rows, RFC 4180 quoting).
+
+    Lines end in "\n", or in "\r\n" when a cell holds "\r": the csv writer
+    quotes only cells holding a character of its line terminator, and an
+    unquoted "\r" would end the row when the text is read back.
+    """
     import io
 
+    rows = [t.column_names, *([render_cell(v) for v in row] for row in t.rows)]
+    ending = "\r\n" if any("\r" in cell for row in rows for cell in row) else "\n"
     buf = io.StringIO()
-    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
-    writer.writerow(t.column_names)
-    for row in t.rows:
-        writer.writerow([render_cell(v) for v in row])
+    csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator=ending).writerows(rows)
     return buf.getvalue()
 
 

@@ -101,11 +101,6 @@ class TreeNode:
         """The first child whose edge equals `op`, or None."""
         return next((c for c in self.children if c.op == op), None)
 
-    def subtree_has_failure(self) -> bool:
-        if self.failures:
-            return True
-        return any(c.subtree_has_failure() for c in self.children)
-
 
 @dataclass
 class ExpandResult:
@@ -183,26 +178,3 @@ class ReasoningTree:
             chain.append(child)
             node = child
         return ExpandResult(chain, leaf=node)
-
-    def to_json(self) -> dict:
-        """Structural snapshot: ids, edges, table shapes, and failures."""
-        nodes = []
-        for n in self._nodes:
-            nodes.append({
-                "id": n.node_id,
-                "parent": None if n.parent is None else n.parent.node_id,
-                "op": n.op_text,
-                "tables": {
-                    name: {"columns": list(t.column_names), "rows": t.n_rows}
-                    for name, t in sorted(n.state.items())
-                },
-                "failures": [
-                    {
-                        "op": serialize_operator_call(f.op),
-                        "message": f.message,
-                        "detail": f.detail,
-                    }
-                    for f in n.failures
-                ],
-            })
-        return {"nodes": nodes}

@@ -20,8 +20,6 @@ from adprep.agent import (
     parse_reply,
     run_episode,
     split_chain,
-    trajectory_from_json,
-    trajectory_to_json,
 )
 from adprep.tables import INT, TEXT, ColumnSpec, Schema, make_table, tables_equal
 
@@ -418,20 +416,6 @@ def test_identity_policy_picks_best_overlap():
     assert traj.status == "answered"
     assert traj.final_table.name == "movies"
     assert traj.answer_path == "root"
-
-
-def test_trajectory_json_round_trip():
-    task = make_task()
-    traj = run_episode(task, ScriptedPolicy([EXPAND_REPLY, ANSWER_REPLY]))
-    data = json.loads(json.dumps(trajectory_to_json(traj)))
-    back = trajectory_from_json(data)
-    assert back.status == traj.status
-    assert back.task_id == traj.task_id
-    assert back.answer_path == traj.answer_path
-    assert len(back.turns) == len(traj.turns)
-    assert back.turns[0].op_texts == traj.turns[0].op_texts
-    assert tables_equal(back.final_table, traj.final_table)
-    assert back.tree is None
 
 
 def test_system_preamble_mentions_operators():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,9 @@ from pathlib import Path
 import pytest
 
 from adprep.cli import main
+from adprep.operators import make_operator, serialize_operator_call
+from adprep.synthesis import TaskBundle, read_bundle, write_bundle
+from adprep.tables import INT, make_table
 
 
 @pytest.fixture
@@ -174,9 +178,6 @@ def test_score_after_run(suite, tmp_path, capsys):
 
 
 def test_replay_from_reply_script(suite, tmp_path, capsys):
-    from adprep.synthesis import read_bundle
-    from adprep.operators import serialize_operator_call
-
     bundle_dir = suite / "task-001"
     bundle = read_bundle(bundle_dir)
     calls = [serialize_operator_call(op) for op in bundle.gt_pipeline]
@@ -198,6 +199,70 @@ def test_replay_from_reply_script(suite, tmp_path, capsys):
     assert "status: turn_limit" in capsys.readouterr().out
 
     assert main(["replay", str(bundle_dir), str(tmp_path / "missing.json")]) == 2
+
+
+def _branching_script(bundle) -> list[str]:
+    """Start the fix, fail a Count, switch back to root for the whole fix, answer."""
+    calls = [serialize_operator_call(op) for op in bundle.gt_pipeline]
+    return [
+        "<plan>start the fix, then count a ghost table</plan>\n<expand>\nparent: root\n"
+        + calls[0] + '\nCount("ghost")\n</expand>',
+        "<plan>no ghost table; apply the whole fix from the start</plan>\n<expand>\n"
+        "parent: root\n" + "\n".join(calls) + "\n</expand>",
+        "<plan>submit the rebuilt table</plan>\n<answer>\n" + " -> ".join(calls)
+        + f"\ntarget: {bundle.target_schema.table_name}\n</answer>",
+    ]
+
+
+SCORE_LINE = re.compile(r"^outcome: (\S+)  partial: (\S+)  process: (\S+)  total: (\S+)$", re.M)
+
+
+def test_run_score_and_replay_agree_on_a_branching_script(suite, tmp_path, capsys):
+    scripts, logs = tmp_path / "scripts", tmp_path / "logs"
+    scripts.mkdir()
+    for task_dir in sorted(suite.iterdir()):
+        script = _branching_script(read_bundle(task_dir))
+        (scripts / f"{task_dir.name}.json").write_text(json.dumps(script))
+    run_args = ["--policy", "scripted", "--scripts", str(scripts), "--log-dir", str(logs)]
+    assert main(["run", str(suite), *run_args, "--json"]) == 0
+    run_rows = json.loads(capsys.readouterr().out)["rows"]
+    assert main(["score", str(suite), str(logs), "--json"]) == 0
+    score_rows = json.loads(capsys.readouterr().out)["rows"]
+    assert len(run_rows) == 3
+    for row, again in zip(run_rows, score_rows):
+        assert row["status"] == again["status"] == "answered"
+        # the switch is justified, but the plans skip the names the ops touch
+        assert 0.0 < row["process"] < 1.0
+        for key in ("outcome", "partial", "process", "total"):
+            assert again[key] == row[key], (row["task_id"], key)
+        task = row["task_id"]
+        assert main(["replay", str(suite / task), str(scripts / f"{task}.json")]) == 0
+        printed = SCORE_LINE.search(capsys.readouterr().out).groups()
+        assert printed == (
+            f"{row['outcome']:.0f}", f"{row['partial']:.3f}",
+            f"{row['process']:.3f}", f"{row['total']:.3f}",
+        )
+
+
+def test_empty_result_matching_an_empty_target_scores_outcome_0(tmp_path, capsys):
+    # a gt answer with 0 rows equals the 0-row target, but an empty result
+    # never solves its task: solve, the log and the run row all say outcome 0
+    source = make_table("t", [("a", INT)], [(1,), (2,)])
+    target = make_table("t", [("a", INT)], [])
+    gt = (make_operator("Filter", "t", 'col("a") > 5'),)
+    bundle_dir = write_bundle(
+        TaskBundle("empty", {"t": source}, target.schema, target, gt), tmp_path / "suite" / "empty"
+    )
+    log = tmp_path / "empty.jsonl"
+    assert main(["solve", str(bundle_dir), "--policy", "gt", "--log", str(log)]) == 1
+    out = capsys.readouterr().out
+    assert "status: empty_result" in out
+    assert "outcome: 0  partial: 1.000  process: 1.000  total: 0.700" in out
+    scores = json.loads(log.read_text().splitlines()[-1])["scores"]
+    assert scores["outcome"] == 0.0 and scores["total"] == pytest.approx(0.7)
+    assert main(["run", str(tmp_path / "suite"), "--policy", "gt", "--json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert (row["status"], row["outcome"], row["total"]) == ("empty_result", 0.0, scores["total"])
 
 
 def test_solve_bad_bundle(tmp_path, capsys):

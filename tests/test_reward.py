@@ -6,6 +6,7 @@ import random
 import pytest
 
 from adprep.agent import Trajectory, TurnRecord, run_episode, ScriptedPolicy
+from adprep.harness import load_trajectory_log, write_trajectory_log
 from adprep.reward import (
     DEFAULT_WEIGHTS,
     JudgeError,
@@ -22,7 +23,9 @@ from adprep.reward import (
 )
 from adprep.tables import INT, TEXT, make_table
 
+import reference_judge
 from conftest import random_table
+from test_acceptance import random_episode
 from test_agent import ANSWER_REPLY, EXPAND_REPLY, make_task
 
 
@@ -194,6 +197,49 @@ def test_backtracking_via_real_episodes():
     )
     traj3 = run_episode(make_task(), ScriptedPolicy([expand_ok, chained, answer]))
     assert RuleJudge().score(traj3).backtracking == 1.0
+
+
+def _reloaded(traj, tmp_path):
+    path = tmp_path / f"{traj.task_id}.jsonl"
+    write_trajectory_log(path, traj)
+    return load_trajectory_log(path)
+
+
+def test_backtracking_matches_the_tree_oracle_on_random_episodes(tmp_path):
+    seen = set()
+    for seed in range(200):
+        traj = random_episode(seed)
+        want = reference_judge.backtracking(traj)
+        assert RuleJudge().score(traj).backtracking == want, seed
+        assert RuleJudge().score(_reloaded(traj, tmp_path)).backtracking == want, seed
+        seen.add(want)
+    # the explorer branches from random nodes and runs failing ops, so its
+    # episodes hold justified and unjustified switches, alone and mixed
+    assert {0.0, 1.0} < seen
+
+
+def test_backtracking_reads_an_arrow_in_a_literal_as_part_of_a_call(tmp_path):
+    # the " -> " in A's string literal is no edge. A's subtree holds the
+    # failure logged at its child B = A -> Count("movies"); its other child
+    # E = A -> TopK("movies", 1) and the root's child C hold none
+    a = 'Subtitle("movies", "note", " -> ")'
+    c = 'Subtitle("movies", "note", " ")'
+    replies = [
+        f"<plan>note movies</plan><expand>parent: root\n{a}</expand>",
+        f'<plan>count ghost</plan><expand>parent: {a}\nCount("movies")\nCount("ghost")</expand>',
+        f"<plan>note again</plan><expand>parent: root\n{c}</expand>",  # away from B: justified
+        f'<plan>top movies</plan><expand>parent: {a}\nTopK("movies", 1)</expand>',  # away from C
+        f"<plan>back to a</plan><expand>parent: root\n{a}</expand>",  # away from E
+        '<plan>directors</plan><expand>parent: root\nCount("directors")</expand>',  # away from A
+    ]
+    traj = run_episode(make_task(), ScriptedPolicy(replies), max_turns=6)
+    leaves = [t.leaf_path for t in traj.turns]
+    assert leaves[:2] == [a, f'{a} -> Count("movies")']
+    assert leaves[3:5] == [f'{a} -> TopK("movies", 1)', a]
+    assert [t.failure_op_kind for t in traj.turns] == [None, "Count", None, None, None, None]
+    assert reference_judge.backtracking(traj) == 2 / 4
+    assert RuleJudge().score(traj).backtracking == 2 / 4
+    assert RuleJudge().score(_reloaded(traj, tmp_path)).backtracking == 2 / 4
 
 
 def test_judge_scores_mean():

@@ -311,6 +311,23 @@ def test_serialize_escapes_pipes():
     assert "x\\|y" in serialize_table(t)
 
 
+def test_serialize_escapes_carriage_returns():
+    # a bare "\r" would split the row for any reader that splits on it
+    t = make_table("t", [("a", "text"), ("b", "int")], [("x\ry", 1), ("z\r\n", 2)])
+    assert serialize_table(t).splitlines() == [
+        "| a | b |", "| text | int |", "| x\\ry | 1 |", "| z\\r\\n | 2 |", "rows: 2",
+    ]
+
+
+def test_csv_text_quotes_carriage_returns():
+    t = make_table("t", [("a", "text")], [("1\r",), ("x",), ("q\rz",), ("\r\n",)])
+    text = table_to_csv_text(t)
+    assert table_from_csv_text(text, "t", t.schema).rows == t.rows
+    assert text == 'a\r\n"1\r"\r\nx\r\n"q\rz"\r\n"\r\n"\r\n'
+    # a table with no "\r" keeps "\n" line ends
+    assert table_to_csv_text(make_table("t", [("a", "text")], [("x\ny",)])) == 'a\n"x\ny"\n'
+
+
 def test_csv_round_trip_with_sidecar(tmp_path):
     rng = random.Random(13)
     for i in range(25):

@@ -1,6 +1,5 @@
 """Reasoning tree: expansion, partial chains, parent resolution."""
 
-import json
 import random
 
 import pytest
@@ -126,22 +125,3 @@ def test_resolve_of_extracted_path_is_identity_randomized():
             tree.expand(parent, parse_pipeline(text + "\n"))
         for node in tree.nodes:
             assert tree.resolve(node.prefix) is node
-
-
-def test_subtree_failure_flag():
-    tree = ReasoningTree(start_state())
-    good = tree.expand(tree.root, parse_pipeline(f"{DEDUP}\n")).leaf
-    assert not tree.root.subtree_has_failure()
-    tree.expand(good, parse_pipeline(f"{BAD}\n"))
-    assert good.subtree_has_failure()
-    assert tree.root.subtree_has_failure()
-
-
-def test_snapshot_is_json_serializable():
-    tree = ReasoningTree(start_state())
-    tree.expand(tree.root, parse_pipeline(f"{DEDUP}\n{BAD}\n"))
-    snap = json.loads(json.dumps(tree.to_json()))
-    assert snap["nodes"][0]["op"] is None
-    assert snap["nodes"][1]["op"] == 'Deduplicate("people", ["id"], "first")'
-    assert snap["nodes"][1]["failures"][0]["detail"] == "ghost"
-    assert snap["nodes"][1]["tables"]["people"]["rows"] == 3
