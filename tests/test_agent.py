@@ -21,6 +21,7 @@ from adprep.agent import (
     run_episode,
     split_chain,
 )
+from adprep.harness import load_trajectory_log, write_trajectory_log
 from adprep.tables import INT, TEXT, ColumnSpec, Schema, make_table, tables_equal
 
 
@@ -416,6 +417,24 @@ def test_identity_policy_picks_best_overlap():
     assert traj.status == "answered"
     assert traj.final_table.name == "movies"
     assert traj.answer_path == "root"
+
+
+def test_trajectory_json_round_trip(tmp_path):
+    # a live episode comes back from its log field for field, minus the tree
+    task = make_task()
+    traj = run_episode(task, ScriptedPolicy([EXPAND_REPLY, ANSWER_REPLY]))
+    write_trajectory_log(tmp_path / "one.jsonl", traj)
+    back = load_trajectory_log(tmp_path / "one.jsonl")
+    assert back.status == traj.status
+    assert back.task_id == traj.task_id
+    assert back.answer_path == traj.answer_path
+    assert len(back.turns) == len(traj.turns)
+    assert back.turns[0].op_texts == traj.turns[0].op_texts
+    assert back.turns == traj.turns
+    assert tables_equal(back.final_table, traj.final_table)
+    for name in ("answer_plan", "wall_time", "protocol_error_count", "usage", "error"):
+        assert getattr(back, name) == getattr(traj, name)
+    assert traj.tree is not None and back.tree is None
 
 
 def test_system_preamble_mentions_operators():
