@@ -13,6 +13,10 @@ if (a Null condition selects the else branch). if and coalesce evaluate
 lazily, so the untaken branch cannot raise. Division by zero, failed casts,
 and type mismatches raise EvalError rather than returning Null.
 
+compile_expr turns a parsed tree into one closure per node over a row tuple,
+with each column reference resolved to its index, so an operator compiles
+its func once and calls it per row; eval_expr is that, for one row binding.
+
 Dates have no dedicated cell kind: parse_date(x, fmt) yields ISO text
 ("%Y-%m-%d", or "%Y-%m-%dT%H:%M:%S" when fmt carries a time part) and
 format_date(x, fmt) renders ISO text through strftime. Month names follow
@@ -28,7 +32,8 @@ import math
 import re
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Any, Mapping
+from operator import ge, gt, itemgetter, le, lt
+from typing import Any, Callable, Mapping, Sequence
 
 from .tables import INT64_MAX, INT64_MIN, Cell, cells_equal, render_scalar
 
@@ -427,7 +432,9 @@ def _is_number(v: Cell) -> bool:
 
 
 def _arith(op: str, a: Cell, b: Cell, node: Expr) -> Cell:
-    if not _is_number(a) or not _is_number(b):
+    # not _is_number(a) or not _is_number(b), without the calls
+    if isinstance(a, bool) or isinstance(b, bool) \
+            or not isinstance(a, (int, float)) or not isinstance(b, (int, float)):
         raise _fail(f"operator {op} needs numeric operands", node)
     if op == "/":
         if b == 0:
@@ -448,27 +455,21 @@ def _arith(op: str, a: Cell, b: Cell, node: Expr) -> Cell:
     return _check_real(r, node)
 
 
+_ORDER = {"<": lt, "<=": le, ">": gt, ">=": ge}
+
+
 def _compare(op: str, a: Cell, b: Cell, node: Expr) -> bool:
-    if _is_number(a) and _is_number(b):
-        pass
-    elif isinstance(a, str) and isinstance(b, str):
+    if isinstance(a, str) and isinstance(b, str):
         a, b = a.encode("utf-8"), b.encode("utf-8")
-    elif isinstance(a, bool) and isinstance(b, bool):
-        pass
-    else:
+    elif not (isinstance(a, (int, float)) and isinstance(b, (int, float))
+              and isinstance(a, bool) == isinstance(b, bool)):  # two numbers or two bools
         raise _fail(f"operator {op} cannot compare these operand kinds", node)
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    return a >= b
+    return _ORDER[op](a, b)
 
 
-def _text_arg(v: Cell, fn: str, node: Expr) -> str:
+def _text_arg(v: Cell, node: Call) -> str:
     if not isinstance(v, str):
-        raise _fail(f"{fn}() needs a text argument", node)
+        raise _fail(f"{node.name}() needs a text argument", node)
     return v
 
 
@@ -481,184 +482,229 @@ def _parse_iso(text: str, node: Expr) -> datetime:
     raise _fail(f"cannot parse {text!r} as an ISO date", node)
 
 
+def _equal(op: str, a: Cell, b: Cell, node: Expr) -> bool:
+    return cells_equal(a, b) if op == "==" else not cells_equal(a, b)
+
+
+def _logic(op: str, a: Cell, b: Cell, node: Expr) -> bool:
+    if not isinstance(a, bool) or not isinstance(b, bool):
+        raise _fail(f"{op} needs boolean operands", node)
+    return (a and b) if op == "and" else (a or b)
+
+
+# binary operator -> (op, left, right, node) -> cell, for non-null operands
+_BINARY = {
+    "==": _equal, "!=": _equal, "and": _logic, "or": _logic,
+    **dict.fromkeys(("<", "<=", ">", ">="), _compare),
+    **dict.fromkeys(("+", "-", "*", "/", "%"), _arith),
+}
+
+
+def _concat(node: Call, *args: Cell) -> str:
+    if any(isinstance(a, tuple) for a in args):
+        raise _fail("concat() cannot take list arguments", node)
+    return "".join(a if isinstance(a, str) else render_scalar(a) for a in args)
+
+
+def _split(node: Call, v: Cell, sep: Cell) -> tuple[str, ...]:
+    v, sep = _text_arg(v, node), _text_arg(sep, node)
+    if sep == "":
+        raise _fail("split() separator must be non-empty", node)
+    return tuple(v.split(sep))
+
+
+def _replace(node: Call, v: Cell, old: Cell, new: Cell) -> str:
+    v, old, new = _text_arg(v, node), _text_arg(old, node), _text_arg(new, node)
+    if old == "":
+        raise _fail("replace() needs a non-empty search string", node)
+    return v.replace(old, new)
+
+
+def _substr(node: Call, v: Cell, start: Cell, length: Cell) -> str:
+    v = _text_arg(v, node)
+    if not isinstance(start, int) or not isinstance(length, int) \
+            or isinstance(start, bool) or isinstance(length, bool):
+        raise _fail("substr() start and length must be integers", node)
+    if start < 0 or length < 0:
+        raise _fail("substr() start and length must be non-negative", node)
+    return v[start : start + length]
+
+
+def _to_int(node: Call, v: Cell) -> int:
+    if isinstance(v, bool):
+        return 1 if v else 0
+    if isinstance(v, int):
+        return v
+    if isinstance(v, float):
+        return _check_int(int(v), node)  # truncates toward zero
+    if isinstance(v, str):
+        try:
+            return _check_int(int(v, 10), node)
+        except ValueError:
+            raise _fail(f"cannot cast {v!r} to int", node) from None
+    raise _fail("to_int() cannot take a list", node)
+
+
+def _to_real(node: Call, v: Cell) -> float:
+    if isinstance(v, bool):
+        return 1.0 if v else 0.0
+    if isinstance(v, (int, float)):
+        return _check_real(float(v), node)
+    if isinstance(v, str):
+        try:
+            return _check_real(float(v), node)
+        except ValueError:
+            raise _fail(f"cannot cast {v!r} to real", node) from None
+    raise _fail("to_real() cannot take a list", node)
+
+
+def _to_text(node: Call, v: Cell) -> str:
+    if isinstance(v, tuple):
+        raise _fail("to_text() cannot take a list", node)
+    return render_scalar(v)
+
+
+def _at(node: Call, v: Cell, idx: Cell) -> Cell:
+    if not isinstance(v, tuple):
+        raise _fail("at() needs a list argument", node)
+    if not isinstance(idx, int) or isinstance(idx, bool):
+        raise _fail("at() index must be an integer", node)
+    if not 0 <= idx < len(v):
+        raise _fail(f"at() index {idx} out of range for length {len(v)}", node)
+    return v[idx]
+
+
+def _parse_date(node: Call, text: Cell, fmt: Cell) -> str:
+    text, fmt = _text_arg(text, node), _text_arg(fmt, node)
+    try:
+        dt = datetime.strptime(text, fmt)
+    except ValueError as exc:
+        raise _fail(f"cannot parse date {text!r} with {fmt!r}: {exc}", node) from None
+    if any(code in fmt for code in ("%H", "%M", "%S", "%I")):
+        return dt.strftime("%Y-%m-%dT%H:%M:%S")
+    return dt.strftime("%Y-%m-%d")
+
+
+def _format_date(node: Call, text: Cell, fmt: Cell) -> str:
+    text, fmt = _text_arg(text, node), _text_arg(fmt, node)
+    return _parse_iso(text, node).strftime(fmt)
+
+
+def _unknown_function(node: Call, *args: Cell) -> Cell:
+    raise _fail(f"unknown function {node.name!r}", node)
+
+
+# function name -> (node, *args) -> cell, for the strict functions (all but
+# if, coalesce and is_null), called once every argument is evaluated and none
+# is null
+_STRICT_FUNCTIONS: dict[str, Callable[..., Cell]] = {
+    "lower": lambda node, v: _text_arg(v, node).lower(),
+    "upper": lambda node, v: _text_arg(v, node).upper(),
+    "trim": lambda node, v: _text_arg(v, node).strip(),
+    "concat": _concat,
+    "split": _split,
+    "replace": _replace,
+    "substr": _substr,
+    "contains": lambda node, v, part: _text_arg(part, node) in _text_arg(v, node),
+    "starts_with": lambda node, v, prefix: _text_arg(v, node).startswith(_text_arg(prefix, node)),
+    "to_int": _to_int,
+    "to_real": _to_real,
+    "to_text": _to_text,
+    "at": _at,
+    "parse_date": _parse_date,
+    "format_date": _format_date,
+}
+
+Compiled = Callable[[tuple], Cell]
+
+
+def compile_expr(e: Expr, names: Sequence[str]) -> Compiled:
+    """Compile an expression, once, into a function of a row tuple whose cells
+    are bound in order to `names`: one closure per node, each column reference
+    resolved to its tuple index. Pure. A column not in `names` raises
+    EvalError when a row is evaluated, so a table with no rows never does."""
+    return _compile(e, {name: i for i, name in enumerate(names)})
+
+
 def eval_expr(e: Expr, row: Mapping[str, Cell]) -> Cell:
-    """Evaluate an expression against one row binding. Pure."""
+    """Evaluate an expression against one row binding: compile_expr over
+    the binding's names, applied to its cells. Pure."""
+    return compile_expr(e, list(row))(tuple(row.values()))
+
+
+def _compile(e: Expr, index: dict[str, int]) -> Compiled:
     if isinstance(e, Lit):
-        return e.value
+        value = e.value
+        return lambda row: value
     if isinstance(e, ColRef):
-        if e.name not in row:
+        if e.name in index:
+            return itemgetter(index[e.name])
+        def unknown_column(row: tuple) -> Cell:
             raise _fail(f"unknown column {e.name!r}", e)
-        return row[e.name]
+        return unknown_column
     if isinstance(e, Unary):
-        v = eval_expr(e.operand, row)
-        if v is None:
-            return None
+        operand = _compile(e.operand, index)
         if e.op == "-":
-            if not _is_number(v):
-                raise _fail("unary - needs a numeric operand", e)
-            if isinstance(v, int):
-                return _check_int(-v, e)
-            return -v
-        if not isinstance(v, bool):
-            raise _fail("not needs a boolean operand", e)
-        return not v
+            def negate(row: tuple) -> Cell:
+                v = operand(row)
+                if v is None:
+                    return None
+                if not _is_number(v):
+                    raise _fail("unary - needs a numeric operand", e)
+                return _check_int(-v, e) if isinstance(v, int) else -v
+            return negate
+        def not_(row: tuple) -> Cell:
+            v = operand(row)
+            if v is None:
+                return None
+            if not isinstance(v, bool):
+                raise _fail("not needs a boolean operand", e)
+            return not v
+        return not_
     if isinstance(e, Binary):
-        left = eval_expr(e.left, row)
-        right = eval_expr(e.right, row)
-        if e.op == "==":
-            if left is None or right is None:
+        op, apply = e.op, _BINARY[e.op]
+        left, right = _compile(e.left, index), _compile(e.right, index)
+        def binary(row: tuple) -> Cell:
+            a = left(row)
+            b = right(row)  # both sides run, so an error on the right still raises
+            if a is None or b is None:
                 return None
-            return cells_equal(left, right)
-        if e.op == "!=":
-            if left is None or right is None:
-                return None
-            return not cells_equal(left, right)
-        if left is None or right is None:
-            return None
-        if e.op in ("and", "or"):
-            if not isinstance(left, bool) or not isinstance(right, bool):
-                raise _fail(f"{e.op} needs boolean operands", e)
-            return (left and right) if e.op == "and" else (left or right)
-        if e.op in ("<", "<=", ">", ">="):
-            return _compare(e.op, left, right, e)
-        return _arith(e.op, left, right, e)
+            return apply(op, a, b, e)
+        return binary
     if isinstance(e, Call):
-        return _eval_call(e, row)
+        return _compile_call(e, [_compile(a, index) for a in e.args])
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _eval_call(e: Call, row: Mapping[str, Cell]) -> Cell:
-    name = e.name
-
-    if name == "if":
-        cond = eval_expr(e.args[0], row)
-        if cond is not None and not isinstance(cond, bool):
-            raise _fail("if() condition must be boolean or null", e)
-        # a Null condition selects the else branch; branches are lazy
-        return eval_expr(e.args[1] if cond is True else e.args[2], row)
-
-    if name == "coalesce":
-        for arg in e.args:
-            v = eval_expr(arg, row)
-            if v is not None:
-                return v
-        return None
-
-    if name == "is_null":
-        return eval_expr(e.args[0], row) is None
-
-    args = [eval_expr(a, row) for a in e.args]
-
-    if name == "concat":
-        if any(a is None for a in args):
+def _compile_call(e: Call, args: list[Compiled]) -> Compiled:
+    if e.name == "if":
+        cond, then, other = args
+        def if_(row: tuple) -> Cell:
+            c = cond(row)
+            if c is not None and not isinstance(c, bool):
+                raise _fail("if() condition must be boolean or null", e)
+            # a Null condition selects the else branch; branches are lazy
+            return then(row) if c is True else other(row)
+        return if_
+    if e.name == "coalesce":
+        def coalesce(row: tuple) -> Cell:
+            for arg in args:
+                v = arg(row)
+                if v is not None:
+                    return v
             return None
-        parts = []
-        for a in args:
-            if isinstance(a, tuple):
-                raise _fail("concat() cannot take list arguments", e)
-            parts.append(a if isinstance(a, str) else render_scalar(a))
-        return "".join(parts)
-
-    if any(a is None for a in args):
-        return None
-
-    if name in ("lower", "upper", "trim"):
-        v = _text_arg(args[0], name, e)
-        return v.lower() if name == "lower" else v.upper() if name == "upper" else v.strip()
-    if name == "split":
-        v = _text_arg(args[0], name, e)
-        sep = _text_arg(args[1], name, e)
-        if sep == "":
-            raise _fail("split() separator must be non-empty", e)
-        return tuple(v.split(sep))
-    if name == "replace":
-        v = _text_arg(args[0], name, e)
-        old = _text_arg(args[1], name, e)
-        new = _text_arg(args[2], name, e)
-        if old == "":
-            raise _fail("replace() needs a non-empty search string", e)
-        return v.replace(old, new)
-    if name == "substr":
-        v = _text_arg(args[0], name, e)
-        start, length = args[1], args[2]
-        if not isinstance(start, int) or not isinstance(length, int) \
-                or isinstance(start, bool) or isinstance(length, bool):
-            raise _fail("substr() start and length must be integers", e)
-        if start < 0 or length < 0:
-            raise _fail("substr() start and length must be non-negative", e)
-        return v[start : start + length]
-    if name == "contains":
-        return _text_arg(args[1], name, e) in _text_arg(args[0], name, e)
-    if name == "starts_with":
-        return _text_arg(args[0], name, e).startswith(_text_arg(args[1], name, e))
-    if name == "to_int":
-        v = args[0]
-        if isinstance(v, bool):
-            return 1 if v else 0
-        if isinstance(v, int):
-            return v
-        if isinstance(v, float):
-            return _check_int(int(v), e)  # truncates toward zero
-        if isinstance(v, str):
-            try:
-                return _check_int(int(v, 10), e)
-            except ValueError:
-                raise _fail(f"cannot cast {v!r} to int", e) from None
-        raise _fail("to_int() cannot take a list", e)
-    if name == "to_real":
-        v = args[0]
-        if isinstance(v, bool):
-            return 1.0 if v else 0.0
-        if isinstance(v, (int, float)):
-            return _check_real(float(v), e)
-        if isinstance(v, str):
-            try:
-                return _check_real(float(v), e)
-            except ValueError:
-                raise _fail(f"cannot cast {v!r} to real", e) from None
-        raise _fail("to_real() cannot take a list", e)
-    if name == "to_text":
-        v = args[0]
-        if isinstance(v, tuple):
-            raise _fail("to_text() cannot take a list", e)
-        return render_scalar(v)
-    if name == "at":
-        v, idx = args[0], args[1]
-        if not isinstance(v, tuple):
-            raise _fail("at() needs a list argument", e)
-        if not isinstance(idx, int) or isinstance(idx, bool):
-            raise _fail("at() index must be an integer", e)
-        if not 0 <= idx < len(v):
-            raise _fail(f"at() index {idx} out of range for length {len(v)}", e)
-        return v[idx]
-    if name == "parse_date":
-        text = _text_arg(args[0], name, e)
-        fmt = _text_arg(args[1], name, e)
-        try:
-            dt = datetime.strptime(text, fmt)
-        except ValueError as exc:
-            raise _fail(f"cannot parse date {text!r} with {fmt!r}: {exc}", e) from None
-        if any(code in fmt for code in ("%H", "%M", "%S", "%I")):
-            return dt.strftime("%Y-%m-%dT%H:%M:%S")
-        return dt.strftime("%Y-%m-%d")
-    if name == "format_date":
-        text = _text_arg(args[0], name, e)
-        fmt = _text_arg(args[1], name, e)
-        return _parse_iso(text, e).strftime(fmt)
-    raise _fail(f"unknown function {name!r}", e)
-
-
-def column_refs(e: Expr) -> set[str]:
-    """All column names referenced by an expression."""
-    if isinstance(e, ColRef):
-        return {e.name}
-    if isinstance(e, Unary):
-        return column_refs(e.operand)
-    if isinstance(e, Binary):
-        return column_refs(e.left) | column_refs(e.right)
-    if isinstance(e, Call):
-        out: set[str] = set()
-        for a in e.args:
-            out |= column_refs(a)
-        return out
-    return set()
+        return coalesce
+    if e.name == "is_null":
+        arg = args[0]
+        return lambda row: arg(row) is None
+    apply = _STRICT_FUNCTIONS.get(e.name, _unknown_function)
+    if len(args) == 1:
+        arg = args[0]
+        def call_1(row: tuple) -> Cell:
+            v = arg(row)
+            return None if v is None else apply(e, v)
+        return call_1
+    def call(row: tuple) -> Cell:
+        vs = [arg(row) for arg in args]  # every argument runs before the null check
+        return None if None in vs else apply(e, *vs)
+    return call

@@ -40,7 +40,7 @@ from .expr import (
     Expr,
     ExprParseError,
     Token,
-    eval_expr,
+    compile_expr,
     parse_expr,
     print_expr,
     real_literal,
@@ -567,19 +567,21 @@ def _col_indexes(t: Table, names: list[str], op: OperatorInstance) -> list[int]:
 
 
 def _func_cells(op: OperatorInstance, t: Table, null_idx: int | None = None) -> Iterator[Cell]:
-    """The op's func over each row of t, with the cells bound to the column
-    names; null wherever column null_idx is null, without evaluating func.
+    """The op's func, compiled once against t's column names, over each row
+    of t; null wherever column null_idx is null, without evaluating func.
     Lazy, so a caller's check on row r runs before row r+1 is evaluated and
     the first failing row names the error."""
-    names = t.column_names
-    for r, row in enumerate(t.rows):
-        if null_idx is not None and row[null_idx] is None:
-            yield None
-            continue
-        try:
-            yield eval_expr(op.params["func"], dict(zip(names, row)))
-        except EvalError as exc:
-            raise ExecError(op, f"row {r}: {exc}", detail=exc.expr_text) from None
+    func = compile_expr(op.params["func"], t.column_names)
+    if null_idx is not None:
+        strict = func
+        func = lambda row: None if row[null_idx] is None else strict(row)
+    r = 0
+    try:
+        for v in map(func, t.rows):
+            yield v
+            r += 1
+    except EvalError as exc:
+        raise ExecError(op, f"row {r}: {exc}", detail=exc.expr_text) from None
 
 
 def _resolve_column(
@@ -891,7 +893,7 @@ def _exec_drop_column(op, t):
     if not keep:
         raise ExecError(op, "cannot drop every column", detail=p["table"])
     cols = [t.schema.columns[i] for i in keep]
-    rows = [tuple(row[i] for i in keep) for row in t.rows]
+    rows = list(map(_picker(keep), t.rows))
     return _build_table(t.name, cols, rows, t.schema.description)
 
 
@@ -947,7 +949,7 @@ def _exec_select_column(op, t):
     keep_set = set(p["columns"])
     keep = [i for i, c in enumerate(t.schema.columns) if c.name in keep_set]
     cols = [t.schema.columns[i] for i in keep]
-    rows = [tuple(row[i] for i in keep) for row in t.rows]
+    rows = list(map(_picker(keep), t.rows))
     return _build_table(t.name, cols, rows, t.schema.description)
 
 

@@ -77,7 +77,7 @@ class RandomExplorer:
         'SelectColumn("directors", ["director_id", "name"])',
         'Join("movies", "directors", ["director_id"], "inner")',
         'Sort("ratings", ["score"], false)',
-        'Filter("ratings", col("score") > 7.5)',
+        'Filter("ratings", "col(\\"score\\") > 7.5")',
         'TopK("ratings", 2)',
         'Count("ghost")',
         'DropColumn("movies", ["no_such_column"])',

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -18,13 +19,17 @@ from adprep.expr import (
     Lit,
     MAX_DEPTH,
     Unary,
-    column_refs,
+    compile_expr,
     eval_expr,
     parse_expr,
     print_expr,
     tokenize,
 )
+from adprep.tables import BOOL, INT, INT64_MAX, INT64_MIN, LIST, REAL, TEXT
+from conftest import random_cell
+from reference_expr import column_refs, expr_nodes, walk_expr
 from reference_lexers import call_tokenize, expr_tokenize
+from test_tables import _typed
 
 
 def test_parse_simple_arithmetic():
@@ -231,7 +236,7 @@ def _random_expr(rng: random.Random, depth: int):
             [
                 Lit(rng.randint(-30, 30)),
                 Lit(round(rng.uniform(-5, 5), 2)),
-                Lit(rng.choice(["x", "hello world", 'quo"te', ""])),
+                Lit(rng.choice(["x", "hello world", 'quo"te', "", "12", "2023-01-05", "%Y-%m-%d"])),
                 Lit(rng.choice([True, False, None])),
                 ColRef(rng.choice(["a", "b", "long_name"])),
             ]
@@ -248,10 +253,9 @@ def _random_expr(rng: random.Random, depth: int):
             return Lit(-inner.value)
         return Unary(rng.choice(["-", "not"]), inner)
     if kind == 2:
-        name, n_args = rng.choice(
-            [("lower", 1), ("concat", 2), ("split", 2), ("if", 3), ("coalesce", 2),
-             ("is_null", 1), ("to_text", 1), ("substr", 3)]
-        )
+        name = rng.choice(list(FUNCTIONS))
+        lo, hi = FUNCTIONS[name]
+        n_args = rng.randint(lo, lo + 2 if hi is None else hi)
         return Call(name, tuple(_random_expr(rng, depth - 1) for _ in range(n_args)))
     return _random_expr(rng, depth - 1)
 
@@ -269,6 +273,73 @@ def test_eval_is_pure():
     row = {"s": "hi"}
     assert eval_expr(e, row) == eval_expr(e, row) == "hi!"
     assert row == {"s": "hi"}
+
+
+# --- the compiler against the tree walker it replaced ----------------------
+
+# cells a random row draws besides conftest's: the 64-bit and float edges
+# (where arithmetic overflows), bools where numbers go, non-BMP and empty
+# text, texts the casts and date functions accept, and list cells
+_EDGE_CELLS = [
+    INT64_MAX, INT64_MIN, INT64_MAX - 1, 0, 1.7976931348623157e308, -1e308, 5e-324, -0.0,
+    True, False, "", "\U0001d11e", "a\U0001f600b", "12", " 7", "2023-01-05",
+    "2023-01-05T10:20:30", "%Y-%m-%d", (), ("x", "y"), (1, "a"), (True,),
+]
+_ROW_NAMES = ["a", "b", "long_name"]  # the columns _random_expr refers to
+
+
+def _random_row(rng, names):
+    def cell():
+        if rng.random() < 0.3:
+            return rng.choice(_EDGE_CELLS)
+        return random_cell(rng, rng.choice([INT, REAL, TEXT, BOOL, LIST]), null_rate=0.2)
+    return tuple(cell() for _ in names)
+
+
+def _eval_outcome(evaluate):
+    """("value", the value with the type of every part), ("error", message,
+    expr_text) for an EvalError, or ("raised", type, message) otherwise."""
+    try:
+        return "value", _typed(evaluate())
+    except EvalError as exc:
+        return "error", str(exc), exc.expr_text
+    except Exception as exc:
+        return "raised", type(exc).__name__, str(exc)
+
+
+def test_compiled_expressions_match_the_tree_walker():
+    """Same value and type, or the same EvalError text and expr_text, for
+    random expressions over random rows; each expression is compiled once
+    and applied to several rows of one column layout, some of which lack a
+    column the expression names."""
+    rng = random.Random(1201)
+    kinds, called = Counter(), set()
+    for _ in range(3000):
+        e = _random_expr(rng, rng.randint(0, 4))
+        called |= {node.name for node in expr_nodes(e) if isinstance(node, Call)}
+        names = rng.sample(_ROW_NAMES, rng.randint(0, 3))
+        compiled = compile_expr(e, names)
+        for _ in range(4):
+            row = _random_row(rng, names)
+            binding = dict(zip(names, row))
+            want = _eval_outcome(lambda: walk_expr(e, binding))
+            assert _eval_outcome(lambda: compiled(row)) == want, (print_expr(e), row)
+            assert _eval_outcome(lambda: eval_expr(e, binding)) == want, (print_expr(e), row)
+            kinds[want[0]] += 1
+    assert called == set(FUNCTIONS)
+    assert kinds["value"] > 3000 and kinds["error"] > 3000, kinds
+
+
+def test_unknown_column_raises_when_a_row_is_evaluated():
+    e = parse_expr('col("a") + col("zz")')
+    compiled = compile_expr(e, ["a", "b"])  # compiles: no row has been seen
+    with pytest.raises(EvalError) as err:
+        compiled((1, 2))
+    assert str(err.value) == "unknown column 'zz' in 'col(\"zz\")'"
+    assert err.value.expr_text == 'col("zz")'
+    with pytest.raises(EvalError, match="unknown column 'zz'"):
+        compiled((None, 2))  # both operands run before the null check
+    assert compile_expr(e, ["a", "zz"])((1, 2)) == 3
 
 
 # --- one lexer for both grammars ---------------------------------------------

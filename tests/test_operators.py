@@ -44,6 +44,8 @@ from adprep.tables import (
     BOOL, INT, LIST, REAL, TEXT, INT64_MAX, ColumnSpec, Schema, Table, make_table,
     tables_equal,
 )
+import reference_expr
+from reference_expr import expr_nodes
 from reference_ops import REF_DATE_PATTERNS, REF_HANDLERS, diff_states, plain_state
 from conftest import COLUMN_POOL, random_table_set
 from test_expr import _LEX_PIECES, _random_expr
@@ -1015,6 +1017,54 @@ def test_first_failing_row_names_the_error(call, message):
     with pytest.raises(ExecError) as err:
         run(call, {"t": t})
     assert err.value.message == message
+
+
+def test_unknown_column_in_func_fails_only_on_an_evaluated_row():
+    # func is compiled once per call, but a column it names that the table
+    # lacks is an error of the first row evaluated, not of the compile
+    empty = make_table("t", [("a", INT)], [])
+    assert run('Filter("t", "col(\\"zz\\") > 1")', {"t": empty})["t"].rows == ()
+    assert run('ValueTransform("t", "a", "col(\\"zz\\")")', {"t": empty})["t"].rows == ()
+    t = make_table("t", [("a", INT)], [(None,), (None,), (4,)])
+    with pytest.raises(ExecError) as err:
+        run('ValueTransform("t", "a", "col(\\"zz\\") + 1")', {"t": t})
+    # the rows null at the transformed column are skipped, unevaluated
+    assert err.value.message == "row 2: unknown column 'zz' in 'col(\"zz\")'"
+    assert err.value.detail == 'col("zz")'
+    nulls = make_table("t", [("a", INT)], [(None,), (None,)])
+    assert run('ValueTransform("t", "a", "col(\\"zz\\")")', {"t": nulls})["t"] == nulls
+
+
+@pytest.mark.parametrize("call", [
+    'ValueTransform("t", "name", "upper(trim(col(\\"name\\")))")',
+    'Filter("t", "col(\\"n\\") % 3 == 0 and not is_null(col(\\"name\\"))")',
+])
+def test_func_is_compiled_once_per_call(call, monkeypatch):
+    """A 1000-row func operator compiles its expression once, one _compile
+    per node, and evaluates no row through eval_expr or the tree walker."""
+    from adprep import expr, operators
+
+    compiled, nodes = [], []
+    compile_expr, compile_node = expr.compile_expr, expr._compile
+    monkeypatch.setattr(
+        operators, "compile_expr", lambda e, names: compiled.append(e) or compile_expr(e, names)
+    )
+    monkeypatch.setattr(expr, "_compile", lambda e, index: nodes.append(e) or compile_node(e, index))
+    monkeypatch.setattr(expr, "eval_expr", lambda e, row: pytest.fail("eval_expr ran"))
+    monkeypatch.setattr(reference_expr, "walk_expr", lambda e, row: pytest.fail("walk_expr ran"))
+    rng = random.Random(5)
+    rows = [(i, rng.choice([None, " Ada ", "bo"])) for i in range(1000)]
+    t = make_table("t", [("n", INT), ("name", TEXT)], rows)
+    for _ in range(2):
+        out = run(call, {"t": t})["t"]
+        (e,) = compiled
+        assert len(nodes) == len(list(expr_nodes(e)))
+        compiled.clear()
+        nodes.clear()
+    if call.startswith("Filter"):
+        assert out.rows == tuple(r for r in rows if r[0] % 3 == 0 and r[1] is not None)
+    else:
+        assert out.rows == tuple((n, None if s is None else s.strip().upper()) for n, s in rows)
 
 
 # --- out-of-domain executor fuzz ----------------------------------------------
