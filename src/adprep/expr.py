@@ -459,11 +459,12 @@ _ORDER = {"<": lt, "<=": le, ">": gt, ">=": ge}
 
 
 def _compare(op: str, a: Cell, b: Cell, node: Expr) -> bool:
-    if isinstance(a, str) and isinstance(b, str):
-        a, b = a.encode("utf-8"), b.encode("utf-8")
-    elif not (isinstance(a, (int, float)) and isinstance(b, (int, float))
-              and isinstance(a, bool) == isinstance(b, bool)):  # two numbers or two bools
-        raise _fail(f"operator {op} cannot compare these operand kinds", node)
+    # two texts compare by code point: UTF-8 byte order for valid text, and
+    # still defined for a lone surrogate, which has no UTF-8 form
+    if not (isinstance(a, str) and isinstance(b, str)):
+        if not (isinstance(a, (int, float)) and isinstance(b, (int, float))
+                and isinstance(a, bool) == isinstance(b, bool)):  # two numbers or two bools
+            raise _fail(f"operator {op} cannot compare these operand kinds", node)
     return _ORDER[op](a, b)
 
 
@@ -704,7 +705,23 @@ def _compile_call(e: Call, args: list[Compiled]) -> Compiled:
             v = arg(row)
             return None if v is None else apply(e, v)
         return call_1
+    # every argument runs before the null check
+    if len(args) == 2:
+        first, second = args
+        def call_2(row: tuple) -> Cell:
+            a = first(row)
+            b = second(row)
+            return None if a is None or b is None else apply(e, a, b)
+        return call_2
+    if len(args) == 3:
+        first, second, third = args
+        def call_3(row: tuple) -> Cell:
+            a = first(row)
+            b = second(row)
+            c = third(row)
+            return None if a is None or b is None or c is None else apply(e, a, b, c)
+        return call_3
     def call(row: tuple) -> Cell:
-        vs = [arg(row) for arg in args]  # every argument runs before the null check
+        vs = [arg(row) for arg in args]
         return None if None in vs else apply(e, *vs)
     return call

@@ -24,6 +24,7 @@ leaves the input state untouched.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import subprocess
@@ -299,13 +300,32 @@ REGISTRY: dict[str, OperatorSig] = {
 }
 
 
+class _CallText:
+    """The `text` of an OperatorInstance: rendered on first read and stored in
+    the instance __dict__, which every later read finds before this
+    (non-data) descriptor."""
+
+    def __get__(self, op: "OperatorInstance | None", owner: type | None = None):
+        if op is None:
+            return self
+        text = op.__dict__["text"] = _render_call(op)
+        return text
+
+
 @dataclass(frozen=True)
 class OperatorInstance:
+    """One operator call. `text` is its canonical call text, which
+    parse_operator_call reads back as an equal instance. Instances from
+    parse_operator_call are shared between its callers, so `params` is
+    read-only."""
+
     kind: str
     params: dict[str, Any]
 
+    text = _CallText()
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return serialize_operator_call(self)
+        return self.text
 
 
 def registry_help() -> str:
@@ -447,18 +467,19 @@ def _coerce_param(v: Any, p: Param, op_kind: str) -> Any:
         if p.kind != P_COLUMN_LIST and not out:
             raise OpParseError(f"parameter {p.name!r} must not be empty")
         return out
-    if p.kind == P_RENAME_MAP:
-        if not isinstance(v, dict):
-            raise OpParseError(f"parameter {p.name!r} expects a map, got {v!r}")
-        return dict(v)
-    if p.kind == P_AGG_MAP:
-        if not isinstance(v, dict):
-            raise OpParseError(f"parameter {p.name!r} expects a map, got {v!r}")
-        for col, fn in v.items():
-            if fn not in AGG_FNS:
-                raise OpParseError(
-                    f"unknown aggregate {fn!r} for column {col!r}; choose from {', '.join(AGG_FNS)}"
-                )
+    if p.kind in (P_RENAME_MAP, P_AGG_MAP):
+        # call text writes a map's keys and values as text, and only text
+        if not isinstance(v, dict) or not all(
+            isinstance(x, str) for entry in v.items() for x in entry
+        ):
+            raise OpParseError(f"parameter {p.name!r} expects a map of text to text, got {v!r}")
+        if p.kind == P_AGG_MAP:
+            for col, fn in v.items():
+                if fn not in AGG_FNS:
+                    raise OpParseError(
+                        f"unknown aggregate {fn!r} for column {col!r}; "
+                        f"choose from {', '.join(AGG_FNS)}"
+                    )
         return dict(v)
     if p.kind == P_EXPR:
         if isinstance(v, Expr):
@@ -504,8 +525,17 @@ def make_operator(kind: str, *args: Any) -> OperatorInstance:
     return OperatorInstance(kind, params)
 
 
+# how many distinct call texts parse_operator_call remembers
+PARSE_MEMO_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=PARSE_MEMO_SIZE)
 def parse_operator_call(src: str) -> OperatorInstance:
-    """Parse one operator call like Deduplicate("movies", ["id"], "first")."""
+    """Parse one operator call like Deduplicate("movies", ["id"], "first").
+
+    A bounded memo keyed on the text hands every caller of one text the same
+    instance, so treat it as read-only. A malformed text raises OpParseError
+    on every call: errors are not remembered."""
     parser = _CallParser(src)
     k, v, _ = parser.cur
     if k != "IDENT":
@@ -545,7 +575,12 @@ def _render_value(v: Any, p: Param) -> str:
 
 
 def serialize_operator_call(op: OperatorInstance) -> str:
-    """Canonical call text; parse_operator_call round-trips it."""
+    """Canonical call text, rendered once per instance; parse_operator_call
+    round-trips it."""
+    return op.text
+
+
+def _render_call(op: OperatorInstance) -> str:
     sig = REGISTRY[op.kind]
     rendered = ", ".join(_render_value(op.params[p.name], p) for p in sig.params)
     return f"{op.kind}({rendered})"

@@ -387,18 +387,20 @@ def read_bundle(directory: str | Path) -> TaskBundle:
     target = read_table(root / "target_table.csv")
     gt_text = root / "gt_pipeline.txt"
     try:
-        gt = tuple(parse_pipeline(gt_text.read_text(encoding="utf-8"))) if gt_text.exists() else ()
+        gt = tuple(parse_pipeline(gt_text.read_text(encoding="utf-8")))
+    except FileNotFoundError:
+        gt = ()
     except (OSError, OpParseError, UnicodeDecodeError) as exc:
         raise SynthesisError(f"{gt_text}: {exc}") from None
-    provenance = {}
     prov_path = root / "provenance.json"
-    if prov_path.exists():
-        try:
-            provenance = json.loads(prov_path.read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-            raise SynthesisError(f"{prov_path}: cannot read json: {exc}") from None
-        if not isinstance(provenance, dict):
-            raise SynthesisError(f"{prov_path}: expected a json object")
+    try:
+        provenance = json.loads(prov_path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        provenance = {}
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise SynthesisError(f"{prov_path}: cannot read json: {exc}") from None
+    if not isinstance(provenance, dict):
+        raise SynthesisError(f"{prov_path}: expected a json object")
     task_id = provenance.pop("task_id", root.name)
     if not isinstance(task_id, str):
         raise SynthesisError(f"{prov_path}: task_id must be a string")

@@ -530,10 +530,13 @@ def write_schema(schema: Schema, path: str | Path) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def read_schema(path: str | Path) -> Schema:
+def read_schema(path: str | Path, *, missing_ok: bool = False) -> Schema | None:
+    """The schema stored at `path`; with missing_ok, None if no file is there."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        if missing_ok and isinstance(exc, FileNotFoundError):
+            return None
         raise TableIOError(f"cannot read schema {path}: {exc}") from None
     return schema_from_json(data)
 
@@ -765,8 +768,8 @@ def read_table(
     file stem.
     """
     path = Path(path)
-    if schema is None and sidecar_path(path).exists():
-        schema = read_schema(sidecar_path(path))
+    if schema is None:
+        schema = read_schema(sidecar_path(path), missing_ok=True)
     table_name = name or (schema.table_name if schema else path.stem)
     if schema is not None and schema.table_name != table_name:
         schema = Schema(table_name, schema.columns, schema.description)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import re
 from collections import Counter
+from operator import ge, gt, le, lt
 from pathlib import Path
 
 import pytest
@@ -216,6 +217,20 @@ def test_eval_type_mismatch_is_error():
     # equality across kinds is defined, not an error
     assert eval_expr(parse_expr('1 == "x"'), {}) is False
     assert eval_expr(parse_expr("1 == 1.0"), {}) is True
+
+
+def test_text_order_is_utf8_byte_order_random():
+    # code points on both sides of the surrogate block and of the BMP edge,
+    # where UTF-16 order and UTF-8 byte order part ways
+    pool = ["", "a", "Z", " ", "~", "\x7f", "\x80", "é", "\u07ff", "\u0800", "\ud7ff",
+            "\ue000", "\uffee", "\uffff", "\U00010000", "\U0001d538", "\U0010ffff"]
+    order = {"<": lt, "<=": le, ">": gt, ">=": ge}
+    rng = random.Random(1302)
+    for _ in range(2000):
+        a, b = ("".join(rng.choices(pool, k=rng.randint(0, 3))) for _ in range(2))
+        for op, want in order.items():
+            got = eval_expr(Binary(op, ColRef("a"), ColRef("b")), {"a": a, "b": b})
+            assert got is want(a.encode("utf-8"), b.encode("utf-8")), (a, op, b)
 
 
 def test_eval_overflow_is_error():

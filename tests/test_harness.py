@@ -18,6 +18,7 @@ from adprep.harness import (
     run_benchmark,
     write_trajectory_log,
 )
+from adprep.operators import parse_operator_call
 from adprep.reward import RuleJudge
 from adprep.synthesis import synthesize_demo_task, write_bundle
 from adprep.tables import LIST, make_table, tables_equal, write_table
@@ -68,6 +69,24 @@ def test_gt_policy_scores_perfectly(tmp_path):
     text = report.to_text()
     assert "accuracy: 100.0%" in text
     assert text.splitlines()[0].startswith("task")
+
+
+def test_run_and_replay_parse_each_distinct_call_text_once(tmp_path):
+    # the bundle, the policy's replies and the judge all name the gt calls;
+    # the call-text memo makes every text after the first a hit
+    suite = build_suite(tmp_path)
+    texts = {
+        line
+        for path in suite.glob("*/gt_pipeline.txt")
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if line.strip()
+    }
+    parse_operator_call.cache_clear()
+    logs = tmp_path / "logs"
+    assert run_benchmark(suite, gt_replay_policy, log_dir=logs).accuracy == 100.0
+    assert replay_suite(suite, logs).accuracy == 100.0
+    info = parse_operator_call.cache_info()
+    assert info.misses == len(texts) and info.hits > info.misses
 
 
 def test_threads_do_not_change_the_report(tmp_path):

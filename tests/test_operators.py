@@ -28,6 +28,7 @@ from adprep.operators import (
     P_TABLE,
     P_TABLE_LIST,
     P_TEXT,
+    PARSE_MEMO_SIZE,
     REGISTRY,
     ExecError,
     OpParseError,
@@ -46,6 +47,7 @@ from adprep.tables import (
 )
 import reference_expr
 from reference_expr import expr_nodes
+from reference_ops import GENERATORS as REF_GENERATORS
 from reference_ops import REF_DATE_PATTERNS, REF_HANDLERS, diff_states, plain_state
 from conftest import COLUMN_POOL, random_table_set
 from test_expr import _LEX_PIECES, _random_expr
@@ -212,6 +214,53 @@ def test_name_bearing_values():
     assert name_bearing_values(op) == ["sales", "city", "amount"]
     op = parse_operator_call('Filter("t", "col(\\"a\\") > 1")')
     assert name_bearing_values(op) == ["t"]
+
+
+# --- the call-text memo -------------------------------------------------------
+
+
+def test_shared_parsed_ops_survive_every_operator():
+    # every caller of one text gets the same instance, so no operator may
+    # change the params of the op it runs
+    rng = random.Random(1301)
+    t = make_table("t", [("a", INT)], [(1,)])
+    backend = CallableScriptBackend(lambda code, tables, target: tables["t"])
+    cases = [({"t": t}, make_operator("ExeCode", ["t"], "out", "pass"))]
+    for kind in REF_GENERATORS:
+        cases += [REF_GENERATORS[kind](rng)[:2] for _ in range(20)]
+    assert {op.kind for _, op in cases} == set(REGISTRY)
+    for tables, made in cases:
+        text = serialize_operator_call(made)
+        op = parse_operator_call(text)
+        try:
+            execute_operator(op, dict(tables), script_backend=backend)
+        except ExecError:
+            pass
+        fresh = parse_operator_call.__wrapped__(text)
+        assert op == fresh and op is parse_operator_call(text), text
+        assert op.text == text == fresh.text
+
+
+def test_call_memo_is_bounded():
+    first = 'TopK("t", 0)'
+    parse_operator_call(first)
+    for k in range(PARSE_MEMO_SIZE + 10):
+        parse_operator_call(f'TopK("t", {k + 1})')
+    info = parse_operator_call.cache_info()
+    assert info.maxsize == PARSE_MEMO_SIZE and info.currsize == PARSE_MEMO_SIZE
+    misses = info.misses
+    parse_operator_call(first)  # evicted, so parsed again
+    assert parse_operator_call.cache_info().misses == misses + 1
+
+
+def test_malformed_call_text_raises_on_every_call():
+    bad = 'TopK("t", "x")'
+    before = parse_operator_call.cache_info()
+    for _ in range(3):
+        with pytest.raises(OpParseError, match="expects an integer"):
+            parse_operator_call(bad)
+    after = parse_operator_call.cache_info()
+    assert after.misses == before.misses + 3 and after.hits == before.hits
 
 
 # --- cleaning ---------------------------------------------------------------
@@ -581,6 +630,15 @@ def test_filter_null_predicate_drops_row():
     t = make_table("t", [("a", INT)], [(1,), (None,), (5,)])
     out = run('Filter("t", "col(\\"a\\") > 2")', {"t": t})
     assert out["t"].rows == ((5,),)
+
+
+def test_filter_compares_text_holding_a_lone_surrogate():
+    # a lone surrogate has no UTF-8 form; text compares by code point
+    t = make_table("t", [("s", TEXT)], [("a",), ("\ud800",), ("\ue000",), ("\U0001d538",)])
+    op = make_operator("Filter", "t", 'col("s") < "\ud800"')
+    assert execute_operator(op, {"t": t})["t"].rows == (("a",),)
+    op = make_operator("Filter", "t", 'col("s") >= "\ud800"')
+    assert execute_operator(op, {"t": t})["t"].rows == (("\ud800",), ("\ue000",), ("\U0001d538",))
 
 
 def test_filter_rejects_non_boolean_predicate():
