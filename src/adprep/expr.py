@@ -705,23 +705,7 @@ def _compile_call(e: Call, args: list[Compiled]) -> Compiled:
             v = arg(row)
             return None if v is None else apply(e, v)
         return call_1
-    # every argument runs before the null check
-    if len(args) == 2:
-        first, second = args
-        def call_2(row: tuple) -> Cell:
-            a = first(row)
-            b = second(row)
-            return None if a is None or b is None else apply(e, a, b)
-        return call_2
-    if len(args) == 3:
-        first, second, third = args
-        def call_3(row: tuple) -> Cell:
-            a = first(row)
-            b = second(row)
-            c = third(row)
-            return None if a is None or b is None or c is None else apply(e, a, b, c)
-        return call_3
     def call(row: tuple) -> Cell:
-        vs = [arg(row) for arg in args]
+        vs = [arg(row) for arg in args]  # every argument runs before the null check
         return None if None in vs else apply(e, *vs)
     return call

@@ -300,18 +300,6 @@ REGISTRY: dict[str, OperatorSig] = {
 }
 
 
-class _CallText:
-    """The `text` of an OperatorInstance: rendered on first read and stored in
-    the instance __dict__, which every later read finds before this
-    (non-data) descriptor."""
-
-    def __get__(self, op: "OperatorInstance | None", owner: type | None = None):
-        if op is None:
-            return self
-        text = op.__dict__["text"] = _render_call(op)
-        return text
-
-
 @dataclass(frozen=True)
 class OperatorInstance:
     """One operator call. `text` is its canonical call text, which
@@ -322,7 +310,9 @@ class OperatorInstance:
     kind: str
     params: dict[str, Any]
 
-    text = _CallText()
+    @functools.cached_property
+    def text(self) -> str:
+        return _render_call(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return self.text

@@ -530,15 +530,23 @@ def write_schema(schema: Schema, path: str | Path) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def read_schema(path: str | Path, *, missing_ok: bool = False) -> Schema | None:
-    """The schema stored at `path`; with missing_ok, None if no file is there."""
+def read_schema(path: str | Path) -> Schema:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        if missing_ok and isinstance(exc, FileNotFoundError):
-            return None
         raise TableIOError(f"cannot read schema {path}: {exc}") from None
     return schema_from_json(data)
+
+
+def _read_sidecar(path: Path) -> Schema | None:
+    """The sidecar schema of the table file at `path`, or None if it has none."""
+    try:
+        return read_schema(sidecar_path(path))
+    except TableIOError as exc:
+        # read_schema hides the OSError it wraps, but keeps it as the context
+        if isinstance(exc.__context__, FileNotFoundError):
+            return None
+        raise
 
 
 def _column_re(cell: re.Pattern) -> re.Pattern:
@@ -769,7 +777,7 @@ def read_table(
     """
     path = Path(path)
     if schema is None:
-        schema = read_schema(sidecar_path(path), missing_ok=True)
+        schema = _read_sidecar(path)
     table_name = name or (schema.table_name if schema else path.stem)
     if schema is not None and schema.table_name != table_name:
         schema = Schema(table_name, schema.columns, schema.description)
