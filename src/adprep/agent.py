@@ -50,6 +50,7 @@ from .operators import (
     parse_operator_call,
     registry_help,
     serialize_operator_call,
+    split_lines,
 )
 from .tables import Schema, Table, serialize_table
 from .tree import ReasoningTree, TreeError, TreeNode
@@ -227,7 +228,7 @@ def parse_reply(reply: str) -> ParsedReply:
     plan = plans[0].strip()
 
     if expands:
-        lines = [ln.strip() for ln in expands[0].splitlines() if ln.strip()]
+        lines = [ln.strip() for ln in split_lines(expands[0]) if ln.strip()]
         if not lines or not lines[0].startswith("parent:"):
             raise ProtocolViolation(
                 "bad_parent", 'an <expand> must start with a "parent:" line'
@@ -238,7 +239,7 @@ def parse_reply(reply: str) -> ParsedReply:
         ops = _parse_calls(lines[1:], "bad_ops", "line")
         return ParsedReply(plan, "expand", parent=parent, ops=ops)
 
-    lines = [ln.strip() for ln in answers[0].splitlines() if ln.strip()]
+    lines = [ln.strip() for ln in split_lines(answers[0]) if ln.strip()]
     target = None
     if lines and lines[-1].startswith("target:"):
         target = lines[-1][len("target:"):].strip()

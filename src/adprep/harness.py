@@ -21,6 +21,7 @@ estimate.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,7 +29,7 @@ from pathlib import Path
 from .agent import Task, Trajectory, TurnRecord, run_episode
 from .reward import DEFAULT_WEIGHTS, RewardBreakdown, RewardWeights, score_trajectory
 from .synthesis import SynthesisError, TaskBundle, read_bundle
-from .tables import TableError, table_from_json, table_to_json
+from .tables import TableError, _write_text, table_from_json, table_to_json
 
 GPU_DOLLARS_PER_HOUR = 0.91
 
@@ -169,8 +170,6 @@ _RESULT_FIELDS = (
 
 def write_trajectory_log(path: str | Path, traj: Trajectory, scores: dict | None = None) -> None:
     """One JSONL file per episode: header, turns, then the terminal record."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     result = {"record": "result", "status": traj.status}
     result.update((k, getattr(traj, k)) for k in _RESULT_FIELDS)
     if traj.final_table is not None:
@@ -182,15 +181,20 @@ def write_trajectory_log(path: str | Path, traj: Trajectory, scores: dict | None
         *({"record": "turn", **vars(turn)} for turn in traj.turns),
         result,
     ]
-    path.write_text(
-        "".join(json.dumps(r, sort_keys=True) + "\n" for r in records), encoding="utf-8"
-    )
+    text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+    try:
+        _write_text(path, text)
+    except FileNotFoundError:  # the first log of a new directory
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        _write_text(path, text)
 
 
 def load_trajectory_log(path: str | Path) -> Trajectory:
     """Rebuild the trajectory (minus the search tree) from a JSONL log."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # a missing log is an error, not an absent file as _read_text takes it
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise HarnessError(f"cannot read log {path}: {exc}") from None
     try:
@@ -301,12 +305,12 @@ def gt_replay_policy(bundle: TaskBundle):
 def discover_tasks(suite_dir: str | Path) -> list[Path]:
     """Task bundle directories under the suite, in name order."""
     root = Path(suite_dir)
-    if not root.is_dir():
-        raise HarnessError(f"{root}: suite directory does not exist")
-    return sorted(
-        (p for p in root.iterdir() if p.is_dir() and (p / "target_schema.json").exists()),
-        key=lambda p: p.name,
-    )
+    try:
+        with os.scandir(root) as entries:
+            dirs = sorted(e.path for e in entries if e.is_dir())
+    except (FileNotFoundError, NotADirectoryError):
+        raise HarnessError(f"{root}: suite directory does not exist") from None
+    return [p for p in map(Path, dirs) if (p / "target_schema.json").exists()]
 
 
 def run_benchmark(
@@ -375,11 +379,9 @@ def run_benchmark(
     rows.sort(key=lambda r: r.task_id)
     report = Report(rows=rows)
     if log_dir is not None:
-        report_path = Path(log_dir) / "report.json"
-        report_path.parent.mkdir(parents=True, exist_ok=True)
-        report_path.write_text(
-            json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        Path(log_dir).mkdir(parents=True, exist_ok=True)
+        report_text = json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
+        _write_text(Path(log_dir) / "report.json", report_text)
     return report
 
 
@@ -398,20 +400,20 @@ def replay_suite(
     a failing judge) becomes an "internal_error" row, as in run_benchmark.
     """
     rows = []
-    for task_dir in discover_tasks(Path(suite_dir)):
+    for task_dir in discover_tasks(suite_dir):
         try:
             bundle = read_bundle(task_dir)
         except (SynthesisError, TableError) as exc:
             rows.append(CaseResult(task_id=task_dir.name, status="load_error", error=str(exc)))
             continue
         log_path = Path(log_dir) / f"{bundle.task_id}.jsonl"
-        if not log_path.exists():
-            rows.append(CaseResult(task_id=bundle.task_id, status="missing_log"))
-            continue
         try:
             traj = load_trajectory_log(log_path)
         except HarnessError as exc:
-            rows.append(CaseResult(task_id=bundle.task_id, status="load_error", error=str(exc)))
+            if log_path.exists():
+                rows.append(CaseResult(task_id=bundle.task_id, status="load_error", error=str(exc)))
+            else:
+                rows.append(CaseResult(task_id=bundle.task_id, status="missing_log"))
             continue
         try:
             breakdown = score_trajectory(traj, bundle.target_table, weights=weights, judge=judge)

@@ -546,6 +546,17 @@ def parse_operator_call(src: str) -> OperatorInstance:
     return make_operator(v, *args)
 
 
+_LINE_BREAK = re.compile(r"\r\n?|\n")
+
+
+def split_lines(text: str) -> list[str]:
+    """Split call text at CR LF, CR and LF: the breaks a string literal escapes.
+
+    str.splitlines also breaks at U+2028, U+0085, \\x0b and more, which a
+    literal holds raw."""
+    return _LINE_BREAK.split(text)
+
+
 def _render_value(v: Any, p: Param) -> str:
     if p.kind == P_EXPR:
         return _quote(print_expr(v))

@@ -24,6 +24,7 @@ from .operators import (
     execute_operator,
     parse_operator_call,
     serialize_operator_call,
+    split_lines,
 )
 
 
@@ -73,7 +74,7 @@ def serialize_pipeline(ops) -> str:
 def parse_pipeline(text: str) -> list[OperatorInstance]:
     """Parse pipeline text; errors carry the 1-based source line number."""
     ops = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(text), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

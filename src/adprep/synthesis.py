@@ -17,6 +17,7 @@ survives the round trip.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,6 +37,8 @@ from .tables import (
     TEXT,
     Schema,
     Table,
+    _read_text,
+    _write_text,
     make_table,
     read_schema,
     read_table,
@@ -358,45 +361,51 @@ def synthesize_demo_task(rng, task_id: str, *, max_corruptions: int = 2) -> Task
 # bundle I/O
 # ---------------------------------------------------------------------------
 
+def _dir_prefix(root: Path) -> str:
+    """`root` spelled so that `prefix + name` is the text of `root / name`."""
+    return "" if str(root) == "." else os.path.join(root, "")
+
+
 def write_bundle(bundle: TaskBundle, directory: str | Path) -> Path:
     root = Path(directory)
-    (root / "sources").mkdir(parents=True, exist_ok=True)
+    base = _dir_prefix(root)
+    os.makedirs(base + "sources", exist_ok=True)
     for name in sorted(bundle.sources):
-        write_table(bundle.sources[name], root / "sources" / f"{name}.csv")
-    write_schema(bundle.target_schema, root / "target_schema.json")
-    write_table(bundle.target_table, root / "target_table.csv")
-    (root / "gt_pipeline.txt").write_text(serialize_pipeline(bundle.gt_pipeline), encoding="utf-8")
+        write_table(bundle.sources[name], os.path.join(base + "sources", f"{name}.csv"))
+    write_schema(bundle.target_schema, base + "target_schema.json")
+    write_table(bundle.target_table, base + "target_table.csv")
+    _write_text(base + "gt_pipeline.txt", serialize_pipeline(bundle.gt_pipeline))
     provenance = {"task_id": bundle.task_id, **bundle.provenance}
-    provenance_text = json.dumps(provenance, indent=2, sort_keys=True) + "\n"
-    (root / "provenance.json").write_text(provenance_text, encoding="utf-8")
+    _write_text(base + "provenance.json", json.dumps(provenance, indent=2, sort_keys=True) + "\n")
     return root
 
 
 def read_bundle(directory: str | Path) -> TaskBundle:
     root = Path(directory)
-    source_dir = root / "sources"
-    if not source_dir.is_dir():
-        raise SynthesisError(f"{root}: no sources/ directory")
+    base = _dir_prefix(root)
+    try:
+        # a directory named x.csv is listed too, and fails in read_table
+        names = sorted(n for n in os.listdir(base + "sources") if n.endswith(".csv"))
+    except OSError:
+        raise SynthesisError(f"{root}: no sources/ directory") from None
     sources: TableSet = {}
-    for path in sorted(source_dir.glob("*.csv")):
-        t = read_table(path)
+    for name in names:
+        t = read_table(f"{base}sources/{name}")
         sources[t.name] = t
     if not sources:
         raise SynthesisError(f"{root}: sources/ holds no csv tables")
-    schema = read_schema(root / "target_schema.json")
-    target = read_table(root / "target_table.csv")
-    gt_text = root / "gt_pipeline.txt"
+    schema = read_schema(base + "target_schema.json")
+    target = read_table(base + "target_table.csv")
+    gt_path = base + "gt_pipeline.txt"
     try:
-        gt = tuple(parse_pipeline(gt_text.read_text(encoding="utf-8")))
-    except FileNotFoundError:
-        gt = ()
+        gt_text = _read_text(gt_path)
+        gt = () if gt_text is None else tuple(parse_pipeline(gt_text))
     except (OSError, OpParseError, UnicodeDecodeError) as exc:
-        raise SynthesisError(f"{gt_text}: {exc}") from None
-    prov_path = root / "provenance.json"
+        raise SynthesisError(f"{gt_path}: {exc}") from None
+    prov_path = base + "provenance.json"
     try:
-        provenance = json.loads(prov_path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        provenance = {}
+        prov_text = _read_text(prov_path)
+        provenance = {} if prov_text is None else json.loads(prov_text)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise SynthesisError(f"{prov_path}: cannot read json: {exc}") from None
     if not isinstance(provenance, dict):

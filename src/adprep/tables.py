@@ -521,32 +521,48 @@ def table_from_json(data: dict) -> Table:
     return Table(schema, rows)
 
 
-def sidecar_path(path: str | Path) -> Path:
-    return Path(str(path) + ".schema.json")
+def sidecar_path(path: str | Path) -> str:
+    return f"{path}.schema.json"
+
+
+def _read_text(path: str | Path) -> str | None:
+    """The UTF-8 text of the file at `path`, or None if there is no such file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        return None
+
+
+def _write_text(path: str | Path, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def write_schema(schema: Schema, path: str | Path) -> None:
-    text = json.dumps(schema_to_json(schema), indent=2, sort_keys=True) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
+    _write_text(path, json.dumps(schema_to_json(schema), indent=2, sort_keys=True) + "\n")
 
 
 def read_schema(path: str | Path) -> Schema:
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise TableIOError(f"cannot read schema {path}: {exc}") from None
     return schema_from_json(data)
 
 
-def _read_sidecar(path: Path) -> Schema | None:
+def _read_sidecar(path: str | Path) -> Schema | None:
     """The sidecar schema of the table file at `path`, or None if it has none."""
+    sidecar = sidecar_path(path)
     try:
-        return read_schema(sidecar_path(path))
-    except TableIOError as exc:
-        # read_schema hides the OSError it wraps, but keeps it as the context
-        if isinstance(exc.__context__, FileNotFoundError):
+        text = _read_text(sidecar)
+        if text is None:
             return None
-        raise
+        data = json.loads(text)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise TableIOError(f"cannot read schema {sidecar}: {exc}") from None
+    return schema_from_json(data)
 
 
 def _column_re(cell: re.Pattern) -> re.Pattern:
@@ -690,7 +706,7 @@ def _parse_csv_records(
     return Table.trusted(schema, tuple(zip(*(cells for _, cells in typed))))
 
 
-def _table_from_csv(path: Path, name: str, schema: Schema | None) -> Table:
+def _table_from_csv(path: str | Path, name: str, schema: Schema | None) -> Table:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             data = list(csv.reader(fh))
@@ -728,9 +744,10 @@ def table_to_csv_text(t: Table) -> str:
     return buf.getvalue()
 
 
-def _table_from_json_rows(path: Path, name: str, schema: Schema | None) -> Table:
+def _table_from_json_rows(path: str | Path, name: str, schema: Schema | None) -> Table:
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise TableIOError(f"cannot read {path}: {exc}") from None
     if not isinstance(data, list) or any(not isinstance(r, dict) for r in data):
@@ -775,10 +792,9 @@ def read_table(
     present; otherwise dtypes are inferred. The table name defaults to the
     file stem.
     """
-    path = Path(path)
     if schema is None:
         schema = _read_sidecar(path)
-    table_name = name or (schema.table_name if schema else path.stem)
+    table_name = name or (schema.table_name if schema else Path(path).stem)
     if schema is not None and schema.table_name != table_name:
         schema = Schema(table_name, schema.columns, schema.description)
     if fmt == "csv":
@@ -795,7 +811,6 @@ def write_table(t: Table, path: str | Path, fmt: str = "csv", *, sidecar: bool =
     One csv caveat: an empty text cell is indistinguishable from Null and
     reads back as Null.
     """
-    path = Path(path)
     if fmt == "csv":
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL)
@@ -807,7 +822,7 @@ def write_table(t: Table, path: str | Path, fmt: str = "csv", *, sidecar: bool =
             {c.name: _jsonable(v) for c, v in zip(t.schema.columns, row)}
             for row in t.rows
         ]
-        path.write_text(json.dumps(data, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+        _write_text(path, json.dumps(data, indent=2, ensure_ascii=False) + "\n")
     else:
         raise ValueError(f"unknown table format {fmt!r}")
     if sidecar:

@@ -17,6 +17,9 @@ WORDS = [
 
 COLUMN_POOL = ["a", "b", "c", "d", "e", "f", "g", "h"]
 
+# characters str.splitlines breaks at that a call's string literal holds raw
+SPLITLINES_ONLY_BREAKS = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+
 
 def random_scalar(rng: random.Random, dtype: str):
     if dtype == INT:

@@ -22,7 +22,9 @@ from adprep.agent import (
     split_chain,
 )
 from adprep.harness import load_trajectory_log, write_trajectory_log
+from adprep.operators import make_operator, serialize_operator_call
 from adprep.tables import INT, TEXT, ColumnSpec, Schema, make_table, tables_equal
+from conftest import SPLITLINES_ONLY_BREAKS
 
 
 def make_task(target_name="movies_directors_join"):
@@ -124,6 +126,19 @@ def test_protocol_violation_categories():
     assert category_of("<plan>p</plan><answer>root\ntarget:</answer>") == "bad_answer"
     assert category_of("<plan>p</plan><execute>hi</execute><answer>root</answer>") == "stray_execute"
     assert category_of("<plan>p<answer>root</answer>") == "unclosed_tag"
+
+
+@pytest.mark.parametrize("ch", SPLITLINES_ONLY_BREAKS)
+def test_reply_lines_break_only_at_cr_and_lf(ch):
+    ops = (
+        make_operator("RenameColumn", "movies", {"title": f"name{ch}x"}),
+        make_operator("SelectColumn", "movies", [f"name{ch}x"]),
+    )
+    body = "\n".join(map(serialize_operator_call, ops))
+    parsed = parse_reply(f"<plan>p{ch}q</plan><expand>\nparent: root\n{body}\n</expand>")
+    assert parsed.parent == () and parsed.ops == ops
+    parsed = parse_reply(f"<plan>p</plan><answer>\r\n{body}\r\ntarget: movies\r\n</answer>")
+    assert parsed.answer_chain == ops and parsed.answer_target == "movies"
 
 
 def test_split_chain_ignores_arrows_inside_strings_and_brackets():

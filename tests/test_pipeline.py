@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from adprep.operators import OpParseError
+from adprep.operators import OpParseError, make_operator
 from adprep.pipeline import parse_pipeline, run_pipeline, serialize_pipeline
 from adprep.tables import INT, TEXT, make_table, tables_equal
-from conftest import random_table_set
+from conftest import SPLITLINES_ONLY_BREAKS, random_table_set
 
 PIPELINE_TEXT = """
 # tidy up and join
@@ -48,6 +48,19 @@ def test_serialize_round_trip():
     text = serialize_pipeline(ops)
     assert parse_pipeline(text) == ops
     assert text.endswith("\n")
+
+
+@pytest.mark.parametrize("ch", SPLITLINES_ONLY_BREAKS)
+def test_pipeline_lines_break_only_at_cr_and_lf(ch):
+    ops = [
+        make_operator("RenameColumn", "t", {"a": f"b{ch}c"}),
+        make_operator("Filter", "t", f'col("{ch}") == "x{ch}"'),
+    ]
+    text = serialize_pipeline(ops)
+    assert ch in text
+    assert parse_pipeline(text) == ops
+    assert parse_pipeline(text.replace("\n", "\r\n")) == ops
+    assert parse_pipeline(text.replace("\n", "\r")) == ops
 
 
 def test_run_pipeline_records_every_state():

@@ -1,7 +1,10 @@
 """Synthesis tests: reversibility checks, bundle I/O, determinism."""
 
+import builtins
+import io
 import json
 import random
+import shutil
 from pathlib import Path
 
 import pytest
@@ -19,6 +22,7 @@ from adprep.synthesis import (
     write_bundle,
 )
 from adprep.tables import INT, REAL, TEXT, TableIOError, make_table, tables_equal
+from conftest import SPLITLINES_ONLY_BREAKS
 
 
 def clean_table():
@@ -176,6 +180,18 @@ def test_bundle_writes_are_deterministic(tmp_path):
         assert (dirs[0] / rel).read_bytes() == (dirs[1] / rel).read_bytes(), rel
 
 
+@pytest.mark.parametrize("ch", SPLITLINES_ONLY_BREAKS)
+def test_gt_pipeline_lines_break_only_at_cr_and_lf(tmp_path, ch):
+    bundle = synthesize_demo_task(random.Random(5), "rt")
+    bundle.gt_pipeline = (
+        make_operator("RenameColumn", "orders", {"item": f"it{ch}em"}),
+        *bundle.gt_pipeline,
+    )
+    root = write_bundle(bundle, tmp_path / "b")
+    assert ch in (root / "gt_pipeline.txt").read_text(encoding="utf-8")
+    assert read_bundle(root).gt_pipeline == bundle.gt_pipeline
+
+
 def test_read_bundle_errors(tmp_path):
     with pytest.raises(SynthesisError):
         read_bundle(tmp_path / "nowhere")
@@ -225,3 +241,93 @@ def test_read_bundle_rejects_non_utf8_files(tmp_path, name, error):
     (root / name).mkdir()  # unreadable as a file
     with pytest.raises(error, match=name):
         read_bundle(root)
+
+
+# -- bundle faults and fallbacks ----------------------------------------------
+
+def _bundle(tmp_path):
+    return write_bundle(synthesize_demo_task(random.Random(1), "task-001"), tmp_path / "b")
+
+
+def test_sources_that_is_a_file_is_no_sources_directory(tmp_path):
+    root = _bundle(tmp_path)
+    shutil.rmtree(root / "sources")
+    (root / "sources").write_text("orders.csv\n")
+    with pytest.raises(SynthesisError) as info:
+        read_bundle(root)
+    assert str(info.value) == f"{root}: no sources/ directory"
+
+
+def test_directory_named_like_a_csv_in_sources_is_a_table_io_error(tmp_path):
+    root = _bundle(tmp_path)
+    path = root / "sources" / "x.csv"
+    path.mkdir()
+    with pytest.raises(TableIOError) as info:
+        read_bundle(root)
+    assert str(info.value) == f"cannot read {path}: [Errno 21] Is a directory: '{path}'"
+
+
+@pytest.mark.parametrize("data, detail", [
+    (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (b"{not json", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+])
+def test_unreadable_source_sidecar_is_a_table_io_error(tmp_path, data, detail):
+    root = _bundle(tmp_path)
+    sidecar = root / "sources" / "regions.csv.schema.json"
+    sidecar.write_bytes(data)
+    with pytest.raises(TableIOError) as info:
+        read_bundle(root)
+    assert str(info.value) == f"cannot read schema {sidecar}: {detail}"
+
+
+def test_sidecar_of_the_wrong_shape_is_a_table_io_error(tmp_path):
+    root = _bundle(tmp_path)
+    (root / "sources" / "orders.csv.schema.json").write_text("[]")
+    with pytest.raises(TableIOError) as info:
+        read_bundle(root)
+    assert str(info.value) == "malformed schema json: list indices must be integers or slices, not str"
+
+
+def test_missing_target_schema_is_a_table_io_error(tmp_path):
+    root = _bundle(tmp_path)
+    path = root / "target_schema.json"
+    path.unlink()
+    with pytest.raises(TableIOError) as info:
+        read_bundle(root)
+    assert str(info.value) == (
+        f"cannot read schema {path}: [Errno 2] No such file or directory: '{path}'"
+    )
+
+
+def test_missing_gt_pipeline_reads_as_an_empty_pipeline(tmp_path):
+    root = _bundle(tmp_path)
+    (root / "gt_pipeline.txt").unlink()
+    assert read_bundle(root).gt_pipeline == ()
+
+
+@pytest.mark.parametrize("spell", [str, lambda root: f"{root}/"])
+def test_missing_provenance_takes_the_task_id_from_the_directory(tmp_path, spell):
+    root = write_bundle(synthesize_demo_task(random.Random(1), "named"), tmp_path / "dir-7")
+    (root / "provenance.json").unlink()
+    bundle = read_bundle(spell(root))
+    assert bundle.task_id == "dir-7"
+    assert bundle.provenance == {}
+
+
+def test_reading_a_bundle_opens_each_file_once(tmp_path, monkeypatch):
+    # a guard against a probe or a second read creeping back into the reader
+    root = write_bundle(synthesize_demo_task(random.Random(1), "task-001"), tmp_path / "b")
+    files = sorted(str(p) for p in root.rglob("*") if p.is_file())
+    assert len(files) == 9  # two sources and their sidecars, five more files
+    opened = []
+    real_open = builtins.open
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    monkeypatch.setattr(io, "open", recording_open)
+    bundle = read_bundle(root)
+    assert sorted(bundle.sources) == ["orders", "regions"]
+    assert sorted(opened) == files

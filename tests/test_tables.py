@@ -9,6 +9,7 @@ import math
 import random
 from collections import Counter
 from functools import cmp_to_key
+from pathlib import Path
 
 import pytest
 
@@ -483,7 +484,7 @@ def test_non_utf8_file_is_a_table_io_error(tmp_path, fmt, damaged):
     path = tmp_path / "t.data"
     write_table(make_table("t", [("a", TEXT)], [("é",)]), path, fmt=fmt)
     assert "é".encode("utf-8") in path.read_bytes()  # utf-8 whatever the locale
-    (sidecar_path(path) if damaged == "sidecar" else path).write_bytes(b"\xff\xfe")
+    (Path(sidecar_path(path)) if damaged == "sidecar" else path).write_bytes(b"\xff\xfe")
     with pytest.raises(TableIOError, match="utf-8"):
         read_table(path, fmt=fmt)
 
@@ -500,7 +501,7 @@ def test_sidecar_real_cell_takes_only_what_inference_takes(tmp_path, text):
     path.write_text(f'a\n"{text}"\n')
     with pytest.raises(TableIOError, match="not an integer"):
         read_table(path)
-    sidecar_path(path).unlink()
+    Path(sidecar_path(path)).unlink()
     assert read_table(path).schema.columns[0].dtype == TEXT
 
 
@@ -801,7 +802,7 @@ def test_clean_csv_columns_parse_without_the_per_cell_parser(tmp_path, monkeypat
         tables, "_csv_parse_cell", lambda text, dtype: calls.append(dtype) or per_cell(text, dtype)
     )
     assert read_table(path) == t
-    sidecar_path(path).unlink()
+    Path(sidecar_path(path)).unlink()
     assert read_table(path) == t
     assert calls == []
     write_table(make_table("t", [("i", INT)], []), tmp_path / "bad.csv")
@@ -817,7 +818,7 @@ def test_deeply_nested_list_cell_is_a_table_io_error(tmp_path):
     path.write_text("a\n[1]\n" + "[" * 100_000 + "\n")
     with pytest.raises(TableIOError, match="row 1 column 'a': cannot parse .* as list"):
         read_table(path)
-    for fmt, damaged in (("csv", sidecar_path(path)), ("json-rows", tmp_path / "t.json")):
+    for fmt, damaged in (("csv", Path(sidecar_path(path))), ("json-rows", tmp_path / "t.json")):
         write_table(make_table("t", [("a", INT)], [(1,)]), tmp_path / "t.json", fmt="json-rows")
         damaged.write_text("[" * 100_000)
         with pytest.raises(TableIOError, match="recursion"):
