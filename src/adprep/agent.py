@@ -57,6 +57,7 @@ from .tree import ReasoningTree, TreeError, TreeNode
 
 MAX_TURNS = 5
 MAX_CONSECUTIVE_PROTOCOL_ERRORS = 2
+SAMPLE_ROWS = 5  # rows of each table an observation shows
 
 STATUS_ANSWERED = "answered"
 STATUS_TURN_LIMIT = "turn_limit"
@@ -270,30 +271,30 @@ def render_schema(schema: Schema) -> str:
     return "\n".join(lines)
 
 
-def _render_state(state: TableSet, sample_rows: int) -> str:
+def _render_state(state: TableSet) -> str:
     blocks = []
     for name in sorted(state):
         t = state[name]
-        blocks.append(f"table {name} ({t.n_rows} rows):\n{serialize_table(t, sample_rows)}")
+        blocks.append(f"table {name} ({t.n_rows} rows):\n{serialize_table(t, SAMPLE_ROWS)}")
     return "\n\n".join(blocks) if blocks else "(no tables)"
 
 
-def initial_observation(task: Task, sample_rows: int = 5) -> str:
+def initial_observation(task: Task) -> str:
     return (
         "Build the target table from the source tables.\n\n"
         + render_schema(task.target_schema)
         + "\n\nsource tables:\n\n"
-        + _render_state(task.sources, sample_rows)
+        + _render_state(task.sources)
     )
 
 
-def _expand_feedback(result, turns_left: int, sample_rows: int) -> str:
+def _expand_feedback(result, turns_left: int) -> str:
     lines = []
     if result.chain:
         lines.append("reached:")
         for node in result.chain:
             lines.append(f"node: {node.path_text}")
-            lines.append(_render_state(node.state, sample_rows))
+            lines.append(_render_state(node.state))
             lines.append("")
     if result.failure is not None:
         lines.append(f"failed at {result.leaf.path_text}: {result.failure.describe()}")
@@ -382,9 +383,7 @@ def run_episode(
     policy,
     *,
     max_turns: int = MAX_TURNS,
-    sample_rows: int = 5,
     script_backend: ScriptBackend | None = None,
-    system_preamble: str | None = None,
 ) -> Trajectory:
     """Drive one episode: observations out, actions in, tree in between.
 
@@ -394,8 +393,8 @@ def run_episode(
     t0 = time.monotonic()
     tree = ReasoningTree(task.sources)
     messages = [
-        {"role": "system", "content": system_preamble or build_system_preamble()},
-        {"role": "user", "content": initial_observation(task, sample_rows)},
+        {"role": "system", "content": build_system_preamble()},
+        {"role": "user", "content": initial_observation(task)},
     ]
     turns: list[TurnRecord] = []
     usage_before = _usage_snapshot(policy)
@@ -494,9 +493,7 @@ def run_episode(
             record.failure_text = result.failure.describe()
             record.failure_op_kind = result.failure.op.kind
             record.failure_detail = result.failure.detail
-        feedback = _wrap_execute(
-            _expand_feedback(result, max_turns - turns_used, sample_rows)
-        )
+        feedback = _wrap_execute(_expand_feedback(result, max_turns - turns_used))
         record.feedback = feedback
         messages.append({"role": "user", "content": feedback})
 
@@ -560,7 +557,7 @@ class HttpChatPolicy:
 
 
 class ScriptedPolicy:
-    """Replays a fixed list of replies; .fresh() restarts for a new episode."""
+    """Replays a fixed list of replies; build a new one for each episode."""
 
     def __init__(self, replies: list[str]):
         self.replies = list(replies)
@@ -575,9 +572,6 @@ class ScriptedPolicy:
         if not isinstance(data, list) or not all(isinstance(r, str) for r in data):
             raise PolicyError(f"{path}: expected a json array of reply strings")
         return cls(data)
-
-    def fresh(self) -> "ScriptedPolicy":
-        return ScriptedPolicy(self.replies)
 
     def complete(self, messages: list[dict]) -> str:
         if self._cursor >= len(self.replies):

@@ -32,7 +32,9 @@ from .harness import (
 )
 from .operators import SubprocessScriptBackend
 from .reward import RewardWeights
-from .synthesis import SynthesisError, read_bundle, synthesize_demo_task, verify_bundle, write_bundle
+from .synthesis import (
+    SynthesisError, is_bundle, read_bundle, synthesize_demo_task, verify_bundle, write_bundle,
+)
 from .tables import TableIOError, serialize_table
 
 
@@ -121,7 +123,7 @@ def _cmd_synth(args) -> int:
 def _cmd_validate(args) -> int:
     root = Path(args.suite_dir)
     try:
-        dirs = [root] if (root / "target_schema.json").exists() else discover_tasks(root)
+        dirs = [root] if is_bundle(root) else discover_tasks(root)
     except HarnessError as exc:
         return _err(str(exc))
     if not dirs:

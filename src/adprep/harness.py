@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .agent import Task, Trajectory, TurnRecord, run_episode
 from .reward import DEFAULT_WEIGHTS, RewardBreakdown, RewardWeights, score_trajectory
-from .synthesis import SynthesisError, TaskBundle, read_bundle
+from .synthesis import SynthesisError, TaskBundle, is_bundle, read_bundle
 from .tables import TableError, _write_text, table_from_json, table_to_json
 
 GPU_DOLLARS_PER_HOUR = 0.91
@@ -258,7 +258,6 @@ def score_case(
     weights: RewardWeights = DEFAULT_WEIGHTS,
     judge=None,
     max_turns: int = 5,
-    sample_rows: int = 5,
     script_backend=None,
     log_path: str | Path | None = None,
 ) -> tuple[Trajectory, RewardBreakdown]:
@@ -268,7 +267,6 @@ def score_case(
         task,
         policy,
         max_turns=max_turns,
-        sample_rows=sample_rows,
         script_backend=script_backend,
     )
     breakdown = score_trajectory(traj, bundle.target_table, weights=weights, judge=judge)
@@ -310,7 +308,7 @@ def discover_tasks(suite_dir: str | Path) -> list[Path]:
             dirs = sorted(e.path for e in entries if e.is_dir())
     except (FileNotFoundError, NotADirectoryError):
         raise HarnessError(f"{root}: suite directory does not exist") from None
-    return [p for p in map(Path, dirs) if (p / "target_schema.json").exists()]
+    return [p for p in map(Path, dirs) if is_bundle(p)]
 
 
 def run_benchmark(
@@ -321,7 +319,6 @@ def run_benchmark(
     judge_factory=None,
     threads: int = 1,
     max_turns: int = 5,
-    sample_rows: int = 5,
     script_backend=None,
     log_dir: str | Path | None = None,
 ) -> Report:
@@ -363,7 +360,6 @@ def run_benchmark(
                 weights=weights,
                 judge=judge_factory() if judge_factory else None,
                 max_turns=max_turns,
-                sample_rows=sample_rows,
                 script_backend=script_backend,
                 log_path=log_path,
             )

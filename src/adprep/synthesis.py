@@ -76,10 +76,13 @@ class CorruptionResult:
 class TaskBundle:
     task_id: str
     sources: TableSet
-    target_schema: Schema
     target_table: Table
     gt_pipeline: tuple[OperatorInstance, ...]
     provenance: dict = field(default_factory=dict)
+
+    @property
+    def target_schema(self) -> Schema:
+        return self.target_table.schema
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +287,11 @@ def synthesize_task(
             schema.table_name, schema.columns,
             f"build the table {schema.table_name} with columns {cols}",
         )
+        target = Table.trusted(schema, target.rows)
 
     return TaskBundle(
         task_id=task_id,
         sources=corrupted,
-        target_schema=schema,
         target_table=target,
         gt_pipeline=gt,
         provenance={
@@ -366,14 +369,20 @@ def _dir_prefix(root: Path) -> str:
     return "" if str(root) == "." else os.path.join(root, "")
 
 
+def is_bundle(directory: str | Path) -> bool:
+    """Whether `directory` holds a task bundle, i.e. a target schema."""
+    return os.path.exists(os.path.join(directory, "target_schema.json"))
+
+
 def write_bundle(bundle: TaskBundle, directory: str | Path) -> Path:
+    """Write the bundle's files; target_schema.json types target_table.csv."""
     root = Path(directory)
     base = _dir_prefix(root)
     os.makedirs(base + "sources", exist_ok=True)
     for name in sorted(bundle.sources):
         write_table(bundle.sources[name], os.path.join(base + "sources", f"{name}.csv"))
     write_schema(bundle.target_schema, base + "target_schema.json")
-    write_table(bundle.target_table, base + "target_table.csv")
+    write_table(bundle.target_table, base + "target_table.csv", sidecar=False)
     _write_text(base + "gt_pipeline.txt", serialize_pipeline(bundle.gt_pipeline))
     provenance = {"task_id": bundle.task_id, **bundle.provenance}
     _write_text(base + "provenance.json", json.dumps(provenance, indent=2, sort_keys=True) + "\n")
@@ -394,8 +403,8 @@ def read_bundle(directory: str | Path) -> TaskBundle:
         sources[t.name] = t
     if not sources:
         raise SynthesisError(f"{root}: sources/ holds no csv tables")
-    schema = read_schema(base + "target_schema.json")
-    target = read_table(base + "target_table.csv")
+    # the target's own schema file types its csv; a leftover sidecar is ignored
+    target = read_table(base + "target_table.csv", schema=read_schema(base + "target_schema.json"))
     gt_path = base + "gt_pipeline.txt"
     try:
         gt_text = _read_text(gt_path)
@@ -410,13 +419,18 @@ def read_bundle(directory: str | Path) -> TaskBundle:
         raise SynthesisError(f"{prov_path}: cannot read json: {exc}") from None
     if not isinstance(provenance, dict):
         raise SynthesisError(f"{prov_path}: expected a json object")
-    task_id = provenance.pop("task_id", root.name)
-    if not isinstance(task_id, str):
-        raise SynthesisError(f"{prov_path}: task_id must be a string")
+    if "task_id" in provenance:
+        # the task id names the episode's log file, so it must be one file name
+        task_id = provenance.pop("task_id")
+        if not isinstance(task_id, str):
+            raise SynthesisError(f"{prov_path}: task_id must be a string")
+        if task_id in ("", ".", "..") or "/" in task_id or "\0" in task_id:
+            raise SynthesisError(f"{prov_path}: task_id {task_id!r} is not a plain file name")
+    else:
+        task_id = root.name
     return TaskBundle(
         task_id=task_id,
         sources=sources,
-        target_schema=schema,
         target_table=target,
         gt_pipeline=gt,
         provenance=provenance,

@@ -44,6 +44,7 @@ cell always reads as Null.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import re
@@ -498,7 +499,7 @@ def schema_from_json(data: dict) -> Schema:
             for c in data["columns"]
         )
         return Schema(data["table_name"], cols, data.get("description"))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, TableError) as exc:
         raise TableIOError(f"malformed schema json: {exc}") from None
 
 
@@ -535,7 +536,8 @@ def _read_text(path: str | Path) -> str | None:
 
 
 def _write_text(path: str | Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write `text` as UTF-8, its line endings as given."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(text)
 
 
@@ -719,8 +721,6 @@ def _table_from_csv(path: str | Path, name: str, schema: Schema | None) -> Table
 
 def table_from_csv_text(text: str, name: str, schema: Schema | None = None) -> Table:
     """Parse csv text in memory, with the same inference rules as read_table."""
-    import io
-
     try:
         data = list(csv.reader(io.StringIO(text)))
     except csv.Error as exc:
@@ -729,19 +729,21 @@ def table_from_csv_text(text: str, name: str, schema: Schema | None = None) -> T
 
 
 def table_to_csv_text(t: Table) -> str:
-    r"""Render a table as csv text (header plus rows, RFC 4180 quoting).
+    r"""Render a table as csv text (header plus rows, RFC 4180 quoting); this
+    is also the text write_table puts in a csv file.
 
     Lines end in "\n", or in "\r\n" when a cell holds "\r": the csv writer
     quotes only cells holding a character of its line terminator, and an
     unquoted "\r" would end the row when the text is read back.
     """
-    import io
-
     rows = [t.column_names, *([render_cell(v) for v in row] for row in t.rows)]
-    ending = "\r\n" if any("\r" in cell for row in rows for cell in row) else "\n"
-    buf = io.StringIO()
-    csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator=ending).writerows(rows)
-    return buf.getvalue()
+    for ending in ("\n", "\r\n"):
+        buf = io.StringIO()
+        csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator=ending).writerows(rows)
+        text = buf.getvalue()
+        if "\r" not in text:
+            break
+    return text
 
 
 def _table_from_json_rows(path: str | Path, name: str, schema: Schema | None) -> Table:
@@ -779,24 +781,16 @@ def _table_from_json_rows(path: str | Path, name: str, schema: Schema | None) ->
         raise TableIOError(f"{path}: {exc}") from None
 
 
-def read_table(
-    path: str | Path,
-    fmt: str = "csv",
-    *,
-    schema: Schema | None = None,
-    name: str | None = None,
-) -> Table:
+def read_table(path: str | Path, fmt: str = "csv", *, schema: Schema | None = None) -> Table:
     """Read a table from csv or json-rows.
 
     When no schema is given, a `<path>.schema.json` sidecar is used if
-    present; otherwise dtypes are inferred. The table name defaults to the
+    present; otherwise dtypes are inferred and the table is named after the
     file stem.
     """
     if schema is None:
         schema = _read_sidecar(path)
-    table_name = name or (schema.table_name if schema else Path(path).stem)
-    if schema is not None and schema.table_name != table_name:
-        schema = Schema(table_name, schema.columns, schema.description)
+    table_name = schema.table_name if schema else Path(path).stem
     if fmt == "csv":
         return _table_from_csv(path, table_name, schema)
     if fmt == "json-rows":
@@ -812,11 +806,7 @@ def write_table(t: Table, path: str | Path, fmt: str = "csv", *, sidecar: bool =
     reads back as Null.
     """
     if fmt == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL)
-            writer.writerow(t.column_names)
-            for row in t.rows:
-                writer.writerow([render_cell(v) for v in row])
+        _write_text(path, table_to_csv_text(t))
     elif fmt == "json-rows":
         data = [
             {c.name: _jsonable(v) for c, v in zip(t.schema.columns, row)}

@@ -418,8 +418,8 @@ def test_scripted_policy_fresh_and_from_file(tmp_path):
     policy = ScriptedPolicy.from_file(path)
     traj = run_episode(make_task(), policy)
     assert traj.status == "answered"
-    # the same policy object is spent; a fresh copy replays from the top
-    traj2 = run_episode(make_task(), policy.fresh())
+    # the same policy object is spent; a new one over its replies starts over
+    traj2 = run_episode(make_task(), ScriptedPolicy(policy.replies))
     assert traj2.status == "answered"
     with pytest.raises(PolicyError):
         ScriptedPolicy.from_file(tmp_path / "missing.json")

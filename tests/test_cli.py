@@ -251,7 +251,7 @@ def test_empty_result_matching_an_empty_target_scores_outcome_0(tmp_path, capsys
     target = make_table("t", [("a", INT)], [])
     gt = (make_operator("Filter", "t", 'col("a") > 5'),)
     bundle_dir = write_bundle(
-        TaskBundle("empty", {"t": source}, target.schema, target, gt), tmp_path / "suite" / "empty"
+        TaskBundle("empty", {"t": source}, target, gt), tmp_path / "suite" / "empty"
     )
     log = tmp_path / "empty.jsonl"
     assert main(["solve", str(bundle_dir), "--policy", "gt", "--log", str(log)]) == 1
@@ -286,3 +286,50 @@ def test_out_of_range_file_cell_is_reported_not_raised(suite, tmp_path, capsys):
     script = tmp_path / "replies.json"
     script.write_text(json.dumps(["<plan>x</plan>\n<answer>\nroot\ntarget: t\n</answer>"]))
     assert main(["replay", str(suite / "task-001"), str(script)]) == 2
+
+
+@pytest.mark.parametrize("schema_file", ["target_schema.json", "sources/orders.csv.schema.json"])
+@pytest.mark.parametrize("fault, detail", [
+    (lambda s: s["columns"][0].update(dtype="float"), "unknown dtype 'float'"),
+    (lambda s: s["columns"].append(dict(s["columns"][0])), "duplicate column names"),
+    (lambda s: s.update(table_name=""), "table name must be non-empty"),
+    (lambda s: s["columns"][0].update(name=""), "column name must be non-empty"),
+])
+def test_a_schema_file_with_a_bad_column_dtype_or_name_is_reported_not_raised(
+    suite, tmp_path, capsys, schema_file, fault, detail
+):
+    path = suite / "task-001" / schema_file
+    schema = json.loads(path.read_text())
+    fault(schema)
+    path.write_text(json.dumps(schema))
+    capsys.readouterr()
+    assert main(["validate", str(suite)]) == 1
+    out = capsys.readouterr().out
+    assert f"FAIL task-001: malformed schema json: {detail}" in out
+    assert "ok   task-000" in out
+    script = tmp_path / "replies.json"
+    script.write_text(json.dumps(["<plan>x</plan>\n<answer>\nroot\ntarget: t\n</answer>"]))
+    for argv in (["solve", str(suite / "task-001"), "--policy", "gt"],
+                 ["replay", str(suite / "task-001"), str(script)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"malformed schema json: {detail}" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
+
+def test_a_task_id_naming_another_directory_writes_no_log_outside_the_log_dir(
+    suite, tmp_path, capsys
+):
+    logs = tmp_path / "logs" / "inner"
+    assert main(["run", str(suite), "--policy", "gt", "--log-dir", str(logs)]) == 0
+    (suite / "task-001" / "provenance.json").write_text(json.dumps({"task_id": "../escaped"}))
+    for argv in (["run", str(suite), "--policy", "gt", "--log-dir", str(logs), "--json"],
+                 ["score", str(suite), str(logs), "--json"]):
+        capsys.readouterr()
+        assert main(argv) == 1
+        rows = {r["task_id"]: r for r in json.loads(capsys.readouterr().out)["rows"]}
+        assert rows["task-001"]["status"] == "load_error"
+        assert "provenance.json" in rows["task-001"]["error"]
+        assert rows["task-000"]["status"] == "answered"
+    written = sorted(p for p in tmp_path.rglob("*.jsonl"))
+    assert written and all(p.parent == logs for p in written)

@@ -46,6 +46,7 @@ from adprep.tables import (
     Schema,
     Table,
     read_table,
+    table_to_csv_text,
     tables_equal,
     write_table,
 )
@@ -228,6 +229,18 @@ def test_an_empty_text_cell_reads_back_as_null_from_csv_only(tmp_path, fmt, want
     assert read_table(tmp_path / "t.data", fmt).rows == ((want, "x"), (None, want))
 
 
+def test_a_csv_file_holds_exactly_the_csv_text(tmp_path):
+    """write_table's csv file is table_to_csv_text, encoded as UTF-8, and
+    reads back with the table's schema given in place of a sidecar."""
+    rng = random.Random(1420)
+    for i in range(150):
+        t = random_file_table(rng, _file_text(rng, empty_ok=False))
+        path = tmp_path / f"t{i}.csv"
+        write_table(t, path, sidecar=False)
+        assert path.read_bytes() == table_to_csv_text(t).encode("utf-8")
+        assert_same_table(read_table(path, schema=t.schema), _empty_text_as_null(t))
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json-rows"])
 def test_table_files_cannot_hold_a_lone_surrogate(tmp_path, fmt):
     t = Table(Schema("t", (ColumnSpec("a", TEXT),)), (("\ud800",),))
@@ -252,7 +265,7 @@ def test_bundle_round_trip_law(tmp_path):
         ]
         gt = tuple(op for op in ops if "\ud800" not in op.text)  # gt_pipeline.txt is UTF-8
         provenance = {adversarial_text(rng): [adversarial_text(rng), 7, None] for _ in range(2)}
-        bundle = TaskBundle(adversarial_text(rng), sources, target.schema, target, gt, provenance)
+        bundle = TaskBundle(adversarial_text(rng), sources, target, gt, provenance)
         first = write_bundle(bundle, tmp_path / f"b{i}")
         back = read_bundle(first)
         assert back.task_id == bundle.task_id

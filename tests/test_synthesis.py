@@ -21,7 +21,17 @@ from adprep.synthesis import (
     verify_bundle,
     write_bundle,
 )
-from adprep.tables import INT, REAL, TEXT, TableIOError, make_table, tables_equal
+from adprep.tables import (
+    INT,
+    REAL,
+    TEXT,
+    Schema,
+    TableIOError,
+    make_table,
+    read_schema,
+    tables_equal,
+    write_schema,
+)
 from conftest import SPLITLINES_ONLY_BREAKS
 
 
@@ -288,6 +298,34 @@ def test_sidecar_of_the_wrong_shape_is_a_table_io_error(tmp_path):
     assert str(info.value) == "malformed schema json: list indices must be integers or slices, not str"
 
 
+@pytest.mark.parametrize("fault, detail", [
+    (lambda s: s["columns"][0].update(dtype="float"), "unknown dtype 'float' for column"),
+    (lambda s: s["columns"].append(dict(s["columns"][0])), "duplicate column names in table"),
+    (lambda s: s.update(table_name=""), "table name must be non-empty"),
+    (lambda s: s["columns"][0].update(name=""), "column name must be non-empty"),
+])
+@pytest.mark.parametrize("name", ["sources/regions.csv.schema.json", "target_schema.json"])
+def test_a_schema_file_with_a_bad_column_dtype_or_name_is_a_table_io_error(
+    tmp_path, name, fault, detail
+):
+    root = _bundle(tmp_path)
+    path = root / name
+    schema = json.loads(path.read_text())
+    fault(schema)
+    path.write_text(json.dumps(schema))
+    with pytest.raises(TableIOError, match=f"^malformed schema json: {detail}"):
+        read_bundle(root)
+
+
+@pytest.mark.parametrize("task_id", ["../escaped", "/escaped", "a/b", "", ".", "..", "a\0b"])
+def test_a_task_id_that_is_not_a_plain_file_name_is_a_synthesis_error(tmp_path, task_id):
+    # the task id names the episode's log file, which must stay in the log directory
+    root = _bundle(tmp_path)
+    (root / "provenance.json").write_text(json.dumps({"task_id": task_id}))
+    with pytest.raises(SynthesisError, match="provenance.json: task_id .* is not a plain file name"):
+        read_bundle(root)
+
+
 def test_missing_target_schema_is_a_table_io_error(tmp_path):
     root = _bundle(tmp_path)
     path = root / "target_schema.json"
@@ -318,7 +356,8 @@ def test_reading_a_bundle_opens_each_file_once(tmp_path, monkeypatch):
     # a guard against a probe or a second read creeping back into the reader
     root = write_bundle(synthesize_demo_task(random.Random(1), "task-001"), tmp_path / "b")
     files = sorted(str(p) for p in root.rglob("*") if p.is_file())
-    assert len(files) == 9  # two sources and their sidecars, five more files
+    assert len(files) == 8  # two sources and their sidecars, four more files
+    assert not (root / "target_table.csv.schema.json").exists()
     opened = []
     real_open = builtins.open
 
@@ -331,3 +370,22 @@ def test_reading_a_bundle_opens_each_file_once(tmp_path, monkeypatch):
     bundle = read_bundle(root)
     assert sorted(bundle.sources) == ["orders", "regions"]
     assert sorted(opened) == files
+
+
+def test_an_older_layout_bundle_reads_its_target_with_target_schema_json(tmp_path):
+    # bundles written before the target lost its sidecar also hold
+    # target_table.csv.schema.json (without the description) and end csv
+    # lines in \r\n; the sidecar is ignored and both line ends read
+    root = _bundle(tmp_path)
+    new = read_bundle(root)
+    described = read_schema(root / "target_schema.json")
+    assert described.description and new.target_schema == described
+    stale = Schema(described.table_name, described.columns)
+    write_schema(stale, root / "target_table.csv.schema.json")
+    for path in [root / "target_table.csv", *(root / "sources").glob("*.csv")]:
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    old = read_bundle(root)
+    assert old.target_schema == described
+    assert old.target_table == new.target_table
+    assert old.sources == new.sources
+    verify_bundle(old)
