@@ -18,7 +18,6 @@ from .tables import (
     tables_equal,
     serialize_table,
     make_table,
-    table_from_rows,
     read_table,
     write_table,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "tables_equal",
     "serialize_table",
     "make_table",
-    "table_from_rows",
     "read_table",
     "write_table",
     "EvalError",

@@ -81,15 +81,13 @@ class ProtocolViolation(Exception):
 class Task:
     """One episode's input: named source tables and the schema to build.
 
-    target_name overrides which state table counts as the answer when the
-    policy's <answer> has no "target:" line; it defaults to the schema's
-    own table name.
+    When the policy's <answer> has no "target:" line, the state table named
+    like the target schema counts as the answer.
     """
 
     task_id: str
     sources: TableSet
     target_schema: Schema
-    target_name: str | None = None
 
 
 @dataclass
@@ -473,9 +471,7 @@ def run_episode(
             answer_path = parent_node.path_text
             answer_plan = parsed.plan
             final_table = _extract_answer_table(
-                parent_node,
-                parsed.answer_target,
-                task.target_name or task.target_schema.table_name,
+                parent_node, parsed.answer_target, task.target_schema.table_name
             )
             if final_table is not None and final_table.n_rows > 0:
                 status = STATUS_ANSWERED

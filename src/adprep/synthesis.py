@@ -427,7 +427,7 @@ def read_bundle(directory: str | Path) -> TaskBundle:
         if task_id in ("", ".", "..") or "/" in task_id or "\0" in task_id:
             raise SynthesisError(f"{prov_path}: task_id {task_id!r} is not a plain file name")
     else:
-        task_id = root.name
+        task_id = os.path.basename(os.path.abspath(root))  # "." names its directory
     return TaskBundle(
         task_id=task_id,
         sources=sources,

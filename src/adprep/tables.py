@@ -15,17 +15,16 @@ list columns, and for sorting a column holding a Null, are keyed cell by
 cell.
 
 Cells are checked once, where they enter. Table(schema, rows) checks every
-cell and is the constructor for untrusted input: make_table,
-table_from_rows, table_from_json (logs and final tables), json-rows reads,
-ExeCode output and synthesis corruption all use it. It checks a column in
+cell and is the constructor for untrusted input: make_table, table_from_json
+(logs and final tables) and synthesis corruption use it. It checks a column in
 one pass at C speed (clean_column_kind) when every non-null cell is exactly
 the column's Python type (int, float, str or bool), with the 64-bit range
 of an int column read off its min and max and the reals tested with
 math.isfinite; the rows are then kept as given. Any other table (a list
 column, a bool in an int column, a subclass of int or str, a bad cell, a
 ragged row) is checked row by row with validate_cell, which gives the same
-rows and the same error text. The csv readers type and check a column at a
-time as they parse it (_csv_typed): one regex over the joined texts of an
+rows and the same error text. The csv reader types and checks a column at a
+time as it parses it (_csv_typed): one regex over the joined texts of an
 int or real column, then int / float and the range check over all of them,
 or one set of lowered texts for a bool column. A column that pass does not
 take (a list column, a bad cell) is parsed cell by cell, which names the
@@ -35,10 +34,12 @@ checked tables, plus columns an operator computes, which it checks with the
 same column kernel first.
 
 The module also provides a deterministic markdown rendering used for agent
-observations, and csv / json-rows file I/O with an optional JSON sidecar
-schema. Without a sidecar, a csv column's dtype is the first of integer,
-real and boolean that parses the whole column, else text; an empty csv
-cell always reads as Null.
+observations, and csv file I/O with an optional JSON sidecar schema. A csv
+file and csv text (ExeCode's output) go through one parser, so the same
+text reads the same either way. Without a sidecar, a csv column's dtype is
+the first of integer, real and boolean that parses the whole column, else
+text; an empty csv cell always reads as Null. Every schema file is read by
+read_schema, which names the file in each error.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -78,7 +80,7 @@ class TableError(ValueError):
 
 
 class TableIOError(TableError):
-    """Malformed table file (csv, json-rows, or sidecar schema)."""
+    """Malformed table file: csv text or a JSON schema."""
 
 
 def value_kind(value: Cell) -> str | None:
@@ -298,30 +300,6 @@ def infer_column(cells: list[Cell], fallback: str = TEXT) -> tuple[str, list[Cel
     raise TableError(f"mixed cell kinds {sorted(kinds)} in one column")
 
 
-def table_from_rows(
-    name: str,
-    column_names: Sequence[str],
-    rows: Iterable[Sequence[Cell]],
-    description: str | None = None,
-    column_descriptions: Sequence[str | None] | None = None,
-) -> Table:
-    """Build a table inferring each column dtype from its cells."""
-    rows = [tuple(r) for r in rows]
-    n = len(column_names)
-    for r, row in enumerate(rows):
-        if len(row) != n:
-            raise TableError(f"table {name!r} row {r}: expected {n} cells, got {len(row)}")
-    descs = column_descriptions or [None] * n
-    cols = []
-    coerced_cols = []
-    for i, cname in enumerate(column_names):
-        dtype, cells, _ = infer_column([row[i] for row in rows])
-        cols.append(ColumnSpec(cname, dtype, descs[i]))
-        coerced_cols.append(cells)
-    fixed_rows = [tuple(coerced_cols[i][r] for i in range(n)) for r in range(len(rows))]
-    return Table(Schema(name, tuple(cols), description), tuple(fixed_rows))
-
-
 # ---------------------------------------------------------------------------
 # ordering and equality
 # ---------------------------------------------------------------------------
@@ -492,14 +470,36 @@ def schema_to_json(schema: Schema) -> dict:
     }
 
 
-def schema_from_json(data: dict) -> Schema:
+def _json_type(value: Any) -> str:
+    return "null" if value is None else type(value).__name__
+
+
+def _json_text(obj: Any, key: str, null_ok: bool = False) -> str | None:
+    """obj[key] from a schema's JSON form: text, or null (or absent) if null_ok."""
+    if not isinstance(obj, dict):
+        raise TableError(f"expected an object, got {_json_type(obj)}")
+    value = obj.get(key)
+    if isinstance(value, str) or (null_ok and value is None):
+        return value
+    raise TableError(f"{key!r} must be text{' or null' if null_ok else ''}, got {_json_type(value)}")
+
+
+def schema_from_json(data: Any) -> Schema:
+    """The Schema of a JSON object. Table and column names and dtypes must be
+    text, descriptions text or null; anything else is a TableIOError."""
     try:
+        name = _json_text(data, "table_name")
+        columns = data.get("columns")
+        if not isinstance(columns, list):
+            raise TableError(f"'columns' must be a list, got {_json_type(columns)}")
         cols = tuple(
-            ColumnSpec(c["name"], c["dtype"], c.get("description"))
-            for c in data["columns"]
+            ColumnSpec(
+                _json_text(c, "name"), _json_text(c, "dtype"), _json_text(c, "description", True)
+            )
+            for c in columns
         )
-        return Schema(data["table_name"], cols, data.get("description"))
-    except (KeyError, TypeError, TableError) as exc:
+        return Schema(name, cols, _json_text(data, "description", True))
+    except TableError as exc:
         raise TableIOError(f"malformed schema json: {exc}") from None
 
 
@@ -546,25 +546,16 @@ def write_schema(schema: Schema, path: str | Path) -> None:
 
 
 def read_schema(path: str | Path) -> Schema:
+    """The schema in the JSON file at `path`. Every schema file, a table's
+    sidecar or a bundle's target_schema.json, is read here, and each error
+    names the file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            return schema_from_json(json.load(fh))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise TableIOError(f"cannot read schema {path}: {exc}") from None
-    return schema_from_json(data)
-
-
-def _read_sidecar(path: str | Path) -> Schema | None:
-    """The sidecar schema of the table file at `path`, or None if it has none."""
-    sidecar = sidecar_path(path)
-    try:
-        text = _read_text(sidecar)
-        if text is None:
-            return None
-        data = json.loads(text)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise TableIOError(f"cannot read schema {sidecar}: {exc}") from None
-    return schema_from_json(data)
+    except TableIOError as exc:
+        raise TableIOError(f"{path}: {exc}") from None
 
 
 def _column_re(cell: re.Pattern) -> re.Pattern:
@@ -675,9 +666,14 @@ def _csv_parse_column(
     return dtype, [fill() if c else None for c in cells]
 
 
-def _parse_csv_records(
-    data: list[list[str]], origin: str, name: str, schema: Schema | None
-) -> Table:
+def _parse_csv(text: str, origin: str, name: str, schema: Schema | None) -> Table:
+    """The table csv `text` holds; `origin` (a file path, or "table 'name'")
+    starts every error message. A record ends at "\n", "\r\n" or "\r"
+    outside quotes."""
+    try:
+        data = list(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as exc:
+        raise TableIOError(f"{origin}: malformed csv: {exc}") from None
     if not data:
         raise TableIOError(f"{origin}: empty input, expected a header row")
     if [] in data:  # a blank line is a record with a single empty field
@@ -708,24 +704,9 @@ def _parse_csv_records(
     return Table.trusted(schema, tuple(zip(*(cells for _, cells in typed))))
 
 
-def _table_from_csv(path: str | Path, name: str, schema: Schema | None) -> Table:
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            data = list(csv.reader(fh))
-    except OSError as exc:
-        raise TableIOError(f"cannot read {path}: {exc}") from None
-    except (csv.Error, UnicodeDecodeError) as exc:
-        raise TableIOError(f"{path}: malformed csv: {exc}") from None
-    return _parse_csv_records(data, str(path), name, schema)
-
-
 def table_from_csv_text(text: str, name: str, schema: Schema | None = None) -> Table:
-    """Parse csv text in memory, with the same inference rules as read_table."""
-    try:
-        data = list(csv.reader(io.StringIO(text)))
-    except csv.Error as exc:
-        raise TableIOError(f"table {name!r}: malformed csv: {exc}") from None
-    return _parse_csv_records(data, f"table {name!r}", name, schema)
+    """Parse csv text in memory, with the same rules as read_table."""
+    return _parse_csv(text, f"table {name!r}", name, schema)
 
 
 def table_to_csv_text(t: Table) -> str:
@@ -746,74 +727,34 @@ def table_to_csv_text(t: Table) -> str:
     return text
 
 
-def _table_from_json_rows(path: str | Path, name: str, schema: Schema | None) -> Table:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise TableIOError(f"cannot read {path}: {exc}") from None
-    if not isinstance(data, list) or any(not isinstance(r, dict) for r in data):
-        raise TableIOError(f"{path}: json-rows file must be a list of objects")
-    if schema is not None:
-        names = list(schema.column_names)
-    elif data:
-        names = list(data[0].keys())
-    else:
-        raise TableIOError(f"{path}: empty json-rows file needs a sidecar schema")
-    rows = []
-    for r, obj in enumerate(data):
-        if set(obj.keys()) != set(names):
-            raise TableIOError(f"{path}: row {r} keys do not match columns {names}")
-        row = []
-        for n in names:
-            v = obj[n]
-            if isinstance(v, list):
-                v = tuple(v)
-            elif isinstance(v, dict):
-                raise TableIOError(f"{path}: row {r} column {n!r}: nested objects not allowed")
-            row.append(v)
-        rows.append(tuple(row))
-    try:
-        if schema is not None:
-            return Table(schema, tuple(rows))
-        return table_from_rows(name, names, rows)
-    except TableError as exc:
-        raise TableIOError(f"{path}: {exc}") from None
-
-
-def read_table(path: str | Path, fmt: str = "csv", *, schema: Schema | None = None) -> Table:
-    """Read a table from csv or json-rows.
+def read_table(path: str | Path, *, schema: Schema | None = None) -> Table:
+    """Read a csv table file.
 
     When no schema is given, a `<path>.schema.json` sidecar is used if
     present; otherwise dtypes are inferred and the table is named after the
     file stem.
     """
-    if schema is None:
-        schema = _read_sidecar(path)
-    table_name = schema.table_name if schema else Path(path).stem
-    if fmt == "csv":
-        return _table_from_csv(path, table_name, schema)
-    if fmt == "json-rows":
-        return _table_from_json_rows(path, table_name, schema)
-    raise ValueError(f"unknown table format {fmt!r}")
+    sidecar = sidecar_path(path)
+    if schema is None and os.path.exists(sidecar):
+        schema = read_schema(sidecar)
+    try:
+        # newline="" keeps the text as written; the csv parser finds the ends
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise TableIOError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise TableIOError(f"{path}: malformed csv: {exc}") from None
+    return _parse_csv(text, str(path), schema.table_name if schema else Path(path).stem, schema)
 
 
-def write_table(t: Table, path: str | Path, fmt: str = "csv", *, sidecar: bool = True) -> None:
-    """Write a table to csv or json-rows, plus a sidecar schema by default.
+def write_table(t: Table, path: str | Path, *, sidecar: bool = True) -> None:
+    """Write a table as csv, plus a sidecar schema by default.
 
     The sidecar preserves dtypes so that read_table round-trips exactly.
     One csv caveat: an empty text cell is indistinguishable from Null and
     reads back as Null.
     """
-    if fmt == "csv":
-        _write_text(path, table_to_csv_text(t))
-    elif fmt == "json-rows":
-        data = [
-            {c.name: _jsonable(v) for c, v in zip(t.schema.columns, row)}
-            for row in t.rows
-        ]
-        _write_text(path, json.dumps(data, indent=2, ensure_ascii=False) + "\n")
-    else:
-        raise ValueError(f"unknown table format {fmt!r}")
+    _write_text(path, table_to_csv_text(t))
     if sidecar:
         write_schema(t.schema, sidecar_path(path))

@@ -372,19 +372,6 @@ def test_answered_zero_row_table_is_empty_result():
     assert traj.final_table.n_rows == 0
 
 
-def test_task_target_name_overrides_schema_match():
-    base = make_task()
-    task = Task(
-        "named",
-        base.sources,
-        Schema("movies", (ColumnSpec("director_id", INT), ColumnSpec("name", TEXT))),
-        target_name="directors",
-    )
-    traj = run_episode(task, ScriptedPolicy(["<plan>directors holds it</plan><answer>root</answer>"]))
-    assert traj.status == "answered"
-    assert traj.final_table.name == "directors"
-
-
 def test_transport_failure_aborts_as_protocol_error():
     class Boom:
         def complete(self, messages):

@@ -294,6 +294,13 @@ def test_out_of_range_file_cell_is_reported_not_raised(suite, tmp_path, capsys):
     (lambda s: s["columns"].append(dict(s["columns"][0])), "duplicate column names"),
     (lambda s: s.update(table_name=""), "table name must be non-empty"),
     (lambda s: s["columns"][0].update(name=""), "column name must be non-empty"),
+    # a value of the wrong JSON type must stop at the schema reader: an int
+    # table name breaks sorting the state's table names in solve, and a list
+    # one cannot key the sources in validate
+    (lambda s: s.update(table_name=1), "'table_name' must be text, got int"),
+    (lambda s: s.update(table_name=["orders"]), "'table_name' must be text, got list"),
+    (lambda s: s["columns"][0].update(name=5), "'name' must be text, got int"),
+    (lambda s: s.update(description=["x"]), "'description' must be text or null, got list"),
 ])
 def test_a_schema_file_with_a_bad_column_dtype_or_name_is_reported_not_raised(
     suite, tmp_path, capsys, schema_file, fault, detail
@@ -305,7 +312,7 @@ def test_a_schema_file_with_a_bad_column_dtype_or_name_is_reported_not_raised(
     capsys.readouterr()
     assert main(["validate", str(suite)]) == 1
     out = capsys.readouterr().out
-    assert f"FAIL task-001: malformed schema json: {detail}" in out
+    assert f"FAIL task-001: {path}: malformed schema json: {detail}" in out
     assert "ok   task-000" in out
     script = tmp_path / "replies.json"
     script.write_text(json.dumps(["<plan>x</plan>\n<answer>\nroot\ntarget: t\n</answer>"]))
@@ -313,7 +320,7 @@ def test_a_schema_file_with_a_bad_column_dtype_or_name_is_reported_not_raised(
                  ["replay", str(suite / "task-001"), str(script)]):
         assert main(argv) == 2
         captured = capsys.readouterr()
-        assert f"malformed schema json: {detail}" in captured.err
+        assert f"{path}: malformed schema json: {detail}" in captured.err
         assert "Traceback" not in captured.out + captured.err
 
 

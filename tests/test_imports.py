@@ -1,6 +1,8 @@
-"""Source hygiene: every module of the package uses each name it imports."""
+"""Source hygiene: every module of the package uses each name it imports, and
+every function and class it defines is named outside the tests."""
 
 import ast
+import re
 from pathlib import Path
 
 import adprep
@@ -36,3 +38,42 @@ def test_package_modules_use_every_import():
         p.name: found for p in modules if (found := unused_imports(p.read_text(encoding="utf-8")))
     }
     assert unused == {}
+
+
+def unnamed_definitions(modules: dict[str, str], elsewhere: str) -> list[str]:
+    """Top-level functions and classes of `modules` ({file name: source})
+    whose name appears in no module outside the definition's own lines, nor
+    in `elsewhere`."""
+    found = []
+    for name, source in modules.items():
+        lines = source.splitlines()
+        for node in ast.parse(source).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            outside = "\n".join(lines[: node.lineno - 1] + lines[node.end_lineno :])
+            others = [text for other, text in modules.items() if other != name]
+            if not re.search(rf"\b{node.name}\b", "\n".join([outside, *others, elsewhere])):
+                found.append(f"{name}:{node.name}")
+    return found
+
+
+def test_unnamed_definitions_are_found():
+    modules = {
+        "a.py": "def used():\n    pass\n\ndef recurses():\n    return recurses()\n",
+        "b.py": "class Kept:\n    pass\n\nused()\n",
+    }
+    assert unnamed_definitions(modules, "Kept") == ["a.py:recurses"]
+
+
+def test_every_definition_has_a_caller_outside_the_tests():
+    """A function or class the package defines is named elsewhere in the
+    package or in perfbench/; code only the tests call gets a real caller or
+    goes. A re-export from `__init__` is not a caller."""
+    modules = {
+        p.name: p.read_text(encoding="utf-8")
+        for p in sorted(PACKAGE.glob("*.py"))
+        if p.name != "__init__.py"
+    }
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    elsewhere = "\n".join(p.read_text(encoding="utf-8") for p in sorted(perfbench.glob("*.py")))
+    assert unnamed_definitions(modules, elsewhere) == []

@@ -45,7 +45,9 @@ from adprep.tables import (
     ColumnSpec,
     Schema,
     Table,
+    TableIOError,
     read_table,
+    table_from_csv_text,
     table_to_csv_text,
     tables_equal,
     write_table,
@@ -204,29 +206,29 @@ def _tree_bytes(root):
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-@pytest.mark.parametrize("fmt, suffix", [("csv", ".csv"), ("json-rows", ".json")])
-def test_table_file_round_trip_law(tmp_path, fmt, suffix):
+@pytest.mark.parametrize("suffix", [pytest.param(".csv", id="csv-.csv")])
+def test_table_file_round_trip_law(tmp_path, suffix):
     """read_table(write_table(t)) with its sidecar gives t back: the same
     values, dtypes and cell types, and writing it again gives the same
     bytes. The one csv limit: an empty text cell reads back as null, since
-    csv spells null and "" alike; json-rows carries it."""
+    csv spells null and "" alike (table_to_json, the log form, carries it)."""
     rng = random.Random(1414)
     for i in range(150):
         t = random_file_table(rng, _file_text(rng, empty_ok=False))
         first, again = tmp_path / f"t{i}{suffix}", tmp_path / f"t{i}-again{suffix}"
-        write_table(t, first, fmt)
-        back = read_table(first, fmt)
-        assert_same_table(back, _empty_text_as_null(t) if fmt == "csv" else t)
-        write_table(back, again, fmt)
+        write_table(t, first)
+        back = read_table(first)
+        assert_same_table(back, _empty_text_as_null(t))
+        write_table(back, again)
         for ext in ("", ".schema.json"):
             assert Path(f"{again}{ext}").read_bytes() == Path(f"{first}{ext}").read_bytes()
 
 
-@pytest.mark.parametrize("fmt, want", [("csv", None), ("json-rows", "")])
-def test_an_empty_text_cell_reads_back_as_null_from_csv_only(tmp_path, fmt, want):
+@pytest.mark.parametrize("want", [pytest.param(None, id="csv-None")])
+def test_an_empty_text_cell_reads_back_as_null_from_csv_only(tmp_path, want):
     t = Table(Schema("t", (ColumnSpec("a", TEXT), ColumnSpec("b", TEXT))), (("", "x"), (None, "")))
-    write_table(t, tmp_path / "t.data", fmt)
-    assert read_table(tmp_path / "t.data", fmt).rows == ((want, "x"), (None, want))
+    write_table(t, tmp_path / "t.data")
+    assert read_table(tmp_path / "t.data").rows == ((want, "x"), (None, want))
 
 
 def test_a_csv_file_holds_exactly_the_csv_text(tmp_path):
@@ -241,11 +243,55 @@ def test_a_csv_file_holds_exactly_the_csv_text(tmp_path):
         assert_same_table(read_table(path, schema=t.schema), _empty_text_as_null(t))
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json-rows"])
-def test_table_files_cannot_hold_a_lone_surrogate(tmp_path, fmt):
+RECORD_ENDS = ["\n", "\r\n", "\r"]
+CSV_FIELDS = ["", "1", "-2", "2.5", "true", "x", "a b", '"q,r"', '"say ""hi"""', "x\"y"]
+QUOTED_BREAKS = ['"\r"', '"a\nb"', '"\r\n"', '"1\r2"', '"\n\n"']
+
+
+def _random_csv_text(rng) -> str:
+    """Header a[,b[,c]] then records of plain, quoted and quoted-line-break
+    fields, each record ended by LF, CRLF or a bare CR (the last end is
+    sometimes left off); a field now and then holds an unquoted CR or LF."""
+    n = rng.randint(1, 3)
+    records = [["a", "b", "c"][:n]]
+    for _ in range(rng.randint(0, 4)):
+        record = [rng.choice(CSV_FIELDS + QUOTED_BREAKS) for _ in range(n)]
+        if rng.random() < 0.1:
+            record[rng.randrange(n)] = rng.choice(["1\r2", "x\ny"])
+        records.append(record)
+    text = "".join(",".join(r) + rng.choice(RECORD_ENDS) for r in records)
+    return text if rng.random() < 0.8 else text.rstrip("\r\n")
+
+
+def test_a_csv_file_and_its_text_read_alike(tmp_path):
+    """read_table on a file and table_from_csv_text on the file's text give
+    the same table, or both raise TableIOError, with and without a schema."""
+    rng = random.Random(1421)
+    path = tmp_path / "t.csv"
+    for i in range(400):
+        text = _random_csv_text(rng)
+        path.write_bytes(text.encode("utf-8"))
+        header = text.splitlines()[0].split(",")
+        schema = None
+        if rng.random() < 0.5:
+            schema = Schema("t", tuple(ColumnSpec(h, rng.choice([INT, TEXT])) for h in header))
+
+        def outcome(read):
+            try:
+                t = read()
+            except TableIOError:
+                return "TableIOError"
+            return t.schema, t.rows
+
+        from_file = outcome(lambda: read_table(path, schema=schema))
+        assert from_file == outcome(lambda: table_from_csv_text(text, "t", schema)), (i, text)
+
+
+@pytest.mark.parametrize("name", [pytest.param("t.data", id="csv")])
+def test_table_files_cannot_hold_a_lone_surrogate(tmp_path, name):
     t = Table(Schema("t", (ColumnSpec("a", TEXT),)), (("\ud800",),))
     with pytest.raises(UnicodeEncodeError):
-        write_table(t, tmp_path / "t.data", fmt)
+        write_table(t, tmp_path / name)
 
 
 def test_bundle_round_trip_law(tmp_path):

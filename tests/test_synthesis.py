@@ -292,10 +292,11 @@ def test_unreadable_source_sidecar_is_a_table_io_error(tmp_path, data, detail):
 
 def test_sidecar_of_the_wrong_shape_is_a_table_io_error(tmp_path):
     root = _bundle(tmp_path)
-    (root / "sources" / "orders.csv.schema.json").write_text("[]")
+    path = root / "sources" / "orders.csv.schema.json"
+    path.write_text("[]")
     with pytest.raises(TableIOError) as info:
         read_bundle(root)
-    assert str(info.value) == "malformed schema json: list indices must be integers or slices, not str"
+    assert str(info.value) == f"{path}: malformed schema json: expected an object, got list"
 
 
 @pytest.mark.parametrize("fault, detail", [
@@ -313,8 +314,9 @@ def test_a_schema_file_with_a_bad_column_dtype_or_name_is_a_table_io_error(
     schema = json.loads(path.read_text())
     fault(schema)
     path.write_text(json.dumps(schema))
-    with pytest.raises(TableIOError, match=f"^malformed schema json: {detail}"):
+    with pytest.raises(TableIOError) as info:
         read_bundle(root)
+    assert str(info.value).startswith(f"{path}: malformed schema json: {detail}")
 
 
 @pytest.mark.parametrize("task_id", ["../escaped", "/escaped", "a/b", "", ".", "..", "a\0b"])
@@ -350,6 +352,14 @@ def test_missing_provenance_takes_the_task_id_from_the_directory(tmp_path, spell
     bundle = read_bundle(spell(root))
     assert bundle.task_id == "dir-7"
     assert bundle.provenance == {}
+
+
+def test_missing_provenance_in_the_working_directory_takes_its_name(tmp_path, monkeypatch):
+    # Path(".").name is "", which would name the episode's log ".jsonl"
+    root = write_bundle(synthesize_demo_task(random.Random(1), "named"), tmp_path / "dir-7")
+    (root / "provenance.json").unlink()
+    monkeypatch.chdir(root)
+    assert read_bundle(".").task_id == "dir-7"
 
 
 def test_reading_a_bundle_opens_each_file_once(tmp_path, monkeypatch):

@@ -30,6 +30,7 @@ from adprep.tables import (
     cell_hash_key,
     cell_sort_key,
     cells_equal,
+    infer_column,
     make_table,
     read_table,
     serialize_table,
@@ -37,7 +38,6 @@ from adprep.tables import (
     sidecar_path,
     table_from_csv_text,
     table_from_json,
-    table_from_rows,
     table_to_csv_text,
     tables_equal,
     validate_cell,
@@ -340,16 +340,6 @@ def test_csv_round_trip_with_sidecar(tmp_path):
         assert back.schema == t.schema
 
 
-def test_json_rows_round_trip(tmp_path):
-    rng = random.Random(14)
-    for i in range(25):
-        t = random_table(rng, name=f"t{i}")
-        path = tmp_path / f"t{i}.json"
-        write_table(t, path, fmt="json-rows")
-        back = read_table(path, fmt="json-rows")
-        assert tables_equal(t, back), f"json round trip failed for table {i}"
-
-
 def test_csv_inference_without_sidecar(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a,b,c,d\n1,2.5,true,hello\n2,,false,\n")
@@ -416,6 +406,16 @@ def test_sidecar_dtype_beats_inference(tmp_path):
     assert back.rows == (("12",), ("34",))
 
 
+def table_from_rows(name, column_names, rows):
+    """A table whose column dtypes infer_column reads off its cells."""
+    columns = [infer_column(list(cells)) for cells in zip(*rows)]
+    return make_table(
+        name,
+        [(n, dtype) for n, (dtype, _, _) in zip(column_names, columns)],
+        zip(*(cells for _, cells, _ in columns)),
+    )
+
+
 def test_table_from_rows_promotes_int_to_real():
     t = table_from_rows("t", ["a"], [(1,), (2.5,)])
     assert t.schema.columns[0].dtype == "real"
@@ -467,26 +467,16 @@ def test_bad_sidecar_csv_cell_is_a_table_io_error(tmp_path, dtype, text):
         read_table(path)
 
 
-def test_bad_json_rows_cell_is_a_table_io_error(tmp_path):
-    path = tmp_path / "t.json"
-    write_table(make_table("t", [("a", INT)], [(1,)]), path, fmt="json-rows")
-    for value in (2**63, "x", [1]):
-        path.write_text(json.dumps([{"a": value}]))
-        with pytest.raises(TableIOError):
-            read_table(path, fmt="json-rows")
-
-
-
-@pytest.mark.parametrize("fmt, damaged", [
-    ("csv", "table"), ("csv", "sidecar"), ("json-rows", "table"),
+@pytest.mark.parametrize("damaged", [
+    pytest.param("table", id="csv-table"), pytest.param("sidecar", id="csv-sidecar"),
 ])
-def test_non_utf8_file_is_a_table_io_error(tmp_path, fmt, damaged):
+def test_non_utf8_file_is_a_table_io_error(tmp_path, damaged):
     path = tmp_path / "t.data"
-    write_table(make_table("t", [("a", TEXT)], [("é",)]), path, fmt=fmt)
+    write_table(make_table("t", [("a", TEXT)], [("é",)]), path)
     assert "é".encode("utf-8") in path.read_bytes()  # utf-8 whatever the locale
     (Path(sidecar_path(path)) if damaged == "sidecar" else path).write_bytes(b"\xff\xfe")
     with pytest.raises(TableIOError, match="utf-8"):
-        read_table(path, fmt=fmt)
+        read_table(path)
 
 
 @pytest.mark.parametrize("text", ["1_0", " 2", "2 "])
@@ -818,11 +808,9 @@ def test_deeply_nested_list_cell_is_a_table_io_error(tmp_path):
     path.write_text("a\n[1]\n" + "[" * 100_000 + "\n")
     with pytest.raises(TableIOError, match="row 1 column 'a': cannot parse .* as list"):
         read_table(path)
-    for fmt, damaged in (("csv", Path(sidecar_path(path))), ("json-rows", tmp_path / "t.json")):
-        write_table(make_table("t", [("a", INT)], [(1,)]), tmp_path / "t.json", fmt="json-rows")
-        damaged.write_text("[" * 100_000)
-        with pytest.raises(TableIOError, match="recursion"):
-            read_table(path if fmt == "csv" else damaged, fmt=fmt)
+    Path(sidecar_path(path)).write_text("[" * 100_000)
+    with pytest.raises(TableIOError, match="recursion"):
+        read_table(path)
 
 
 def test_table_from_json_list_in_scalar_column_error_is_unchanged():
