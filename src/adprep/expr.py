@@ -474,12 +474,82 @@ def _text_arg(v: Cell, node: Call) -> str:
     return v
 
 
-def _parse_iso(text: str, node: Expr) -> datetime:
-    for fmt in _ISO_FORMATS:
+# English month names for %B and %b, whatever LC_TIME holds
+_MONTH_NAMES = (
+    "january", "february", "march", "april", "may", "june", "july", "august",
+    "september", "october", "november", "december",
+)
+_MONTH_NUMBERS = {
+    name: number
+    for number, full in enumerate(_MONTH_NAMES, 1)
+    for name in (full, full[:3])
+}
+
+# each directive of a date pattern as CPython's _strptime.TimeRE writes it in
+# the C locale; \d takes any Unicode decimal digit, which int() reads. No
+# month name is a prefix of another, so the order of the names is free.
+_DATE_DIRECTIVES = {
+    "d": r"3[0-1]|[1-2]\d|0[1-9]|[1-9]| [1-9]",
+    "m": r"1[0-2]|0[1-9]|[1-9]",
+    "Y": r"\d\d\d\d",
+    "y": r"\d\d",
+    "H": r"2[0-3]|[0-1]\d|\d",
+    "M": r"[0-5]\d|\d",
+    "S": r"6[0-1]|[0-5]\d|\d",
+    "B": "|".join(_MONTH_NAMES),
+    "b": "|".join(name[:3] for name in _MONTH_NAMES),
+}
+
+
+def date_reader(pattern: str) -> Callable[[str], datetime | None]:
+    """The date kernel: a function that reads text as `datetime.strptime(text,
+    pattern)` does in the C locale, or returns None where strptime raises
+    ValueError. One regex, compiled here, matches case-insensitively, reads
+    a whitespace run of the pattern as \\s+ and must consume the whole text;
+    its groups then go through int(), the %y pivot (00-68 is the 2000s, 69-99
+    the 1900s) and the month-name table into datetime(), whose range check
+    rejects Feb 30 or second 60. The pattern holds a year, a month and a day
+    plus any of %H, %M and %S, and nothing else but literal text."""
+    parts, keys = [], []
+    for token in re.findall(r"%.|\s+|[^%\s]", pattern):
+        if token[0] == "%":
+            keys.append(token[1])
+            parts.append(f"(?P<{token[1]}>{_DATE_DIRECTIVES[token[1]]})")
+        else:
+            parts.append(r"\s+" if token.isspace() else re.escape(token))
+    match = re.compile("".join(parts), re.IGNORECASE).match
+    year_key = "Y" if "Y" in keys else "y"
+    month_key = "m" if "m" in keys else "B" if "B" in keys else "b"
+    fields = (year_key, month_key, "d", *(k for k in "HMS" if k in keys))
+    if sorted(keys) != sorted(fields):
+        raise ValueError(f"date pattern {pattern!r} needs one year, month and day")
+
+    def read(text: str) -> datetime | None:
+        m = match(text)
+        if m is None or m.end() != len(text):
+            return None
+        year, month, *rest = m.group(*fields)
+        year = int(year)
+        if year_key == "y":
+            year += 2000 if year <= 68 else 1900
+        month = int(month) if month_key == "m" else _MONTH_NUMBERS.get(month.lower())
+        if month is None:
+            return None  # a Unicode case variant of a name, such as "ſep"
         try:
-            return datetime.strptime(text, fmt)
+            return datetime(year, month, *map(int, rest))
         except ValueError:
-            continue
+            return None
+
+    return read
+
+
+_ISO_READERS = tuple(map(date_reader, _ISO_FORMATS))
+
+
+def _parse_iso(text: str, node: Expr) -> datetime:
+    for read in _ISO_READERS:
+        if (dt := read(text)) is not None:
+            return dt
     raise _fail(f"cannot parse {text!r} as an ISO date", node)
 
 

@@ -42,6 +42,7 @@ from .expr import (
     ExprParseError,
     Token,
     compile_expr,
+    date_reader,
     parse_expr,
     print_expr,
     real_literal,
@@ -90,34 +91,6 @@ DATE_PATTERNS = (
     "%b %d, %Y",
     "%d %b %Y",
 )
-
-# regex per strptime directive, each accepting at least what CPython's
-# strptime accepts there (its %d also takes a space-padded day, " 5")
-_DATE_SHAPE_PARTS = {
-    "%Y": r"\d{4}", "%y": r"\d\d", "%d": r" ?\d{1,2}", "%m": r"\d{1,2}",
-    "%H": r"\d{1,2}", "%M": r"\d{1,2}", "%S": r"\d{1,2}", "%B": ".+?", "%b": ".+?",
-}
-
-
-def _date_shape(pattern: str) -> re.Pattern:
-    """A regex that fullmatches every string strptime accepts for the pattern.
-
-    It may accept more (strptime still decides); it only lets a cell skip
-    patterns that cannot parse it, without paying for a raised ValueError.
-    strptime matches case-insensitively and reads a whitespace run as \\s+.
-    """
-    parts = []
-    for token in re.findall(r"%.|\s+|.", pattern):
-        if token[0] == "%":
-            parts.append(_DATE_SHAPE_PARTS[token])  # a new directive needs an entry above
-        elif token.isspace():
-            parts.append(r"\s+")
-        else:
-            parts.append(re.escape(token))
-    return re.compile("".join(parts), re.IGNORECASE)
-
-
-_DATE_SHAPES = tuple((pattern, _date_shape(pattern)) for pattern in DATE_PATTERNS)
 
 
 class OpParseError(ValueError):
@@ -807,17 +780,15 @@ def _exec_value_transform(op, t):
     return _rebuild_column(t, idx, list(_func_cells(op, t, idx)), op)
 
 
+_DATE_READERS = tuple(("%Y" in pattern, date_reader(pattern)) for pattern in DATE_PATTERNS)
+
+
 def _parse_any_date(text: str) -> datetime | None:
-    for pattern, shape in _DATE_SHAPES:
-        if shape.fullmatch(text) is None:
-            continue  # strptime would raise here
-        try:
-            dt = datetime.strptime(text, pattern)
-        except ValueError:
-            continue
-        if "%Y" in pattern and dt.year < 1000:
-            continue  # a two-digit year matched a four-digit pattern
-        return dt
+    for four_digit_year, read in _DATE_READERS:
+        dt = read(text)
+        # a %Y pattern takes no zero-padded year below 1000, such as "0099"
+        if dt is not None and not (four_digit_year and dt.year < 1000):
+            return dt
     return None
 
 
@@ -1489,9 +1460,9 @@ class ScriptBackend(Protocol):
 class SubprocessScriptBackend:
     """Runs the script as `argv + [script_path]` in a subprocess.
 
-    Input tables arrive on stdin as csv sections, each preceded by a
-    `--- table: <name>` line. The script must write a single csv table to
-    stdout and exit 0 within the wall-clock timeout.
+    Input tables arrive on stdin as UTF-8 csv sections, each preceded by a
+    `--- table: <name>` line. The script must write a single UTF-8 csv table
+    to stdout and exit 0 within the wall-clock timeout.
     """
 
     argv: list[str]
@@ -1511,9 +1482,8 @@ class SubprocessScriptBackend:
             try:
                 proc = subprocess.run(
                     self.argv + [script.name],
-                    input=stdin_text,
+                    input=stdin_text.encode("utf-8"),
                     capture_output=True,
-                    text=True,
                     timeout=self.timeout,
                 )
             except subprocess.TimeoutExpired:
@@ -1523,14 +1493,19 @@ class SubprocessScriptBackend:
             except OSError as exc:
                 raise ExecError(None, f"cannot launch script backend: {exc}") from None
             if proc.returncode != 0:
-                tail = (proc.stderr or "").strip().splitlines()[-3:]
+                tail = proc.stderr.decode("utf-8", "replace").strip().splitlines()[-3:]
                 raise ExecError(
                     None,
                     f"script exited with code {proc.returncode}: {' | '.join(tail)}",
                     detail=str(proc.returncode),
                 )
             try:
-                return table_from_csv_text(proc.stdout, target)
+                # no newline translation, so a quoted \r in a cell stays a \r
+                return table_from_csv_text(proc.stdout.decode("utf-8"), target)
+            except UnicodeDecodeError as exc:
+                raise ExecError(
+                    None, f"script output is not UTF-8: {exc}", detail="stdout"
+                ) from None
             except TableError as exc:
                 raise ExecError(None, f"script output is not a csv table: {exc}") from None
         finally:

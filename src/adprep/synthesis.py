@@ -21,6 +21,7 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .expr import date_reader
 from .operators import (
     OperatorInstance,
     OpParseError,
@@ -49,6 +50,7 @@ from .tables import (
 )
 
 CANONICAL_DATE = "%Y-%m-%d"
+_read_canonical_date = date_reader(CANONICAL_DATE)
 ALTERNATE_DATE_FORMATS = ("%m/%d/%Y", "%d %B %Y", "%B %d, %Y", "%Y/%m/%d")
 
 
@@ -124,27 +126,17 @@ def _corrupt_inject_nulls(rng, t: Table):
 
 
 def _corrupt_date_format(rng, t: Table):
-    from datetime import datetime
-
-    candidates = []
-    for c in t.schema.columns:
-        if c.dtype != TEXT:
-            continue
-        cells = t.column(c.name)
-        try:
-            if cells and all(
-                v is None or datetime.strptime(v, CANONICAL_DATE) for v in cells
-            ):
-                candidates.append(c.name)
-        except (ValueError, TypeError):
-            continue
+    candidates = [
+        c.name for c in t.schema.columns
+        if c.dtype == TEXT and t.rows
+        and all(v is None or _read_canonical_date(v) is not None for v in t.column(c.name))
+    ]
     if not candidates:
         return None
     col = rng.choice(candidates)
     fmt = rng.choice(ALTERNATE_DATE_FORMATS)
     rewritten = [
-        None if v is None else datetime.strptime(v, CANONICAL_DATE).strftime(fmt)
-        for v in t.column(col)
+        None if v is None else _read_canonical_date(v).strftime(fmt) for v in t.column(col)
     ]
     damaged = _swap_column(t, col, rewritten)
     return damaged, make_operator("StandardizeDatetime", t.name, col, CANONICAL_DATE)

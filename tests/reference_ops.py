@@ -13,9 +13,11 @@ DSL, the reference calls the plain function.
 
 from __future__ import annotations
 
+import calendar
 import json
 import math
 import random
+import re
 from datetime import datetime
 
 from conftest import COLUMN_POOL, WORDS, random_scalar, random_table
@@ -339,6 +341,95 @@ REF_DATE_PATTERNS = (
 )
 
 
+def _strptime_loop(text):
+    """The strptime reference for the date kernel: every pattern, in order;
+    a %Y pattern rejects a year below 1000. Gives (pattern, datetime), or
+    (None, None) when no pattern parses the text."""
+    for pattern in REF_DATE_PATTERNS:
+        try:
+            dt = datetime.strptime(text, pattern)
+        except ValueError:
+            continue
+        if "%Y" in pattern and dt.year < 1000:
+            continue
+        return pattern, dt
+    return None, None
+
+
+_MONTHS = [calendar.month_name[i] for i in range(1, 13)]
+_MONTH_ABBRS = [calendar.month_abbr[i] for i in range(1, 13)]
+_EDIT_CHARS = "0123456789 \t\n-/:,.TtZ%aAyY\u0663\uff13\u00a0"
+
+
+def _recase(rng, word):
+    return rng.choice([word, word.upper(), word.lower(), word.swapcase()])
+
+
+def _date_field(rng, directive):
+    """One field, mostly valid; sometimes out of range, mis-sized or misnamed."""
+    roll = rng.random()
+    if directive == "%Y":
+        if roll < 0.1:
+            return f"{rng.randint(1, 999):04d}"  # four digits, yet below 1000
+        if roll < 0.2:
+            return rng.choice([f"{rng.randint(0, 99):02d}", str(rng.randint(10000, 99999))])
+        return f"{rng.randint(1900, 2099):04d}"
+    if directive == "%y":
+        if roll < 0.1:
+            return str(rng.choice([rng.randint(0, 9), rng.randint(100, 999)]))
+        return f"{rng.randint(0, 99):02d}"
+    if directive == "%d":
+        day = rng.randint(1, 31) if roll < 0.93 else rng.choice([0, 32, 123])
+        return rng.choice([str(day), f"{day:02d}", f"{day:2d}"])  # "%2d" pads with a space
+    if directive == "%m":
+        month = rng.randint(1, 12) if roll < 0.93 else rng.choice([0, 13, 123])
+        return rng.choice([str(month), f"{month:02d}"])
+    if directive in ("%H", "%M", "%S"):
+        value = rng.randint(0, 59) if roll < 0.93 else rng.choice([24, 60, 61, 99, 100])
+        return rng.choice([str(value), f"{value:02d}"])
+    if roll < 0.1:
+        return rng.choice(["Sept", "Janu", "Mayo", "x", ""])
+    names = _MONTHS if (directive == "%B") == (roll < 0.85) else _MONTH_ABBRS
+    return _recase(rng, rng.choice(names))
+
+
+def _date_text(rng):
+    """A string in the style of one pattern, with seeded variations and damage."""
+    pattern = rng.choice(REF_DATE_PATTERNS)
+    parts = []
+    for token in re.findall(r"%.|\s|.", pattern):
+        if token.startswith("%"):
+            parts.append(_date_field(rng, token))
+        elif token == " ":
+            parts.append(rng.choice([" ", " ", " ", "  ", "\t", " \t "]))
+        elif token == "T":
+            parts.append(rng.choice("TTt "))
+        else:
+            parts.append(token if rng.random() < 0.97 else rng.choice("-/:,. "))
+    text = "".join(parts)
+    roll = rng.random()
+    if roll < 0.05:
+        text += rng.choice([" x", "Z", "0", ".5", " ", "\n"])
+    elif roll < 0.08:
+        text = rng.choice([" ", "\t", "0"]) + text
+    elif roll < 0.13:  # Arabic-Indic and fullwidth digits, which \d and strptime accept
+        text = "".join(
+            chr(int(c) + rng.choice([0x660, 0xFF10])) if c in "0123456789" and rng.random() < 0.5
+            else c
+            for c in text
+        )
+    for _ in range(rng.choice([0] * 7 + [1, 2, 3])):
+        i = rng.randint(0, len(text))
+        edit = rng.random()
+        if edit < 0.4 and text:
+            text = text[:i] + text[i + 1:]
+        elif edit < 0.7:
+            text = text[:i] + rng.choice(_EDIT_CHARS) + text[i:]
+        elif text:
+            text = text[:i] + rng.choice(_EDIT_CHARS) + text[i + 1:]
+    return text
+
+
 def ref_standardize_datetime(p, state):
     pt = _need_table(state, p["table"])
     col = p["column"]
@@ -351,16 +442,7 @@ def ref_standardize_datetime(p, state):
             continue
         if not isinstance(v, str):
             raise RefError("not text")
-        parsed = None
-        for pattern in REF_DATE_PATTERNS:
-            try:
-                dt = datetime.strptime(v, pattern)
-            except ValueError:
-                continue
-            if "%Y" in pattern and dt.year < 1000:
-                continue
-            parsed = dt
-            break
+        parsed = _strptime_loop(v)[1]
         if parsed is None:
             raise RefError(f"bad date {v}")
         rows.append(dict(r, **{col: parsed.strftime(p["format"])}))

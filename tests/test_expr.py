@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import re
 from collections import Counter
+from datetime import datetime
 from operator import ge, gt, le, lt
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from adprep.expr import (
     Lit,
     MAX_DEPTH,
     Unary,
+    _ISO_FORMATS,
     compile_expr,
     eval_expr,
     parse_expr,
@@ -30,6 +32,7 @@ from adprep.tables import BOOL, INT, INT64_MAX, INT64_MIN, LIST, REAL, TEXT
 from conftest import random_cell
 from reference_expr import column_refs, expr_nodes, walk_expr
 from reference_lexers import call_tokenize, expr_tokenize
+from reference_ops import _date_text
 from test_tables import _typed
 
 
@@ -201,6 +204,31 @@ def test_eval_dates():
     assert eval_expr(parse_expr('format_date("2023-01-05", "%Y/%m/%d")'), {}) == "2023/01/05"
     with pytest.raises(EvalError):
         eval_expr(parse_expr('parse_date("nonsense", "%Y-%m-%d")'), {})
+
+
+def test_format_date_reads_the_first_iso_format_strptime_reads():
+    """format_date reads its text as the first of _ISO_FORMATS that strptime
+    accepts, or raises EvalError when none does, over the seeded date corpus
+    StandardizeDatetime's differential uses."""
+    rng = random.Random(5150)
+    render = compile_expr(parse_expr('format_date(col("d"), "%Y-%m-%d %H:%M:%S")'), ["d"])
+    winners = Counter()
+    for _ in range(20000):
+        text = _date_text(rng)
+        want = winner = None
+        for fmt in _ISO_FORMATS:
+            try:
+                want, winner = datetime.strptime(text, fmt).strftime("%Y-%m-%d %H:%M:%S"), fmt
+                break
+            except ValueError:
+                continue
+        try:
+            got = render((text,))
+        except EvalError:
+            got = None
+        assert got == want, repr(text)
+        winners[winner] += 1
+    assert set(winners) == {*_ISO_FORMATS, None}
 
 
 def test_eval_unknown_column():

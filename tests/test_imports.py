@@ -77,3 +77,46 @@ def test_every_definition_has_a_caller_outside_the_tests():
     perfbench = Path(__file__).resolve().parent.parent / "perfbench"
     elsewhere = "\n".join(p.read_text(encoding="utf-8") for p in sorted(perfbench.glob("*.py")))
     assert unnamed_definitions(modules, elsewhere) == []
+
+
+def strptime_uses(modules: dict[str, str]) -> list[str]:
+    """Lines of `modules` ({file name: source}) whose code names strptime (a
+    name, an attribute or an import; prose does not count), outside
+    expr.py's `_parse_date`, whose format comes from the user."""
+    found = []
+    for name, source in modules.items():
+        tree = ast.parse(source)
+        allowed = set()
+        if name == "expr.py":
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef) and node.name == "_parse_date":
+                    allowed = set(range(node.lineno, node.end_lineno + 1))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.alias):
+                names = [node.name, node.asname or ""]
+            else:
+                continue
+            if any("strptime" in n for n in names) and node.lineno not in allowed:
+                found.append(f"{name}:{node.lineno}")
+    return sorted(set(found))
+
+
+def test_strptime_uses_are_found():
+    modules = {
+        "expr.py": "def _parse_date(t, f):\n    return datetime.strptime(t, f)\n",
+        "x.py": '"""strptime in prose."""\nimport _strptime\nfrom time import strptime as p\n'
+        "datetime.strptime(a, b)\n",
+    }
+    assert strptime_uses(modules) == ["x.py:2", "x.py:3", "x.py:4"]
+    assert strptime_uses({"x.py": modules["expr.py"]}) == ["x.py:2"]
+
+
+def test_dates_are_read_by_the_date_kernel_only():
+    """strptime is called only where the format comes from the user; every
+    fixed date pattern goes through expr.date_reader."""
+    modules = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert strptime_uses(modules) == []

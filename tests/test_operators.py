@@ -1,8 +1,6 @@
 """Operator registry, call syntax, and executor behavior."""
 
-import calendar
 import random
-import re
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime
@@ -48,7 +46,9 @@ from adprep.tables import (
 import reference_expr
 from reference_expr import expr_nodes
 from reference_ops import GENERATORS as REF_GENERATORS
-from reference_ops import REF_DATE_PATTERNS, REF_HANDLERS, diff_states, plain_state
+from reference_ops import (
+    REF_DATE_PATTERNS, REF_HANDLERS, _date_text, _strptime_loop, diff_states, plain_state,
+)
 from conftest import COLUMN_POOL, random_table_set
 from test_expr import _LEX_PIECES, _random_expr
 from test_tables import _typed
@@ -396,98 +396,11 @@ def test_standardize_datetime_bad_cell_reports_value():
     assert "row 1" in err.value.message
 
 
-def _strptime_loop(text):
-    """The plain loop the shape filter must agree with: every pattern, in order."""
-    for pattern in REF_DATE_PATTERNS:
-        try:
-            dt = datetime.strptime(text, pattern)
-        except ValueError:
-            continue
-        if "%Y" in pattern and dt.year < 1000:
-            continue
-        return pattern, dt
-    return None, None
-
-
-_MONTHS = [calendar.month_name[i] for i in range(1, 13)]
-_MONTH_ABBRS = [calendar.month_abbr[i] for i in range(1, 13)]
-_EDIT_CHARS = "0123456789 \t\n-/:,.TtZ%aAyY\u0663\uff13\u00a0"
-
-
-def _recase(rng, word):
-    return rng.choice([word, word.upper(), word.lower(), word.swapcase()])
-
-
-def _date_field(rng, directive):
-    """One field, mostly valid; sometimes out of range, mis-sized or misnamed."""
-    roll = rng.random()
-    if directive == "%Y":
-        if roll < 0.1:
-            return f"{rng.randint(1, 999):04d}"  # four digits, yet below 1000
-        if roll < 0.2:
-            return rng.choice([f"{rng.randint(0, 99):02d}", str(rng.randint(10000, 99999))])
-        return f"{rng.randint(1900, 2099):04d}"
-    if directive == "%y":
-        if roll < 0.1:
-            return str(rng.choice([rng.randint(0, 9), rng.randint(100, 999)]))
-        return f"{rng.randint(0, 99):02d}"
-    if directive == "%d":
-        day = rng.randint(1, 31) if roll < 0.93 else rng.choice([0, 32, 123])
-        return rng.choice([str(day), f"{day:02d}", f"{day:2d}"])  # "%2d" pads with a space
-    if directive == "%m":
-        month = rng.randint(1, 12) if roll < 0.93 else rng.choice([0, 13, 123])
-        return rng.choice([str(month), f"{month:02d}"])
-    if directive in ("%H", "%M", "%S"):
-        value = rng.randint(0, 59) if roll < 0.93 else rng.choice([24, 60, 61, 99, 100])
-        return rng.choice([str(value), f"{value:02d}"])
-    if roll < 0.1:
-        return rng.choice(["Sept", "Janu", "Mayo", "x", ""])
-    names = _MONTHS if (directive == "%B") == (roll < 0.85) else _MONTH_ABBRS
-    return _recase(rng, rng.choice(names))
-
-
-def _date_text(rng):
-    """A string in the style of one pattern, with seeded variations and damage."""
-    pattern = rng.choice(REF_DATE_PATTERNS)
-    parts = []
-    for token in re.findall(r"%.|\s|.", pattern):
-        if token.startswith("%"):
-            parts.append(_date_field(rng, token))
-        elif token == " ":
-            parts.append(rng.choice([" ", " ", " ", "  ", "\t", " \t "]))
-        elif token == "T":
-            parts.append(rng.choice("TTt "))
-        else:
-            parts.append(token if rng.random() < 0.97 else rng.choice("-/:,. "))
-    text = "".join(parts)
-    roll = rng.random()
-    if roll < 0.05:
-        text += rng.choice([" x", "Z", "0", ".5", " ", "\n"])
-    elif roll < 0.08:
-        text = rng.choice([" ", "\t", "0"]) + text
-    elif roll < 0.13:  # Arabic-Indic and fullwidth digits, which \d and strptime accept
-        text = "".join(
-            chr(int(c) + rng.choice([0x660, 0xFF10])) if c in "0123456789" and rng.random() < 0.5
-            else c
-            for c in text
-        )
-    for _ in range(rng.choice([0] * 7 + [1, 2, 3])):
-        i = rng.randint(0, len(text))
-        edit = rng.random()
-        if edit < 0.4 and text:
-            text = text[:i] + text[i + 1:]
-        elif edit < 0.7:
-            text = text[:i] + rng.choice(_EDIT_CHARS) + text[i:]
-        elif text:
-            text = text[:i] + rng.choice(_EDIT_CHARS) + text[i + 1:]
-    return text
-
-
 def test_date_patterns_match_the_reference():
     assert DATE_PATTERNS == REF_DATE_PATTERNS
 
 
-def test_shape_filter_agrees_with_the_plain_strptime_loop():
+def test_date_kernel_agrees_with_the_plain_strptime_loop():
     rng = random.Random(5150)
     winners = Counter()
     for _ in range(20000):
@@ -510,6 +423,24 @@ def test_shape_filter_agrees_with_the_plain_strptime_loop():
     ]:
         assert _strptime_loop(text)[1] == want, text
         assert _parse_any_date(text) == want, text
+
+
+@pytest.mark.parametrize("text, want", [
+    ("01/05/68", datetime(2068, 1, 5)),  # %y: 00-68 is the 2000s
+    ("01/05/69", datetime(1969, 1, 5)),  # and 69-99 the 1900s
+    ("2024-02-29", datetime(2024, 2, 29)),
+    ("2023-02-29", None),  # datetime() rejects it, and no later pattern reads it
+    ("2023-01-05T23:59:59", datetime(2023, 1, 5, 23, 59, 59)),
+    ("2023-01-05T23:59:60", None),  # %S reads 60, datetime() rejects it
+    ("Sept 5, 2023", None),
+    ("\u0662\u0660\u0662\u0663-01-05", datetime(2023, 1, 5)),  # Arabic-Indic year
+    ("\uff12\uff10\uff12\uff13-01-05", datetime(2023, 1, 5)),  # fullwidth year
+    (" 7 MARCH 2021", datetime(2021, 3, 7)),  # a space-padded %d
+    ("\u017fep 5, 2023", None),  # "ſep" matches "sep" case-insensitively but names no month
+])
+def test_date_kernel_pinned_cases(text, want):
+    assert _strptime_loop(text)[1] == want
+    assert _parse_any_date(text) == want
 
 
 def test_standardize_datetime_patterns_the_oracle_never_renders():
@@ -1026,6 +957,18 @@ def test_execode_subprocess_failure_and_timeout():
     with pytest.raises(ExecError) as err:
         execute_operator(op, {"t": t}, script_backend=slow)
     assert "timed out" in err.value.message
+
+
+def test_execode_subprocess_output_keeps_a_quoted_cr_and_must_be_utf8():
+    t = make_table("t", [("a", INT)], [(1,)])
+    backend = SubprocessScriptBackend(["python3"], timeout=30.0)
+    write = "import sys\nsys.stdout.buffer.write({!r})\n".format
+    op = make_operator("ExeCode", ["t"], "out", write(b'a\r\n"x\ry"\r\n'))
+    assert execute_operator(op, {"t": t}, script_backend=backend)["out"].rows == (("x\ry",),)
+    op = make_operator("ExeCode", ["t"], "out", write(b"a\n\xff\n"))
+    with pytest.raises(ExecError) as err:
+        execute_operator(op, {"t": t}, script_backend=backend)
+    assert "not UTF-8" in err.value.message and err.value.detail == "stdout"
 
 
 # --- executor discipline ----------------------------------------------------

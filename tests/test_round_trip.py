@@ -7,6 +7,7 @@ value, the test says so and checks exactly that case.
 
 from __future__ import annotations
 
+import json
 import random
 from pathlib import Path
 
@@ -48,7 +49,9 @@ from adprep.tables import (
     TableIOError,
     read_table,
     table_from_csv_text,
+    table_from_json,
     table_to_csv_text,
+    table_to_json,
     tables_equal,
     write_table,
 )
@@ -285,6 +288,34 @@ def test_a_csv_file_and_its_text_read_alike(tmp_path):
 
         from_file = outcome(lambda: read_table(path, schema=schema))
         assert from_file == outcome(lambda: table_from_csv_text(text, "t", schema)), (i, text)
+
+
+def test_csv_text_round_trip_law():
+    """table_from_csv_text(table_to_csv_text(t), name, t.schema) gives t back
+    up to the csv limit (an empty text cell reads back as null), and
+    rendering that again gives the same text. Held in memory, the text may
+    carry a lone surrogate."""
+    rng = random.Random(1422)
+    for _ in range(300):
+        t = random_file_table(rng, adversarial_text(rng, empty_ok=False), text=adversarial_text)
+        text = table_to_csv_text(t)
+        back = table_from_csv_text(text, t.name, t.schema)
+        assert_same_table(back, _empty_text_as_null(t))
+        assert table_to_csv_text(back) == text
+
+
+def test_table_json_round_trip_law():
+    """table_from_json(table_to_json(t)) gives t back with nothing lost (an
+    empty text cell stays "", apart from null), directly and through JSON
+    text, and table_to_json of the result is the same value."""
+    rng = random.Random(1423)
+    for _ in range(300):
+        t = random_file_table(rng, adversarial_text(rng, empty_ok=False), text=adversarial_text)
+        data = table_to_json(t)
+        for form in (data, json.loads(json.dumps(data))):
+            back = table_from_json(form)
+            assert_same_table(back, t)
+            assert table_to_json(back) == data
 
 
 @pytest.mark.parametrize("name", [pytest.param("t.data", id="csv")])

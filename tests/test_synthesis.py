@@ -5,6 +5,7 @@ import io
 import json
 import random
 import shutil
+from datetime import datetime
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,8 @@ import pytest
 from adprep.operators import execute_operator, make_operator
 from adprep.pipeline import run_pipeline, serialize_pipeline
 from adprep.synthesis import (
+    ALTERNATE_DATE_FORMATS,
+    CANONICAL_DATE,
     CORRUPTIONS,
     SynthesisError,
     corrupt_table,
@@ -33,6 +36,7 @@ from adprep.tables import (
     write_schema,
 )
 from conftest import SPLITLINES_ONLY_BREAKS
+from reference_ops import _date_text
 
 
 def clean_table():
@@ -111,6 +115,40 @@ def test_nullable_column_blocks_null_injection():
     )
     assert result.applied == []
     assert result.rejected == []
+
+
+class _Nth:
+    """A stand-in rng whose choice() takes item n (mod length) of a sequence."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def choice(self, seq):
+        return seq[self.n % len(seq)]
+
+
+def test_date_format_takes_exactly_what_strptime_reads():
+    """The date_format corruption takes a text column when strptime(v,
+    CANONICAL_DATE) reads every cell, a year below 1000 and unpadded fields
+    included, and rewrites each cell from that datetime; else it is
+    inapplicable."""
+    rng = random.Random(5150)
+    texts = [_date_text(rng) for _ in range(20000)] + ["0999-01-05", "2023-1-5"]
+    taken = []
+    for n, text in enumerate(texts):
+        t = make_table("t", [("d", TEXT)], [(text,), (None,)])
+        try:
+            dt = datetime.strptime(text, CANONICAL_DATE)
+        except ValueError:
+            assert CORRUPTIONS["date_format"](_Nth(n), t) is None, repr(text)
+            continue
+        damaged, cleaner = CORRUPTIONS["date_format"](_Nth(n), t)
+        fmt = ALTERNATE_DATE_FORMATS[n % len(ALTERNATE_DATE_FORMATS)]
+        assert damaged.column("d") == (dt.strftime(fmt), None), repr(text)
+        assert cleaner == make_operator("StandardizeDatetime", "t", "d", CANONICAL_DATE)
+        taken.append(text)
+    assert taken[-2:] == ["0999-01-05", "2023-1-5"]
+    assert 500 < len(taken) < 5000
 
 
 def test_stacked_corruptions_unwind_in_reverse():
