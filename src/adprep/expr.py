@@ -19,8 +19,8 @@ its func once and calls it per row; eval_expr is that, for one row binding.
 
 Dates have no dedicated cell kind: parse_date(x, fmt) yields ISO text
 ("%Y-%m-%d", or "%Y-%m-%dT%H:%M:%S" when fmt carries a time part) and
-format_date(x, fmt) renders ISO text through strftime. Month names follow
-the C locale (English).
+format_date(x, fmt) renders ISO text through strftime, with %Y always four
+digits. Month names follow the C locale (English).
 
 Operator precedence, loosest first: or, and, comparison, additive,
 multiplicative, unary (not, -), then calls and atoms.
@@ -652,13 +652,24 @@ def _parse_date(node: Call, text: Cell, fmt: Cell) -> str:
     except ValueError as exc:
         raise _fail(f"cannot parse date {text!r} with {fmt!r}: {exc}", node) from None
     if any(code in fmt for code in ("%H", "%M", "%S", "%I")):
-        return dt.strftime("%Y-%m-%dT%H:%M:%S")
-    return dt.strftime("%Y-%m-%d")
+        return _strftime(dt, "%Y-%m-%dT%H:%M:%S")
+    return _strftime(dt, "%Y-%m-%d")
+
+
+_YEAR_OR_PERCENT = re.compile("%[Y%]")
+
+
+def _strftime(dt: datetime, fmt: str) -> str:
+    """dt.strftime(fmt) with %Y always four digits: glibc writes year 999 as "999"."""
+    if dt.year < 1000:
+        year = f"{dt.year:04d}"
+        fmt = _YEAR_OR_PERCENT.sub(lambda m: year if m[0] == "%Y" else "%%", fmt)
+    return dt.strftime(fmt)
 
 
 def _format_date(node: Call, text: Cell, fmt: Cell) -> str:
     text, fmt = _text_arg(text, node), _text_arg(fmt, node)
-    return _parse_iso(text, node).strftime(fmt)
+    return _strftime(_parse_iso(text, node), fmt)
 
 
 def _unknown_function(node: Call, *args: Cell) -> Cell:

@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .agent import Task, Trajectory, TurnRecord, run_episode
 from .reward import DEFAULT_WEIGHTS, RewardBreakdown, RewardWeights, score_trajectory
-from .synthesis import SynthesisError, TaskBundle, is_bundle, read_bundle
+from .synthesis import SynthesisError, TaskBundle, is_bundle, read_bundle, read_target
 from .tables import TableError, _write_text, table_from_json, table_to_json
 
 GPU_DOLLARS_PER_HOUR = 0.91
@@ -223,6 +223,13 @@ def load_trajectory_log(path: str | Path) -> Trajectory:
         raise HarnessError(f"{path}: log record lacks {exc}") from None
     except (TypeError, TableError) as exc:
         raise HarnessError(f"{path}: malformed log record: {exc}") from None
+    # the report sums and prints these, so a mistyped one must stop here
+    if not isinstance(status, str):
+        raise HarnessError(f"{path}: result status must be text")
+    for key, kinds, what in (("wall_time", (int, float), "a number"),
+                             ("protocol_error_count", int, "an integer")):
+        if key in fields and (not isinstance(fields[key], kinds) or isinstance(fields[key], bool)):
+            raise HarnessError(f"{path}: result {key} must be {what}")
     return Trajectory(task_id, status, turns, **fields)
 
 
@@ -392,30 +399,34 @@ def replay_suite(
 
     Each row is scored as run_benchmark scored it live: the outcome and
     partial credit from the logged final table, the process from the logged
-    turns. A task whose scoring raises (a logged call that no longer parses,
-    a failing judge) becomes an "internal_error" row, as in run_benchmark.
+    turns. Of each bundle only target_schema.json, target_table.csv and
+    provenance.json are read (read_target), so damage to a source table or
+    to gt_pipeline.txt shows in run_benchmark and read_bundle, not here;
+    damage to those three files or to the log is a "load_error" row. A
+    task whose scoring raises (a logged call that no longer parses, a
+    failing judge) becomes an "internal_error" row, as in run_benchmark.
     """
     rows = []
     for task_dir in discover_tasks(suite_dir):
         try:
-            bundle = read_bundle(task_dir)
+            task_id, target, _ = read_target(task_dir)
         except (SynthesisError, TableError) as exc:
             rows.append(CaseResult(task_id=task_dir.name, status="load_error", error=str(exc)))
             continue
-        log_path = Path(log_dir) / f"{bundle.task_id}.jsonl"
+        log_path = Path(log_dir) / f"{task_id}.jsonl"
         try:
             traj = load_trajectory_log(log_path)
         except HarnessError as exc:
             if log_path.exists():
-                rows.append(CaseResult(task_id=bundle.task_id, status="load_error", error=str(exc)))
+                rows.append(CaseResult(task_id=task_id, status="load_error", error=str(exc)))
             else:
-                rows.append(CaseResult(task_id=bundle.task_id, status="missing_log"))
+                rows.append(CaseResult(task_id=task_id, status="missing_log"))
             continue
         try:
-            breakdown = score_trajectory(traj, bundle.target_table, weights=weights, judge=judge)
-            rows.append(_case_from_scores(bundle.task_id, traj, breakdown))
+            breakdown = score_trajectory(traj, target, weights=weights, judge=judge)
+            rows.append(_case_from_scores(task_id, traj, breakdown))
         except Exception as exc:
-            rows.append(_internal_error(bundle.task_id, exc))
+            rows.append(_internal_error(task_id, exc))
     rows.sort(key=lambda r: r.task_id)
     if not rows:
         return Report(note="no tasks")

@@ -381,28 +381,16 @@ def write_bundle(bundle: TaskBundle, directory: str | Path) -> Path:
     return root
 
 
-def read_bundle(directory: str | Path) -> TaskBundle:
+def read_target(directory: str | Path) -> tuple[str, Table, dict]:
+    """The task id, typed target table and provenance of a bundle.
+
+    This is all that scoring a logged episode needs; read_bundle reads the
+    same files through here.
+    """
     root = Path(directory)
     base = _dir_prefix(root)
-    try:
-        # a directory named x.csv is listed too, and fails in read_table
-        names = sorted(n for n in os.listdir(base + "sources") if n.endswith(".csv"))
-    except OSError:
-        raise SynthesisError(f"{root}: no sources/ directory") from None
-    sources: TableSet = {}
-    for name in names:
-        t = read_table(f"{base}sources/{name}")
-        sources[t.name] = t
-    if not sources:
-        raise SynthesisError(f"{root}: sources/ holds no csv tables")
     # the target's own schema file types its csv; a leftover sidecar is ignored
     target = read_table(base + "target_table.csv", schema=read_schema(base + "target_schema.json"))
-    gt_path = base + "gt_pipeline.txt"
-    try:
-        gt_text = _read_text(gt_path)
-        gt = () if gt_text is None else tuple(parse_pipeline(gt_text))
-    except (OSError, OpParseError, UnicodeDecodeError) as exc:
-        raise SynthesisError(f"{gt_path}: {exc}") from None
     prov_path = base + "provenance.json"
     try:
         prov_text = _read_text(prov_path)
@@ -420,6 +408,30 @@ def read_bundle(directory: str | Path) -> TaskBundle:
             raise SynthesisError(f"{prov_path}: task_id {task_id!r} is not a plain file name")
     else:
         task_id = os.path.basename(os.path.abspath(root))  # "." names its directory
+    return task_id, target, provenance
+
+
+def read_bundle(directory: str | Path) -> TaskBundle:
+    root = Path(directory)
+    base = _dir_prefix(root)
+    try:
+        # a directory named x.csv is listed too, and fails in read_table
+        names = sorted(n for n in os.listdir(base + "sources") if n.endswith(".csv"))
+    except OSError:
+        raise SynthesisError(f"{root}: no sources/ directory") from None
+    sources: TableSet = {}
+    for name in names:
+        t = read_table(f"{base}sources/{name}")
+        sources[t.name] = t
+    if not sources:
+        raise SynthesisError(f"{root}: sources/ holds no csv tables")
+    task_id, target, provenance = read_target(root)
+    gt_path = base + "gt_pipeline.txt"
+    try:
+        gt_text = _read_text(gt_path)
+        gt = () if gt_text is None else tuple(parse_pipeline(gt_text))
+    except (OSError, OpParseError, UnicodeDecodeError) as exc:
+        raise SynthesisError(f"{gt_path}: {exc}") from None
     return TaskBundle(
         task_id=task_id,
         sources=sources,

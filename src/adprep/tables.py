@@ -505,10 +505,13 @@ def schema_from_json(data: Any) -> Schema:
 
 def table_to_json(t: Table) -> dict:
     """Full-fidelity embedding for logs: schema plus typed rows."""
-    return {
-        "schema": schema_to_json(t.schema),
-        "rows": [[_jsonable(cell) for cell in row] for row in t.rows],
-    }
+    rows = list(map(list, t.rows))
+    lists = [i for i, c in enumerate(t.schema.columns) if c.dtype == LIST]
+    if lists:  # only a list cell is a tuple to turn into a json list
+        for row in rows:
+            for i in lists:
+                row[i] = _jsonable(row[i])
+    return {"schema": schema_to_json(t.schema), "rows": rows}
 
 
 def table_from_json(data: dict) -> Table:

@@ -89,8 +89,12 @@ def test_malformed_bundle_file_is_reported_not_raised(suite, tmp_path, capsys, n
     out = capsys.readouterr().out
     assert "FAIL task-001" in out and name in out
     assert "ok   task-000" in out
-    assert main(["score", str(suite), str(logs)]) == 1
-    assert "load_error" in capsys.readouterr().out
+    if name == "gt_pipeline.txt":  # score reads the target files and provenance.json only
+        assert main(["score", str(suite), str(logs)]) == 0
+        assert re.search(r"^task-001 +answered +1 ", capsys.readouterr().out, re.M)
+    else:
+        assert main(["score", str(suite), str(logs)]) == 1
+        assert "load_error" in capsys.readouterr().out
 
 
 def test_non_utf8_files_are_reported_not_raised(suite, tmp_path, capsys):
@@ -106,7 +110,9 @@ def test_non_utf8_files_are_reported_not_raised(suite, tmp_path, capsys):
     assert "FAIL task-001" in out and "utf-8" in out
     assert main(["score", str(suite), str(logs)]) == 1
     out = capsys.readouterr().out
-    assert out.count("load_error") == 2
+    # score does not read gt_pipeline.txt, so only the log of task-002 fails
+    assert out.count("load_error") == 1
+    assert re.search(r"^task-001 +answered +1 ", out, re.M)
     assert main(["replay", str(suite / "task-000"), str(script)]) == 2
     captured = capsys.readouterr()
     assert "utf-8" in captured.err
@@ -175,6 +181,28 @@ def test_score_after_run(suite, tmp_path, capsys):
     assert main(["score", str(suite), str(logs), "--json"]) == 1
     statuses = [row["status"] for row in json.loads(capsys.readouterr().out)["rows"]]
     assert sorted(statuses) == ["answered", "internal_error", "missing_log"]
+
+
+def test_score_reports_a_mistyped_result_field_as_a_load_error(suite, tmp_path, capsys):
+    # the report sums wall_time and pads status, so such a log once crashed score
+    logs = tmp_path / "logs"
+    assert main(["run", str(suite), "--policy", "gt", "--log-dir", str(logs)]) == 0
+    path = logs / "task-001.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    for key, value in [
+        ("wall_time", ""), ("wall_time", None), ("wall_time", []), ("wall_time", {}),
+        ("status", None), ("status", 1), ("status", []),
+        ("protocol_error_count", 1.5), ("protocol_error_count", "0"),
+    ]:
+        path.write_text("".join(json.dumps(r) + "\n" for r in records[:-1] + [{**records[-1], key: value}]))
+        capsys.readouterr()
+        assert main(["score", str(suite), str(logs)]) == 1
+        assert re.search(r"^task-001 +load_error ", capsys.readouterr().out, re.M)
+        assert main(["score", str(suite), str(logs), "--json"]) == 1
+        rows = {r["task_id"]: r for r in json.loads(capsys.readouterr().out)["rows"]}
+        assert rows["task-001"]["status"] == "load_error"
+        assert rows["task-001"]["error"].startswith(f"{path}: result {key} must be ")
+        assert rows["task-000"]["status"] == rows["task-002"]["status"] == "answered"
 
 
 def test_replay_from_reply_script(suite, tmp_path, capsys):

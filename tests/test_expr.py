@@ -206,6 +206,15 @@ def test_eval_dates():
         eval_expr(parse_expr('parse_date("nonsense", "%Y-%m-%d")'), {})
 
 
+def test_dates_render_a_year_below_1000_with_four_digits():
+    assert eval_expr(parse_expr('format_date("0999-01-05", "%Y-%m-%d")'), {}) == "0999-01-05"
+    assert eval_expr(parse_expr('format_date("0007-12-31", "%d.%m.%Y")'), {}) == "31.12.0007"
+    assert eval_expr(parse_expr('parse_date("05/01/0999", "%d/%m/%Y")'), {}) == "0999-01-05"
+    # a literal %%Y stays the text "%Y", beside a padded year or not
+    assert eval_expr(parse_expr('format_date("0999-01-05", "%%Y %Y %%%Y")'), {}) == "%Y 0999 %0999"
+    assert eval_expr(parse_expr('format_date("2023-01-05", "%%Y %Y")'), {}) == "%Y 2023"
+
+
 def test_format_date_reads_the_first_iso_format_strptime_reads():
     """format_date reads its text as the first of _ISO_FORMATS that strptime
     accepts, or raises EvalError when none does, over the seeded date corpus
@@ -218,10 +227,12 @@ def test_format_date_reads_the_first_iso_format_strptime_reads():
         want = winner = None
         for fmt in _ISO_FORMATS:
             try:
-                want, winner = datetime.strptime(text, fmt).strftime("%Y-%m-%d %H:%M:%S"), fmt
-                break
+                dt = datetime.strptime(text, fmt)
             except ValueError:
                 continue
+            # four year digits, which glibc's strftime %Y does not give below 1000
+            want, winner = f"{dt.year:04d}-{dt:%m-%d %H:%M:%S}", fmt
+            break
         try:
             got = render((text,))
         except EvalError:

@@ -1,5 +1,7 @@
 """Harness tests: scoring math, parallel stability, logs, replay."""
 
+import builtins
+import io
 import json
 import random
 from pathlib import Path
@@ -158,6 +160,31 @@ def test_replay_matches_live_scores(tmp_path):
         assert a.total == b.total
     # replaying twice is byte-stable
     assert report_fingerprint(replay_suite(suite, logs)) == report_fingerprint(replayed)
+
+
+def test_replay_opens_only_the_target_files_provenance_and_log(tmp_path, monkeypatch):
+    # a guard against score reading sources/ or gt_pipeline.txt again
+    suite = build_suite(tmp_path, seeds=(1, 7, 13))
+    logs = tmp_path / "logs"
+    run_benchmark(suite, gt_replay_policy, log_dir=logs)
+    opened = []
+    real_open = builtins.open
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    monkeypatch.setattr(io, "open", recording_open)
+    report = replay_suite(suite, logs)
+    assert [(r.status, r.outcome) for r in report.rows] == [("answered", 1.0)] * 3
+    want = []
+    for task in ("task-001", "task-007", "task-013"):
+        bundle = suite / task
+        want += [str(bundle / name) for name in
+                 ("target_schema.json", "target_table.csv", "provenance.json")]
+        want.append(str(logs / f"{task}.jsonl"))
+    assert sorted(opened) == sorted(want)
 
 
 def test_replay_embeds_enough_to_score_without_sources(tmp_path):
@@ -408,11 +435,17 @@ def test_deeply_nested_json_in_a_bundle_becomes_a_load_error_row(tmp_path, damag
     damage(suite / "task-007")
     run = {r.task_id: r for r in run_benchmark(suite, gt_replay_policy).rows}
     replayed = {r.task_id: r for r in replay_suite(suite, logs).rows}
-    for by_id in (run, replayed):
-        assert by_id["task-007"].status == "load_error"
-        assert "recursion" in by_id["task-007"].error
-        assert by_id["task-001"].status == "answered"
+    assert run["task-007"].status == "load_error"
+    assert "recursion" in run["task-007"].error
+    assert run["task-001"].status == "answered"
     assert run["task-007"].error.startswith(("TableIOError: ", "SynthesisError: "))
+    assert replayed["task-001"].status == "answered"
+    if damage in (_deep_sidecar, _deep_list_cell):
+        # score reads the target's two files and provenance.json, no source
+        assert (replayed["task-007"].status, replayed["task-007"].outcome) == ("answered", 1.0)
+    else:
+        assert replayed["task-007"].status == "load_error"
+        assert "recursion" in replayed["task-007"].error
 
 
 def test_deeply_nested_json_log_or_reply_script_becomes_a_load_error_row(tmp_path):
