@@ -34,6 +34,7 @@ episode as empty_result rather than answered.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import time
@@ -310,6 +311,7 @@ def _wrap_execute(body: str) -> str:
 # system preamble
 # ---------------------------------------------------------------------------
 
+@functools.cache  # REGISTRY is fixed at import, so every episode gets one text
 def build_system_preamble() -> str:
     return f"""You prepare data tables. Starting from source tables, apply operators
 until one table matches the target schema, then answer with it.

@@ -189,6 +189,35 @@ def write_trajectory_log(path: str | Path, traj: Trajectory, scores: dict | None
         _write_text(path, text)
 
 
+# The TurnRecord fields that hold text or null; _turn_type_error checks the
+# other five one by one.
+_TURN_OPTIONAL_TEXTS = (
+    "plan", "category", "parent_path", "leaf_path", "failure_text", "failure_op_kind",
+    "failure_detail", "feedback",
+)
+
+
+def _turn_type_error(turn: TurnRecord) -> str | None:
+    """What is wrong with the JSON type of a loaded turn's first mistyped
+    field, or None. Plain loops: this runs for every turn of every log."""
+    fields = vars(turn)
+    if type(turn.index) is not int:  # type(True) is bool
+        return "index must be an integer"
+    for key in ("reply", "action"):
+        if type(fields[key]) is not str:
+            return f"{key} must be text"
+    for key in ("op_texts", "created_paths"):
+        if type(fields[key]) is not list:
+            return f"{key} must be a list of text"
+        for text in fields[key]:
+            if type(text) is not str:
+                return f"{key} must be a list of text"
+    for key in _TURN_OPTIONAL_TEXTS:
+        if fields[key] is not None and type(fields[key]) is not str:
+            return f"{key} must be text or null"
+    return None
+
+
 def load_trajectory_log(path: str | Path) -> Trajectory:
     """Rebuild the trajectory (minus the search tree) from a JSONL log."""
     try:
@@ -223,13 +252,17 @@ def load_trajectory_log(path: str | Path) -> Trajectory:
         raise HarnessError(f"{path}: log record lacks {exc}") from None
     except (TypeError, TableError) as exc:
         raise HarnessError(f"{path}: malformed log record: {exc}") from None
-    # the report sums and prints these, so a mistyped one must stop here
+    # the report sums and prints these, and the judge reads the turns, so a
+    # mistyped one must stop here
     if not isinstance(status, str):
         raise HarnessError(f"{path}: result status must be text")
     for key, kinds, what in (("wall_time", (int, float), "a number"),
                              ("protocol_error_count", int, "an integer")):
         if key in fields and (not isinstance(fields[key], kinds) or isinstance(fields[key], bool)):
             raise HarnessError(f"{path}: result {key} must be {what}")
+    for turn in turns:
+        if (problem := _turn_type_error(turn)) is not None:
+            raise HarnessError(f"{path}: turn {problem}")
     return Trajectory(task_id, status, turns, **fields)
 
 

@@ -539,9 +539,29 @@ def _read_text(path: str | Path) -> str | None:
 
 
 def _write_text(path: str | Path, text: str) -> None:
-    """Write `text` as UTF-8, its line endings as given."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(text)
+    """Write `text` as UTF-8, its line endings as given. Every file the
+    package writes is written here.
+
+    An existing file is rewritten in place: cut to the new length, never to
+    zero, then overwritten. On ext4 (auto_da_alloc, the default) a file
+    truncated to zero is flushed when it is closed and the next truncate
+    waits on that writeback, which would cost a rerun into the same
+    directory a flush per file. The text is encoded before the file is
+    opened, so text a UTF-8 file cannot hold raises and leaves the old bytes
+    as they were. A process stopped between the truncate and the write
+    leaves the old bytes, cut short or padded with NUL bytes; a log cut or
+    padded so does not load (load_trajectory_log needs a whole result record
+    last)."""
+    data = text.encode("utf-8")
+    # O_BINARY (Windows only) keeps os.write from turning "\n" into "\r\n"
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        os.ftruncate(fd, len(data))
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
 
 
 def write_schema(schema: Schema, path: str | Path) -> None:

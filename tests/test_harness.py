@@ -1,6 +1,7 @@
 """Harness tests: scoring math, parallel stability, logs, replay."""
 
 import builtins
+import dataclasses
 import io
 import json
 import random
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from adprep.agent import IdentityPolicy, ScriptedPolicy
+from adprep.agent import IdentityPolicy, ScriptedPolicy, Trajectory, TurnRecord
 from adprep.harness import (
     HarnessError,
     Report,
@@ -400,6 +401,41 @@ def test_well_formed_log_with_bad_records_becomes_a_load_error_row(tmp_path, dam
     assert by_id["task-007"].status == "load_error"
     assert by_id["task-001"].status == "answered"
     assert not report.all_attempted
+
+
+@pytest.mark.parametrize("key, value", [
+    ("index", True), ("index", 1.0), ("reply", None), ("action", 1), ("plan", 1),
+    ("failure_op_kind", []), ("feedback", {}), ("op_texts", [1]), ("op_texts", "Sort"),
+    ("created_paths", None),
+])
+def test_mistyped_turn_field_becomes_a_load_error_row(tmp_path, key, value):
+    """The judge and the report read the turns, so a turn field of the wrong
+    JSON type stops at the load and names the log."""
+    suite = build_suite(tmp_path, seeds=(1, 7))
+    logs = tmp_path / "logs"
+    run_benchmark(suite, gt_replay_policy, log_dir=logs)
+    path = logs / "task-007.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    next(r for r in records if r["record"] == "turn")[key] = value
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    with pytest.raises(HarnessError, match=f"task-007.jsonl: turn {key} must be"):
+        load_trajectory_log(path)
+
+    by_id = {r.task_id: r for r in replay_suite(suite, logs).rows}
+    assert by_id["task-007"].status == "load_error"
+    assert by_id["task-001"].status == "answered"
+
+
+def test_every_turn_field_is_type_checked_on_load(tmp_path):
+    """An object in any TurnRecord field, one added later included, stops
+    the load and names the field."""
+    path = tmp_path / "t.jsonl"
+    write_trajectory_log(path, Trajectory("t", "answered", [TurnRecord(0, "r", "expand")]))
+    task, turn, result = path.read_text().splitlines()
+    for f in dataclasses.fields(TurnRecord):
+        path.write_text("\n".join([task, json.dumps({**json.loads(turn), f.name: {}}), result]) + "\n")
+        with pytest.raises(HarnessError, match=f"t.jsonl: turn {f.name} must be"):
+            load_trajectory_log(path)
 
 
 # -- deeply nested json in any file a run reads ------------------------------

@@ -120,3 +120,75 @@ def test_dates_are_read_by_the_date_kernel_only():
     fixed date pattern goes through expr.date_reader."""
     modules = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert strptime_uses(modules) == []
+
+
+# the functions allowed to write a file: the package's one writer, and the
+# script file ExeCode hands to its subprocess
+FILE_WRITERS = {("tables.py", "_write_text"), ("operators.py", "SubprocessScriptBackend.run")}
+TEMP_FILES = {"NamedTemporaryFile", "TemporaryFile", "mkstemp"}
+
+
+def _is_write(call: ast.Call) -> bool:
+    """Whether `call` opens a file for writing: open() with a w, a, x or +
+    mode (or a mode that is not a literal), os.open, .write_text,
+    .write_bytes or a temporary file."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in ("write_text", "write_bytes") and isinstance(func, ast.Attribute):
+        return True
+    if name in TEMP_FILES:
+        return True
+    if name != "open":
+        return False
+    owner = func.value.id if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) else None
+    if owner == "os":
+        return True
+    # open(path, mode) and io.open(path, mode); a path's .open(mode)
+    position = 1 if isinstance(func, ast.Name) or owner in ("io", "builtins") else 0
+    modes = [k.value for k in call.keywords if k.arg == "mode"] or call.args[position : position + 1]
+    if not modes:
+        return False
+    mode = modes[0]
+    if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+        return True
+    return any(c in mode.value for c in "wax+")
+
+
+def file_writes(modules: dict[str, str]) -> list[str]:
+    """Lines of `modules` ({file name: source}) that open a file for writing
+    outside the FILE_WRITERS functions."""
+    found = []
+    for name, source in modules.items():
+        tree = ast.parse(source)
+        allowed = set()
+        scopes = [(node, node.name) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                scopes += [(f, f"{node.name}.{f.name}") for f in node.body if isinstance(f, ast.FunctionDef)]
+        for node, qualname in scopes:
+            if (name, qualname) in FILE_WRITERS:
+                allowed.update(range(node.lineno, node.end_lineno + 1))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _is_write(node) and node.lineno not in allowed:
+                found.append((name, node.lineno))
+    return [f"{name}:{line}" for name, line in sorted(set(found))]
+
+
+def test_file_writes_are_found():
+    modules = {
+        "tables.py": "def _write_text(p, t):\n    os.open(p, 1)\n",
+        "x.py": 'open(p)\nopen(p, "rb")\nopen(p, "w")\nopen(p, mode="a")\nio.open(p, "r+")\n'
+        'Path(p).open("x")\nPath(p).open()\nos.open(p, 0)\np.write_text("t")\np.write_bytes(b"")\n'
+        'tempfile.NamedTemporaryFile(suffix=".py")\nopen(p, m)\n'
+        'class SubprocessScriptBackend:\n    def run(self):\n        mkstemp()\n',
+    }
+    assert file_writes(modules) == [f"x.py:{n}" for n in (3, 4, 5, 6, 8, 9, 10, 11, 12, 15)]
+    assert file_writes({"x.py": modules["tables.py"]}) == ["x.py:2"]
+
+
+def test_files_are_written_by_the_one_writer_only():
+    """Every file the package writes goes through tables._write_text, which
+    rewrites a file in place; a second writer could bring back the
+    truncate-to-zero flush it avoids."""
+    modules = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert file_writes(modules) == []

@@ -8,7 +8,9 @@ value, the test says so and checks exactly that case.
 from __future__ import annotations
 
 import json
+import os
 import random
+import stat
 from pathlib import Path
 
 import pytest
@@ -47,6 +49,7 @@ from adprep.tables import (
     Schema,
     Table,
     TableIOError,
+    _write_text,
     read_table,
     table_from_csv_text,
     table_from_json,
@@ -323,6 +326,53 @@ def test_table_files_cannot_hold_a_lone_surrogate(tmp_path, name):
     t = Table(Schema("t", (ColumnSpec("a", TEXT),)), (("\ud800",),))
     with pytest.raises(UnicodeEncodeError):
         write_table(t, tmp_path / name)
+
+
+def test_a_rewritten_file_holds_exactly_the_new_text(tmp_path):
+    """_write_text rewrites a file in place, cutting it to the new length; what
+    the file held before never shows through, whichever text is longer."""
+    rng = random.Random(1417)
+    pairs = [
+        ("longer text\n", "short\n"), ("short\n", "longer text\n"), ("same 1\n", "same 2\n"),
+        ("text\n", ""), ("", "text\n"), ("", ""), ("a\r\nb\r\n", "a\rb\r"), ("a\rb\r", "a\r\nb\r\n"),
+        ("\u00e9\U0001f600\n", "e\u2028\u00a0\n"), ("x" * 100_000, "\U0001d538" * 10),
+    ]
+    for _ in range(200):
+        a, b = (adversarial_text(rng, alphabet=FILE_ALPHABET) for _ in range(2))
+        pairs += [(a, b), (b, a)]
+    path = tmp_path / "f.txt"
+    for first, second in pairs:
+        _write_text(path, first)
+        _write_text(path, second)
+        assert path.read_bytes() == second.encode("utf-8"), (first, second)
+
+
+def test_text_a_file_cannot_hold_leaves_the_old_bytes(tmp_path):
+    path = tmp_path / "f.txt"
+    _write_text(path, "old\n")
+    with pytest.raises(UnicodeEncodeError):
+        _write_text(path, "new \ud800\n")
+    assert path.read_bytes() == b"old\n"
+
+
+def test_a_write_into_a_missing_directory_raises_file_not_found(tmp_path):
+    """write_trajectory_log catches this to make the log directory."""
+    with pytest.raises(FileNotFoundError):
+        _write_text(tmp_path / "none" / "f.txt", "text\n")
+    write_trajectory_log(tmp_path / "none" / "t.jsonl", Trajectory("t", "answered", []))
+    assert load_trajectory_log(tmp_path / "none" / "t.jsonl").task_id == "t"
+
+
+def test_a_new_file_gets_the_mode_open_gives(tmp_path):
+    old = os.umask(0o027)
+    try:
+        _write_text(tmp_path / "written", "text\n")
+        with open(tmp_path / "opened", "w"):
+            pass
+    finally:
+        os.umask(old)
+    modes = {stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in ("written", "opened")}
+    assert modes == {0o666 & ~0o027}
 
 
 def test_bundle_round_trip_law(tmp_path):
