@@ -676,13 +676,22 @@ def _unknown_function(node: Call, *args: Cell) -> Cell:
     raise _fail(f"unknown function {node.name!r}", node)
 
 
+# the one-argument text functions, each a str method: the row closure below
+# and operators' column pass over a text column both apply these
+TEXT_METHODS: dict[str, Callable[[str], str]] = {
+    "lower": str.lower, "upper": str.upper, "trim": str.strip,
+}
+
+
+def _text_function(method: Callable[[str], str]) -> Callable[[Call, Cell], str]:
+    return lambda node, v: method(_text_arg(v, node))
+
+
 # function name -> (node, *args) -> cell, for the strict functions (all but
 # if, coalesce and is_null), called once every argument is evaluated and none
 # is null
 _STRICT_FUNCTIONS: dict[str, Callable[..., Cell]] = {
-    "lower": lambda node, v: _text_arg(v, node).lower(),
-    "upper": lambda node, v: _text_arg(v, node).upper(),
-    "trim": lambda node, v: _text_arg(v, node).strip(),
+    **{name: _text_function(method) for name, method in TEXT_METHODS.items()},
     "concat": _concat,
     "split": _split,
     "replace": _replace,

@@ -33,10 +33,13 @@ from dataclasses import dataclass
 from datetime import datetime
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Collection, Iterator, Protocol, Sequence
+from typing import Any, Callable, Collection, Iterable, Iterator, Protocol, Sequence
 
 from .expr import (
     MAX_DEPTH,
+    TEXT_METHODS,
+    Call,
+    ColRef,
     EvalError,
     Expr,
     ExprParseError,
@@ -575,11 +578,47 @@ def _col_indexes(t: Table, names: list[str], op: OperatorInstance) -> list[int]:
     return [_col_index(t, n, op) for n in names]
 
 
-def _func_cells(op: OperatorInstance, t: Table, null_idx: int | None = None) -> Iterator[Cell]:
+def _func_cells(op: OperatorInstance, t: Table, null_idx: int | None = None) -> Iterable[Cell]:
+    """The op's func over each row of t; null wherever column null_idx is
+    null, without evaluating func. A text method of a text column is one
+    column pass (_text_method_cells); any other func runs row by row."""
+    cells = _text_method_cells(op.params["func"], t, null_idx)
+    return _row_cells(op, t, null_idx) if cells is None else cells
+
+
+def _with_nulls(values: list[Cell], cells: Sequence[Cell]) -> list[Cell]:
+    """`values`, one for each non-null cell of `cells`, with the nulls of
+    `cells` put back in place."""
+    if len(values) == len(cells):
+        return values
+    fill = iter(values).__next__
+    return [None if v is None else fill() for v in cells]
+
+
+def _text_method_cells(func: Expr, t: Table, null_idx: int | None) -> list[Cell] | None:
+    """lower, upper or trim of a column, when clean_column_kind vouches for
+    the column as text: its str method mapped over the non-null cells at C
+    speed, which cannot fail. None for any other func or column (one holding
+    a subclass of str included), which runs row by row."""
+    if not (isinstance(func, Call) and func.name in TEXT_METHODS
+            and len(func.args) == 1 and isinstance(func.args[0], ColRef)
+            and func.args[0].name in t.column_names):
+        return None
+    arg_idx = t.column_names.index(func.args[0].name)
+    cells = list(map(itemgetter(arg_idx), t.rows))
+    if clean_column_kind(cells) not in (None, TEXT):
+        return None
+    present = [v for v in cells if v is not None]
+    out = _with_nulls(list(map(TEXT_METHODS[func.name], present)), cells)
+    if null_idx is None or null_idx == arg_idx:
+        return out
+    return [None if row[null_idx] is None else v for row, v in zip(t.rows, out)]
+
+
+def _row_cells(op: OperatorInstance, t: Table, null_idx: int | None) -> Iterator[Cell]:
     """The op's func, compiled once against t's column names, over each row
-    of t; null wherever column null_idx is null, without evaluating func.
-    Lazy, so a caller's check on row r runs before row r+1 is evaluated and
-    the first failing row names the error."""
+    of t, as _func_cells. Lazy, so a caller's check on row r runs before row
+    r+1 is evaluated and the first failing row names the error."""
     func = compile_expr(op.params["func"], t.column_names)
     if null_idx is not None:
         strict = func
@@ -626,8 +665,9 @@ def _rebuild_column(
     )
     cols = list(t.schema.columns)
     cols[idx] = ColumnSpec(old.name, dtype, old.description)
-    rows = [row[:idx] + (cell,) + row[idx + 1:] for row, cell in zip(t.rows, cells)]
-    return _build_table(t.name, cols, rows, t.schema.description)
+    columns: list[Iterable[Cell]] = [map(itemgetter(i), t.rows) for i in range(len(cols))]
+    columns[idx] = cells
+    return _build_table(t.name, cols, zip(*columns), t.schema.description)
 
 
 def _append_column(
@@ -650,7 +690,7 @@ def _subset_indexes(t: Table, subset: list[str], op: OperatorInstance) -> list[i
 
 
 def _build_table(
-    name: str, cols: list[ColumnSpec], rows: list[tuple], description: str | None = None
+    name: str, cols: list[ColumnSpec], rows: Iterable[tuple], description: str | None = None
 ) -> Table:
     """An operator's output table. Its cells are not checked again: each was
     moved from a checked table or, if computed, checked by _resolve_column."""
@@ -849,22 +889,38 @@ def _cast_cell(v: Cell, dtype: str) -> Cell:
     raise ValueError(f"cannot cast {type(v).__name__} to bool")
 
 
+def _cast_column(cells: list[Cell], source: str, dtype: str) -> list[Cell] | None:
+    """The cells of a text column cast to int at C speed, when
+    clean_column_kind vouches for them as text; None for any other cast, or
+    when some cell fails, for the loop to name the first."""
+    if (source, dtype) != (TEXT, INT) or clean_column_kind(cells) != TEXT:
+        return None
+    try:
+        out = list(map(int, [v for v in cells if v is not None]))
+    except ValueError:
+        return None
+    return _with_nulls(out, cells)
+
+
 def _exec_cast_type(op, t):
     p = op.params
     idx = _col_index(t, p["column"], op)
     dtype = p["dtype"]
-    cells = []
-    for r, row in enumerate(t.rows):
-        v = row[idx]
-        if v is None:
-            cells.append(None)
-            continue
-        try:
-            cells.append(_cast_cell(v, dtype))
-        except (ValueError, TypeError):
-            raise ExecError(
-                op, f"row {r}: cannot cast {render_cell(v)!r} to {dtype}", detail=render_cell(v)
-            ) from None
+    column = list(map(itemgetter(idx), t.rows))
+    cells = _cast_column(column, t.schema.columns[idx].dtype, dtype)
+    if cells is None:
+        cells = []
+        for r, v in enumerate(column):
+            if v is None:
+                cells.append(None)
+                continue
+            try:
+                cells.append(_cast_cell(v, dtype))
+            except (ValueError, TypeError):
+                raise ExecError(
+                    op, f"row {r}: cannot cast {render_cell(v)!r} to {dtype}",
+                    detail=render_cell(v),
+                ) from None
     return _rebuild_column(t, idx, cells, op, dtype=dtype)
 
 

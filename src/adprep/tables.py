@@ -571,14 +571,18 @@ def write_schema(schema: Schema, path: str | Path) -> None:
 def read_schema(path: str | Path) -> Schema:
     """The schema in the JSON file at `path`. Every schema file, a table's
     sidecar or a bundle's target_schema.json, is read here, and each error
-    names the file."""
+    names the file. A schema file must list a column: it describes a csv
+    file, and a csv file cannot hold a table of no columns."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return schema_from_json(json.load(fh))
+            schema = schema_from_json(json.load(fh))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise TableIOError(f"cannot read schema {path}: {exc}") from None
     except TableIOError as exc:
         raise TableIOError(f"{path}: {exc}") from None
+    if not schema.columns:
+        raise TableIOError(f"{path}: malformed schema json: 'columns' must not be empty")
+    return schema
 
 
 def _column_re(cell: re.Pattern) -> re.Pattern:

@@ -352,6 +352,34 @@ def test_a_schema_file_with_a_bad_column_dtype_or_name_is_reported_not_raised(
         assert "Traceback" not in captured.out + captured.err
 
 
+@pytest.mark.parametrize("schema_file", ["target_schema.json", "sources/orders.csv.schema.json"])
+def test_a_schema_file_with_no_columns_is_blamed_not_the_csv(suite, tmp_path, capsys, schema_file):
+    # a csv file cannot hold a table of no columns, so the error names the
+    # schema file, not the csv whose header cannot match it
+    logs = tmp_path / "logs"
+    assert main(["run", str(suite), "--policy", "gt", "--log-dir", str(logs)]) == 0
+    path = suite / "task-001" / schema_file
+    schema = json.loads(path.read_text())
+    schema["columns"] = []
+    path.write_text(json.dumps(schema))
+    message = f"{path}: malformed schema json: 'columns' must not be empty"
+    capsys.readouterr()
+    assert main(["validate", str(suite)]) == 1
+    out = capsys.readouterr().out
+    assert f"FAIL task-001: {message}" in out
+    assert "ok   task-000" in out
+    assert main(["run", str(suite), "--policy", "gt", "--json"]) == 1
+    rows = {r["task_id"]: r for r in json.loads(capsys.readouterr().out)["rows"]}
+    assert rows["task-001"]["status"] == "load_error" and message in rows["task-001"]["error"]
+    assert rows["task-000"]["status"] == "answered"
+    if schema_file == "target_schema.json":  # score reads no source
+        assert main(["score", str(suite), str(logs), "--json"]) == 1
+        rows = {r["task_id"]: r for r in json.loads(capsys.readouterr().out)["rows"]}
+        assert rows["task-001"]["status"] == "load_error" and message in rows["task-001"]["error"]
+    assert main(["solve", str(suite / "task-001"), "--policy", "gt"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_a_task_id_naming_another_directory_writes_no_log_outside_the_log_dir(
     suite, tmp_path, capsys
 ):

@@ -1,12 +1,14 @@
-"""Damaged inputs through the scoring entry points: typed outcomes only.
+"""Damaged inputs through the CLI entry points: typed outcomes only.
 
-Exhaustive leaf swaps over the files `adprep score` reads. Every JSON leaf of
-one bundle's target_schema.json and provenance.json, and of one episode log,
-is swapped in turn for each of null, 1, 1.5, true, "", [] and {}. Each swap
-goes through replay_suite and through `cli.main(["score", ...])`, with and
-without --json. The law: no exception leaves either one, the exit code is 0
-when every row is an attempted episode and 1 otherwise, and every load_error
-row names a file of the bundle or of the log directory.
+Exhaustive leaf swaps over the JSON files a bundle and a run hold. Every
+JSON leaf of one bundle's target_schema.json and provenance.json, and of one
+episode log, is swapped in turn for each of null, 1, 1.5, true, "", [] and
+{}. Each swap goes through replay_suite and through
+`cli.main(["score", ...])`, with and without --json. The law: no exception
+leaves either one, the exit code is 0 when every row is an attempted
+episode and 1 otherwise, and every load_error row names a file of the
+bundle or of the log directory. The sources' sidecars, which score does not
+read, get the same swaps through `validate` and `run --policy gt`.
 """
 
 from __future__ import annotations
@@ -97,3 +99,48 @@ def test_every_leaf_swap_in_what_score_reads_is_a_typed_row(tmp_path, monkeypatc
     assert swaps == len(SWAPS) * (8 + 5 + 68)
     # the swaps reach every kind of row replay gives, not only load errors
     assert {"answered", "load_error", "internal_error"} <= statuses
+
+
+def _cli(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(list(argv))
+    return code, out.getvalue()
+
+
+def test_every_leaf_swap_in_a_source_sidecar_is_a_typed_outcome(tmp_path, monkeypatch):
+    """The sources' sidecars, which validate and run read and score does
+    not, through `cli.main(["validate", ...])` and `run --policy gt`: no
+    exception leaves either, no row is internal_error, and every load_error
+    names a file of the bundle."""
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    suite = tmp_path / "suite"
+    bundle = synthesize_demo_task(random.Random(SEED), "task-010")
+    task = write_bundle(bundle, suite / bundle.task_id)
+    names = [str(p) for p in sorted(task.rglob("*")) if p.is_file()]
+    sidecars = sorted((task / "sources").glob("*.schema.json"))
+    statuses = set()
+    swaps = 0
+    for path in sidecars:
+        original = path.read_bytes()
+        doc = json.loads(original)
+        for leaf in leaf_paths(doc):
+            for value in SWAPS:
+                path.write_text(json.dumps(swapped(doc, leaf, value), indent=2) + "\n")
+                where = f"{path.name} {leaf} -> {value!r}"
+                code, out = _cli("validate", str(suite))
+                assert code in (0, 1) and out.endswith(f"{1 - code}/1 bundles verify\n"), where
+                code, out = _cli("run", str(suite), "--policy", "gt", "--json")
+                (row,) = json.loads(out)["rows"]
+                statuses.add(row["status"])
+                assert code == (0 if row["status"] == "answered" else 1), where
+                assert row["status"] != "internal_error", (where, row["error"])
+                if row["status"] == "load_error":
+                    assert any(name in row["error"] for name in names), (where, row["error"])
+                swaps += 1
+        path.write_bytes(original)
+    assert swaps == len(SWAPS) * sum(len(list(leaf_paths(json.loads(p.read_text())))) for p in sidecars)
+    assert swaps == len(SWAPS) * 17  # one source of five columns
+    # the swaps reach a failed read and a finished episode alike
+    assert {"answered", "load_error"} <= statuses
