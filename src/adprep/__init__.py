@@ -21,7 +21,7 @@ from .tables import (
     read_table,
     write_table,
 )
-from .expr import EvalError, ExprParseError, eval_expr, parse_expr, print_expr
+from .expr import EvalError, ExprParseError, parse_expr, print_expr
 from .operators import (
     ExecError,
     OperatorInstance,
@@ -79,7 +79,6 @@ __all__ = [
     "write_table",
     "EvalError",
     "ExprParseError",
-    "eval_expr",
     "parse_expr",
     "print_expr",
     "ExecError",

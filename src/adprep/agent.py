@@ -38,8 +38,6 @@ import functools
 import json
 import re
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -527,6 +525,9 @@ class HttpChatPolicy:
         self.usage_total: dict[str, int] = {}
 
     def complete(self, messages: list[dict]) -> str:
+        import urllib.error
+        import urllib.request
+
         payload = json.dumps({
             "model": self.model,
             "temperature": self.temperature,

@@ -15,7 +15,7 @@ and type mismatches raise EvalError rather than returning Null.
 
 compile_expr turns a parsed tree into one closure per node over a row tuple,
 with each column reference resolved to its index, so an operator compiles
-its func once and calls it per row; eval_expr is that, for one row binding.
+its func once and calls it per row. It is the one evaluator.
 
 Dates have no dedicated cell kind: parse_date(x, fmt) yields ISO text
 ("%Y-%m-%d", or "%Y-%m-%dT%H:%M:%S" when fmt carries a time part) and
@@ -33,7 +33,7 @@ import re
 from dataclasses import dataclass
 from datetime import datetime
 from operator import ge, gt, itemgetter, le, lt
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 from .tables import INT64_MAX, INT64_MIN, Cell, cells_equal, render_scalar
 
@@ -715,12 +715,6 @@ def compile_expr(e: Expr, names: Sequence[str]) -> Compiled:
     resolved to its tuple index. Pure. A column not in `names` raises
     EvalError when a row is evaluated, so a table with no rows never does."""
     return _compile(e, {name: i for i, name in enumerate(names)})
-
-
-def eval_expr(e: Expr, row: Mapping[str, Cell]) -> Cell:
-    """Evaluate an expression against one row binding: compile_expr over
-    the binding's names, applied to its cells. Pure."""
-    return compile_expr(e, list(row))(tuple(row.values()))
 
 
 def _compile(e: Expr, index: dict[str, int]) -> Compiled:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -410,6 +409,8 @@ def run_benchmark(
     if threads <= 1:
         rows = [run_one(d) for d in dirs]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(run_one, dirs))
     rows.sort(key=lambda r: r.task_id)

@@ -27,8 +27,6 @@ from __future__ import annotations
 import functools
 import math
 import re
-import subprocess
-import tempfile
 from dataclasses import dataclass
 from datetime import datetime
 from operator import itemgetter
@@ -1525,6 +1523,9 @@ class SubprocessScriptBackend:
     timeout: float = 10.0
 
     def run(self, code: str, tables: dict[str, Table], target: str) -> Table:
+        import subprocess
+        import tempfile
+
         sections = []
         for name, t in tables.items():
             sections.append(f"--- table: {name}\n{table_to_csv_text(t)}")

@@ -45,10 +45,6 @@ class ExecutionTrace:
     def ok(self) -> bool:
         return self.failure is None
 
-    @property
-    def final_state(self) -> TableSet:
-        return self.states[-1]
-
 
 def run_pipeline(
     ops: list[OperatorInstance] | tuple[OperatorInstance, ...],

@@ -1,8 +1,9 @@
 """The recursive tree walker that `adprep.expr.compile_expr` replaced, kept
-as a reference, and the column-reference helper only tests use.
+as a reference, `eval_expr` over one row binding, and the column-reference
+helper only tests use.
 
 `walk_expr` evaluates an expression against a name -> cell binding the way
-`eval_expr` did before expressions were compiled: one recursive call per
+expressions were evaluated before they were compiled: one recursive call per
 node, with the node kind found by an isinstance chain. The value-level
 bodies (`_arith`, `_compare`, the strict functions) are the package's own;
 what the walker checks is the wiring around them: null propagation, the
@@ -28,8 +29,15 @@ from adprep.expr import (
     _fail,
     _is_number,
     _unknown_function,
+    compile_expr,
 )
 from adprep.tables import Cell, cells_equal
+
+
+def eval_expr(e: Expr, row: Mapping[str, Cell]) -> Cell:
+    """Evaluate an expression against one row binding: compile_expr over
+    the binding's names, applied to its cells. Pure."""
+    return compile_expr(e, list(row))(tuple(row.values()))
 
 
 def walk_expr(e: Expr, row: Mapping[str, Cell]) -> Cell:

@@ -205,9 +205,9 @@ def test_criterion_4_tree_invariants():
             # (a) a node's state is exactly its root-path pipeline re-executed
             trace = run_pipeline(list(node.prefix), sources)
             assert trace.ok
-            assert set(trace.final_state) == set(node.state)
+            assert set(trace.states[-1]) == set(node.state)
             for name in node.state:
-                assert tables_equal(trace.final_state[name], node.state[name])
+                assert tables_equal(trace.states[-1][name], node.state[name])
             # (c) the node's printed path resolves back to the node itself
             assert tree.resolve(node.prefix) is node
             if node.path_text != "root":
@@ -333,7 +333,7 @@ def test_criterion_9_worked_end_to_end():
     ]
     trace = run_pipeline(ops, sources)
     assert trace.ok
-    target = trace.final_state["movies_directors_join"]
+    target = trace.states[-1]["movies_directors_join"]
     task = Task("film-demo", sources, target.schema)
 
     chain = 'Deduplicate("movies", [], "first") -> Join("movies", "directors", ["director_id"], "inner")'

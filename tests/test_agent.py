@@ -3,6 +3,7 @@
 import gc
 import json
 import random
+import socket
 import threading
 import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -505,3 +506,24 @@ def test_http_chat_policy_bad_body(chat_server):
     handler.responses = [(200, b"[" * 100_000)]
     with pytest.raises(PolicyError, match="chat endpoint failed"):
         policy.complete([{"role": "user", "content": "x"}])
+
+
+def test_http_chat_policy_error_status(chat_server):
+    endpoint, handler = chat_server
+    handler.responses = [(500, {"content": "ignored"})]
+    policy = HttpChatPolicy(endpoint, "m")
+    with pytest.raises(PolicyError, match="chat endpoint failed: HTTP Error 500"):
+        policy.complete([{"role": "user", "content": "x"}])
+    assert len(handler.requests) == 1
+
+
+def test_http_chat_policy_unreachable_endpoint(chat_server):
+    _, handler = chat_server
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()  # bound, then closed: nothing listens on the port
+    policy = HttpChatPolicy(f"http://127.0.0.1:{port}/chat", "m", timeout=10.0)
+    with pytest.raises(PolicyError, match="chat endpoint failed"):
+        policy.complete([{"role": "user", "content": "x"}])
+    assert handler.requests == []

@@ -23,14 +23,13 @@ from adprep.expr import (
     Unary,
     _ISO_FORMATS,
     compile_expr,
-    eval_expr,
     parse_expr,
     print_expr,
     tokenize,
 )
 from adprep.tables import BOOL, INT, INT64_MAX, INT64_MIN, LIST, REAL, TEXT
 from conftest import random_cell
-from reference_expr import column_refs, expr_nodes, walk_expr
+from reference_expr import column_refs, eval_expr, expr_nodes, walk_expr
 from reference_lexers import call_tokenize, expr_tokenize
 from reference_ops import _date_text
 from test_tables import _typed

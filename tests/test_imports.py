@@ -2,7 +2,10 @@
 every function and class it defines is named outside the tests."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import adprep
@@ -192,3 +195,41 @@ def test_files_are_written_by_the_one_writer_only():
     truncate-to-zero flush it avoids."""
     modules = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert file_writes(modules) == []
+
+
+# modules only `--policy http`, ExeCode's subprocess backend and `run --threads`
+# above 1 need; each is imported inside the one function that uses it
+DEFERRED_MODULES = ("urllib.request", "http.client", "ssl", "subprocess", "concurrent.futures")
+
+IMPORT_GUARD = """
+import sys
+from adprep import cli
+
+def check(after):
+    loaded = [m for m in DEFERRED if m in sys.modules]
+    assert not loaded, f"{after} loaded {loaded}"
+
+DEFERRED = sys.argv[1].split(",")
+suite, logs = sys.argv[2:]
+check("import adprep.cli")
+for argv in (
+    ["synth", suite, "--tasks", "3", "--seed", "1"],
+    ["run", suite, "--policy", "gt", "--threads", "1", "--log-dir", logs],
+    ["score", suite, logs],
+):
+    assert cli.main(argv) == 0, argv
+    check(argv[0])
+"""
+
+
+def test_commands_import_only_what_they_use(tmp_path):
+    """A fresh interpreter that imports the CLI, synthesizes a suite, runs
+    the gt policy on it and scores the logs loads none of the network,
+    process or thread-pool machinery that only other paths need."""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD, ",".join(DEFERRED_MODULES),
+         str(tmp_path / "suite"), str(tmp_path / "logs")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]

@@ -39,6 +39,7 @@ from adprep.operators import (
     registry_help,
     serialize_operator_call,
 )
+from adprep.pipeline import run_pipeline
 from adprep.tables import (
     BOOL, INT, LIST, REAL, TEXT, INT64_MAX, ColumnSpec, Schema, Table, make_table,
     tables_equal,
@@ -971,6 +972,18 @@ def test_execode_subprocess_output_keeps_a_quoted_cr_and_must_be_utf8():
     assert "not UTF-8" in err.value.message and err.value.detail == "stdout"
 
 
+def test_execode_subprocess_launch_failure_is_an_exec_error(tmp_path):
+    t = make_table("t", [("a", INT)], [(1,)])
+    backend = SubprocessScriptBackend([str(tmp_path / "no-such-interpreter")], timeout=30.0)
+    op = make_operator("ExeCode", ["t"], "out", "print('a')")
+    with pytest.raises(ExecError, match="cannot launch script backend"):
+        execute_operator(op, {"t": t}, script_backend=backend)
+    trace = run_pipeline([op], {"t": t}, script_backend=backend)
+    assert trace.states == [{"t": t}]
+    assert isinstance(trace.failure, ExecError)
+    assert "cannot launch script backend" in trace.failure.message
+
+
 # --- executor discipline ----------------------------------------------------
 
 
@@ -1051,7 +1064,7 @@ def test_func_is_compiled_once_per_call(call, monkeypatch):
         operators, "compile_expr", lambda e, names: compiled.append(e) or compile_expr(e, names)
     )
     monkeypatch.setattr(expr, "_compile", lambda e, index: nodes.append(e) or compile_node(e, index))
-    monkeypatch.setattr(expr, "eval_expr", lambda e, row: pytest.fail("eval_expr ran"))
+    monkeypatch.setattr(reference_expr, "eval_expr", lambda e, row: pytest.fail("eval_expr ran"))
     monkeypatch.setattr(reference_expr, "walk_expr", lambda e, row: pytest.fail("walk_expr ran"))
     rng = random.Random(5)
     rows = [(i, rng.choice([None, " Ada ", "bo"])) for i in range(1000)]

@@ -86,7 +86,7 @@ def test_run_pipeline_short_circuits():
     assert trace.failure.op == ops[1]
     assert trace.failure.detail == "missing"
     # the failing operator left no partial state behind
-    assert set(trace.final_state) == {"movies", "directors"}
+    assert set(trace.states[-1]) == {"movies", "directors"}
 
 
 def test_run_pipeline_does_not_touch_input():
@@ -101,7 +101,7 @@ def test_empty_pipeline_is_identity():
     state = sample_state()
     trace = run_pipeline([], state)
     assert trace.ok
-    assert trace.final_state == state
+    assert trace.states[-1] == state
 
 
 def test_random_pipelines_round_trip_and_replay():
@@ -118,5 +118,5 @@ def test_random_pipelines_round_trip_and_replay():
         a = run_pipeline(ops, state)
         b = run_pipeline(ops, state)
         assert a.ok and b.ok
-        for ta, tb in zip(a.final_state.values(), b.final_state.values()):
+        for ta, tb in zip(a.states[-1].values(), b.states[-1].values()):
             assert tables_equal(ta, tb)
