@@ -46,7 +46,6 @@ from .agent import (
     run_episode,
 )
 from .reward import (
-    LLMJudge,
     RewardWeights,
     RuleJudge,
     outcome_score,
@@ -104,7 +103,6 @@ __all__ = [
     "Task",
     "Trajectory",
     "run_episode",
-    "LLMJudge",
     "RewardWeights",
     "RuleJudge",
     "outcome_score",

@@ -67,17 +67,33 @@ def _add_policy_args(p):
     p.add_argument("--temperature", type=float, default=0.01)
 
 
+def _script_backend(text: str) -> SubprocessScriptBackend | None:
+    try:
+        argv = shlex.split(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"cannot split {text!r}: {exc}") from None
+    return SubprocessScriptBackend(argv) if argv else None
+
+
+def _row_count(text: str) -> int:
+    if (rows := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"expected a row count >= 0, got {rows}")
+    return rows
+
+
 def _add_episode_args(p):
     p.add_argument("--max-turns", type=int, default=5)
     p.add_argument(
         "--script-runner",
+        dest="script_backend",
+        type=_script_backend,
         help='interpreter argv for ExeCode, e.g. "python3"; scripts stay disabled without it',
     )
 
 
 def _add_single_episode_args(p):
     p.add_argument("--log", help="write the episode's JSONL trajectory log here")
-    p.add_argument("--rows", type=int, default=10, help="sample rows to print")
+    p.add_argument("--rows", type=_row_count, default=10, help="sample rows to print")
 
 
 def _policy_factory(args):
@@ -97,12 +113,6 @@ def _policy_factory(args):
     )
 
 
-def _script_backend(args):
-    if not args.script_runner:
-        return None
-    return SubprocessScriptBackend(shlex.split(args.script_runner))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -113,7 +123,10 @@ def _cmd_synth(args) -> int:
     for i in range(args.tasks):
         task_id = f"task-{i:03d}"
         bundle = synthesize_demo_task(rng, task_id, max_corruptions=args.max_corruptions)
-        write_bundle(bundle, out / task_id)
+        try:
+            write_bundle(bundle, out / task_id)
+        except OSError as exc:
+            return _err(f"{out / task_id}: cannot write the bundle: {exc.strerror}")
         print(f"{task_id}: {len(bundle.gt_pipeline)} ops, "
               f"{bundle.provenance['cleaner_count']} cleaning")
     print(f"wrote {args.tasks} tasks to {out}")
@@ -150,7 +163,7 @@ def _cmd_run(args) -> int:
             weights=_weights(args),
             threads=args.threads,
             max_turns=args.max_turns,
-            script_backend=_script_backend(args),
+            script_backend=args.script_backend,
             log_dir=args.log_dir,
         )
     except HarnessError as exc:
@@ -160,14 +173,17 @@ def _cmd_run(args) -> int:
 
 
 def _run_single_episode(args, bundle, policy) -> int:
-    traj, breakdown = score_case(
-        bundle,
-        policy,
-        weights=_weights(args),
-        max_turns=args.max_turns,
-        script_backend=_script_backend(args),
-        log_path=args.log,
-    )
+    try:
+        traj, breakdown = score_case(
+            bundle,
+            policy,
+            weights=_weights(args),
+            max_turns=args.max_turns,
+            script_backend=args.script_backend,
+            log_path=args.log,
+        )
+    except HarnessError as exc:
+        return _err(str(exc))
     print(f"status: {traj.status}")
     if traj.answer_path is not None:
         print(f"answer: {traj.answer_path}")

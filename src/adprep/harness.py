@@ -300,7 +300,8 @@ def score_case(
     script_backend=None,
     log_path: str | Path | None = None,
 ) -> tuple[Trajectory, RewardBreakdown]:
-    """Run one episode on a bundle, score it, and write its log if asked."""
+    """Run one episode on a bundle, score it, and write its log if asked; a
+    log that cannot be written raises HarnessError."""
     task = Task(bundle.task_id, bundle.sources, bundle.target_schema)
     traj = run_episode(
         task,
@@ -310,7 +311,10 @@ def score_case(
     )
     breakdown = score_trajectory(traj, bundle.target_table, weights=weights, judge=judge)
     if log_path is not None:
-        write_trajectory_log(log_path, traj, breakdown.to_json())
+        try:
+            write_trajectory_log(log_path, traj, breakdown.to_json())
+        except OSError as exc:
+            raise HarnessError(f"{log_path}: cannot write the log: {exc.strerror}") from None
     return traj, breakdown
 
 
@@ -367,12 +371,18 @@ def run_benchmark(
     episode starts fresh. Bundles that fail to load still produce a row
     (status "load_error"), and so does a task whose judge, scoring or log
     write raises (status "internal_error", keeping the exception text), so
-    one task cannot stop the others. With log_dir set, each episode writes a
-    JSONL trajectory log and the finished report lands there as report.json.
+    one task cannot stop the others. With log_dir set, it is made first (a
+    HarnessError if it cannot be), each episode writes a JSONL trajectory
+    log there and the finished report lands there as report.json.
     """
     dirs = discover_tasks(suite_dir)
     if not dirs:
         return Report(note="no tasks")
+    if log_dir is not None:
+        try:
+            Path(log_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise HarnessError(f"{log_dir}: cannot make the log dir: {exc.strerror}") from None
 
     def run_one(task_dir: Path) -> CaseResult:
         try:
@@ -416,7 +426,6 @@ def run_benchmark(
     rows.sort(key=lambda r: r.task_id)
     report = Report(rows=rows)
     if log_dir is not None:
-        Path(log_dir).mkdir(parents=True, exist_ok=True)
         report_text = json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
         _write_text(Path(log_dir) / "report.json", report_text)
     return report

@@ -135,6 +135,9 @@ P_NAME_LIST = "name_list"  # name-bearing text list (WideToLong stubs)
 P_ENUM = "enum"
 P_INT = "int"
 P_ASCENDING = "ascending"  # bool or list of bools
+# the kinds whose value is one name, and those whose value is a list of names
+NAME_KINDS = (P_TABLE, P_COLUMN, P_NEW_COLUMN)
+NAME_LIST_KINDS = (P_TABLE_LIST, P_COLUMN_LIST, P_NEW_COLUMN_LIST, P_NAME_LIST)
 
 @dataclass(frozen=True)
 class Param:
@@ -149,129 +152,14 @@ class OperatorSig:
     category: str
     params: tuple[Param, ...]
     doc: str
+    # handler(op, one Table per P_TABLE / list per P_TABLE_LIST param in order,
+    # and for ExeCode the backend) returns the operator's one output table
+    handler: Callable[..., Table]
 
 
-def _sig(kind: str, category: str, doc: str, *params: Param) -> OperatorSig:
-    return OperatorSig(kind, category, tuple(params), doc)
-
-
-REGISTRY: dict[str, OperatorSig] = {
-    s.kind: s
-    for s in [
-        # cleaning
-        _sig("DropNA", "cleaning",
-             "drop rows with nulls in the subset columns ([] means all columns); how is any|all",
-             Param("table", P_TABLE), Param("subset", P_COLUMN_LIST),
-             Param("how", P_ENUM, ("any", "all"))),
-        _sig("MissingValueImputation", "cleaning",
-             "fill nulls in a column with its mean, median, or mode",
-             Param("table", P_TABLE), Param("column", P_COLUMN),
-             Param("mode", P_ENUM, ("mean", "median", "mode"))),
-        _sig("Deduplicate", "cleaning",
-             "drop rows whose subset columns repeat ([] means all columns); keep is first|last",
-             Param("table", P_TABLE), Param("subset", P_COLUMN_LIST),
-             Param("keep", P_ENUM, ("first", "last"))),
-        _sig("ErrorDetection", "cleaning",
-             "evaluate a boolean func per row into a new <column>_invalid flag (true = invalid)",
-             Param("table", P_TABLE), Param("column", P_COLUMN), Param("func", P_EXPR)),
-        _sig("OutlierDetection", "cleaning",
-             "flag or remove rows more than 3 standard deviations from the column mean",
-             Param("table", P_TABLE), Param("column", P_COLUMN),
-             Param("action", P_ENUM, ("remove", "flag"))),
-        # normalization
-        _sig("ValueTransform", "normalization",
-             "rewrite a column by evaluating func per row; nulls pass through untouched",
-             Param("table", P_TABLE), Param("column", P_COLUMN), Param("func", P_EXPR)),
-        _sig("StandardizeDatetime", "normalization",
-             "parse heterogeneous date text in a column and render it with the given format",
-             Param("table", P_TABLE), Param("column", P_COLUMN), Param("format", P_TEXT)),
-        _sig("CastType", "normalization",
-             "cast every non-null cell of a column to int|real|text|bool; any failure aborts",
-             Param("table", P_TABLE), Param("column", P_COLUMN),
-             Param("dtype", P_ENUM, (INT, REAL, TEXT, BOOL))),
-        # schema editing
-        _sig("RenameColumn", "schema",
-             "rename columns via an {old: new} map",
-             Param("table", P_TABLE), Param("rename_map", P_RENAME_MAP)),
-        _sig("AddNewColumn", "schema",
-             "append a column computed by func",
-             Param("table", P_TABLE), Param("name", P_NEW_COLUMN), Param("func", P_EXPR)),
-        _sig("DropColumn", "schema",
-             "remove the listed columns",
-             Param("table", P_TABLE), Param("columns", P_COLUMN_LIST)),
-        _sig("SplitColumn", "schema",
-             "func must yield a list per row; elements fill the target columns and the source is dropped",
-             Param("table", P_TABLE), Param("source", P_COLUMN),
-             Param("target", P_NEW_COLUMN_LIST), Param("func", P_EXPR)),
-        _sig("Concatenate", "schema",
-             "combine the listed columns via func into a new target column, keeping the sources",
-             Param("table", P_TABLE), Param("columns", P_COLUMN_LIST),
-             Param("target", P_NEW_COLUMN), Param("func", P_EXPR)),
-        _sig("SelectColumn", "schema",
-             "keep only the listed columns, in their original order",
-             Param("table", P_TABLE), Param("columns", P_COLUMN_LIST)),
-        _sig("Subtitle", "schema",
-             "append a constant text column",
-             Param("table", P_TABLE), Param("title", P_TEXT), Param("target_col", P_NEW_COLUMN)),
-        # row selection
-        _sig("Filter", "rows",
-             "keep rows where func evaluates to boolean true; null or false drops the row",
-             Param("table", P_TABLE), Param("func", P_EXPR)),
-        _sig("Sort", "rows",
-             "stable multi-key sort; ascending is one bool or one per key; nulls sort first ascending",
-             Param("table", P_TABLE), Param("by", P_COLUMN_LIST), Param("ascending", P_ASCENDING)),
-        _sig("TopK", "rows",
-             "keep the first k rows in stored order",
-             Param("table", P_TABLE), Param("k", P_INT)),
-        # aggregation
-        _sig("GroupBy", "aggregation",
-             "group by key columns; agg maps column -> sum|avg|min|max|count|count_distinct|first|last|concat",
-             Param("table", P_TABLE), Param("by", P_COLUMN_LIST), Param("agg", P_AGG_MAP)),
-        _sig("Count", "aggregation",
-             "reduce the table to a 1x1 count of rows",
-             Param("table", P_TABLE)),
-        _sig("CalculateStatistic", "aggregation",
-             "fold func over all rows with sum|avg|min|max into a 1x1 table whose column is the stat name",
-             Param("table", P_TABLE), Param("stat", P_ENUM, ("sum", "avg", "min", "max")),
-             Param("func", P_EXPR)),
-        # combination
-        _sig("Join", "combination",
-             "join two tables on key columns; how is inner|left|right|outer; output <left>_<right>_join",
-             Param("left", P_TABLE), Param("right", P_TABLE),
-             Param("on", P_COLUMN_LIST), Param("how", P_ENUM, ("inner", "left", "right", "outer"))),
-        _sig("Union", "combination",
-             "stack tables with identical column-name sets; how is all|distinct",
-             Param("tables", P_TABLE_LIST), Param("how", P_ENUM, ("all", "distinct"))),
-        _sig("Append", "combination",
-             "append another table's rows below this one; the result keeps this table's name",
-             Param("table", P_TABLE), Param("other", P_TABLE)),
-        # reshaping
-        _sig("Pivot", "reshaping",
-             "one row per index tuple; the columns column's values become new columns; "
-             "aggfunc adds first_strict, which errors on duplicate pairs",
-             Param("table", P_TABLE), Param("index", P_COLUMN_LIST),
-             Param("columns", P_COLUMN), Param("values", P_COLUMN),
-             Param("aggfunc", P_ENUM, AGG_FNS + ("first_strict",))),
-        _sig("Stack", "reshaping",
-             "melt value_vars into (variable, value) rows keyed by id_vars",
-             Param("table", P_TABLE), Param("id_vars", P_COLUMN_LIST),
-             Param("value_vars", P_COLUMN_LIST)),
-        _sig("WideToLong", "reshaping",
-             "collapse <stub><sep?><suffix> columns into stub columns keyed by a new column j",
-             Param("table", P_TABLE), Param("stubnames", P_NAME_LIST),
-             Param("i", P_COLUMN_LIST), Param("j", P_NEW_COLUMN)),
-        _sig("Transpose", "reshaping",
-             "turn columns into rows; output columns are 'column', r0, r1, ... with text cells",
-             Param("table", P_TABLE)),
-        _sig("Explode", "reshaping",
-             "expand a list column to one row per element; an empty list yields one null row",
-             Param("table", P_TABLE), Param("column", P_COLUMN)),
-        # program synthesis
-        _sig("ExeCode", "program",
-             "run func as a script over the named tables via the configured backend (off by default)",
-             Param("tables", P_TABLE_LIST), Param("target", P_TEXT), Param("func", P_CODE)),
-    ]
-}
+def _sig(kind: str, category: str, handler: Callable[..., Table], doc: str,
+         *params: Param) -> OperatorSig:
+    return OperatorSig(kind, category, tuple(params), doc, handler)
 
 
 @dataclass(frozen=True)
@@ -311,9 +199,9 @@ def name_bearing_values(op: OperatorInstance) -> list[str]:
     out: list[str] = []
     for p in sig.params:
         v = op.params[p.name]
-        if p.kind in (P_TABLE, P_COLUMN, P_NEW_COLUMN):
+        if p.kind in NAME_KINDS:
             out.append(v)
-        elif p.kind in (P_TABLE_LIST, P_COLUMN_LIST, P_NEW_COLUMN_LIST, P_NAME_LIST):
+        elif p.kind in NAME_LIST_KINDS:
             out.extend(v)
         elif p.kind == P_RENAME_MAP:
             out.extend(v.keys())
@@ -416,13 +304,13 @@ def _coerce_text(v: Any, p: Param, kind: str) -> str:
 
 
 def _coerce_param(v: Any, p: Param, op_kind: str) -> Any:
-    if p.kind in (P_TABLE, P_COLUMN, P_NEW_COLUMN):
+    if p.kind in NAME_KINDS:
         return _coerce_text(v, p, "a name")
     if p.kind in (P_TEXT, P_CODE):
         if not isinstance(v, str):
             raise OpParseError(f"parameter {p.name!r} expects text, got {v!r}")
         return v
-    if p.kind in (P_TABLE_LIST, P_COLUMN_LIST, P_NEW_COLUMN_LIST, P_NAME_LIST):
+    if p.kind in NAME_LIST_KINDS:
         if isinstance(v, str):
             v = [v]
         if not isinstance(v, list):
@@ -534,9 +422,9 @@ def split_lines(text: str) -> list[str]:
 def _render_value(v: Any, p: Param) -> str:
     if p.kind == P_EXPR:
         return _quote(print_expr(v))
-    if p.kind in (P_TABLE, P_COLUMN, P_NEW_COLUMN, P_TEXT, P_CODE, P_ENUM):
+    if p.kind in NAME_KINDS or p.kind in (P_TEXT, P_CODE, P_ENUM):
         return _quote(v)
-    if p.kind in (P_TABLE_LIST, P_COLUMN_LIST, P_NEW_COLUMN_LIST, P_NAME_LIST):
+    if p.kind in NAME_LIST_KINDS:
         return "[" + ", ".join(_quote(x) for x in v) + "]"
     if p.kind in (P_RENAME_MAP, P_AGG_MAP):
         return "{" + ", ".join(f"{_quote(k)}: {_quote(val)}" for k, val in v.items()) + "}"
@@ -1588,46 +1476,126 @@ def _exec_execode(op, tables, backend: ScriptBackend | None):
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# the registry: each operator's signature and handler
 # ---------------------------------------------------------------------------
 
-# each handler takes the op, then one Table per P_TABLE parameter and one list
-# per P_TABLE_LIST parameter, in parameter order (ExeCode also the backend),
-# and returns its one output table
-_HANDLERS: dict[str, Callable[..., Table]] = {
-    "DropNA": _exec_dropna,
-    "MissingValueImputation": _exec_imputation,
-    "Deduplicate": _exec_deduplicate,
-    "ErrorDetection": _exec_error_detection,
-    "OutlierDetection": _exec_outlier_detection,
-    "ValueTransform": _exec_value_transform,
-    "StandardizeDatetime": _exec_standardize_datetime,
-    "CastType": _exec_cast_type,
-    "RenameColumn": _exec_rename_column,
-    "AddNewColumn": _exec_add_new_column,
-    "DropColumn": _exec_drop_column,
-    "SplitColumn": _exec_split_column,
-    "Concatenate": _exec_concatenate,
-    "SelectColumn": _exec_select_column,
-    "Subtitle": _exec_subtitle,
-    "Filter": _exec_filter,
-    "Sort": _exec_sort,
-    "TopK": _exec_topk,
-    "GroupBy": _exec_group_by,
-    "Count": _exec_count,
-    "CalculateStatistic": _exec_calculate_statistic,
-    "Join": _exec_join,
-    "Union": _exec_union,
-    "Append": _exec_append,
-    "Pivot": _exec_pivot,
-    "Stack": _exec_stack,
-    "WideToLong": _exec_wide_to_long,
-    "Transpose": _exec_transpose,
-    "Explode": _exec_explode,
-    "ExeCode": _exec_execode,
+REGISTRY: dict[str, OperatorSig] = {
+    s.kind: s
+    for s in [
+        # cleaning
+        _sig("DropNA", "cleaning", _exec_dropna,
+             "drop rows with nulls in the subset columns ([] means all columns); how is any|all",
+             Param("table", P_TABLE), Param("subset", P_COLUMN_LIST),
+             Param("how", P_ENUM, ("any", "all"))),
+        _sig("MissingValueImputation", "cleaning", _exec_imputation,
+             "fill nulls in a column with its mean, median, or mode",
+             Param("table", P_TABLE), Param("column", P_COLUMN),
+             Param("mode", P_ENUM, ("mean", "median", "mode"))),
+        _sig("Deduplicate", "cleaning", _exec_deduplicate,
+             "drop rows whose subset columns repeat ([] means all columns); keep is first|last",
+             Param("table", P_TABLE), Param("subset", P_COLUMN_LIST),
+             Param("keep", P_ENUM, ("first", "last"))),
+        _sig("ErrorDetection", "cleaning", _exec_error_detection,
+             "evaluate a boolean func per row into a new <column>_invalid flag (true = invalid)",
+             Param("table", P_TABLE), Param("column", P_COLUMN), Param("func", P_EXPR)),
+        _sig("OutlierDetection", "cleaning", _exec_outlier_detection,
+             "flag or remove rows more than 3 standard deviations from the column mean",
+             Param("table", P_TABLE), Param("column", P_COLUMN),
+             Param("action", P_ENUM, ("remove", "flag"))),
+        # normalization
+        _sig("ValueTransform", "normalization", _exec_value_transform,
+             "rewrite a column by evaluating func per row; nulls pass through untouched",
+             Param("table", P_TABLE), Param("column", P_COLUMN), Param("func", P_EXPR)),
+        _sig("StandardizeDatetime", "normalization", _exec_standardize_datetime,
+             "parse heterogeneous date text in a column and render it with the given format",
+             Param("table", P_TABLE), Param("column", P_COLUMN), Param("format", P_TEXT)),
+        _sig("CastType", "normalization", _exec_cast_type,
+             "cast every non-null cell of a column to int|real|text|bool; any failure aborts",
+             Param("table", P_TABLE), Param("column", P_COLUMN),
+             Param("dtype", P_ENUM, (INT, REAL, TEXT, BOOL))),
+        # schema editing
+        _sig("RenameColumn", "schema", _exec_rename_column,
+             "rename columns via an {old: new} map",
+             Param("table", P_TABLE), Param("rename_map", P_RENAME_MAP)),
+        _sig("AddNewColumn", "schema", _exec_add_new_column,
+             "append a column computed by func",
+             Param("table", P_TABLE), Param("name", P_NEW_COLUMN), Param("func", P_EXPR)),
+        _sig("DropColumn", "schema", _exec_drop_column,
+             "remove the listed columns",
+             Param("table", P_TABLE), Param("columns", P_COLUMN_LIST)),
+        _sig("SplitColumn", "schema", _exec_split_column,
+             "func must yield a list per row; elements fill the target columns and the source is dropped",
+             Param("table", P_TABLE), Param("source", P_COLUMN),
+             Param("target", P_NEW_COLUMN_LIST), Param("func", P_EXPR)),
+        _sig("Concatenate", "schema", _exec_concatenate,
+             "combine the listed columns via func into a new target column, keeping the sources",
+             Param("table", P_TABLE), Param("columns", P_COLUMN_LIST),
+             Param("target", P_NEW_COLUMN), Param("func", P_EXPR)),
+        _sig("SelectColumn", "schema", _exec_select_column,
+             "keep only the listed columns, in their original order",
+             Param("table", P_TABLE), Param("columns", P_COLUMN_LIST)),
+        _sig("Subtitle", "schema", _exec_subtitle,
+             "append a constant text column",
+             Param("table", P_TABLE), Param("title", P_TEXT), Param("target_col", P_NEW_COLUMN)),
+        # row selection
+        _sig("Filter", "rows", _exec_filter,
+             "keep rows where func evaluates to boolean true; null or false drops the row",
+             Param("table", P_TABLE), Param("func", P_EXPR)),
+        _sig("Sort", "rows", _exec_sort,
+             "stable multi-key sort; ascending is one bool or one per key; nulls sort first ascending",
+             Param("table", P_TABLE), Param("by", P_COLUMN_LIST), Param("ascending", P_ASCENDING)),
+        _sig("TopK", "rows", _exec_topk,
+             "keep the first k rows in stored order",
+             Param("table", P_TABLE), Param("k", P_INT)),
+        # aggregation
+        _sig("GroupBy", "aggregation", _exec_group_by,
+             "group by key columns; agg maps column -> sum|avg|min|max|count|count_distinct|first|last|concat",
+             Param("table", P_TABLE), Param("by", P_COLUMN_LIST), Param("agg", P_AGG_MAP)),
+        _sig("Count", "aggregation", _exec_count,
+             "reduce the table to a 1x1 count of rows",
+             Param("table", P_TABLE)),
+        _sig("CalculateStatistic", "aggregation", _exec_calculate_statistic,
+             "fold func over all rows with sum|avg|min|max into a 1x1 table whose column is the stat name",
+             Param("table", P_TABLE), Param("stat", P_ENUM, ("sum", "avg", "min", "max")),
+             Param("func", P_EXPR)),
+        # combination
+        _sig("Join", "combination", _exec_join,
+             "join two tables on key columns; how is inner|left|right|outer; output <left>_<right>_join",
+             Param("left", P_TABLE), Param("right", P_TABLE),
+             Param("on", P_COLUMN_LIST), Param("how", P_ENUM, ("inner", "left", "right", "outer"))),
+        _sig("Union", "combination", _exec_union,
+             "stack tables with identical column-name sets; how is all|distinct",
+             Param("tables", P_TABLE_LIST), Param("how", P_ENUM, ("all", "distinct"))),
+        _sig("Append", "combination", _exec_append,
+             "append another table's rows below this one; the result keeps this table's name",
+             Param("table", P_TABLE), Param("other", P_TABLE)),
+        # reshaping
+        _sig("Pivot", "reshaping", _exec_pivot,
+             "one row per index tuple; the columns column's values become new columns; "
+             "aggfunc adds first_strict, which errors on duplicate pairs",
+             Param("table", P_TABLE), Param("index", P_COLUMN_LIST),
+             Param("columns", P_COLUMN), Param("values", P_COLUMN),
+             Param("aggfunc", P_ENUM, AGG_FNS + ("first_strict",))),
+        _sig("Stack", "reshaping", _exec_stack,
+             "melt value_vars into (variable, value) rows keyed by id_vars",
+             Param("table", P_TABLE), Param("id_vars", P_COLUMN_LIST),
+             Param("value_vars", P_COLUMN_LIST)),
+        _sig("WideToLong", "reshaping", _exec_wide_to_long,
+             "collapse <stub><sep?><suffix> columns into stub columns keyed by a new column j",
+             Param("table", P_TABLE), Param("stubnames", P_NAME_LIST),
+             Param("i", P_COLUMN_LIST), Param("j", P_NEW_COLUMN)),
+        _sig("Transpose", "reshaping", _exec_transpose,
+             "turn columns into rows; output columns are 'column', r0, r1, ... with text cells",
+             Param("table", P_TABLE)),
+        _sig("Explode", "reshaping", _exec_explode,
+             "expand a list column to one row per element; an empty list yields one null row",
+             Param("table", P_TABLE), Param("column", P_COLUMN)),
+        # program synthesis
+        _sig("ExeCode", "program", _exec_execode,
+             "run func as a script over the named tables via the configured backend (off by default)",
+             Param("tables", P_TABLE_LIST), Param("target", P_TEXT), Param("func", P_CODE)),
+    ]
 }
-
-assert set(_HANDLERS) == set(REGISTRY)
 
 
 def execute_operator(
@@ -1643,12 +1611,12 @@ def execute_operator(
     operator does not name are carried over by reference. Raises ExecError
     on any failure; the input state is never mutated.
     """
-    handler = _HANDLERS.get(op.kind)
-    if handler is None:
+    sig = REGISTRY.get(op.kind)
+    if sig is None:
         raise ExecError(op, f"unknown operator {op.kind!r}", detail=op.kind)
     named: list[str] = []
     args: list[Any] = []
-    for param in REGISTRY[op.kind].params:
+    for param in sig.params:
         if param.kind in (P_TABLE, P_TABLE_LIST):
             value = op.params[param.name]
             names = [value] if param.kind == P_TABLE else value
@@ -1661,7 +1629,7 @@ def execute_operator(
     if op.kind == "ExeCode":
         args.append(script_backend)
     try:
-        out = handler(op, *args)
+        out = sig.handler(op, *args)
     except ExecError:
         raise
     except (TableError, EvalError) as exc:

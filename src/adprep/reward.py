@@ -8,13 +8,13 @@ Outcome is all-or-nothing table equality. Partial credit averages three
 cheap similarities between the produced table and the target: column-name
 overlap, row-count closeness, and positional cell agreement. The process
 score judges how the episode was conducted (plans matching actions,
-reacting to failures, backtracking only away from dead ends) and comes from
-either the deterministic RuleJudge or an LLMJudge behind a chat adapter.
+reacting to failures, backtracking only away from dead ends). RuleJudge
+scores it from the turns alone; score_trajectory takes any other judge
+whose `score(trajectory)` returns JudgeScores.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -24,10 +24,6 @@ from operator import eq, itemgetter
 from .operators import name_bearing_values, parse_operator_call
 from .tables import Table, cell_sort_key, self_keyed, tables_equal
 from .agent import Trajectory
-
-
-class JudgeError(Exception):
-    """A judge could not produce a usable score."""
 
 
 @dataclass(frozen=True)
@@ -226,51 +222,6 @@ class RuleJudge:
             if any(f == prev.leaf_path or f.startswith(below) for f in failed):
                 justified += 1
         return justified / switches if switches else 1.0
-
-
-_JUDGE_PROMPT = """Rate the episode transcript below on three criteria, each 0.0 to 1.0:
-- consistency: do the stated plans match the operators actually run?
-- responsiveness: after an operator fails, does the next plan engage with the error?
-- backtracking: when the agent abandons a branch, was that branch actually stuck?
-
-Reply with only a JSON object: {"consistency": _, "responsiveness": _, "backtracking": _}
-
-transcript:
-"""
-
-
-class LLMJudge:
-    """Process scoring delegated to a chat model behind a policy adapter."""
-
-    def __init__(self, adapter):
-        self.adapter = adapter
-
-    def score(self, traj: Trajectory) -> JudgeScores:
-        lines = []
-        for turn in traj.turns:
-            lines.append(f"turn {turn.index} [{turn.action}] plan: {turn.plan or '(none)'}")
-            for text in turn.op_texts:
-                lines.append(f"  ran: {text}")
-            if turn.failure_text:
-                lines.append(f"  failure: {turn.failure_text}")
-        transcript = "\n".join(lines) or "(no turns)"
-        reply = self.adapter.complete(
-            [{"role": "user", "content": _JUDGE_PROMPT + transcript}]
-        )
-        match = re.search(r"\{.*\}", reply, flags=re.DOTALL)
-        if match is None:
-            raise JudgeError("judge reply holds no JSON object")
-        try:
-            data = json.loads(match.group(0))
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise JudgeError(f"judge reply is not valid JSON: {exc}") from None
-        scores = []
-        for key in ("consistency", "responsiveness", "backtracking"):
-            value = data.get(key)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise JudgeError(f"judge reply lacks a numeric '{key}'")
-            scores.append(min(1.0, max(0.0, float(value))))
-        return JudgeScores(*scores)
 
 
 # ---------------------------------------------------------------------------

@@ -151,13 +151,17 @@ def clean_column_kind(cells: Sequence[Cell]) -> str | None:
     kind = _CLEAN_KINDS.get(types.pop(), "")
     if kind in (INT, REAL):
         values = [v for v in cells if v is not None] if has_nulls else cells
-        if kind == INT:
-            fits = INT64_MIN <= min(values) and max(values) <= INT64_MAX
-        else:
-            fits = all(map(math.isfinite, values))
-        if not fits:
+        if not _numbers_fit(values, kind):
             return ""
     return kind
+
+
+def _numbers_fit(values: Sequence[int | float], dtype: str) -> bool:
+    """Whether a non-empty column of ints fits in 64 bits (dtype INT), or a
+    column of floats is finite (REAL); one pass at C speed."""
+    if dtype == INT:
+        return INT64_MIN <= min(values) and max(values) <= INT64_MAX
+    return all(map(math.isfinite, values))
 
 
 @dataclass(frozen=True)
@@ -619,11 +623,7 @@ def _csv_typed(values: Sequence[str], dtype: str) -> Sequence[Cell] | None:
         typed = list(map(convert, values))
     except ValueError:
         return None
-    if dtype == INT:
-        fits = INT64_MIN <= min(typed) and max(typed) <= INT64_MAX
-    else:
-        fits = all(map(math.isfinite, typed))
-    return typed if fits else None
+    return typed if _numbers_fit(typed, dtype) else None
 
 
 def _csv_parse_cell(text: str, dtype: str) -> Cell:

@@ -54,14 +54,7 @@ class TreeNode:
     tree kept alive.
     """
 
-    def __init__(
-        self,
-        node_id: int,
-        op: OperatorInstance | None,
-        state: TableSet,
-        parent: "TreeNode | None",
-    ):
-        self.node_id = node_id
+    def __init__(self, op: OperatorInstance | None, state: TableSet, parent: "TreeNode | None"):
         self.op = op
         self.state = state
         self._parent = None if parent is None else weakref.ref(parent)
@@ -119,7 +112,7 @@ class ReasoningTree:
     """Tree of table-set states reached from one set of source tables."""
 
     def __init__(self, initial: TableSet):
-        self.root = TreeNode(0, None, dict(initial), None)
+        self.root = TreeNode(None, dict(initial), None)
         self._nodes: list[TreeNode] = [self.root]
 
     @property
@@ -172,7 +165,7 @@ class ReasoningTree:
                 record = FailureRecord(op, exc.message, exc.detail)
                 node.failures.append(record)
                 return ExpandResult(chain, leaf=node, failure=record)
-            child = TreeNode(len(self._nodes), op, new_state, node)
+            child = TreeNode(op, new_state, node)
             node.children.append(child)
             self._nodes.append(child)
             chain.append(child)

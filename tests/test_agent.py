@@ -3,6 +3,7 @@
 import gc
 import json
 import random
+import re
 import socket
 import threading
 import weakref
@@ -22,8 +23,9 @@ from adprep.agent import (
     run_episode,
     split_chain,
 )
+from adprep.expr import FUNCTIONS
 from adprep.harness import load_trajectory_log, write_trajectory_log
-from adprep.operators import make_operator, serialize_operator_call
+from adprep.operators import AGG_FNS, make_operator, serialize_operator_call
 from adprep.tables import INT, TEXT, ColumnSpec, Schema, make_table, tables_equal
 from conftest import SPLITLINES_ONLY_BREAKS
 
@@ -445,6 +447,16 @@ def test_system_preamble_mentions_operators():
     for kind in ("Deduplicate", "Join", "Pivot", "ExeCode"):
         assert kind in text
     assert "<expand>" in text and "<answer>" in text
+
+
+def test_system_preamble_names_every_dsl_function_and_aggregate():
+    """The preamble lists the DSL functions and GroupBy's aggregates by hand,
+    so a function or aggregate added to the code must be added there too."""
+    text = build_system_preamble()
+    functions = re.search(r"\nfunctions (.*?)\.\n", text, re.S).group(1).split()
+    assert sorted(functions) == sorted(FUNCTIONS)
+    group_by = next(line for line in text.splitlines() if line.lstrip().startswith("GroupBy("))
+    assert sorted(group_by.rsplit("-> ", 1)[1].split("|")) == sorted(AGG_FNS)
 
 
 # -- http policy -------------------------------------------------------------

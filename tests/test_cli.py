@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from adprep.cli import main
+from adprep.cli import build_parser, main
 from adprep.operators import make_operator, serialize_operator_call
 from adprep.synthesis import TaskBundle, read_bundle, write_bundle
 from adprep.tables import INT, make_table
@@ -396,3 +396,57 @@ def test_a_task_id_naming_another_directory_writes_no_log_outside_the_log_dir(
         assert rows["task-000"]["status"] == "answered"
     written = sorted(p for p in tmp_path.rglob("*.jsonl"))
     assert written and all(p.parent == logs for p in written)
+
+
+@pytest.mark.parametrize("command", ["run", "solve", "replay", "synth"])
+def test_an_output_path_of_the_wrong_kind_is_reported_not_raised(suite, tmp_path, capsys, command):
+    """A log directory or suite directory that is a file, and a log file that
+    is a directory, each give one error line naming the path and exit 2."""
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    a_dir = tmp_path / "a_dir"
+    a_dir.mkdir()
+    script = tmp_path / "replies.json"
+    script.write_text("[]")
+    bundle_dir = str(suite / "task-000")
+    argv, path = {
+        "run": (["run", str(suite), "--policy", "gt", "--log-dir", str(a_file)], a_file),
+        "solve": (["solve", bundle_dir, "--policy", "gt", "--log", str(a_dir)], a_dir),
+        "replay": (["replay", bundle_dir, str(script), "--log", str(a_dir)], a_dir),
+        "synth": (["synth", str(a_file), "--tasks", "1"], a_file),
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(str(path)), err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("solve", "--rows", "-1"),
+    ("replay", "--rows", "-1"),
+    ("run", "--script-runner", '"'),
+])
+def test_a_bad_flag_value_is_a_usage_error(suite, tmp_path, capsys, command, flag, value):
+    """Rejected while parsing: nothing runs and nothing is written."""
+    script = tmp_path / "replies.json"
+    script.write_text("[]")
+    log = tmp_path / "episode.jsonl"
+    argv = {
+        "solve": ["solve", str(suite / "task-000"), "--policy", "gt", "--log", str(log)],
+        "replay": ["replay", str(suite / "task-000"), str(script), "--log", str(log)],
+        "run": ["run", str(suite), "--policy", "gt", "--log-dir", str(tmp_path / "logs")],
+    }[command]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: " in err and "Traceback" not in err
+    assert not log.exists() and not (tmp_path / "logs").exists()
+
+
+def test_script_runner_is_split_into_the_backend_argv():
+    args = build_parser().parse_args(["run", "suite", "--script-runner", "python3 -I"])
+    assert args.script_backend.argv == ["python3", "-I"]
+    for argv in (["run", "suite", "--script-runner", ""], ["run", "suite"]):
+        assert build_parser().parse_args(argv).script_backend is None

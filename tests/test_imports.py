@@ -1,9 +1,9 @@
 """Source hygiene: every module of the package uses each name it imports, and
-every function and class it defines is named outside the tests."""
+every function, class and public method it defines is called outside the
+tests."""
 
 import ast
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -43,43 +43,101 @@ def test_package_modules_use_every_import():
     assert unused == {}
 
 
-def unnamed_definitions(modules: dict[str, str], elsewhere: str) -> list[str]:
-    """Top-level functions and classes of `modules` ({file name: source})
-    whose name appears in no module outside the definition's own lines, nor
-    in `elsewhere`."""
+def _references(tree: ast.AST, attributes_only: bool = False) -> list[tuple[int, str]]:
+    """(line, name) for each code reference in `tree`: an attribute read,
+    and unless `attributes_only` also a name read or an imported name.
+    Docstrings and comments hold none."""
     found = []
-    for name, source in modules.items():
-        lines = source.splitlines()
-        for node in ast.parse(source).body:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.append((node.lineno, node.attr))
+        elif attributes_only:
+            continue
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.alias):
+            found.append((node.lineno, node.name))
+    return found
+
+
+def unnamed_definitions(modules: dict[str, str], elsewhere: dict[str, str]) -> list[str]:
+    """Top-level functions and classes of `modules` ({file name: source}),
+    and the public methods and properties of those classes, that no code
+    calls. A function or class is called when code outside its own lines
+    reads or imports its name, in `modules` or in `elsewhere`; a method or
+    property when code outside its own lines reads `.name`."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    every = {name: _references(tree) for name, tree in trees.items()}
+    reads = {name: _references(tree, attributes_only=True) for name, tree in trees.items()}
+    names_elsewhere, reads_elsewhere = set(), set()
+    for source in elsewhere.values():
+        tree = ast.parse(source)
+        names_elsewhere.update(ref for _, ref in _references(tree))
+        reads_elsewhere.update(ref for _, ref in _references(tree, attributes_only=True))
+    found = []
+    for name, tree in trees.items():
+        for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
-            outside = "\n".join(lines[: node.lineno - 1] + lines[node.end_lineno :])
-            others = [text for other, text in modules.items() if other != name]
-            if not re.search(rf"\b{node.name}\b", "\n".join([outside, *others, elsewhere])):
-                found.append(f"{name}:{node.name}")
+            checks = [(node, node.name, every, names_elsewhere)]
+            if isinstance(node, ast.ClassDef):
+                checks += [
+                    (method, f"{node.name}.{method.name}", reads, reads_elsewhere)
+                    for method in node.body
+                    if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not method.name.startswith("_")
+                ]
+            for definition, label, refs, refs_elsewhere in checks:
+                own = range(definition.lineno, definition.end_lineno + 1)
+                if definition.name not in refs_elsewhere and not any(
+                    ref == definition.name and (other != name or line not in own)
+                    for other, module_refs in refs.items()
+                    for line, ref in module_refs
+                ):
+                    found.append(f"{name}:{label}")
     return found
 
 
 def test_unnamed_definitions_are_found():
     modules = {
-        "a.py": "def used():\n    pass\n\ndef recurses():\n    return recurses()\n",
-        "b.py": "class Kept:\n    pass\n\nused()\n",
+        "a.py": '"""Prose names Prose and .hidden."""\n\ndef used():\n    pass\n\n'
+        "def recurses():\n    return recurses()\n\n"
+        "class Box:\n    def get(self):\n        return self.get()\n\n"
+        "    def put(self):\n        pass\n\n"
+        "    @property\n    def size(self):\n        return 0\n\n"
+        "    def _private(self):\n        pass\n\n"
+        "# Orphan() is only in a comment\nclass Orphan:\n    pass\n\n"
+        "class Prose:\n    def hidden(self):\n        pass\n",
+        "b.py": "from a import used\nclass Kept:\n    pass\n\nused()\nBox().put()\nput = 1\n",
     }
-    assert unnamed_definitions(modules, "Kept") == ["a.py:recurses"]
+    elsewhere = {"bench.py": "import a\nKept\nx.size\nget()\n"}
+    assert unnamed_definitions(modules, elsewhere) == [
+        "a.py:recurses", "a.py:Box.get", "a.py:Orphan", "a.py:Prose", "a.py:Prose.hidden",
+    ]
+
+
+# public names no code calls that stay anyway, each with its reason
+UNNAMED_ALLOWED = [
+    # acceptance criterion 4 (tests/test_acceptance.py) replays each node's
+    # operator chain to check the tree's invariants
+    "tree.py:TreeNode.prefix",
+]
 
 
 def test_every_definition_has_a_caller_outside_the_tests():
-    """A function or class the package defines is named elsewhere in the
-    package or in perfbench/; code only the tests call gets a real caller or
-    goes. A re-export from `__init__` is not a caller."""
+    """A function or class the package defines, or a public method or
+    property of one of its classes, is called elsewhere in the package or in
+    perfbench/; code only the tests call gets a real caller or goes. Only
+    code counts: a docstring, a comment or a re-export from `__init__` is
+    not a caller."""
     modules = {
         p.name: p.read_text(encoding="utf-8")
         for p in sorted(PACKAGE.glob("*.py"))
         if p.name != "__init__.py"
     }
     perfbench = Path(__file__).resolve().parent.parent / "perfbench"
-    elsewhere = "\n".join(p.read_text(encoding="utf-8") for p in sorted(perfbench.glob("*.py")))
-    assert unnamed_definitions(modules, elsewhere) == []
+    elsewhere = {p.name: p.read_text(encoding="utf-8") for p in sorted(perfbench.glob("*.py"))}
+    assert unnamed_definitions(modules, elsewhere) == UNNAMED_ALLOWED
 
 
 def strptime_uses(modules: dict[str, str]) -> list[str]:

@@ -9,9 +9,7 @@ from adprep.agent import Trajectory, TurnRecord, run_episode, ScriptedPolicy
 from adprep.harness import load_trajectory_log, write_trajectory_log
 from adprep.reward import (
     DEFAULT_WEIGHTS,
-    JudgeError,
     JudgeScores,
-    LLMJudge,
     RewardWeights,
     RuleJudge,
     cell_score,
@@ -245,42 +243,6 @@ def test_backtracking_reads_an_arrow_in_a_literal_as_part_of_a_call(tmp_path):
 def test_judge_scores_mean():
     s = JudgeScores(1.0, 0.5, 0.0)
     assert s.mean == pytest.approx(0.5)
-
-
-# -- llm judge ---------------------------------------------------------------
-
-class CannedAdapter:
-    def __init__(self, reply):
-        self.reply = reply
-        self.seen = None
-
-    def complete(self, messages):
-        self.seen = messages
-        return self.reply
-
-
-def test_llm_judge_parses_json_with_prose():
-    adapter = CannedAdapter(
-        'Here are my ratings.\n{"consistency": 0.9, "responsiveness": 1.5, "backtracking": 0}\nDone.'
-    )
-    traj = traj_with_turns([expand_turn(0, "plan text", ['Count("movies")'])])
-    scores = LLMJudge(adapter).score(traj)
-    assert scores.consistency == pytest.approx(0.9)
-    assert scores.responsiveness == 1.0  # clamped
-    assert scores.backtracking == 0.0
-    assert "Count(\"movies\")" in adapter.seen[0]["content"]
-
-
-def test_llm_judge_rejects_bad_replies():
-    traj = traj_with_turns([])
-    with pytest.raises(JudgeError):
-        LLMJudge(CannedAdapter("no json here")).score(traj)
-    with pytest.raises(JudgeError):
-        LLMJudge(CannedAdapter('{"consistency": 1.0}')).score(traj)
-    with pytest.raises(JudgeError):
-        LLMJudge(CannedAdapter('{"consistency": "high", "responsiveness": 1, "backtracking": 1}')).score(traj)
-    with pytest.raises(JudgeError, match="not valid JSON"):
-        LLMJudge(CannedAdapter('{"a": ' * 100_000 + "1" + "}" * 100_000)).score(traj)
 
 
 # -- combined ----------------------------------------------------------------
