@@ -426,8 +426,12 @@ def run_benchmark(
     rows.sort(key=lambda r: r.task_id)
     report = Report(rows=rows)
     if log_dir is not None:
+        report_path = Path(log_dir) / "report.json"
         report_text = json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
-        _write_text(Path(log_dir) / "report.json", report_text)
+        try:
+            _write_text(report_path, report_text)
+        except OSError as exc:
+            raise HarnessError(f"{report_path}: cannot write the report: {exc.strerror}") from None
     return report
 
 
@@ -448,9 +452,19 @@ def replay_suite(
     damage to those three files or to the log is a "load_error" row. A
     task whose scoring raises (a logged call that no longer parses, a
     failing judge) becomes an "internal_error" row, as in run_benchmark.
+    A log_dir that is not a readable directory is a HarnessError; a task
+    with no log in it is a "missing_log" row.
     """
+    dirs = discover_tasks(suite_dir)
+    if not dirs:
+        return Report(note="no tasks")
+    try:
+        with os.scandir(log_dir):
+            pass
+    except OSError as exc:
+        raise HarnessError(f"{log_dir}: cannot read the log dir: {exc.strerror}") from None
     rows = []
-    for task_dir in discover_tasks(suite_dir):
+    for task_dir in dirs:
         try:
             task_id, target, _ = read_target(task_dir)
         except (SynthesisError, TableError) as exc:
@@ -471,6 +485,4 @@ def replay_suite(
         except Exception as exc:
             rows.append(_internal_error(task_id, exc))
     rows.sort(key=lambda r: r.task_id)
-    if not rows:
-        return Report(note="no tasks")
     return Report(rows=rows)

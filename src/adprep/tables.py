@@ -12,7 +12,10 @@ Whole columns are keyed at once (column_keys, row_keys): an int, real or
 text column holds only Null and its one kind, so its cells are their own
 hash keys and, when it holds no Null, their own sort keys; only bool and
 list columns, and for sorting a column holding a Null, are keyed cell by
-cell.
+cell. When every column is int, real or text, a row taken over all columns
+in order is its own key tuple, and row_keys returns the rows as they are;
+tables_equal keys both tables in the first one's column order, so the
+common comparison takes that path.
 
 Cells are checked once, where they enter. Table(schema, rows) checks every
 cell and is the constructor for untrusted input: make_table, table_from_json
@@ -36,10 +39,12 @@ same column kernel first.
 The module also provides a deterministic markdown rendering used for agent
 observations, and csv file I/O with an optional JSON sidecar schema. A csv
 file and csv text (ExeCode's output) go through one parser, so the same
-text reads the same either way. Without a sidecar, a csv column's dtype is
-the first of integer, real and boolean that parses the whole column, else
-text; an empty csv cell always reads as Null. Every schema file is read by
-read_schema, which names the file in each error.
+text reads the same either way. The csv module writes Null, int, real and
+text cells as render_cell renders them, so the writer renders only bool and
+list columns and hands every other cell to it as it is. Without a sidecar,
+a csv column's dtype is the first of integer, real and boolean that parses
+the whole column, else text; an empty csv cell always reads as Null. Every
+schema file is read by read_schema, which names the file in each error.
 """
 
 from __future__ import annotations
@@ -381,9 +386,14 @@ def column_keys(t: Table, i: int, sort: bool = False) -> list:
 
 
 def row_keys(t: Table, idxs: Sequence[int]) -> list[tuple]:
-    """Each row's tuple of hash keys (column_keys) over the columns idxs."""
+    """Each row's tuple of hash keys (column_keys) over the columns idxs.
+    Over all columns in order, with every column self_keyed, each row is its
+    own key tuple."""
     if not idxs:
         return [()] * t.n_rows
+    cols = t.schema.columns
+    if list(idxs) == list(range(len(cols))) and all(c.dtype in _SELF_KEYED for c in cols):
+        return list(t.rows)
     return list(zip(*[column_keys(t, i) for i in idxs]))
 
 
@@ -398,8 +408,9 @@ def tables_equal(a: Table, b: Table) -> bool:
     Compares the column-name sets and the exact row multiset, with rows
     hashed by cell_hash_key. Dtype labels are not compared; cell values decide.
     """
-    names = sorted(a.column_names)
-    if names != sorted(b.column_names) or a.n_rows != b.n_rows:
+    # rows are projected onto a's column order, so a keys its rows as they are
+    names = a.column_names
+    if sorted(names) != sorted(b.column_names) or a.n_rows != b.n_rows:
         return False
     # plain dict equality: Counter's own == walks every key in Python, and
     # counts taken from rows are all positive, so the two tests agree
@@ -743,11 +754,23 @@ def table_to_csv_text(t: Table) -> str:
     Lines end in "\n", or in "\r\n" when a cell holds "\r": the csv writer
     quotes only cells holding a character of its line terminator, and an
     unquoted "\r" would end the row when the text is read back.
+
+    The csv writer already writes an int, real or text cell as render_cell
+    does (str, repr and the text itself, "" for Null), so only bool and list
+    columns are rendered first; a table without them is written as it is.
     """
-    rows = [t.column_names, *([render_cell(v) for v in row] for row in t.rows)]
+    cols = t.schema.columns
+    rows = t.rows
+    if any(c.dtype in (BOOL, LIST) for c in cols):
+        rows = list(zip(*[
+            list(map(render_cell, cells)) if c.dtype in (BOOL, LIST) else cells
+            for c, cells in zip(cols, zip(*rows))
+        ]))
     for ending in ("\n", "\r\n"):
         buf = io.StringIO()
-        csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator=ending).writerows(rows)
+        writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator=ending)
+        writer.writerow(t.column_names)
+        writer.writerows(rows)
         text = buf.getvalue()
         if "\r" not in text:
             break

@@ -1,20 +1,27 @@
-"""The cell-by-cell csv column parser, kept as a reference.
+"""The cell-by-cell csv column parser and csv writer, kept as references.
 
 `parse_cell`, `parse_column` and `infer_dtype` are the csv column parser and
 its per-cell dtype inference as they stood before `adprep.tables` read csv
 columns a column at a time. The differential test in test_tables.py checks
 the column-at-once parser against them column by column: the same dtype,
 the same cells and the same first error.
+
+`table_to_csv_text` is the csv writer as it stood before `adprep.tables`
+handed int, real and text cells to the csv module as they are: it renders
+every cell with render_cell. The differential test checks that both write
+the same text.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import re
 
-from adprep.tables import BOOL, INT, INT64_MAX, INT64_MIN, LIST, REAL, TEXT, TableIOError
-from adprep.tables import _validate_scalar
+from adprep.tables import BOOL, INT, INT64_MAX, INT64_MIN, LIST, REAL, TEXT, Table, TableIOError
+from adprep.tables import _validate_scalar, render_cell
 
 INT_RE = re.compile(r"[+-]?[0-9]+")
 REAL_RE = re.compile(r"[+-]?([0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)([eE][+-]?[0-9]+)?")
@@ -94,3 +101,21 @@ def infer_dtype(cells: list[str]) -> str:
     if kinds == {BOOL}:
         return BOOL
     return TEXT
+
+
+def table_to_csv_text(t: Table) -> str:
+    r"""Render a table as csv text (header plus rows, RFC 4180 quoting); this
+    is also the text write_table puts in a csv file.
+
+    Lines end in "\n", or in "\r\n" when a cell holds "\r": the csv writer
+    quotes only cells holding a character of its line terminator, and an
+    unquoted "\r" would end the row when the text is read back.
+    """
+    rows = [t.column_names, *([render_cell(v) for v in row] for row in t.rows)]
+    for ending in ("\n", "\r\n"):
+        buf = io.StringIO()
+        csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator=ending).writerows(rows)
+        text = buf.getvalue()
+        if "\r" not in text:
+            break
+    return text

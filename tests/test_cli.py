@@ -421,6 +421,31 @@ def test_an_output_path_of_the_wrong_kind_is_reported_not_raised(suite, tmp_path
     assert err.count("\n") == 1 and err.startswith(str(path)), err
 
 
+@pytest.mark.parametrize("case, message", [
+    ("report-is-a-dir", "cannot write the report: Is a directory"),
+    ("log-dir-missing", "cannot read the log dir: No such file or directory"),
+    ("log-dir-is-a-file", "cannot read the log dir: Not a directory"),
+], ids=["report-is-a-dir", "log-dir-missing", "log-dir-is-a-file"])
+def test_an_unusable_report_or_score_log_dir_is_reported_not_raised(
+    suite, tmp_path, capsys, case, message
+):
+    """run's report.json and score's log directory: one error line naming the
+    path, exit 2, and no per-task rows."""
+    logs = tmp_path / "logs"
+    if case == "report-is-a-dir":
+        (logs / "report.json").mkdir(parents=True)
+        argv = ["run", str(suite), "--policy", "gt", "--log-dir", str(logs)]
+        path = logs / "report.json"
+    else:
+        if case == "log-dir-is-a-file":
+            logs.write_text("")
+        argv, path = ["score", str(suite), str(logs)], logs
+    capsys.readouterr()
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"{path}: {message}\n", err
+
+
 @pytest.mark.parametrize("command, flag, value", [
     ("solve", "--rows", "-1"),
     ("replay", "--rows", "-1"),

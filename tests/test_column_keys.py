@@ -25,6 +25,7 @@ from adprep.tables import (
     LIST,
     REAL,
     TEXT,
+    Schema,
     Table,
     cell_hash_key,
     cell_sort_key,
@@ -84,6 +85,13 @@ def per_cell_row_keys(t: Table, idxs: list[int]) -> list[tuple]:
     return [tuple(cell_hash_key(row[i]) for i in idxs) for row in t.rows]
 
 
+def per_cell_tables_equal(a: Table, b: Table) -> bool:
+    names = sorted(a.column_names)
+    return names == sorted(b.column_names) and Counter(
+        per_cell_row_keys(a, [a.column_index(c) for c in names])
+    ) == Counter(per_cell_row_keys(b, [b.column_index(c) for c in names]))
+
+
 def test_row_keys_equal_per_cell_hash_keys():
     rng = random.Random(7)
     for a, b in table_pairs(seed=11, n=400):
@@ -91,13 +99,38 @@ def test_row_keys_equal_per_cell_hash_keys():
             n = len(t.column_names)
             idxs = rng.sample(range(n), rng.randint(0, n))
             assert row_keys(t, idxs) == per_cell_row_keys(t, idxs), (t, idxs)
-        names = sorted(a.column_names)
-        per_cell = (
-            names == sorted(b.column_names)
-            and Counter(per_cell_row_keys(a, [a.column_index(c) for c in names]))
-            == Counter(per_cell_row_keys(b, [b.column_index(c) for c in names]))
-        )
-        assert tables_equal(a, b) == per_cell, (a, b)
+        assert tables_equal(a, b) == per_cell_tables_equal(a, b), (a, b)
+
+
+def test_row_keys_over_every_column_in_order_equal_per_cell_keys():
+    # the order in which a table whose columns are all int, real or text keys
+    # each row as itself; random idxs take it only about 1 time in n!
+    for a, b in table_pairs(seed=14, n=400):
+        for t in (a, b):
+            idxs = list(range(len(t.column_names)))
+            assert row_keys(t, idxs) == per_cell_row_keys(t, idxs), t
+
+
+def test_tables_equal_across_a_column_permutation():
+    # b holds a's columns in another order, so at most one side keys its rows
+    # as they are, and bool or list columns put either side cell by cell
+    rng = random.Random(15)
+    seen = Counter()
+    for a, _ in table_pairs(seed=16, n=600):
+        order = list(range(len(a.column_names)))
+        rng.shuffle(order)
+        rows = [tuple(row[j] for j in order) for row in a.rows]
+        rng.shuffle(rows)
+        if rows and rng.random() < 0.3:
+            rows[0] = tuple(rng.choice(a.rows)[j] for j in order)
+        b = Table(Schema("u", tuple(a.schema.columns[j] for j in order)), tuple(rows))
+        want = per_cell_tables_equal(a, b)
+        assert tables_equal(a, b) == want == tables_equal(b, a), (a, b)
+        dtypes = {c.dtype for c in a.schema.columns}
+        seen[want, bool(dtypes & {BOOL, LIST}), order == sorted(order)] += 1
+    for cell_by_cell in (False, True):
+        for equal in (False, True):
+            assert seen[equal, cell_by_cell, False] > 10, seen
 
 
 def test_index_sorts_by_column_keys_equal_sorts_by_cell_sort_key():

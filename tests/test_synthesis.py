@@ -5,6 +5,7 @@ import io
 import json
 import random
 import shutil
+from dataclasses import replace
 from datetime import datetime
 from pathlib import Path
 
@@ -25,7 +26,11 @@ from adprep.synthesis import (
     write_bundle,
 )
 from adprep.tables import (
+    BOOL,
     INT,
+    INT64_MAX,
+    INT64_MIN,
+    LIST,
     REAL,
     TEXT,
     Schema,
@@ -226,6 +231,50 @@ def test_bundle_writes_are_deterministic(tmp_path):
     assert files0 == files1
     for rel in files0:
         assert (dirs[0] / rel).read_bytes() == (dirs[1] / rel).read_bytes(), rel
+
+
+GOLDEN_BUNDLE = Path(__file__).parent / "data" / "golden_bundle"
+
+
+def golden_bundle():
+    """Demo task 1 (two sources, nulls, a stringified column, duplicates)
+    plus an extra source of edge cells: bools, lists, reals that repr to
+    -0.0, 1e-07 and 1e+22, int64 bounds, nulls, and text holding a comma,
+    a quote, "\\n" and "\\r" (so that file's lines end in "\\r\\n")."""
+    edge = make_table(
+        "edge",
+        [("i", INT), ("r", REAL), ("s", TEXT), ("b", BOOL), ("l", LIST)],
+        [
+            (1, -0.0, "a,b", True, (1, "x,y")),
+            (None, 1e-07, 'say "hi"', False, ()),
+            (INT64_MAX, 1e22, "two\nlines", None, (2.5, True, None, "\u00e9")),
+            (INT64_MIN, None, "cr\rhere", True, None),
+            (0, 2.5, None, False, ('"q"',)),
+        ],
+    )
+    bundle = synthesize_demo_task(random.Random(1), "golden")
+    return replace(bundle, sources={**bundle.sources, "edge": edge})
+
+
+def bundle_files(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_golden_bundle_is_rewritten_byte_for_byte(tmp_path):
+    # committed bundle files pin the csv, schema, pipeline and provenance
+    # formats: a fresh synthesis and a read-then-write both reproduce them
+    golden = bundle_files(GOLDEN_BUNDLE)
+    assert sorted(golden) == [
+        "gt_pipeline.txt", "provenance.json", "sources/edge.csv",
+        "sources/edge.csv.schema.json", "sources/orders.csv",
+        "sources/orders.csv.schema.json", "sources/regions.csv",
+        "sources/regions.csv.schema.json", "target_schema.json", "target_table.csv",
+    ]
+    assert golden["sources/edge.csv"].endswith(b"\r\n")
+    assert bundle_files(write_bundle(golden_bundle(), tmp_path / "fresh")) == golden
+    again = read_bundle(GOLDEN_BUNDLE)
+    verify_bundle(again)
+    assert bundle_files(write_bundle(again, tmp_path / "again")) == golden
 
 
 @pytest.mark.parametrize("ch", SPLITLINES_ONLY_BREAKS)

@@ -757,6 +757,72 @@ def test_csv_records_match_the_reference_table():
         assert _outcome(engine) == _outcome(reference), (i, buf.getvalue(), dtypes)
 
 
+class _LoudInt(int):
+    def __str__(self):
+        return "loud-int"
+
+    __repr__ = __str__
+
+
+class _LoudReal(float):
+    def __repr__(self):
+        return "loud-real"
+
+    __str__ = __repr__
+
+
+class _LoudText(str):
+    def __str__(self):
+        return "loud-text"
+
+    __repr__ = __str__
+
+
+CSV_WRITER_EDGE_TABLES = [
+    make_table("t", [("a", INT), ("b", TEXT)], []),
+    make_table("t", [("a", BOOL), ("b", LIST)], []),
+    make_table("t", [("a", TEXT)], [(None,), ("",), ("x",), (None,)]),
+    make_table("t", [("a", INT)], [(None,), (0,)]),
+    make_table("t", [("a", LIST)], [(None,), ((),)]),
+    make_table("t", [], [(), ()]),
+    make_table(
+        "t",
+        [("i", INT), ("r", REAL), ("s", TEXT)],
+        [
+            (tables.INT64_MAX, -0.0, "a,b"),
+            (tables.INT64_MIN, 0.0, 'say "hi"'),
+            (None, 1e-07, "two\nlines"),
+            (0, 1e22, "cr\rhere"),
+            (-1, -1e308, ""),
+            (None, None, None),
+        ],
+    ),
+    make_table(
+        "t",
+        [("i", INT), ("r", REAL), ("s", TEXT), ("b", BOOL), ("l", LIST)],
+        [
+            (_LoudInt(3), _LoudReal(2.5), _LoudText("quiet"), True, (_LoudInt(1), "x")),
+            (_LoudInt(-4), _LoudReal(-0.0), _LoudText("a,\n"), None, None),
+            (None, None, None, False, ()),
+        ],
+    ),
+]
+
+
+def test_csv_writer_matches_the_per_cell_reference():
+    rng = random.Random(911)
+    tables_seen = [
+        random_table(rng, max_rows=12, max_cols=5, null_rate=rng.choice([0.0, 0.15, 0.5]))
+        for _ in range(500)
+    ]
+    for t in [*tables_seen, *CSV_WRITER_EDGE_TABLES]:
+        assert table_to_csv_text(t) == reference_csv.table_to_csv_text(t), t
+    # both writer paths are taken: tables with and without bool or list columns
+    plain = [t for t in tables_seen if not {c.dtype for c in t.schema.columns} & {BOOL, LIST}]
+    assert 50 < len(plain) < 450
+    assert "loud-int" in table_to_csv_text(CSV_WRITER_EDGE_TABLES[-1])
+
+
 def test_csv_ragged_row_and_blank_line_messages():
     with pytest.raises(TableIOError, match=r"^table 't': row 2 has 1 cells, expected 2$"):
         table_from_csv_text("a,b\n1,2\n3,4\n5\n6,7,8\n", "t")
