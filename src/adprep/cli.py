@@ -20,6 +20,7 @@ import random
 import shlex
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .agent import HttpChatPolicy, IdentityPolicy, PolicyError, ScriptedPolicy
 from .harness import (
@@ -75,14 +76,17 @@ def _script_backend(text: str) -> SubprocessScriptBackend | None:
     return SubprocessScriptBackend(argv) if argv else None
 
 
-def _row_count(text: str) -> int:
-    if (rows := int(text)) < 0:
-        raise argparse.ArgumentTypeError(f"expected a row count >= 0, got {rows}")
-    return rows
+def _count(what: str, least: int) -> Callable[[str], int]:
+    """An argparse type for a count flag: an int of at least `least`."""
+    def count(text: str) -> int:
+        if (n := int(text)) < least:
+            raise argparse.ArgumentTypeError(f"expected {what} >= {least}, got {n}")
+        return n
+    return count
 
 
 def _add_episode_args(p):
-    p.add_argument("--max-turns", type=int, default=5)
+    p.add_argument("--max-turns", type=_count("a turn count", 1), default=5)
     p.add_argument(
         "--script-runner",
         dest="script_backend",
@@ -93,7 +97,7 @@ def _add_episode_args(p):
 
 def _add_single_episode_args(p):
     p.add_argument("--log", help="write the episode's JSONL trajectory log here")
-    p.add_argument("--rows", type=_row_count, default=10, help="sample rows to print")
+    p.add_argument("--rows", type=_count("a row count", 0), default=10, help="sample rows to print")
 
 
 def _policy_factory(args):
@@ -234,9 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a demo task suite")
     p.add_argument("out_dir")
-    p.add_argument("--tasks", type=int, default=5)
+    p.add_argument("--tasks", type=_count("a task count", 0), default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-corruptions", type=int, default=2)
+    p.add_argument("--max-corruptions", type=_count("a corruption count", 0), default=2)
     p.set_defaults(fn=_cmd_synth)
 
     p = sub.add_parser("validate", help="check bundles rebuild their targets")
@@ -245,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="benchmark a policy over a suite")
     p.add_argument("suite_dir")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_count("a thread count", 1), default=1)
     p.add_argument("--log-dir", help="write one JSONL trajectory log per task")
     p.add_argument("--json", action="store_true", help="print the report as JSON")
     _add_policy_args(p)

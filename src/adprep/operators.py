@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Collection, Iterable, Iterator, Protocol, Sequence
+from typing import Any, Callable, Iterable, Iterator, Protocol, Sequence
 
 from .expr import (
     MAX_DEPTH,
@@ -519,20 +519,17 @@ def _row_cells(op: OperatorInstance, t: Table, null_idx: int | None) -> Iterator
 
 
 def _resolve_column(
-    name: str, cells: list[Cell], op: OperatorInstance, fallback: str,
-    *, computed: bool, dtype: str | None = None,
+    name: str, cells: list[Cell], op: OperatorInstance, fallback: str
 ) -> tuple[str, list[Cell]]:
-    """Dtype and cells of an output column: the dtype is inferred unless given,
-    and ints in a real column become floats. Computed cells are also checked,
-    in one pass when clean_column_kind vouches for the column and else with
-    validate_cell per cell; moved cells already passed it. A bad cell raises
-    ExecError naming the column."""
+    """Dtype and checked cells of an output column: the dtype is inferred,
+    the fallback for an all-null column, and ints in a real column become
+    floats. The check is the pass inference makes when clean_column_kind
+    vouches for the column; any other column (a list column, subclasses) is
+    checked with validate_cell per cell. A bad cell raises ExecError naming
+    the column."""
     try:
-        if dtype is None:
-            dtype, cells, clean = infer_column(cells, fallback)
-        else:
-            clean = clean_column_kind(cells) in (None, dtype)
-        if computed and not clean:
+        dtype, cells, clean = infer_column(cells, fallback)
+        if not clean:
             where = f"column {name!r}"
             cells = [validate_cell(v, dtype, where) for v in cells]
     except TableError as exc:
@@ -541,14 +538,11 @@ def _resolve_column(
 
 
 def _rebuild_column(
-    t: Table, idx: int, cells: list[Cell], op: OperatorInstance,
-    fallback: str | None = None, dtype: str | None = None,
+    t: Table, idx: int, cells: list[Cell], op: OperatorInstance, fallback: str | None = None
 ) -> Table:
-    """Replace one column with computed cells, re-inferring its dtype unless given."""
+    """Replace one column with computed cells, re-inferring its dtype."""
     old = t.schema.columns[idx]
-    dtype, cells = _resolve_column(
-        old.name, cells, op, fallback or old.dtype, computed=True, dtype=dtype
-    )
+    dtype, cells = _resolve_column(old.name, cells, op, fallback or old.dtype)
     cols = list(t.schema.columns)
     cols[idx] = ColumnSpec(old.name, dtype, old.description)
     columns: list[Iterable[Cell]] = [map(itemgetter(i), t.rows) for i in range(len(cols))]
@@ -557,15 +551,19 @@ def _rebuild_column(
 
 
 def _append_column(
-    t: Table, name: str, cells: list[Cell], op: OperatorInstance,
-    fallback: str = TEXT, dtype: str | None = None,
+    t: Table, name: str, cells: list[Cell], op: OperatorInstance, fallback: str = TEXT
 ) -> Table:
     if name in t.column_names:
         raise ExecError(op, f"column {name!r} already exists in table {t.name!r}", detail=name)
-    dtype, cells = _resolve_column(name, cells, op, fallback, computed=True, dtype=dtype)
+    dtype, cells = _resolve_column(name, cells, op, fallback)
     cols = t.schema.columns + (ColumnSpec(name, dtype),)
     rows = [row + (cell,) for row, cell in zip(t.rows, cells)]
     return _build_table(t.name, cols, rows, t.schema.description)
+
+
+def _duplicates(names: Sequence[str]) -> list[str]:
+    """The names that occur more than once, sorted; an error names the first."""
+    return sorted({n for n in names if names.count(n) > 1})
 
 
 def _subset_indexes(t: Table, subset: list[str], op: OperatorInstance) -> list[int]:
@@ -576,30 +574,33 @@ def _subset_indexes(t: Table, subset: list[str], op: OperatorInstance) -> list[i
 
 
 def _build_table(
-    name: str, cols: list[ColumnSpec], rows: Iterable[tuple], description: str | None = None
+    name: str, cols: Sequence[ColumnSpec], rows: Iterable[tuple], description: str | None = None
 ) -> Table:
-    """An operator's output table. Its cells are not checked again: each was
-    moved from a checked table or, if computed, checked by _resolve_column."""
+    """An operator's output table, its cells not checked again. A cell
+    either moved as it is from a checked table (whole rows, or the columns
+    _rebuild_column and _append_column leave in place) or sits in a column
+    _resolve_column checked. Every column an operator builds column-wise
+    (_table_of_columns) takes that check: a moved clean column passes it at
+    C speed, and a list column is checked cell by cell."""
     return Table.trusted(Schema(name, tuple(cols), description), tuple(rows))
 
 
-def _infer_output_columns(
-    names: list[str],
-    columns_cells: list[list[Cell]],
-    fallbacks: list[str],
-    op: OperatorInstance,
-    descriptions: list[str | None] | None = None,
-    computed: Collection[str] = (),
-) -> tuple[list[ColumnSpec], list[tuple]]:
-    """Output columns from per-column cells; the `computed` ones are checked."""
-    descs = descriptions or [None] * len(names)
-    specs = []
-    fixed = []
-    for name, cells, fb, desc in zip(names, columns_cells, fallbacks, descs):
-        dtype, cells = _resolve_column(name, cells, op, fb, computed=name in computed)
-        fixed.append(cells)
-        specs.append(ColumnSpec(name, dtype, desc))
-    return specs, list(zip(*fixed))
+def _table_of_columns(
+    name: str, specs: Sequence[ColumnSpec], columns: list[list[Cell]],
+    op: OperatorInstance, description: str | None = None,
+) -> Table:
+    """An output table built a column at a time. Each spec names a column,
+    gives the dtype an all-null column falls back to and its description: a
+    column moved as it is passes its source's spec, a new column
+    ColumnSpec(name, fallback). Every column goes through _resolve_column,
+    which infers its dtype and checks its cells; a moved clean column passes
+    in the one pass inference makes."""
+    cols, resolved = [], []
+    for spec, cells in zip(specs, columns):
+        dtype, cells = _resolve_column(spec.name, cells, op, spec.dtype)
+        cols.append(ColumnSpec(spec.name, dtype, spec.description))
+        resolved.append(cells)
+    return _build_table(name, cols, zip(*resolved), description)
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +674,7 @@ def _exec_error_detection(op, t):
         if v is not None and not isinstance(v, bool):
             raise ExecError(op, f"row {r}: func must return boolean or null", detail=p["column"])
         flags.append(v)
-    return _append_column(t, f"{p['column']}_invalid", flags, op, dtype=BOOL)
+    return _append_column(t, f"{p['column']}_invalid", flags, op, fallback=BOOL)
 
 
 def _exec_outlier_detection(op, t):
@@ -693,7 +694,7 @@ def _exec_outlier_detection(op, t):
         rows = [row for row in t.rows if not is_outlier(row[idx])]
         return Table.trusted(t.schema, tuple(rows))
     flags = [is_outlier(row[idx]) for row in t.rows]
-    return _append_column(t, f"{p['column']}_outlier", flags, op, dtype=BOOL)
+    return _append_column(t, f"{p['column']}_outlier", flags, op, fallback=BOOL)
 
 
 # ---------------------------------------------------------------------------
@@ -807,7 +808,7 @@ def _exec_cast_type(op, t):
                     op, f"row {r}: cannot cast {render_cell(v)!r} to {dtype}",
                     detail=render_cell(v),
                 ) from None
-    return _rebuild_column(t, idx, cells, op, dtype=dtype)
+    return _rebuild_column(t, idx, cells, op, fallback=dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -820,8 +821,7 @@ def _exec_rename_column(op, t):
     for old in mapping:
         _col_index(t, old, op)
     new_names = [mapping.get(c.name, c.name) for c in t.schema.columns]
-    if len(set(new_names)) != len(new_names):
-        dupes = sorted({n for n in new_names if new_names.count(n) > 1})
+    if dupes := _duplicates(new_names):
         raise ExecError(op, f"rename collides on {dupes}", detail=dupes[0])
     cols = [
         ColumnSpec(n, c.dtype, c.description)
@@ -851,8 +851,8 @@ def _exec_split_column(op, t):
     src_idx = _col_index(t, p["source"], op)
     targets = p["target"]
     remaining = [c.name for i, c in enumerate(t.schema.columns) if i != src_idx]
-    if len(set(targets)) != len(targets):
-        raise ExecError(op, "duplicate target column names", detail=targets[0])
+    if dupes := _duplicates(targets):
+        raise ExecError(op, f"duplicate target column name {dupes[0]!r}", detail=dupes[0])
     for name in targets:
         if name in remaining:
             raise ExecError(op, f"target column {name!r} already exists", detail=name)
@@ -865,21 +865,15 @@ def _exec_split_column(op, t):
             raise ExecError(op, f"row {r}: func must yield a list", detail=p["source"])
         padded = tuple(v[: len(targets)]) + (None,) * max(0, len(targets) - len(v))
         pieces.append(padded)
-    names, cells, fallbacks, descs = [], [], [], []
+    specs, cells = [], []
     for j, c in enumerate(t.schema.columns):
         if j == src_idx:
-            for k, target in enumerate(targets):
-                names.append(target)
-                cells.append([piece[k] for piece in pieces])
-                fallbacks.append(TEXT)
-                descs.append(None)
+            specs += [ColumnSpec(target, TEXT) for target in targets]
+            cells += [[piece[k] for piece in pieces] for k in range(len(targets))]
         else:
-            names.append(c.name)
+            specs.append(c)
             cells.append([row[j] for row in t.rows])
-            fallbacks.append(c.dtype)
-            descs.append(c.description)
-    specs, rows = _infer_output_columns(names, cells, fallbacks, op, descs, computed=targets)
-    return _build_table(t.name, specs, rows, t.schema.description)
+    return _table_of_columns(t.name, specs, cells, op, t.schema.description)
 
 
 def _exec_concatenate(op, t):
@@ -905,7 +899,7 @@ def _exec_select_column(op, t):
 def _exec_subtitle(op, t):
     p = op.params
     cells = [p["title"]] * t.n_rows
-    return _append_column(t, p["target_col"], cells, op, dtype=TEXT)
+    return _append_column(t, p["target_col"], cells, op)
 
 
 # ---------------------------------------------------------------------------
@@ -1001,11 +995,13 @@ def _exec_group_by(op, t):
     agg: dict[str, str] = p["agg"]
     agg_idxs = {col: _col_index(t, col, op) for col in agg}
 
-    out_names = list(p["by"]) + [f"{col}_{fn}" for col, fn in agg.items()]
-    if not out_names:
+    specs = [t.schema.columns[i] for i in key_idxs] + [
+        ColumnSpec(f"{col}_{fn}", _agg_fallback(fn, t.schema.columns[agg_idxs[col]].dtype))
+        for col, fn in agg.items()
+    ]
+    if not specs:
         raise ExecError(op, "group by needs key columns or aggregates", detail=p["table"])
-    if len(set(out_names)) != len(out_names):
-        dupes = sorted({n for n in out_names if out_names.count(n) > 1})
+    if dupes := _duplicates([c.name for c in specs]):
         raise ExecError(op, f"duplicate output column {dupes[0]!r}", detail=dupes[0])
 
     groups: dict[tuple, list[tuple]] = {}
@@ -1020,16 +1016,7 @@ def _exec_group_by(op, t):
         for j, (col, fn) in enumerate(agg.items()):
             cells = [row[agg_idxs[col]] for row in rows]
             agg_cells[j].append(_fold(fn, cells, op, f"column {col!r}"))
-
-    fallbacks = [t.schema.columns[i].dtype for i in key_idxs]
-    descs: list[str | None] = [t.schema.columns[i].description for i in key_idxs]
-    for col, fn in agg.items():
-        fallbacks.append(_agg_fallback(fn, t.schema.columns[agg_idxs[col]].dtype))
-        descs.append(None)
-    specs, rows = _infer_output_columns(
-        out_names, key_cells + agg_cells, fallbacks, op, descs, computed=out_names[len(key_idxs):]
-    )
-    return _build_table(t.name, specs, rows, t.schema.description)
+    return _table_of_columns(t.name, specs, key_cells + agg_cells, op, t.schema.description)
 
 
 def _exec_count(op, t):
@@ -1047,9 +1034,7 @@ def _exec_calculate_statistic(op, t):
         result: Cell = 0
     else:
         result = _fold(stat, present, op, "func values")
-    dtype, (result,) = _resolve_column(stat, [result], op, INT, computed=True)
-    cols = [ColumnSpec(stat, dtype)]
-    return _build_table(t.name, cols, [(result,)], t.schema.description)
+    return _table_of_columns(t.name, [ColumnSpec(stat, INT)], [[result]], op, t.schema.description)
 
 
 # ---------------------------------------------------------------------------
@@ -1189,10 +1174,7 @@ def _stack(
         keys = [tuple(map(cell_hash_key, row)) for row in all_rows]
         all_rows = _dedupe_rows(all_rows, keys, "first")
     cells = [[row[j] for row in all_rows] for j in range(len(base_names))]
-    fallbacks = [c.dtype for c in first.schema.columns]
-    descs = [c.description for c in first.schema.columns]
-    specs, rows = _infer_output_columns(list(base_names), cells, fallbacks, op, descs)
-    return _build_table(name, specs, rows, description)
+    return _table_of_columns(name, first.schema.columns, cells, op, description)
 
 
 def _exec_union(op, tables):
@@ -1236,8 +1218,6 @@ def _exec_pivot(op, t):
     for label in labels:
         if label in p["index"]:
             raise ExecError(op, f"pivot column {label!r} collides with an index column", detail=label)
-    if len(set(labels)) != len(labels):
-        raise ExecError(op, "duplicate pivot column label", detail=labels[0])
 
     if aggfunc == "first_strict":
         for ik in index_keys:
@@ -1257,15 +1237,12 @@ def _exec_pivot(op, t):
             else:
                 label_cells[label].append(_fold(fold_fn, vals, op, f"column {p['values']!r}"))
 
-    names = list(p["index"]) + labels
+    label_dtype = _agg_fallback(fold_fn, t.schema.columns[val_idx].dtype)
+    specs = [t.schema.columns[i] for i in idx_idxs]
+    specs += [ColumnSpec(label, label_dtype) for label in labels]
     cells = [[index_reps[ik][j] for ik in index_keys] for j in range(len(idx_idxs))]
     cells += [label_cells[label] for label in labels]
-    fallbacks = [t.schema.columns[i].dtype for i in idx_idxs]
-    fallbacks += [_agg_fallback(fold_fn, t.schema.columns[val_idx].dtype)] * len(labels)
-    descs: list[str | None] = [t.schema.columns[i].description for i in idx_idxs]
-    descs += [None] * len(labels)
-    specs, rows = _infer_output_columns(names, cells, fallbacks, op, descs, computed=labels)
-    return _build_table(f"{t.name}_pivot", specs, rows)
+    return _table_of_columns(f"{t.name}_pivot", specs, cells, op)
 
 
 def _exec_stack(op, t):
@@ -1283,7 +1260,6 @@ def _exec_stack(op, t):
             raise ExecError(op, f"id_vars column {reserved!r} collides with an output column",
                             detail=reserved)
 
-    names = list(p["id_vars"]) + ["variable", "value"]
     id_cells: list[list[Cell]] = [[] for _ in id_idxs]
     var_cells: list[Cell] = []
     val_cells: list[Cell] = []
@@ -1293,10 +1269,9 @@ def _exec_stack(op, t):
                 id_cells[j].append(row[ii])
             var_cells.append(name)
             val_cells.append(row[vi])
-    fallbacks = [t.schema.columns[i].dtype for i in id_idxs] + [TEXT, TEXT]
-    descs: list[str | None] = [t.schema.columns[i].description for i in id_idxs] + [None, None]
-    specs, rows = _infer_output_columns(names, id_cells + [var_cells, val_cells], fallbacks, op, descs)
-    return _build_table(f"{t.name}_stack", specs, rows)
+    specs = [t.schema.columns[i] for i in id_idxs]
+    specs += [ColumnSpec("variable", TEXT), ColumnSpec("value", TEXT)]
+    return _table_of_columns(f"{t.name}_stack", specs, id_cells + [var_cells, val_cells], op)
 
 
 def _exec_wide_to_long(op, t):
@@ -1304,8 +1279,8 @@ def _exec_wide_to_long(op, t):
     stubs = p["stubnames"]
     i_idxs = _col_indexes(t, p["i"], op)
     j_name = p["j"]
-    if len(set(stubs)) != len(stubs):
-        raise ExecError(op, "duplicate stub names", detail=stubs[0])
+    if dupes := _duplicates(stubs):
+        raise ExecError(op, f"duplicate stub name {dupes[0]!r}", detail=dupes[0])
 
     # map each column to (stub, suffix); the longest matching stub wins
     by_len = sorted(stubs, key=lambda s: (-len(s), stubs.index(s)))
@@ -1336,7 +1311,6 @@ def _exec_wide_to_long(op, t):
     if j_name in p["i"] or j_name in stubs:
         raise ExecError(op, f"j column {j_name!r} collides", detail=j_name)
 
-    names = list(p["i"]) + [j_name] + list(stubs)
     i_cells: list[list[Cell]] = [[] for _ in i_idxs]
     j_cells: list[Cell] = []
     stub_cells: list[list[Cell]] = [[] for _ in stubs]
@@ -1348,10 +1322,8 @@ def _exec_wide_to_long(op, t):
             for k, stub in enumerate(stubs):
                 idx = col_map.get((stub, suffix))
                 stub_cells[k].append(None if idx is None else row[idx])
-    fallbacks = [t.schema.columns[i].dtype for i in i_idxs] + [TEXT] + [TEXT] * len(stubs)
-    descs: list[str | None] = [t.schema.columns[i].description for i in i_idxs] + [None] * (1 + len(stubs))
-    specs, rows = _infer_output_columns(names, i_cells + [j_cells] + stub_cells, fallbacks, op, descs)
-    return _build_table(f"{t.name}_widetolong", specs, rows)
+    specs = [t.schema.columns[i] for i in i_idxs] + [ColumnSpec(n, TEXT) for n in [j_name, *stubs]]
+    return _table_of_columns(f"{t.name}_widetolong", specs, i_cells + [j_cells] + stub_cells, op)
 
 
 def _exec_transpose(op, t):
@@ -1379,12 +1351,10 @@ def _exec_explode(op, t):
             elements = [v]  # non-list cells survive as a single row
         for e in elements:
             exploded.append(tuple(e if j == idx else row[j] for j in range(len(row))))
-    names = [c.name for c in t.schema.columns]
-    cells = [[row[j] for row in exploded] for j in range(len(names))]
-    fallbacks = [TEXT if j == idx else c.dtype for j, c in enumerate(t.schema.columns)]
-    descs = [c.description for c in t.schema.columns]
-    specs, rows = _infer_output_columns(names, cells, fallbacks, op, descs)
-    return _build_table(f"{t.name}_explode", specs, rows, t.schema.description)
+    specs = list(t.schema.columns)
+    specs[idx] = ColumnSpec(specs[idx].name, TEXT, specs[idx].description)
+    cells = [[row[j] for row in exploded] for j in range(len(specs))]
+    return _table_of_columns(f"{t.name}_explode", specs, cells, op, t.schema.description)
 
 
 # ---------------------------------------------------------------------------

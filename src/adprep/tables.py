@@ -32,9 +32,12 @@ int or real column, then int / float and the range check over all of them,
 or one set of lowered texts for a bool column. A column that pass does not
 take (a list column, a bad cell) is parsed cell by cell, which names the
 first bad cell. Table.trusted skips the check; it is for tables whose cells
-are already valid for their columns: operator outputs that move cells from
-checked tables, plus columns an operator computes, which it checks with the
-same column kernel first.
+are already valid for their columns: operator outputs. An operator that
+keeps rows or leaves columns in place moves cells from checked tables. Every
+other column of its output, each one it computes and each one of an output
+it builds a column at a time, goes through infer_column, and through
+validate_cell when that cannot vouch for it: a moved clean column passes in
+the one pass at C speed, and a list column is checked cell by cell.
 
 The module also provides a deterministic markdown rendering used for agent
 observations, and csv file I/O with an optional JSON sidecar schema. A csv

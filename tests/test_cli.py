@@ -450,6 +450,11 @@ def test_an_unusable_report_or_score_log_dir_is_reported_not_raised(
     ("solve", "--rows", "-1"),
     ("replay", "--rows", "-1"),
     ("run", "--script-runner", '"'),
+    ("synth", "--tasks", "-1"),
+    ("synth", "--max-corruptions", "-1"),
+    ("run", "--max-turns", "0"),
+    ("solve", "--max-turns", "-2"),
+    ("run", "--threads", "-3"),
 ])
 def test_a_bad_flag_value_is_a_usage_error(suite, tmp_path, capsys, command, flag, value):
     """Rejected while parsing: nothing runs and nothing is written."""
@@ -460,6 +465,7 @@ def test_a_bad_flag_value_is_a_usage_error(suite, tmp_path, capsys, command, fla
         "solve": ["solve", str(suite / "task-000"), "--policy", "gt", "--log", str(log)],
         "replay": ["replay", str(suite / "task-000"), str(script), "--log", str(log)],
         "run": ["run", str(suite), "--policy", "gt", "--log-dir", str(tmp_path / "logs")],
+        "synth": ["synth", str(tmp_path / "out")],
     }[command]
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
@@ -468,6 +474,7 @@ def test_a_bad_flag_value_is_a_usage_error(suite, tmp_path, capsys, command, fla
     err = capsys.readouterr().err
     assert f"error: argument {flag}: " in err and "Traceback" not in err
     assert not log.exists() and not (tmp_path / "logs").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_script_runner_is_split_into_the_backend_argv():

@@ -1,6 +1,6 @@
-"""Source hygiene: every module of the package uses each name it imports, and
+"""Source hygiene: every module of the package uses each name it imports,
 every function, class and public method it defines is called outside the
-tests."""
+tests, and every default of a private function is passed by some caller."""
 
 import ast
 import os
@@ -138,6 +138,76 @@ def test_every_definition_has_a_caller_outside_the_tests():
     perfbench = Path(__file__).resolve().parent.parent / "perfbench"
     elsewhere = {p.name: p.read_text(encoding="utf-8") for p in sorted(perfbench.glob("*.py"))}
     assert unnamed_definitions(modules, elsewhere) == UNNAMED_ALLOWED
+
+
+def unpassed_defaults(modules: dict[str, str], elsewhere: dict[str, str]) -> list[str]:
+    """`file:function(param)` for each defaulted parameter of a private
+    function or method of `modules` (one leading underscore, not a dunder)
+    that no call in `modules` or `elsewhere` passes, by keyword or by
+    position. Calls are matched on the called name (`f(...)`, `x.f(...)`); a
+    method's positions skip `self`, and a call with `*args` or `**kwargs`
+    passes every parameter."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in [*trees.values(), *map(ast.parse, elsewhere.values())]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(called, []).append(node)
+    found = []
+    for name, tree in trees.items():
+        methods = {
+            id(f) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for f in cls.body
+            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not any(getattr(d, "id", None) == "staticmethod" for d in f.decorator_list)
+        }
+        for node in ast.walk(tree):
+            if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                continue
+            args = node.args
+            positional = [a.arg for a in args.posonlyargs + args.args][id(node) in methods:]
+            first = len(positional) - len(args.defaults)
+            defaulted = [(i, positional[i]) for i in range(first, len(positional))]
+            defaulted += [
+                (None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            ]
+            for i, param in defaulted:
+                if not any(
+                    any(k.arg in (param, None) for k in call.keywords)
+                    or any(isinstance(a, ast.Starred) for a in call.args)
+                    or (i is not None and len(call.args) > i)
+                    for call in calls.get(node.name, ())
+                ):
+                    found.append(f"{name}:{node.name}({param})")
+    return found
+
+
+def test_unpassed_defaults_are_found():
+    modules = {
+        "a.py": "def _f(a, b=1, *, c=2, d=3):\n    pass\n\n"
+        "def _g(a=1, b=2):\n    pass\n\n"
+        "def __h__(a=1):\n    pass\n\n"
+        "def public(a=1):\n    pass\n\n"
+        "class Box:\n    def _m(self, a=1, b=2):\n        pass\n\n"
+        "    @staticmethod\n    def _s(a=1):\n        pass\n\n"
+        "    def _k(self, a=1):\n        pass\n\n"
+        "_f(0, c=5)\nBox()._m(0)\nx._k(**kw)\n",
+        "b.py": "from a import _g\n_g(*args)\n",
+    }
+    elsewhere = {"bench.py": "Box._s(1)\n"}
+    assert unpassed_defaults(modules, elsewhere) == ["a.py:_f(b)", "a.py:_f(d)", "a.py:_m(b)"]
+
+
+def test_every_private_default_is_passed_somewhere():
+    """A defaulted parameter of a private function that no caller in the
+    package or perfbench/ passes is a knob nothing turns: the default is the
+    only value it takes, so it goes."""
+    modules = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    elsewhere = {p.name: p.read_text(encoding="utf-8") for p in sorted(perfbench.glob("*.py"))}
+    assert unpassed_defaults(modules, elsewhere) == []
 
 
 def strptime_uses(modules: dict[str, str]) -> list[str]:

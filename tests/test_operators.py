@@ -1033,6 +1033,21 @@ def test_first_failing_row_names_the_error(call, message):
     assert err.value.message == message
 
 
+@pytest.mark.parametrize("call, duplicate", [
+    ('SplitColumn("t", "a", ["b", "c", "c"], "split(col(\\"a\\"), \\"-\\")")', "c"),
+    ('WideToLong("t", ["x", "y", "y"], ["a"], "j")', "y"),
+    ('GroupBy("t", ["a", "b_x", "b_x"], {})', "b_x"),
+    ('RenameColumn("t", {"b_x": "a"})', "a"),
+])
+def test_a_duplicate_name_error_names_the_repeated_name(call, duplicate):
+    # a later name is the repeated one: the turn's failure_detail must not
+    # point at the first name given
+    t = make_table("t", [("a", TEXT), ("b_x", INT)], [("p-q", 1)])
+    with pytest.raises(ExecError) as err:
+        run(call, {"t": t})
+    assert err.value.detail == duplicate
+
+
 def test_unknown_column_in_func_fails_only_on_an_evaluated_row():
     # func is compiled once per call, but a column it names that the table
     # lacks is an error of the first row evaluated, not of the compile
