@@ -101,7 +101,8 @@ class ParsedReply:
 
 @dataclass
 class TurnRecord:
-    """One model reply and what the environment did with it."""
+    """One model reply and what the environment did with it: a "turn" record
+    of the episode's JSONL log, each field's annotation its JSON type there."""
 
     index: int
     reply: str
@@ -122,8 +123,10 @@ class TurnRecord:
 class Trajectory:
     """Everything one episode produced.
 
-    Every field but `tree` is written to the episode's JSONL log by
-    harness.write_trajectory_log; a trajectory loaded from a log has no tree.
+    These fields are the episode's JSONL log (harness.write_trajectory_log):
+    `task_id` heads it, each turn is a record of its own, `tree` is not
+    logged (a trajectory loaded from a log has none), and every other field
+    is a key of the result record, its annotation its JSON type there.
     """
 
     task_id: str
@@ -134,7 +137,7 @@ class Trajectory:
     final_table: Table | None = None
     wall_time: float = 0.0
     protocol_error_count: int = 0
-    usage: dict | None = None
+    usage: dict[str, int] | None = None
     error: str | None = None  # transport failures
     tree: ReasoningTree | None = field(default=None, repr=False)
 

@@ -35,7 +35,7 @@ from datetime import datetime
 from operator import ge, gt, itemgetter, le, lt
 from typing import Any, Callable, Sequence
 
-from .tables import INT64_MAX, INT64_MIN, Cell, cells_equal, render_scalar
+from .tables import INT64_MAX, INT64_MIN, Cell, cell_hash_key, render_scalar
 
 
 class ExprParseError(ValueError):
@@ -554,7 +554,8 @@ def _parse_iso(text: str, node: Expr) -> datetime:
 
 
 def _equal(op: str, a: Cell, b: Cell, node: Expr) -> bool:
-    return cells_equal(a, b) if op == "==" else not cells_equal(a, b)
+    same = cell_hash_key(a) == cell_hash_key(b)
+    return same if op == "==" else not same
 
 
 def _logic(op: str, a: Cell, b: Cell, node: Expr) -> bool:

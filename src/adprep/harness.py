@@ -5,10 +5,16 @@ optional JSONL log, one JSON object per line, whose "record" key names its
 kind:
 
     task    first line: {"record": "task", "task_id": ...}
-    turn    one per turn, in order: the fields of TurnRecord
+    turn    every line between the first and the last, one per turn, in
+            order: the fields of TurnRecord
     result  last line: every other Trajectory field but the search tree
-            (status, answer, the produced table, ...) plus the episode's
-            "scores"
+            (status, answer_path, answer_plan, final_table, wall_time,
+            protocol_error_count, usage, error) plus the episode's "scores"
+
+TurnRecord and Trajectory declare these records: the writer takes its
+fields from them, and the loader checks each field's JSON value against its
+annotation (`str | None` is text or null, `dict[str, int] | None` an object
+of integers or null, ...) and names the log and the field that fails.
 
 The log is the one serialized form of an episode, and every score is taken
 from what it holds: the result embeds the produced table and the process
@@ -22,7 +28,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .agent import Task, Trajectory, TurnRecord, run_episode
@@ -158,19 +164,39 @@ class Report:
 # episode logs
 # ---------------------------------------------------------------------------
 
-# The Trajectory fields a result record holds beside "status". The task id
-# heads the log, each turn has its own record, and the search tree is not
-# logged. The final table is stored as table_to_json.
-_RESULT_FIELDS = (
-    "answer_path", "answer_plan", "final_table", "wall_time", "protocol_error_count",
-    "usage", "error",
-)
+# The JSON values a log record may hold under each field annotation of
+# TurnRecord and Trajectory, and the words an error names them by. Plain
+# type tests, as JSON has no subclasses and type(True) is bool, not int.
+_JSON_TYPES = {
+    "int": (lambda v: type(v) is int, "an integer"),
+    "float": (lambda v: type(v) is float or type(v) is int, "a number"),
+    "str": (lambda v: type(v) is str, "text"),
+    "str | None": (lambda v: v is None or type(v) is str, "text or null"),
+    "list[str]": (lambda v: type(v) is list and all(type(x) is str for x in v), "a list of text"),
+    "dict[str, int] | None": (
+        lambda v: v is None or type(v) is dict and all(type(x) is int for x in v.values()),
+        "an object of integers or null"),
+    "Table | None": (  # as table_to_json writes it
+        lambda v: v is None or type(v) is dict and v.keys() == {"schema", "rows"},
+        "a table or null"),
+}
+
+
+def _record_types(cls, unlogged=()) -> tuple:
+    """(name, accepts, what) for each field of cls that a log record holds."""
+    return tuple((f.name, *_JSON_TYPES[f.type]) for f in fields(cls) if f.name not in unlogged)
+
+
+_TURN_TYPES = _record_types(TurnRecord)
+# the task id heads the log, each turn has its own record and the search
+# tree is not logged
+_RESULT_TYPES = _record_types(Trajectory, ("task_id", "turns", "tree"))
 
 
 def write_trajectory_log(path: str | Path, traj: Trajectory, scores: dict | None = None) -> None:
     """One JSONL file per episode: header, turns, then the terminal record."""
-    result = {"record": "result", "status": traj.status}
-    result.update((k, getattr(traj, k)) for k in _RESULT_FIELDS)
+    result = {"record": "result"}
+    result.update((name, getattr(traj, name)) for name, _, _ in _RESULT_TYPES)
     if traj.final_table is not None:
         result["final_table"] = table_to_json(traj.final_table)
     if scores is not None:
@@ -188,33 +214,12 @@ def write_trajectory_log(path: str | Path, traj: Trajectory, scores: dict | None
         _write_text(path, text)
 
 
-# The TurnRecord fields that hold text or null; _turn_type_error checks the
-# other five one by one.
-_TURN_OPTIONAL_TEXTS = (
-    "plan", "category", "parent_path", "leaf_path", "failure_text", "failure_op_kind",
-    "failure_detail", "feedback",
-)
-
-
-def _turn_type_error(turn: TurnRecord) -> str | None:
-    """What is wrong with the JSON type of a loaded turn's first mistyped
-    field, or None. Plain loops: this runs for every turn of every log."""
-    fields = vars(turn)
-    if type(turn.index) is not int:  # type(True) is bool
-        return "index must be an integer"
-    for key in ("reply", "action"):
-        if type(fields[key]) is not str:
-            return f"{key} must be text"
-    for key in ("op_texts", "created_paths"):
-        if type(fields[key]) is not list:
-            return f"{key} must be a list of text"
-        for text in fields[key]:
-            if type(text) is not str:
-                return f"{key} must be a list of text"
-    for key in _TURN_OPTIONAL_TEXTS:
-        if fields[key] is not None and type(fields[key]) is not str:
-            return f"{key} must be text or null"
-    return None
+def _check_types(path: str | Path, kind: str, record: dict, types: tuple) -> None:
+    """Stop at the first field of a log record whose JSON type is wrong: the
+    report sums and prints the result's fields and the judge reads the turns."""
+    for name, accepts, what in types:
+        if name in record and not accepts(record[name]):
+            raise HarnessError(f"{path}: {kind} {name} must be {what}")
 
 
 def load_trajectory_log(path: str | Path) -> Trajectory:
@@ -238,31 +243,22 @@ def load_trajectory_log(path: str | Path) -> Trajectory:
         raise HarnessError(f"{path}: log is truncated (no result record)")
     try:
         task_id = lines[0]["task_id"]
-        turns = [
-            TurnRecord(**{k: v for k, v in line.items() if k != "record"})
-            for line in lines[1:-1]
-            if line.get("record") == "turn"
-        ]
-        status = result["status"]
-        fields = {k: result[k] for k in _RESULT_FIELDS if k in result}
-        if fields.get("final_table") is not None:
-            fields["final_table"] = table_from_json(fields["final_table"])
+        turns = []
+        for n, line in enumerate(lines[1:-1], 2):
+            if line.get("record") != "turn":
+                raise HarnessError(f"{path}: record {n} is not a turn")
+            _check_types(path, "turn", line, _TURN_TYPES)
+            turns.append(TurnRecord(**{k: v for k, v in line.items() if k != "record"}))
+        _check_types(path, "result", result, _RESULT_TYPES)
+        values = {name: result[name] for name, _, _ in _RESULT_TYPES if name in result}
+        status = values.pop("status")
+        if values.get("final_table") is not None:
+            values["final_table"] = table_from_json(values["final_table"])
     except KeyError as exc:
         raise HarnessError(f"{path}: log record lacks {exc}") from None
     except (TypeError, TableError) as exc:
         raise HarnessError(f"{path}: malformed log record: {exc}") from None
-    # the report sums and prints these, and the judge reads the turns, so a
-    # mistyped one must stop here
-    if not isinstance(status, str):
-        raise HarnessError(f"{path}: result status must be text")
-    for key, kinds, what in (("wall_time", (int, float), "a number"),
-                             ("protocol_error_count", int, "an integer")):
-        if key in fields and (not isinstance(fields[key], kinds) or isinstance(fields[key], bool)):
-            raise HarnessError(f"{path}: result {key} must be {what}")
-    for turn in turns:
-        if (problem := _turn_type_error(turn)) is not None:
-            raise HarnessError(f"{path}: turn {problem}")
-    return Trajectory(task_id, status, turns, **fields)
+    return Trajectory(task_id, status, turns, **values)
 
 
 # ---------------------------------------------------------------------------

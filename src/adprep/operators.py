@@ -1088,11 +1088,8 @@ def _exec_join(op, left, right):
         c = right.schema.columns[i]
         name = f"{c.name}_right" if c.name in l_rest_names else c.name
         cols.append(ColumnSpec(name, c.dtype, c.description))
-    seen = set()
-    for c in cols:
-        if c.name in seen:
-            raise ExecError(op, f"duplicate output column {c.name!r}", detail=c.name)
-        seen.add(c.name)
+    if dupes := _duplicates([c.name for c in cols]):
+        raise ExecError(op, f"duplicate output column {dupes[0]!r}", detail=dupes[0])
 
     def index(keys, parts):
         """Row parts by key; a key holding a null never matches, so it is left out."""
@@ -1203,8 +1200,9 @@ def _exec_pivot(op, t):
     buckets: dict[tuple, dict[str, list[Cell]]] = {}
     for r, (row, ik) in enumerate(zip(t.rows, row_keys(t, idx_idxs))):
         cv = row[col_idx]
-        if cv is None:
-            raise ExecError(op, f"row {r}: null value in columns column", detail=p["columns"])
+        if cv is None or cv == "":  # a label names an output column
+            what = "null" if cv is None else "empty"
+            raise ExecError(op, f"row {r}: {what} value in columns column", detail=p["columns"])
         label = render_cell(cv)
         if ik not in index_reps:
             index_reps[ik] = tuple(row[i] for i in idx_idxs)

@@ -316,21 +316,6 @@ def infer_column(cells: list[Cell], fallback: str = TEXT) -> tuple[str, list[Cel
 # ordering and equality
 # ---------------------------------------------------------------------------
 
-def cells_equal(a: Cell, b: Cell) -> bool:
-    """Exact cell equality; ints equal int-valued reals, bools match only bools."""
-    if a is None or b is None:
-        return a is None and b is None
-    if isinstance(a, bool) or isinstance(b, bool):
-        return isinstance(a, bool) and isinstance(b, bool) and a == b
-    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        return a == b
-    if isinstance(a, str) and isinstance(b, str):
-        return a == b
-    if isinstance(a, tuple) and isinstance(b, tuple):
-        return len(a) == len(b) and all(cells_equal(x, y) for x, y in zip(a, b))
-    return False
-
-
 def cell_sort_key(v: Cell) -> tuple:
     """Sort key for the total order over cells: Null < Boolean < numeric <
     Text < List. Numbers stay raw, so int / real order stays exact; text keys
@@ -348,9 +333,10 @@ def cell_sort_key(v: Cell) -> tuple:
 
 
 def cell_hash_key(v: Cell) -> Any:
-    """Hashable key, equal exactly when cells_equal holds. Null, numbers and text
-    key as themselves (2 == 2.0 and -0.0 == 0.0, with equal hashes); bools and
-    lists are tagged, so True stays apart from 1 and no list meets a scalar."""
+    """Hashable key; two cells are equal exactly when their keys are. Null,
+    numbers and text key as themselves (2 == 2.0 and -0.0 == 0.0, with equal
+    hashes); bools and lists are tagged, so True stays apart from 1, no list
+    meets a scalar and lists are equal elementwise."""
     if isinstance(v, bool):
         return ("bool", v)
     if isinstance(v, tuple):

@@ -1,6 +1,6 @@
 """The recursive tree walker that `adprep.expr.compile_expr` replaced, kept
-as a reference, `eval_expr` over one row binding, and the column-reference
-helper only tests use.
+as a reference, `eval_expr` over one row binding, the elementwise cell
+equality, and the column-reference helper only tests use.
 
 `walk_expr` evaluates an expression against a name -> cell binding the way
 expressions were evaluated before they were compiled: one recursive call per
@@ -8,7 +8,9 @@ node, with the node kind found by an isinstance chain. The value-level
 bodies (`_arith`, `_compare`, the strict functions) are the package's own;
 what the walker checks is the wiring around them: null propagation, the
 order operands run in, lazy branches and column lookup. The differential
-tests in test_expr.py hold the compiler to it case by case.
+tests in test_expr.py hold the compiler to it case by case. Its `==` and
+`!=` compare with `cells_equal`, written out case by case, where the package
+compares `tables.cell_hash_key`s, so the two equalities check each other.
 """
 
 from __future__ import annotations
@@ -31,7 +33,22 @@ from adprep.expr import (
     _unknown_function,
     compile_expr,
 )
-from adprep.tables import Cell, cells_equal
+from adprep.tables import Cell
+
+
+def cells_equal(a: Cell, b: Cell) -> bool:
+    """Exact cell equality; ints equal int-valued reals, bools match only bools."""
+    if a is None or b is None:
+        return a is None and b is None
+    if isinstance(a, bool) or isinstance(b, bool):
+        return isinstance(a, bool) and isinstance(b, bool) and a == b
+    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        return a == b
+    if isinstance(a, str) and isinstance(b, str):
+        return a == b
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(cells_equal(x, y) for x, y in zip(a, b))
+    return False
 
 
 def eval_expr(e: Expr, row: Mapping[str, Cell]) -> Cell:

@@ -1,5 +1,6 @@
 """Episode loop tests: reply parsing, turn accounting, policies."""
 
+import dataclasses
 import gc
 import json
 import random
@@ -18,6 +19,7 @@ from adprep.agent import (
     ProtocolViolation,
     ScriptedPolicy,
     Task,
+    Trajectory,
     build_system_preamble,
     parse_reply,
     run_episode,
@@ -430,16 +432,13 @@ def test_trajectory_json_round_trip(tmp_path):
     traj = run_episode(task, ScriptedPolicy([EXPAND_REPLY, ANSWER_REPLY]))
     write_trajectory_log(tmp_path / "one.jsonl", traj)
     back = load_trajectory_log(tmp_path / "one.jsonl")
-    assert back.status == traj.status
-    assert back.task_id == traj.task_id
-    assert back.answer_path == traj.answer_path
     assert len(back.turns) == len(traj.turns)
     assert back.turns[0].op_texts == traj.turns[0].op_texts
-    assert back.turns == traj.turns
     assert tables_equal(back.final_table, traj.final_table)
-    for name in ("answer_plan", "wall_time", "protocol_error_count", "usage", "error"):
-        assert getattr(back, name) == getattr(traj, name)
     assert traj.tree is not None and back.tree is None
+    for f in dataclasses.fields(Trajectory):  # a field added later included
+        if f.name not in ("final_table", "tree"):
+            assert getattr(back, f.name) == getattr(traj, f.name), f.name
 
 
 def test_system_preamble_mentions_operators():

@@ -438,6 +438,72 @@ def test_every_turn_field_is_type_checked_on_load(tmp_path):
             load_trajectory_log(path)
 
 
+def test_every_result_field_is_type_checked_on_load(tmp_path):
+    """The result record holds every Trajectory field but the task id, the
+    turns and the tree, one added later included, and an object of the wrong
+    shape in any of them stops the load and names the field."""
+    path = tmp_path / "t.jsonl"
+    write_trajectory_log(path, Trajectory("t", "answered", []), {"outcome": 1.0})
+    task, result = path.read_text().splitlines()
+    logged = set(json.loads(result)) - {"record", "scores"}
+    assert logged == {f.name for f in dataclasses.fields(Trajectory)} - {"task_id", "turns", "tree"}
+    for name in sorted(logged):
+        # no field takes it: usage counts are integers, a table has schema and rows
+        path.write_text("\n".join([task, json.dumps({**json.loads(result), name: {"n": {}}})]) + "\n")
+        with pytest.raises(HarnessError, match=f"t.jsonl: result {name} must be"):
+            load_trajectory_log(path)
+
+
+def _set_result(key, value):
+    def damage(records):
+        records[-1][key] = value
+    return damage
+
+
+def _retag_turn(records):
+    next(r for r in records if r["record"] == "turn")["record"] = "trun"
+
+
+def _note_line(records):
+    records.insert(1, {"record": "note"})
+
+
+@pytest.mark.parametrize("damage, message", [
+    (_set_result("answer_path", 1), "result answer_path must be text or null"),
+    (_set_result("answer_plan", ["plan"]), "result answer_plan must be text or null"),
+    (_set_result("usage", [1]), "result usage must be an object of integers or null"),
+    (_set_result("usage", {"tokens": 1.5}), "result usage must be an object of integers or null"),
+    (_set_result("usage", {"tokens": "7"}), "result usage must be an object of integers or null"),
+    (_set_result("usage", {"tokens": True}), "result usage must be an object of integers or null"),
+    (_set_result("error", 5), "result error must be text or null"),
+    (_set_result("final_table", {}), "result final_table must be a table or null"),
+    (_retag_turn, "record 2 is not a turn"),
+    (_note_line, "record 2 is not a turn"),
+], ids=[
+    "answer_path", "answer_plan", "usage-list", "usage-real", "usage-text", "usage-bool",
+    "error", "final_table", "retagged-turn", "note-line",
+])
+def test_mistyped_result_field_or_non_turn_line_becomes_a_load_error_row(tmp_path, damage, message):
+    """The report copies usage and error into its rows, so a mistyped result
+    field stops at the load; so does a line between the task and the result
+    that is not a turn, which the judge would otherwise never see."""
+    suite = build_suite(tmp_path, seeds=(1, 7))
+    logs = tmp_path / "logs"
+    run_benchmark(suite, gt_replay_policy, log_dir=logs)
+    path = logs / "task-007.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    damage(records)
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    with pytest.raises(HarnessError) as exc:
+        load_trajectory_log(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+    by_id = {r.task_id: r for r in replay_suite(suite, logs).rows}
+    assert by_id["task-007"].status == "load_error"
+    assert by_id["task-007"].error == f"{path}: {message}"
+    assert by_id["task-001"].status == "answered"
+
+
 # -- deeply nested json in any file a run reads ------------------------------
 
 DEEP_JSON = "[" * 100_000  # json.loads raises RecursionError, not JSONDecodeError

@@ -771,6 +771,14 @@ def test_join_collision_suffixes():
     assert j.rows == ((1, "left", "right"),)
 
 
+def test_join_suffix_that_meets_a_name_is_a_duplicate_output_column():
+    a = make_table("a", [("k", INT), ("name", TEXT), ("name_left", TEXT)], [(1, "l", "x")])
+    b = make_table("b", [("k", INT), ("name", TEXT)], [(1, "r")])
+    with pytest.raises(ExecError) as err:
+        run('Join("a", "b", ["k"], "inner")', {"a": a, "b": b})
+    assert (err.value.message, err.value.detail) == ("duplicate output column 'name_left'", "name_left")
+
+
 def test_join_promotes_mixed_key_dtypes():
     a = make_table("a", [("k", INT)], [(2,)])
     b = make_table("b", [("k", REAL), ("v", TEXT)], [(2.0, "hit")])
@@ -839,6 +847,14 @@ def test_pivot_null_label_errors():
     t = make_table("t", [("k", TEXT), ("c", TEXT), ("v", INT)], [("a", None, 1)])
     with pytest.raises(ExecError):
         run('Pivot("t", ["k"], "c", "v", "first_strict")', {"t": t})
+
+
+@pytest.mark.parametrize("label, what", [(None, "null"), ("", "empty")])
+def test_pivot_label_that_names_no_column_names_the_columns_column(label, what):
+    t = make_table("t", [("k", TEXT), ("c", TEXT), ("v", INT)], [("a", "x", 1), ("b", label, 2)])
+    with pytest.raises(ExecError) as err:
+        run('Pivot("t", ["k"], "c", "v", "sum")', {"t": t})
+    assert (err.value.message, err.value.detail) == (f"row 1: {what} value in columns column", "c")
 
 
 def test_stack():

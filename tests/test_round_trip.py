@@ -7,6 +7,7 @@ value, the test says so and checks exactly that case.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import random
@@ -452,10 +453,10 @@ def test_trajectory_log_round_trip_law(tmp_path):
         first, again = tmp_path / f"l{i}.jsonl", tmp_path / f"l{i}-again.jsonl"
         write_trajectory_log(first, traj, scores)
         back = load_trajectory_log(first)
-        assert back.task_id == traj.task_id and back.status == traj.status
-        assert back.turns == traj.turns
-        for name in ("answer_path", "answer_plan", "wall_time", "protocol_error_count", "usage", "error"):
-            assert getattr(back, name) == getattr(traj, name)
+        assert back.tree is None
+        for f in dataclasses.fields(Trajectory):  # a field added later included
+            if f.name not in ("final_table", "tree"):
+                assert getattr(back, f.name) == getattr(traj, f.name), f.name
         if traj.final_table is None:
             assert back.final_table is None
         else:

@@ -29,7 +29,6 @@ from adprep.tables import (
     canonicalize,
     cell_hash_key,
     cell_sort_key,
-    cells_equal,
     infer_column,
     make_table,
     read_table,
@@ -45,6 +44,7 @@ from adprep.tables import (
 )
 from conftest import random_cell, random_table
 import reference_csv
+from reference_expr import cells_equal
 from reference_ops import compare_cells
 
 
