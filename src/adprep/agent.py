@@ -41,6 +41,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .expr import ExprParseError, tokenize
 from .operators import (
     OperatorInstance,
     OpParseError,
@@ -159,34 +160,14 @@ def _extract_tag(reply: str, tag: str) -> list[str]:
 
 
 def split_chain(text: str) -> list[str]:
-    """Split an operator chain on " -> " outside strings and brackets."""
-    parts = []
-    depth = 0
-    quote = None
-    start = 0
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if quote is not None:
-            if ch == "\\":
-                i += 2
-                continue
-            if ch == quote:
-                quote = None
-        elif ch in "\"'":
-            quote = ch
-        elif ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-        elif depth == 0 and text.startswith(" -> ", i):
-            parts.append(text[start:i])
-            i += 4
-            start = i
-            continue
-        i += 1
-    parts.append(text[start:])
-    return [p.strip() for p in parts]
+    """Split an operator chain at the call lexer's ARROW tokens. Text the
+    lexer rejects stays one part, whose parse reports the lexer's error."""
+    try:
+        arrows = [pos for kind, _, pos in tokenize(text, call=True) if kind == "ARROW"]
+    except ExprParseError:
+        return [text.strip()]
+    starts, ends = [0, *(pos + 2 for pos in arrows)], [*arrows, len(text)]
+    return [text[a:b].strip() for a, b in zip(starts, ends)]
 
 
 def _parse_calls(texts, category: str, where: str) -> tuple[OperatorInstance, ...]:

@@ -137,8 +137,8 @@ def tokenize(src: str, call: bool = False) -> list[Token]:
     """Split DSL text, or operator-call text when `call` is set, into tokens.
 
     Kinds: IDENT, INT, REAL, STRING, OP, LPAREN, RPAREN, COMMA, and a final
-    EOF. The call grammar has no OP; it adds LBRACK, RBRACK, LBRACE, RBRACE
-    and COLON, and reads a "-" directly before a digit or "." as a sign.
+    EOF. The call grammar has no OP; it adds LBRACK, RBRACK, LBRACE, RBRACE,
+    COLON and ARROW ("->"), and reads a "-" before a digit or "." as a sign.
     """
     punct = _CALL_PUNCT if call else _EXPR_PUNCT
     tokens = []
@@ -193,6 +193,10 @@ def tokenize(src: str, call: bool = False) -> list[Token]:
         if ch.isalpha() or ch == "_":
             i = _IDENT_TAIL.match(src, i + 1).end()
             tokens.append(("IDENT", src[start:i], start))
+            continue
+        if call and src.startswith("->", i):
+            tokens.append(("ARROW", "->", i))
+            i += 2
             continue
         raise ExprParseError(f"unexpected character {ch!r}", i)
     tokens.append(("EOF", None, n))

@@ -188,9 +188,11 @@ def _record_types(cls, unlogged=()) -> tuple:
 
 
 _TURN_TYPES = _record_types(TurnRecord)
-# the task id heads the log, each turn has its own record and the search
-# tree is not logged
-_RESULT_TYPES = _record_types(Trajectory, ("task_id", "turns", "tree"))
+# the task id heads the log, each turn has its own record, the result record
+# holds the rest and the search tree is not logged
+_TRAJECTORY_TYPES = _record_types(Trajectory, ("turns", "tree"))
+_TASK_TYPES = tuple(t for t in _TRAJECTORY_TYPES if t[0] == "task_id")
+_RESULT_TYPES = tuple(t for t in _TRAJECTORY_TYPES if t[0] != "task_id")
 
 
 def write_trajectory_log(path: str | Path, traj: Trajectory, scores: dict | None = None) -> None:
@@ -242,6 +244,7 @@ def load_trajectory_log(path: str | Path) -> Trajectory:
     if result.get("record") != "result":
         raise HarnessError(f"{path}: log is truncated (no result record)")
     try:
+        _check_types(path, "task", lines[0], _TASK_TYPES)
         task_id = lines[0]["task_id"]
         turns = []
         for n, line in enumerate(lines[1:-1], 2):

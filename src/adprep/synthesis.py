@@ -40,6 +40,7 @@ from .tables import (
     Table,
     _read_text,
     _write_text,
+    find_empty_text,
     make_table,
     read_schema,
     read_table,
@@ -249,7 +250,8 @@ def synthesize_task(
 
     The ground truth is the cleaning operators (in undo order) followed by
     the task operators, re-verified end to end before the bundle is
-    returned.
+    returned. A source or target holding empty text is refused, since the
+    bundle's csv would read it back as Null.
     """
     task_ops = tuple(task_ops)
     if not task_ops:
@@ -271,6 +273,13 @@ def synthesize_task(
     rebuilt = _pipeline_output(gt, corrupted, "ground truth fails on corrupted sources")
     if not tables_equal(rebuilt, target):
         raise SynthesisError("ground truth does not rebuild the target table")
+    for t in (*corrupted.values(), target):  # the tables a bundle writes
+        found = find_empty_text(t)
+        if found is not None:
+            raise SynthesisError(
+                f"table {t.name!r} row {found[0]} column {found[1]!r} holds empty "
+                "text, which a bundle's csv would read back as null"
+            )
 
     schema = target.schema
     if not schema.description:

@@ -787,13 +787,27 @@ def read_table(path: str | Path, *, schema: Schema | None = None) -> Table:
     return _parse_csv(text, str(path), schema.table_name if schema else Path(path).stem, schema)
 
 
+def find_empty_text(t: Table) -> tuple[int, str] | None:
+    """The row and column of the first text "" cell, which csv spells as it
+    spells Null, or None when the table holds none."""
+    for r, row in enumerate(t.rows):
+        if "" in row:  # only a text cell equals ""
+            return r, t.column_names[row.index("")]
+    return None
+
+
 def write_table(t: Table, path: str | Path, *, sidecar: bool = True) -> None:
     """Write a table as csv, plus a sidecar schema by default.
 
-    The sidecar preserves dtypes so that read_table round-trips exactly.
-    One csv caveat: an empty text cell is indistinguishable from Null and
-    reads back as Null.
+    The sidecar preserves dtypes so that read_table round-trips exactly. An
+    empty text cell would read back as Null, so it is refused.
     """
+    found = find_empty_text(t)
+    if found is not None:
+        raise TableIOError(
+            f"{path}: row {found[0]} column {found[1]!r} holds empty text, "
+            "which csv reads back as null"
+        )
     _write_text(path, table_to_csv_text(t))
     if sidecar:
         write_schema(t.schema, sidecar_path(path))

@@ -1,9 +1,14 @@
-"""The two scanners the unified lexer replaced, kept as references.
+"""The scanners the unified lexer replaced, kept as references.
 
 `expr_tokenize` is the expression DSL scanner and `call_tokenize` the
 operator-call scanner, each as it stood before `adprep.expr.tokenize` took
 over both grammars. The lexer fuzz in test_expr.py checks the new lexer
-against them input by input.
+against them input by input. `call_tokenize` has since gained the one rule
+the call grammar added, the ARROW token for "->".
+
+`split_chain` is the character loop that cut an operator chain at " -> "
+before `adprep.agent.split_chain` cut it at the lexer's ARROW tokens.
+test_agent.py checks the two splitters against each other.
 """
 
 from __future__ import annotations
@@ -155,6 +160,41 @@ def call_tokenize(src: str) -> list[tuple[str, Any]]:
                 i += 1
             tokens.append(("IDENT", src[start:i]))
             continue
+        if src.startswith("->", i):
+            tokens.append(("ARROW", "->"))
+            i += 2
+            continue
         raise OpParseError(f"unexpected character {ch!r} at position {i}")
     tokens.append(("EOF", None))
     return tokens
+
+
+def split_chain(text: str) -> list[str]:
+    """Split an operator chain on " -> " outside strings and brackets."""
+    parts = []
+    depth = 0
+    quote = None
+    start = 0
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if quote is not None:
+            if ch == "\\":
+                i += 2
+                continue
+            if ch == quote:
+                quote = None
+        elif ch in "\"'":
+            quote = ch
+        elif ch in "([{":
+            depth += 1
+        elif ch in ")]}":
+            depth -= 1
+        elif depth == 0 and text.startswith(" -> ", i):
+            parts.append(text[start:i])
+            i += 4
+            start = i
+            continue
+        i += 1
+    parts.append(text[start:])
+    return [p.strip() for p in parts]

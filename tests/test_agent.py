@@ -30,6 +30,7 @@ from adprep.harness import load_trajectory_log, write_trajectory_log
 from adprep.operators import AGG_FNS, make_operator, serialize_operator_call
 from adprep.tables import INT, TEXT, ColumnSpec, Schema, make_table, tables_equal
 from conftest import SPLITLINES_ONLY_BREAKS
+from reference_lexers import split_chain as reference_split_chain
 
 
 def make_task(target_name="movies_directors_join"):
@@ -147,7 +148,7 @@ def test_reply_lines_break_only_at_cr_and_lf(ch):
 
 
 def test_split_chain_ignores_arrows_inside_strings_and_brackets():
-    chain = 'Filter("t", col("a") > 1) -> RenameColumn("t", {"x -> y": "z"})'
+    chain = 'Filter("t", "col(\\"a\\") > 1") -> RenameColumn("t", {"x -> y": "z"})'
     parts = split_chain(chain)
     assert len(parts) == 2
     assert parts[0].startswith("Filter")
@@ -160,7 +161,7 @@ def test_parse_reply_fuzz_never_raises_unknown(rng_factory=random.Random):
     snippets = [
         "<plan>p</plan>", "<plan>q</plan>", "<answer>root</answer>",
         '<expand>parent: root\nCount("t")</expand>', "<execute>x</execute>",
-        "<answer>", "</answer>", "stray text", "",
+        "<answer>", "</answer>", "stray text", "", "->",
     ]
     known = {
         "missing_plan", "multiple_plans", "missing_decision", "multiple_decisions",
@@ -210,6 +211,92 @@ def test_mutated_replies_end_in_a_documented_status():
         assert traj.status in ("answered", "turn_limit", "protocol_error", "empty_result")
         seen.add(traj.status)
     assert seen >= {"answered", "protocol_error", "empty_result"}
+
+
+# -- the chain splitter: the lexer's ARROW tokens -----------------------------
+
+ANSWER_CHAIN = ANSWER_REPLY.splitlines()[2]
+
+
+def test_arrows_split_chains_with_or_without_spaces():
+    want = parse_reply(ANSWER_REPLY).answer_chain
+    for arrow in ("->", "  ->\t"):
+        chain = ANSWER_CHAIN.replace(" -> ", arrow)
+        assert split_chain(chain) == ANSWER_CHAIN.split(" -> ")
+        assert parse_reply(ANSWER_REPLY.replace(ANSWER_CHAIN, chain)).answer_chain == want
+        parsed = parse_reply(EXPAND_REPLY.replace("parent: root", "parent: " + chain))
+        assert len(parsed.parent) == 2 and parsed.parent == want
+
+
+@pytest.mark.parametrize("chain", [
+    'TopK("t", [1 -> 2])',
+    'TopK("t", 1) ->',
+    'TopK("t", 1) -> TopK("t, 2)',
+    '-> TopK("t", 1)',
+])
+def test_malformed_arrow_chains_are_still_violations(chain):
+    assert category_of(f"<plan>p</plan><answer>{chain}</answer>") == "bad_answer"
+    expand = f"<plan>p</plan><expand>parent: {chain}\nCount(\"t\")</expand>"
+    assert category_of(expand) == "bad_parent"
+
+
+# text pieces for string literals: arrows, both quotes, backslashes, brackets
+_LITERAL_PIECES = (
+    "x", "a b", " -> ", "->", "-", ">", '"', "'", "\\", "\n", "(", ")", "[", "]", "{", "}", ",", ":",
+)
+_LITERAL_ESCAPES = {"\\": "\\\\", "\n": "\\n", '"': '\\"', "'": "\\'"}
+
+
+def _string_literal(rng):
+    text = "".join(rng.choice(_LITERAL_PIECES) for _ in range(rng.randint(0, 4)))
+    quote = rng.choice("\"'")
+    return quote + "".join(_LITERAL_ESCAPES.get(ch, ch) for ch in text) + quote
+
+
+def _call_value(rng, depth=0):
+    kind = rng.randrange(5 if depth < 3 else 2)
+    if kind == 0:
+        return _string_literal(rng)
+    if kind == 1:
+        return rng.choice(["0", "-2", "3.5", "-.5", "1e-3", "true", "null", "movies"])
+    if kind == 2:
+        return "[" + ", ".join(_call_value(rng, depth + 1) for _ in range(rng.randint(0, 3))) + "]"
+    entries = [(_string_literal(rng), _call_value(rng, depth + 1)) for _ in range(rng.randint(0, 2))]
+    if kind == 4:
+        entries.append(('"x -> y"', _call_value(rng, depth + 1)))
+    return "{" + ", ".join(f"{k}: {v}" for k, v in entries) + "}"
+
+
+def test_split_chain_matches_the_loop_it_replaced():
+    rng = random.Random(2606)
+    for _ in range(2000):
+        calls = [
+            f"{rng.choice(['Filter', 'RenameColumn', 'Sort'])}("
+            + ", ".join(_call_value(rng) for _ in range(rng.randint(0, 3))) + ")"
+            for _ in range(rng.randint(1, 4))
+        ]
+        chain = " -> ".join(calls)
+        assert split_chain(chain) == reference_split_chain(chain) == calls, chain
+
+
+def test_parse_reply_matches_the_old_splitter_on_mutated_replies(monkeypatch):
+    """Same ParsedReply or the same category, unless a chain's "->" lost a space."""
+    rng = random.Random(2607)
+    sources = (ANSWER_REPLY, EXPAND_REPLY.replace("parent: root", "parent: " + ANSWER_CHAIN))
+    differed = 0
+    for _ in range(3000):
+        reply = _mutate(rng, rng.choice(sources))
+        outcomes = []
+        for splitter in (split_chain, reference_split_chain):
+            monkeypatch.setattr("adprep.agent.split_chain", splitter)
+            try:
+                outcomes.append(parse_reply(reply))
+            except ProtocolViolation as exc:
+                outcomes.append(exc.category)
+        if outcomes[0] != outcomes[1]:
+            assert re.search(r"(?<! )->|->(?! )", reply), reply
+            differed += 1
+    assert differed  # the fuzz reaches the one new leniency
 
 
 # -- episode loop ------------------------------------------------------------

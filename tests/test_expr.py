@@ -401,7 +401,7 @@ def test_unknown_column_raises_when_a_row_is_evaluated():
 # treats specially, non-ASCII digits, letters and spaces, and whole tokens
 _LEX_PIECES = list("()[]{}:,+-*/%<>=!.eE_'\"\\ntr0159aZ@ \t\n") + [
     "\u0661", "\u0663", "\u00b2", "\u00e9", "\u00a0", "\u2003", "12", "3.5", "1e5",
-    "-2", ".7", "1e-3", "==", "<=", "\\n", '\\"', "col", "true", '"ab"', "'c'",
+    "-2", ".7", "1e-3", "==", "<=", "->", "\\n", '\\"', "col", "true", '"ab"', "'c'",
 ]
 # the only messages the merged lexer changed: call-text errors now end with
 # the position the old call scanner left out

@@ -460,6 +460,10 @@ def _set_result(key, value):
     return damage
 
 
+def _set_task_id(records):
+    records[0]["task_id"] = 5
+
+
 def _retag_turn(records):
     next(r for r in records if r["record"] == "turn")["record"] = "trun"
 
@@ -477,16 +481,18 @@ def _note_line(records):
     (_set_result("usage", {"tokens": True}), "result usage must be an object of integers or null"),
     (_set_result("error", 5), "result error must be text or null"),
     (_set_result("final_table", {}), "result final_table must be a table or null"),
+    (_set_task_id, "task task_id must be text"),
     (_retag_turn, "record 2 is not a turn"),
     (_note_line, "record 2 is not a turn"),
 ], ids=[
     "answer_path", "answer_plan", "usage-list", "usage-real", "usage-text", "usage-bool",
-    "error", "final_table", "retagged-turn", "note-line",
+    "error", "final_table", "task_id", "retagged-turn", "note-line",
 ])
 def test_mistyped_result_field_or_non_turn_line_becomes_a_load_error_row(tmp_path, damage, message):
     """The report copies usage and error into its rows, so a mistyped result
-    field stops at the load; so does a line between the task and the result
-    that is not a turn, which the judge would otherwise never see."""
+    field stops at the load; so do a task header whose id is not text and a
+    line between the task and the result that is not a turn, which the judge
+    would otherwise never see."""
     suite = build_suite(tmp_path, seeds=(1, 7))
     logs = tmp_path / "logs"
     run_benchmark(suite, gt_replay_policy, log_dir=logs)

@@ -51,6 +51,7 @@ from adprep.tables import (
     Table,
     TableIOError,
     _write_text,
+    find_empty_text,
     read_table,
     table_from_csv_text,
     table_from_json,
@@ -233,9 +234,15 @@ def test_table_file_round_trip_law(tmp_path, suffix):
 
 @pytest.mark.parametrize("want", [pytest.param(None, id="csv-None")])
 def test_an_empty_text_cell_reads_back_as_null_from_csv_only(tmp_path, want):
+    """csv text spells "" as it spells null, so write_table refuses a table
+    holding empty text rather than write a file that reads back changed."""
     t = Table(Schema("t", (ColumnSpec("a", TEXT), ColumnSpec("b", TEXT))), (("", "x"), (None, "")))
-    write_table(t, tmp_path / "t.data")
-    assert read_table(tmp_path / "t.data").rows == ((want, "x"), (None, want))
+    assert table_from_csv_text(table_to_csv_text(t), "t", t.schema).rows == ((want, "x"), (None, want))
+    path = tmp_path / "t.data"
+    with pytest.raises(TableIOError) as exc:
+        write_table(t, path)
+    assert str(exc.value) == f"{path}: row 0 column 'a' holds empty text, which csv reads back as null"
+    assert not path.exists()
 
 
 def test_a_csv_file_holds_exactly_the_csv_text(tmp_path):
@@ -245,9 +252,14 @@ def test_a_csv_file_holds_exactly_the_csv_text(tmp_path):
     for i in range(150):
         t = random_file_table(rng, _file_text(rng, empty_ok=False))
         path = tmp_path / f"t{i}.csv"
+        text = table_to_csv_text(t)
+        if find_empty_text(t) is not None:  # refused; the null form has the same text
+            with pytest.raises(TableIOError, match="holds empty text"):
+                write_table(t, path, sidecar=False)
+            t = _empty_text_as_null(t)
         write_table(t, path, sidecar=False)
-        assert path.read_bytes() == table_to_csv_text(t).encode("utf-8")
-        assert_same_table(read_table(path, schema=t.schema), _empty_text_as_null(t))
+        assert path.read_bytes() == text.encode("utf-8") == table_to_csv_text(t).encode("utf-8")
+        assert_same_table(read_table(path, schema=t.schema), t)
 
 
 RECORD_ENDS = ["\n", "\r\n", "\r"]
