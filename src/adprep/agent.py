@@ -184,7 +184,12 @@ def _parse_chain(text: str, category: str) -> tuple[OperatorInstance, ...]:
     text = text.strip()
     if text == "root" or not text:
         return ()
-    return _parse_calls(split_chain(text), category, "in chain")
+    calls = split_chain(text)
+    if "" in calls:
+        i = calls.index("")
+        where = "before the first" if i == 0 else "after the last" if i == len(calls) - 1 else "between two"
+        raise ProtocolViolation(category, f"bad operator in chain: no call {where} '->'")
+    return _parse_calls(calls, category, "in chain")
 
 
 def parse_reply(reply: str) -> ParsedReply:

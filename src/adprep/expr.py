@@ -19,8 +19,14 @@ its func once and calls it per row. It is the one evaluator.
 
 Dates have no dedicated cell kind: parse_date(x, fmt) yields ISO text
 ("%Y-%m-%d", or "%Y-%m-%dT%H:%M:%S" when fmt carries a time part) and
-format_date(x, fmt) renders ISO text through strftime, with %Y always four
-digits. Month names follow the C locale (English).
+format_date(x, fmt) rewrites ISO text in fmt. The date kernel below reads
+and writes every date of the package: date_reader reads text against a list
+of patterns with one regex, read_date_column reads each distinct text of a
+column once, and date_writer writes the fields with a template compiled once
+per format. The template writes %Y (always four digits), %m, %d, %H, %M, %S,
+%y, %B, %b and %%; a format with any other directive goes to strftime. Month
+names are read and written in English whatever LC_TIME holds, which differs
+from strptime and strftime only after a setlocale call.
 
 Operator precedence, loosest first: or, and, comparison, additive,
 multiplicative, unary (not, -), then calls and atoms.
@@ -32,6 +38,7 @@ import math
 import re
 from dataclasses import dataclass
 from datetime import datetime
+from functools import lru_cache
 from operator import ge, gt, itemgetter, le, lt
 from typing import Any, Callable, Sequence
 
@@ -106,8 +113,6 @@ FUNCTIONS: dict[str, tuple[int, int | None]] = {
     "format_date": (2, 2),
     "if": (3, 3),
 }
-
-_ISO_FORMATS = ("%Y-%m-%dT%H:%M:%S", "%Y-%m-%d %H:%M:%S", "%Y-%m-%d")
 
 # Deepest nesting the parsers accept. A level is a parenthesis, a call, a unary
 # operator or one more operator in a binary chain, so the cap bounds the
@@ -480,18 +485,24 @@ def _text_arg(v: Cell, node: Call) -> str:
 
 # English month names for %B and %b, whatever LC_TIME holds
 _MONTH_NAMES = (
-    "january", "february", "march", "april", "may", "june", "july", "august",
-    "september", "october", "november", "december",
+    "January", "February", "March", "April", "May", "June", "July", "August",
+    "September", "October", "November", "December",
 )
+_MONTH_ABBRS = tuple(name[:3] for name in _MONTH_NAMES)
+# the month number of each name a directive reads, in lower case
 _MONTH_NUMBERS = {
-    name: number
-    for number, full in enumerate(_MONTH_NAMES, 1)
-    for name in (full, full[:3])
+    "B": {name.lower(): number for number, name in enumerate(_MONTH_NAMES, 1)},
+    "b": {name.lower(): number for number, name in enumerate(_MONTH_ABBRS, 1)},
 }
+# days per month, February's in a leap year
+_MONTH_DAYS = (0, 31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
 # each directive of a date pattern as CPython's _strptime.TimeRE writes it in
-# the C locale; \d takes any Unicode decimal digit, which int() reads. No
-# month name is a prefix of another, so the order of the names is free.
+# the C locale; \d takes any Unicode decimal digit, which int() reads. A month
+# name is a run of letters, looked up in _MONTH_NUMBERS: a pattern follows it
+# with a non-letter, so the run is the one name strptime's alternation of the
+# names would match, and one that names no month falls through, as a failed
+# match does.
 _DATE_DIRECTIVES = {
     "d": r"3[0-1]|[1-2]\d|0[1-9]|[1-9]| [1-9]",
     "m": r"1[0-2]|0[1-9]|[1-9]",
@@ -500,61 +511,199 @@ _DATE_DIRECTIVES = {
     "H": r"2[0-3]|[0-1]\d|\d",
     "M": r"[0-5]\d|\d",
     "S": r"6[0-1]|[0-5]\d|\d",
-    "B": "|".join(_MONTH_NAMES),
-    "b": "|".join(name[:3] for name in _MONTH_NAMES),
+    "B": r"[^\W\d_]+",
+    "b": r"[^\W\d_]+",
 }
 
 
-def date_reader(pattern: str) -> Callable[[str], datetime | None]:
-    """The date kernel: a function that reads text as `datetime.strptime(text,
-    pattern)` does in the C locale, or returns None where strptime raises
-    ValueError. One regex, compiled here, matches case-insensitively, reads
-    a whitespace run of the pattern as \\s+ and must consume the whole text;
-    its groups then go through int(), the %y pivot (00-68 is the 2000s, 69-99
-    the 1900s) and the month-name table into datetime(), whose range check
-    rejects Feb 30 or second 60. The pattern holds a year, a month and a day
-    plus any of %H, %M and %S, and nothing else but literal text."""
-    parts, keys = [], []
+class _FieldInts(dict):
+    """Field text -> int: a text of one or two ASCII digits, a space and a
+    digit, or a year 1900-2099 is looked up, which costs less than int();
+    any other, such as Unicode digits, goes through int()."""
+
+    def __missing__(self, text: str) -> int:
+        return int(text)
+
+
+_FIELD_INTS = _FieldInts(
+    [(text, n) for n in range(100) for text in {str(n), f"{n:02d}", f"{n:2d}"}]
+    + [(str(n), n) for n in range(1900, 2100)]
+)
+
+# (year, month, day, hour, minute, second): a date as the kernel reads and writes it
+DateFields = tuple[int, int, int, int, int, int]
+
+
+def _date_pattern(pattern: str) -> tuple[str, list[int], str, str]:
+    """The regex text of one date pattern, a group per directive; the
+    numbers of its year, month and day groups and then of any H, M and S
+    groups, counted from 1; and its year and month directives. The pattern
+    holds a year, a month and a day, all or none of %H, %M and %S, and
+    nothing else but literal text."""
+    parts, keys, after_name = [], "", False
     for token in re.findall(r"%.|\s+|[^%\s]", pattern):
+        if after_name and re.match(_DATE_DIRECTIVES["B"], token):
+            raise ValueError(f"date pattern {pattern!r} has a letter right after a month name")
+        after_name = token in ("%B", "%b")
         if token[0] == "%":
-            keys.append(token[1])
-            parts.append(f"(?P<{token[1]}>{_DATE_DIRECTIVES[token[1]]})")
+            keys += token[1]
+            parts.append(f"({_DATE_DIRECTIVES[token[1]]})")
         else:
             parts.append(r"\s+" if token.isspace() else re.escape(token))
-    match = re.compile("".join(parts), re.IGNORECASE).match
-    year_key = "Y" if "Y" in keys else "y"
-    month_key = "m" if "m" in keys else "B" if "B" in keys else "b"
-    fields = (year_key, month_key, "d", *(k for k in "HMS" if k in keys))
-    if sorted(keys) != sorted(fields):
-        raise ValueError(f"date pattern {pattern!r} needs one year, month and day")
+    year = "Y" if "Y" in keys else "y"
+    month = "m" if "m" in keys else "B" if "B" in keys else "b"
+    order = year + month + "d" + ("HMS" if "S" in keys else "")
+    if sorted(keys) != sorted(order):
+        raise ValueError(f"date pattern {pattern!r} needs one year, month and day, "
+                         "and all or none of %H, %M and %S")
+    return "".join(parts), [keys.index(key) + 1 for key in order], year, month
 
-    def read(text: str) -> datetime | None:
-        m = match(text)
-        if m is None or m.end() != len(text):
-            return None
-        year, month, *rest = m.group(*fields)
-        year = int(year)
-        if year_key == "y":
-            year += 2000 if year <= 68 else 1900
-        month = int(month) if month_key == "m" else _MONTH_NUMBERS.get(month.lower())
-        if month is None:
-            return None  # a Unicode case variant of a name, such as "ſep"
-        try:
-            return datetime(year, month, *map(int, rest))
-        except ValueError:
-            return None
+
+def _alternation(patterns: list[tuple[str, list[int], str, str]], start: int):
+    """One regex over patterns[start:], each an alternative in list order
+    that must consume the whole text, and for each alternative's last group
+    (m.lastindex): the pattern's index, getters of its (year, month, day)
+    and (H, M, S) groups, whether its year has two digits, and its month
+    names."""
+    alternatives, layouts, group = [], {}, 0
+    for k in range(start, len(patterns)):
+        text, numbers, year, month = patterns[k]
+        at = [group + n for n in numbers]
+        layouts[group + len(numbers)] = (
+            k, itemgetter(*at[:3]), itemgetter(*at[3:]) if at[3:] else None,
+            year == "y", _MONTH_NUMBERS.get(month),
+        )
+        # the atomic group keeps the pattern's first match, as re.match gives
+        # it, so one that stops short of the end fails the whole alternative
+        alternatives.append(f"(?>{text})\\Z")
+        group += len(numbers)
+    return re.compile("|".join(alternatives), re.IGNORECASE).match, layouts
+
+
+def date_reader(patterns: Sequence[str], min_year: int = 1) -> Callable[[str], DateFields | None]:
+    """The date kernel's reader: a function that reads text as the first of
+    `patterns` that `datetime.strptime(text, pattern)` reads in the C locale
+    with a year of at least `min_year`, or returns None where none does.
+
+    One regex, compiled here, holds every pattern as an alternative in list
+    order. It matches case-insensitively, reads a whitespace run of a pattern
+    as \\s+, and an alternative must consume the whole text. The winner's
+    groups go through int(), the %y pivot (00-68 is the 2000s, 69-99 the
+    1900s) and the month-name table; a date that does not exist (Feb 30,
+    second 60, year 0), a name that is no month or a year below `min_year`
+    falls through to the patterns after it, as strptime's ValueError would."""
+    patterns = [_date_pattern(p) for p in patterns]
+    whole = _alternation(patterns, 0)
+    suffixes = {}  # patterns[k:] for a k that a reading fell through to
+    min_year = max(min_year, 1)
+    ints = _FIELD_INTS
+
+    def read(text: str) -> DateFields | None:
+        match, layouts = whole
+        while (m := match(text)) is not None:
+            k, ymd, hms, short_year, names = layouts[m.lastindex]
+            year, month, day = ymd(m)
+            year = ints[year]
+            if short_year:
+                year += 2000 if year <= 68 else 1900
+            # a name's case variant, such as "ſep", is no key: None
+            month = ints[month] if names is None else names.get(month.lower())
+            day = ints[day]
+            hour, minute, second = (0, 0, 0) if hms is None else map(ints.__getitem__, hms(m))
+            if (
+                year >= min_year and month is not None and second < 60
+                and day <= _MONTH_DAYS[month]
+                and (day < 29 or month != 2 or (year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)))
+            ):
+                return year, month, day, hour, minute, second
+            if k + 1 == len(patterns):
+                break
+            if k + 1 not in suffixes:
+                suffixes[k + 1] = _alternation(patterns, k + 1)
+            match, layouts = suffixes[k + 1]
+        return None
 
     return read
 
 
-_ISO_READERS = tuple(map(date_reader, _ISO_FORMATS))
+def read_date_column(
+    read: Callable[[str], DateFields | None], cells: Sequence[Cell]
+) -> dict[Cell, DateFields | None] | int:
+    """The cells of a column read with `read` (a date_reader), each distinct
+    text once: {cell: fields}, a null cell mapped to None. Where a cell is
+    neither null nor text that reads, gives instead the row of the first."""
+    fields: dict[Cell, DateFields | None] = {None: None}
+    for r, v in enumerate(cells):
+        if v not in fields:
+            if not isinstance(v, str) or (f := read(v)) is None:
+                return r
+            fields[v] = f
+    return fields
 
 
-def _parse_iso(text: str, node: Expr) -> datetime:
-    for read in _ISO_READERS:
-        if (dt := read(text)) is not None:
-            return dt
-    raise _fail(f"cannot parse {text!r} as an ISO date", node)
+# each directive the kernel writes itself: its %-format and the index of its
+# value in (*DateFields, year % 100, month name, month abbreviation). %Y is
+# always four digits, where glibc's strftime writes year 999 as "999".
+_WRITTEN_DIRECTIVES = {
+    "Y": ("%04d", 0), "m": ("%02d", 1), "d": ("%02d", 2), "H": ("%02d", 3), "M": ("%02d", 4),
+    "S": ("%02d", 5), "y": ("%02d", 6), "B": ("%s", 7), "b": ("%s", 8), "%": ("%%", None),
+}
+# strftime stops at a NUL and rejects a lone surrogate; such a format goes to it
+_STRFTIME_ONLY = re.compile("[\0\ud800-\udfff]")
+_YEAR_OR_PERCENT = re.compile("%[Y%]")
+
+
+@lru_cache(maxsize=256)
+def date_writer(fmt: str) -> Callable[[DateFields], str]:
+    """The date kernel's writer: a function that writes date fields as
+    `datetime(*fields).strftime(fmt)` does in the C locale, except that %Y
+    is always four digits. A format of literal text and _WRITTEN_DIRECTIVES,
+    one of them other than %%, becomes one %-template, compiled here once per
+    format, that takes the fields as they are; any other format goes to
+    strftime, cell by cell."""
+    parts, picks = [], []
+    for token in re.findall(r"%.?|[^%]+", fmt, re.DOTALL):
+        if token[0] != "%":
+            parts.append(token)
+        elif token[1:] in _WRITTEN_DIRECTIVES:
+            part, index = _WRITTEN_DIRECTIVES[token[1:]]
+            parts.append(part)
+            if index is not None:
+                picks.append(index)
+        else:
+            break
+    else:
+        if picks and not _STRFTIME_ONLY.search(fmt):
+            template = "".join(parts)
+            # itemgetter of one index gives the value, which % takes as well
+            pick = itemgetter(*picks)
+            if max(picks) < 6:
+                return lambda f: template % pick(f)
+            return lambda f: template % pick(
+                (*f, f[0] % 100, _MONTH_NAMES[f[1] - 1], _MONTH_ABBRS[f[1] - 1])
+            )
+
+    def fallback(fields: DateFields) -> str:
+        dt = datetime(*fields)
+        if dt.year < 1000:
+            year = f"{dt.year:04d}"
+            return dt.strftime(_YEAR_OR_PERCENT.sub(lambda m: year if m[0] == "%Y" else "%%", fmt))
+        return dt.strftime(fmt)
+
+    return fallback
+
+
+def write_date_column(
+    write: Callable[[DateFields], str], cells: Sequence[Cell], fields: dict[Cell, DateFields | None]
+) -> list[str | None]:
+    """The cells of a column that read_date_column read into `fields`, each
+    written with `write` (a date_writer), each distinct text once."""
+    written = {v: None if f is None else write(f) for v, f in fields.items()}
+    return [written[v] for v in cells]
+
+
+_ISO_FORMATS = ("%Y-%m-%dT%H:%M:%S", "%Y-%m-%d %H:%M:%S", "%Y-%m-%d")
+_read_iso = date_reader(_ISO_FORMATS)
 
 
 def _equal(op: str, a: Cell, b: Cell, node: Expr) -> bool:
@@ -577,9 +726,15 @@ _BINARY = {
 
 
 def _concat(node: Call, *args: Cell) -> str:
-    if any(isinstance(a, tuple) for a in args):
-        raise _fail("concat() cannot take list arguments", node)
-    return "".join(a if isinstance(a, str) else render_scalar(a) for a in args)
+    out = ""
+    for a in args:
+        if isinstance(a, str):
+            out += a
+        elif isinstance(a, tuple):
+            raise _fail("concat() cannot take list arguments", node)
+        else:
+            out += render_scalar(a)
+    return out
 
 
 def _split(node: Call, v: Cell, sep: Cell) -> tuple[str, ...]:
@@ -656,25 +811,16 @@ def _parse_date(node: Call, text: Cell, fmt: Cell) -> str:
         dt = datetime.strptime(text, fmt)
     except ValueError as exc:
         raise _fail(f"cannot parse date {text!r} with {fmt!r}: {exc}", node) from None
-    if any(code in fmt for code in ("%H", "%M", "%S", "%I")):
-        return _strftime(dt, "%Y-%m-%dT%H:%M:%S")
-    return _strftime(dt, "%Y-%m-%d")
-
-
-_YEAR_OR_PERCENT = re.compile("%[Y%]")
-
-
-def _strftime(dt: datetime, fmt: str) -> str:
-    """dt.strftime(fmt) with %Y always four digits: glibc writes year 999 as "999"."""
-    if dt.year < 1000:
-        year = f"{dt.year:04d}"
-        fmt = _YEAR_OR_PERCENT.sub(lambda m: year if m[0] == "%Y" else "%%", fmt)
-    return dt.strftime(fmt)
+    timed = any(code in fmt for code in ("%H", "%M", "%S", "%I"))
+    return date_writer("%Y-%m-%dT%H:%M:%S" if timed else "%Y-%m-%d")(dt.timetuple()[:6])
 
 
 def _format_date(node: Call, text: Cell, fmt: Cell) -> str:
     text, fmt = _text_arg(text, node), _text_arg(fmt, node)
-    return _strftime(_parse_iso(text, node), fmt)
+    fields = _read_iso(text)
+    if fields is None:
+        raise _fail(f"cannot parse {text!r} as an ISO date", node)
+    return date_writer(fmt)(fields)
 
 
 def _unknown_function(node: Call, *args: Cell) -> Cell:
@@ -794,7 +940,20 @@ def _compile_call(e: Call, args: list[Compiled]) -> Compiled:
             v = arg(row)
             return None if v is None else apply(e, v)
         return call_1
+    # every argument runs before the null check
+    if len(args) == 2:
+        arg_0, arg_1 = args
+        def call_2(row: tuple) -> Cell:
+            v0, v1 = arg_0(row), arg_1(row)
+            return None if v0 is None or v1 is None else apply(e, v0, v1)
+        return call_2
+    if len(args) == 3:
+        arg_0, arg_1, arg_2 = args
+        def call_3(row: tuple) -> Cell:
+            v0, v1, v2 = arg_0(row), arg_1(row), arg_2(row)
+            return None if v0 is None or v1 is None or v2 is None else apply(e, v0, v1, v2)
+        return call_3
     def call(row: tuple) -> Cell:
-        vs = [arg(row) for arg in args]  # every argument runs before the null check
+        vs = [arg(row) for arg in args]
         return None if None in vs else apply(e, *vs)
     return call

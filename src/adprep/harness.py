@@ -320,8 +320,10 @@ def score_case(
 def gt_replay_policy(bundle: TaskBundle):
     """Scripted policy that replays the bundle's own ground-truth pipeline.
 
-    Handy as a harness smoke test: accuracy should be 100% on any suite
-    whose bundles verify.
+    Handy as a harness smoke test: every verifying bundle whose target has
+    rows is answered with outcome 1. A bundle whose target has 0 rows, which
+    synthesize_task accepts, ends `empty_result` with outcome 0, so accuracy
+    is 100% only on a verifying suite without such tasks.
     """
     from .agent import ScriptedPolicy
     from .operators import name_bearing_values, serialize_operator_call

@@ -28,7 +28,6 @@ import functools
 import math
 import re
 from dataclasses import dataclass
-from datetime import datetime
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Protocol, Sequence
@@ -44,10 +43,13 @@ from .expr import (
     Token,
     compile_expr,
     date_reader,
+    date_writer,
     parse_expr,
     print_expr,
+    read_date_column,
     real_literal,
     tokenize,
+    write_date_column,
     _is_number,
     _string_literal as _quote,
 )
@@ -707,33 +709,21 @@ def _exec_value_transform(op, t):
     return _rebuild_column(t, idx, list(_func_cells(op, t, idx)), op)
 
 
-_DATE_READERS = tuple(("%Y" in pattern, date_reader(pattern)) for pattern in DATE_PATTERNS)
-
-
-def _parse_any_date(text: str) -> datetime | None:
-    for four_digit_year, read in _DATE_READERS:
-        dt = read(text)
-        # a %Y pattern takes no zero-padded year below 1000, such as "0099"
-        if dt is not None and not (four_digit_year and dt.year < 1000):
-            return dt
-    return None
+# a %Y pattern takes no zero-padded year below 1000, such as "0099"
+_read_any_date = date_reader(DATE_PATTERNS, min_year=1000)
 
 
 def _exec_standardize_datetime(op, t):
     p = op.params
     idx = _col_index(t, p["column"], op)
-    cells = []
-    for r, row in enumerate(t.rows):
-        v = row[idx]
-        if v is None:
-            cells.append(None)
-            continue
+    column = [row[idx] for row in t.rows]
+    fields = read_date_column(_read_any_date, column)
+    if isinstance(fields, int):
+        r, v = fields, column[fields]
         if not isinstance(v, str):
             raise ExecError(op, f"row {r}: expected text, got {render_cell(v)!r}", detail=p["column"])
-        dt = _parse_any_date(v)
-        if dt is None:
-            raise ExecError(op, f"row {r}: cannot parse date {v!r}", detail=v)
-        cells.append(dt.strftime(p["format"]))
+        raise ExecError(op, f"row {r}: cannot parse date {v!r}", detail=v)
+    cells = write_date_column(date_writer(p["format"]), column, fields)
     return _rebuild_column(t, idx, cells, op, fallback=TEXT)
 
 

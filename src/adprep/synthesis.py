@@ -21,7 +21,7 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .expr import date_reader
+from .expr import date_reader, date_writer, read_date_column, write_date_column
 from .operators import (
     OperatorInstance,
     OpParseError,
@@ -51,7 +51,7 @@ from .tables import (
 )
 
 CANONICAL_DATE = "%Y-%m-%d"
-_read_canonical_date = date_reader(CANONICAL_DATE)
+_read_canonical_date = date_reader([CANONICAL_DATE])
 ALTERNATE_DATE_FORMATS = ("%m/%d/%Y", "%d %B %Y", "%B %d, %Y", "%Y/%m/%d")
 
 
@@ -127,18 +127,19 @@ def _corrupt_inject_nulls(rng, t: Table):
 
 
 def _corrupt_date_format(rng, t: Table):
-    candidates = [
-        c.name for c in t.schema.columns
-        if c.dtype == TEXT and t.rows
-        and all(v is None or _read_canonical_date(v) is not None for v in t.column(c.name))
-    ]
-    if not candidates:
+    if not t.rows:
         return None
-    col = rng.choice(candidates)
+    read = {}
+    for c in t.schema.columns:
+        if c.dtype == TEXT:
+            fields = read_date_column(_read_canonical_date, t.column(c.name))
+            if not isinstance(fields, int):
+                read[c.name] = fields
+    if not read:
+        return None
+    col = rng.choice(list(read))
     fmt = rng.choice(ALTERNATE_DATE_FORMATS)
-    rewritten = [
-        None if v is None else _read_canonical_date(v).strftime(fmt) for v in t.column(col)
-    ]
+    rewritten = write_date_column(date_writer(fmt), t.column(col), read[col])
     damaged = _swap_column(t, col, rewritten)
     return damaged, make_operator("StandardizeDatetime", t.name, col, CANONICAL_DATE)
 

@@ -240,6 +240,22 @@ def test_malformed_arrow_chains_are_still_violations(chain):
     assert category_of(expand) == "bad_parent"
 
 
+@pytest.mark.parametrize("chain, where", [
+    ('TopK("t", 1) ->', "after the last"),
+    ('-> TopK("t", 1)', "before the first"),
+    ('TopK("t", 1) -> -> TopK("t", 2)', "between two"),
+])
+def test_an_arrow_with_no_call_beside_it_is_named(chain, where):
+    message = f"bad operator in chain: no call {where} '->'"
+    for reply, category in [
+        (f"<plan>p</plan><answer>{chain}</answer>", "bad_answer"),
+        (f"<plan>p</plan><expand>parent: {chain}\nCount(\"t\")</expand>", "bad_parent"),
+    ]:
+        with pytest.raises(ProtocolViolation) as err:
+            parse_reply(reply)
+        assert (err.value.category, str(err.value)) == (category, message)
+
+
 # text pieces for string literals: arrows, both quotes, backslashes, brackets
 _LITERAL_PIECES = (
     "x", "a b", " -> ", "->", "-", ">", '"', "'", "\\", "\n", "(", ")", "[", "]", "{", "}", ",", ":",

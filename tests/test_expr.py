@@ -23,6 +23,7 @@ from adprep.expr import (
     Unary,
     _ISO_FORMATS,
     compile_expr,
+    date_writer,
     parse_expr,
     print_expr,
     tokenize,
@@ -212,6 +213,31 @@ def test_dates_render_a_year_below_1000_with_four_digits():
     # a literal %%Y stays the text "%Y", beside a padded year or not
     assert eval_expr(parse_expr('format_date("0999-01-05", "%%Y %Y %%%Y")'), {}) == "%Y 0999 %0999"
     assert eval_expr(parse_expr('format_date("2023-01-05", "%%Y %Y")'), {}) == "%Y 2023"
+
+
+def test_date_writer_writes_what_strftime_writes():
+    """Seeded formats of every directive date_writer compiles, others it hands
+    to strftime, and literal text (braces, a lone %, NUL, a surrogate), over
+    seeded dates: the text of datetime.strftime, %Y padded to four digits."""
+    rng = random.Random(86)
+    pieces = [
+        "%Y", "%m", "%d", "%H", "%M", "%S", "%y", "%B", "%b", "%%", "%j", "%A", "%p", "%-d",
+        "-", "/", " ", ":", "T", "{}", "{0}", "%%Y", "é", "\n",
+    ]
+    for n in range(3000):
+        fmt = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 6)))
+        fmt += rng.choice(["", "", "%", "\0x", "\udc80"]) if n % 5 == 0 else ""
+        year = rng.choice([rng.randint(1, 999), rng.randint(1000, 9999)])
+        dt = datetime(year, rng.randint(1, 12), rng.randint(1, 28),
+                      rng.randint(0, 23), rng.randint(0, 59), rng.randint(0, 59))
+        padded = re.sub("%[Y%]", lambda m: f"{dt.year:04d}" if m[0] == "%Y" else "%%", fmt)
+        try:
+            want = dt.strftime(padded)
+        except UnicodeEncodeError:
+            with pytest.raises(UnicodeEncodeError):
+                date_writer(fmt)(dt.timetuple()[:6])
+            continue
+        assert date_writer(fmt)(dt.timetuple()[:6]) == want, (fmt, dt)
 
 
 def test_format_date_reads_the_first_iso_format_strptime_reads():

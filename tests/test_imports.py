@@ -210,18 +210,24 @@ def test_every_private_default_is_passed_somewhere():
     assert unpassed_defaults(modules, elsewhere) == []
 
 
-def strptime_uses(modules: dict[str, str]) -> list[str]:
-    """Lines of `modules` ({file name: source}) whose code names strptime (a
-    name, an attribute or an import; prose does not count), outside
-    expr.py's `_parse_date`, whose format comes from the user."""
+def _lines_of(tree: ast.AST, path: str) -> set[int]:
+    """The lines of the function at dotted `path` (nested defs) in `tree`."""
+    for name in path.split("."):
+        tree = next((node for node in tree.body
+                     if isinstance(node, ast.FunctionDef) and node.name == name), None)
+        if tree is None:
+            return set()
+    return set(range(tree.lineno, tree.end_lineno + 1))
+
+
+def name_uses(modules: dict[str, str], word: str, allowed: tuple[str, str]) -> list[str]:
+    """Lines of `modules` ({file name: source}) whose code names `word` (a
+    name, an attribute or an import; prose does not count), outside the one
+    function `allowed` names as (file name, dotted function path)."""
     found = []
     for name, source in modules.items():
         tree = ast.parse(source)
-        allowed = set()
-        if name == "expr.py":
-            for node in tree.body:
-                if isinstance(node, ast.FunctionDef) and node.name == "_parse_date":
-                    allowed = set(range(node.lineno, node.end_lineno + 1))
+        allowed_lines = _lines_of(tree, allowed[1]) if name == allowed[0] else set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names = [node.id]
@@ -231,9 +237,21 @@ def strptime_uses(modules: dict[str, str]) -> list[str]:
                 names = [node.name, node.asname or ""]
             else:
                 continue
-            if any("strptime" in n for n in names) and node.lineno not in allowed:
+            if any(word in n for n in names) and node.lineno not in allowed_lines:
                 found.append(f"{name}:{node.lineno}")
     return sorted(set(found))
+
+
+def strptime_uses(modules: dict[str, str]) -> list[str]:
+    """Lines of `modules` that name strptime outside expr.py's `_parse_date`,
+    whose format comes from the user."""
+    return name_uses(modules, "strptime", ("expr.py", "_parse_date"))
+
+
+def strftime_uses(modules: dict[str, str]) -> list[str]:
+    """Lines of `modules` that name strftime outside the fallback of
+    expr.date_writer, which writes the directives it does not compile."""
+    return name_uses(modules, "strftime", ("expr.py", "date_writer.fallback"))
 
 
 def test_strptime_uses_are_found():
@@ -251,6 +269,23 @@ def test_dates_are_read_by_the_date_kernel_only():
     fixed date pattern goes through expr.date_reader."""
     modules = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert strptime_uses(modules) == []
+
+
+def test_strftime_uses_are_found():
+    modules = {
+        "expr.py": "def date_writer(f):\n    def fallback(d):\n        return d.strftime(f)\n"
+        "    return d.strftime(f)\n",
+        "x.py": '"""strftime in prose."""\nfrom time import strftime\ndt.strftime("%Y")\n',
+    }
+    assert strftime_uses(modules) == ["expr.py:4", "x.py:2", "x.py:3"]
+
+
+def test_dates_are_written_by_the_date_kernel_only():
+    """strftime is called only in expr.date_writer's fallback, for the
+    directives the kernel does not compile: the kernel is the one way to
+    write a date."""
+    modules = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert strftime_uses(modules) == []
 
 
 # the functions allowed to write a file: the package's one writer, and the

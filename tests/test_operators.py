@@ -31,7 +31,7 @@ from adprep.operators import (
     ExecError,
     OpParseError,
     SubprocessScriptBackend,
-    _parse_any_date,
+    _read_any_date,
     execute_operator,
     make_operator,
     name_bearing_values,
@@ -53,6 +53,12 @@ from reference_ops import (
 from conftest import COLUMN_POOL, random_table_set
 from test_expr import _LEX_PIECES, _random_expr
 from test_tables import _typed
+
+
+def _parse_any_date(text):
+    """What StandardizeDatetime reads `text` as, a datetime or None."""
+    fields = _read_any_date(text)
+    return None if fields is None else datetime(*fields)
 
 
 def run(op_text, state, **kwargs):
@@ -442,6 +448,60 @@ def test_date_kernel_agrees_with_the_plain_strptime_loop():
 def test_date_kernel_pinned_cases(text, want):
     assert _strptime_loop(text)[1] == want
     assert _parse_any_date(text) == want
+
+
+def test_date_kernel_knows_the_calendar():
+    """Days 28-31 of every month, in common and leap years and across the
+    century rule, read as strptime reads them."""
+    for year in (1900, 1999, 2000, 2023, 2024, 2100):
+        for month in range(1, 13):
+            for day in (28, 29, 30, 31):
+                text = f"{year}-{month:02d}-{day:02d}"
+                assert _parse_any_date(text) == _strptime_loop(text)[1], text
+
+
+def test_standardize_datetime_columns_agree_with_the_strptime_loop():
+    """Whole columns of seeded date texts, with repeats, nulls, cells holding
+    "\\n" and Unicode digits, at 1, 6 and 1000 rows: StandardizeDatetime
+    gives strftime's text of each cell's first reading, or fails at the first
+    bad row with the reference's message and detail."""
+    rng = random.Random(2718)
+    readings = {}
+    while len(readings) < 2500:
+        text = _date_text(rng)
+        readings[text] = _strptime_loop(text)[1]
+    good = [text for text, dt in readings.items() if dt is not None]
+    bad = [text for text, dt in readings.items() if dt is None]
+    odd = [text for text in readings if "\n" in text or not text.isascii()]
+    assert len(good) > 800 and len(bad) > 800 and len(odd) > 100
+    formats = ["%Y-%m-%d", "%d/%m/%y %H:%M:%S", "%B %d, %Y", "%b %d %%Y %j", "%A %p"]
+    failures = Counter()
+    for n in range(90):
+        rows = (1, 6, 1000)[n % 3] if n < 84 else 1000
+        pool = rng.choice([good, good + odd, list(readings)])
+        cells = [None if rng.random() < 0.1 else rng.choice(pool) for _ in range(rows)]
+        if rng.random() < 0.4:  # a bad cell somewhere, maybe after other bad ones
+            cells[rng.randrange(rows)] = rng.choice(bad)
+        fmt = formats[n % len(formats)]
+        op = make_operator("StandardizeDatetime", "t", "d", fmt)
+        try:
+            got = execute_operator(op, {"t": make_table("t", [("d", TEXT)], [(v,) for v in cells])})
+        except ExecError as exc:
+            got = (exc.message, exc.detail)
+        first_bad = next((r for r, v in enumerate(cells) if v is not None and readings[v] is None), None)
+        if first_bad is None:
+            want = tuple(None if v is None else readings[v].strftime(fmt) for v in cells)
+            assert got["t"].column("d") == want, fmt
+        else:
+            v = cells[first_bad]
+            assert got == (f"row {first_bad}: cannot parse date {v!r}", v)
+        failures[first_bad is not None] += 1
+    assert failures[True] > 20 and failures[False] > 20
+    # a cell that is not text fails at its own row, naming the column
+    t = make_table("t", [("d", INT)], [(None,), (None,), (7,), (None,)])
+    with pytest.raises(ExecError) as err:
+        run('StandardizeDatetime("t", "d", "%Y")', {"t": t})
+    assert (err.value.message, err.value.detail) == ("row 2: expected text, got '7'", "d")
 
 
 def test_standardize_datetime_patterns_the_oracle_never_renders():
