@@ -516,20 +516,6 @@ _DATE_DIRECTIVES = {
 }
 
 
-class _FieldInts(dict):
-    """Field text -> int: a text of one or two ASCII digits, a space and a
-    digit, or a year 1900-2099 is looked up, which costs less than int();
-    any other, such as Unicode digits, goes through int()."""
-
-    def __missing__(self, text: str) -> int:
-        return int(text)
-
-
-_FIELD_INTS = _FieldInts(
-    [(text, n) for n in range(100) for text in {str(n), f"{n:02d}", f"{n:2d}"}]
-    + [(str(n), n) for n in range(1900, 2100)]
-)
-
 # (year, month, day, hour, minute, second): a date as the kernel reads and writes it
 DateFields = tuple[int, int, int, int, int, int]
 
@@ -561,22 +547,25 @@ def _date_pattern(pattern: str) -> tuple[str, list[int], str, str]:
 
 def _alternation(patterns: list[tuple[str, list[int], str, str]], start: int):
     """One regex over patterns[start:], each an alternative in list order
-    that must consume the whole text, and for each alternative's last group
-    (m.lastindex): the pattern's index, getters of its (year, month, day)
-    and (H, M, S) groups, whether its year has two digits, and its month
-    names."""
+    that must consume the whole text, and for the group that wraps each
+    alternative (m.lastindex when it wins): the pattern's index, getters of
+    its (year, month, day) and (H, M, S) groups, whether its year has two
+    digits, and its month names."""
     alternatives, layouts, group = [], {}, 0
     for k in range(start, len(patterns)):
         text, numbers, year, month = patterns[k]
-        at = [group + n for n in numbers]
-        layouts[group + len(numbers)] = (
+        wrap = group + 1
+        at = [wrap + n for n in numbers]
+        layouts[wrap] = (
             k, itemgetter(*at[:3]), itemgetter(*at[3:]) if at[3:] else None,
             year == "y", _MONTH_NUMBERS.get(month),
         )
-        # the atomic group keeps the pattern's first match, as re.match gives
-        # it, so one that stops short of the end fails the whole alternative
-        alternatives.append(f"(?>{text})\\Z")
-        group += len(numbers)
+        # an atomic group written as `re` takes it before Python 3.11: the
+        # lookahead keeps the pattern's first match, as re.match gives it,
+        # and the backreference consumes it, so a match that stops short of
+        # the end fails the whole alternative
+        alternatives.append(f"(?=({text}))\\{wrap}\\Z")
+        group = wrap + len(numbers)
     return re.compile("|".join(alternatives), re.IGNORECASE).match, layouts
 
 
@@ -596,20 +585,19 @@ def date_reader(patterns: Sequence[str], min_year: int = 1) -> Callable[[str], D
     whole = _alternation(patterns, 0)
     suffixes = {}  # patterns[k:] for a k that a reading fell through to
     min_year = max(min_year, 1)
-    ints = _FIELD_INTS
 
     def read(text: str) -> DateFields | None:
         match, layouts = whole
         while (m := match(text)) is not None:
             k, ymd, hms, short_year, names = layouts[m.lastindex]
             year, month, day = ymd(m)
-            year = ints[year]
+            year = int(year)
             if short_year:
                 year += 2000 if year <= 68 else 1900
             # a name's case variant, such as "ſep", is no key: None
-            month = ints[month] if names is None else names.get(month.lower())
-            day = ints[day]
-            hour, minute, second = (0, 0, 0) if hms is None else map(ints.__getitem__, hms(m))
+            month = int(month) if names is None else names.get(month.lower())
+            day = int(day)
+            hour, minute, second = (0, 0, 0) if hms is None else map(int, hms(m))
             if (
                 year >= min_year and month is not None and second < 60
                 and day <= _MONTH_DAYS[month]
@@ -677,8 +665,6 @@ def date_writer(fmt: str) -> Callable[[DateFields], str]:
             template = "".join(parts)
             # itemgetter of one index gives the value, which % takes as well
             pick = itemgetter(*picks)
-            if max(picks) < 6:
-                return lambda f: template % pick(f)
             return lambda f: template % pick(
                 (*f, f[0] % 100, _MONTH_NAMES[f[1] - 1], _MONTH_ABBRS[f[1] - 1])
             )
@@ -940,20 +926,7 @@ def _compile_call(e: Call, args: list[Compiled]) -> Compiled:
             v = arg(row)
             return None if v is None else apply(e, v)
         return call_1
-    # every argument runs before the null check
-    if len(args) == 2:
-        arg_0, arg_1 = args
-        def call_2(row: tuple) -> Cell:
-            v0, v1 = arg_0(row), arg_1(row)
-            return None if v0 is None or v1 is None else apply(e, v0, v1)
-        return call_2
-    if len(args) == 3:
-        arg_0, arg_1, arg_2 = args
-        def call_3(row: tuple) -> Cell:
-            v0, v1, v2 = arg_0(row), arg_1(row), arg_2(row)
-            return None if v0 is None or v1 is None or v2 is None else apply(e, v0, v1, v2)
-        return call_3
     def call(row: tuple) -> Cell:
-        vs = [arg(row) for arg in args]
+        vs = [arg(row) for arg in args]  # every argument runs before the null check
         return None if None in vs else apply(e, *vs)
     return call

@@ -4,11 +4,20 @@ tests, and every default of a private function is passed by some caller."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import adprep
+from adprep.expr import _ISO_FORMATS, _alternation, _date_pattern
+from adprep.operators import DATE_PATTERNS
+from adprep.synthesis import CANONICAL_DATE
+
+try:
+    from re import _parser as regex_parser
+except ImportError:  # Python 3.10
+    import sre_parse as regex_parser
 
 PACKAGE = Path(adprep.__file__).parent
 
@@ -286,6 +295,75 @@ def test_dates_are_written_by_the_date_kernel_only():
     write a date."""
     modules = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert strftime_uses(modules) == []
+
+
+# regex syntax that `re` takes only from Python 3.11: an atomic group or a
+# possessive quantifier, as text and as the opcodes re's parser gives them
+NEWER_REGEX = re.compile(r"\(\?>|[*+?}]\+")
+NEWER_REGEX_OPCODES = {"ATOMIC_GROUP", "POSSESSIVE_REPEAT"}
+
+
+def oldest_python() -> tuple[int, int]:
+    """The oldest Python that pyproject.toml's requires-python admits."""
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    major, minor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', text).groups()
+    return int(major), int(minor)
+
+
+def newer_syntax(modules: dict[str, str], version: tuple[int, int]) -> list[str]:
+    """Lines of `modules` that Python `version` cannot parse, and, below
+    3.11, string literals holding regex syntax of 3.11."""
+    found = []
+    for name, source in modules.items():
+        try:
+            tree = ast.parse(source, feature_version=version)
+        except SyntaxError as exc:
+            found.append(f"{name}:{exc.lineno}")
+            continue
+        if version < (3, 11):
+            found += [
+                f"{name}:{node.lineno}" for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and NEWER_REGEX.search(node.value)
+            ]
+    return sorted(set(found))
+
+
+def regex_opcodes(node) -> set[str]:
+    """The names of the opcodes in a regex as re's parser gives it."""
+    if isinstance(node, regex_parser.SubPattern):
+        node = node.data
+    if isinstance(node, (list, tuple)):
+        return set().union(*map(regex_opcodes, node))
+    name = getattr(node, "name", None)
+    return {name} if isinstance(node, int) and isinstance(name, str) else set()
+
+
+def test_newer_syntax_is_found():
+    modules = {"x.py": 'X = f"(?>{a})"\nY = "a*+"\ntry:\n    pass\nexcept* E:\n    pass\n'}
+    # except* is 3.11 syntax; the parser names the line it stops at
+    assert [line.split(":")[0] for line in newer_syntax(modules, (3, 10))] == ["x.py"]
+    del modules["x.py"]
+    modules["y.py"] = 'X = f"(?>{a})"\nY = "a*+"\nZ = "(?:a)b+"\n'
+    assert newer_syntax(modules, (3, 10)) == ["y.py:1", "y.py:2"]
+    assert newer_syntax(modules, (3, 11)) == []
+    if sys.version_info >= (3, 11):
+        assert regex_opcodes(regex_parser.parse("(?>a)|b*+")) >= NEWER_REGEX_OPCODES
+
+
+def test_the_package_needs_no_newer_python():
+    """Every module parses as the oldest Python that pyproject.toml admits,
+    and the date readers' regexes use nothing that `re` takes only from
+    3.11. It runs on any interpreter, in place of importing the package on
+    the oldest one."""
+    modules = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert newer_syntax(modules, oldest_python()) == []
+    for formats in (DATE_PATTERNS, _ISO_FORMATS, [CANONICAL_DATE]):
+        patterns = [_date_pattern(f) for f in formats]
+        for start in range(len(patterns)):
+            match, _ = _alternation(patterns, start)
+            parsed = regex_parser.parse(match.__self__.pattern, match.__self__.flags)
+            assert regex_opcodes(parsed) & NEWER_REGEX_OPCODES == set(), formats[start:]
 
 
 # the functions allowed to write a file: the package's one writer, and the

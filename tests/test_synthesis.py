@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from adprep.operators import execute_operator, make_operator
+from adprep.operators import ExecError, execute_operator, make_operator
 from adprep.pipeline import run_pipeline, serialize_pipeline
 from adprep.synthesis import (
     ALTERNATE_DATE_FORMATS,
@@ -156,6 +156,25 @@ def test_date_format_takes_exactly_what_strptime_reads():
         taken.append(text)
     assert taken[-2:] == ["0999-01-05", "2023-1-5"]
     assert 500 < len(taken) < 5000
+
+
+def test_a_year_below_1000_makes_no_date_format_corruption():
+    """The date_format corruption writes a year below 1000 with four digits,
+    where glibc's strftime wrote three. Its cleaner, StandardizeDatetime,
+    reads no year below 1000 in either text, so the corruption is always
+    rejected and no bundle holds such a text, however the year is written."""
+    pristine = make_table("t", [("d", TEXT)], [("0999-01-05",), (None,)])
+    for n, fmt in enumerate(ALTERNATE_DATE_FORMATS):
+        damaged, cleaner = CORRUPTIONS["date_format"](_Nth(n), pristine)
+        four_digits = damaged.column("d")[0]
+        assert four_digits == fmt.replace("%Y", "0999").replace("%m", "01").replace(
+            "%d", "05").replace("%B", "January")
+        for text in (four_digits, four_digits.replace("0999", "999")):
+            t = make_table("t", [("d", TEXT)], [(text,), (None,)])
+            with pytest.raises(ExecError, match="cannot parse date"):
+                execute_operator(cleaner, {"t": t})
+    result = corrupt_table(random.Random(0), pristine, kinds=["date_format"])
+    assert result.applied == [] and result.rejected == ["date_format"] * 12
 
 
 def test_stacked_corruptions_unwind_in_reverse():
