@@ -352,17 +352,9 @@ def _extract_answer_table(node: TreeNode, want: str | None, target_name: str) ->
     return None
 
 
-def _usage_snapshot(policy) -> dict | None:
+def _usage_total(policy) -> dict | None:
     usage = getattr(policy, "usage_total", None)
     return dict(usage) if isinstance(usage, dict) else None
-
-
-def _usage_delta(before: dict | None, after: dict | None) -> dict | None:
-    if after is None:
-        return None
-    if not before:
-        return dict(after)
-    return {k: after.get(k, 0) - before.get(k, 0) for k in after}
 
 
 def run_episode(
@@ -374,115 +366,91 @@ def run_episode(
 ) -> Trajectory:
     """Drive one episode: observations out, actions in, tree in between.
 
+    The episode writes its Trajectory in place as it goes: it starts as a
+    turn_limit with the tree, and each reply adds a turn. `usage` is the
+    episode's delta of the policy's `usage_total`, None without one.
     Accepted expand and answer actions consume turns; malformed replies do
     not, but two in a row end the episode as a protocol error.
     """
     t0 = time.monotonic()
-    tree = ReasoningTree(task.sources)
+    traj = Trajectory(task.task_id, STATUS_TURN_LIMIT, [], tree=ReasoningTree(task.sources))
     messages = [
         {"role": "system", "content": build_system_preamble()},
         {"role": "user", "content": initial_observation(task)},
     ]
-    turns: list[TurnRecord] = []
-    usage_before = _usage_snapshot(policy)
-    protocol_errors = 0
+    usage_before = _usage_total(policy) or {}
     consecutive_errors = 0
     turns_used = 0
-    status = STATUS_TURN_LIMIT
-    answer_path = None
-    answer_plan = None
-    final_table = None
-    error_text = None
-
-    def finish():
-        return Trajectory(
-            task_id=task.task_id,
-            status=status,
-            turns=turns,
-            answer_path=answer_path,
-            answer_plan=answer_plan,
-            final_table=final_table,
-            wall_time=time.monotonic() - t0,
-            protocol_error_count=protocol_errors,
-            usage=_usage_delta(usage_before, _usage_snapshot(policy)),
-            error=error_text,
-            tree=tree,
-        )
 
     while turns_used < max_turns:
         try:
             reply = policy.complete(messages)
         except Exception as exc:
-            status = STATUS_PROTOCOL_ERROR
-            error_text = f"{type(exc).__name__}: {exc}"
-            return finish()
+            traj.status = STATUS_PROTOCOL_ERROR
+            traj.error = f"{type(exc).__name__}: {exc}"
+            break
         messages.append({"role": "assistant", "content": reply})
-        record = TurnRecord(index=len(turns), reply=reply, action="protocol_error")
-        turns.append(record)
+        record = TurnRecord(index=len(traj.turns), reply=reply, action="protocol_error")
+        traj.turns.append(record)
 
-        parsed = None
         try:
             parsed = parse_reply(reply)
-            if parsed.decision == "expand":
-                parent_node = tree.resolve(parsed.parent)
-            else:
-                parent_node = tree.resolve(parsed.answer_chain)
-        except (ProtocolViolation, TreeError) as exc:
-            if isinstance(exc, ProtocolViolation):
-                category = exc.category
-            elif parsed is not None and parsed.decision == "answer":
-                category = "bad_answer"
-            else:
-                category = "bad_parent"
-            record.category = category
+            expanding = parsed.decision == "expand"
+            try:
+                node = traj.tree.resolve(parsed.parent if expanding else parsed.answer_chain)
+            except TreeError as exc:
+                category = "bad_parent" if expanding else "bad_answer"
+                raise ProtocolViolation(category, str(exc)) from None
+        except ProtocolViolation as exc:
+            record.category = exc.category
             record.failure_text = str(exc)
-            protocol_errors += 1
+            traj.protocol_error_count += 1
             consecutive_errors += 1
             if consecutive_errors >= MAX_CONSECUTIVE_PROTOCOL_ERRORS:
-                status = STATUS_PROTOCOL_ERROR
-                return finish()
-            feedback = _wrap_execute(
-                f"protocol error ({category}): {exc}\n"
+                traj.status = STATUS_PROTOCOL_ERROR
+                break
+            record.feedback = _wrap_execute(
+                f"protocol error ({exc.category}): {exc}\n"
                 "Reply again with one <plan> and one <expand> or <answer>."
             )
-            record.feedback = feedback
-            messages.append({"role": "user", "content": feedback})
+            messages.append({"role": "user", "content": record.feedback})
             continue
 
         consecutive_errors = 0
         record.plan = parsed.plan
+        record.parent_path = node.path_text
         turns_used += 1
 
-        if parsed.decision == "answer":
+        if not expanding:
             record.action = "answer"
-            record.parent_path = parent_node.path_text
-            record.leaf_path = parent_node.path_text
-            answer_path = parent_node.path_text
-            answer_plan = parsed.plan
-            final_table = _extract_answer_table(
-                parent_node, parsed.answer_target, task.target_schema.table_name
+            record.leaf_path = traj.answer_path = node.path_text
+            traj.answer_plan = parsed.plan
+            traj.final_table = _extract_answer_table(
+                node, parsed.answer_target, task.target_schema.table_name
             )
-            if final_table is not None and final_table.n_rows > 0:
-                status = STATUS_ANSWERED
+            if traj.final_table is not None and traj.final_table.n_rows > 0:
+                traj.status = STATUS_ANSWERED
             else:
-                status = STATUS_EMPTY_RESULT
-            return finish()
+                traj.status = STATUS_EMPTY_RESULT
+            break
 
         record.action = "expand"
-        record.parent_path = parent_node.path_text
         record.op_texts = [serialize_operator_call(op) for op in parsed.ops]
-        result = tree.expand(parent_node, parsed.ops, script_backend=script_backend)
+        result = traj.tree.expand(node, parsed.ops, script_backend=script_backend)
         record.created_paths = [n.path_text for n in result.chain]
         record.leaf_path = result.leaf.path_text
-        if result.failure is not None:
+        if not result.ok:
             record.failure_text = result.failure.describe()
             record.failure_op_kind = result.failure.op.kind
             record.failure_detail = result.failure.detail
-        feedback = _wrap_execute(_expand_feedback(result, max_turns - turns_used))
-        record.feedback = feedback
-        messages.append({"role": "user", "content": feedback})
+        record.feedback = _wrap_execute(_expand_feedback(result, max_turns - turns_used))
+        messages.append({"role": "user", "content": record.feedback})
 
-    return finish()
+    traj.wall_time = time.monotonic() - t0
+    usage_after = _usage_total(policy)
+    if usage_after is not None:
+        traj.usage = {k: v - usage_before.get(k, 0) for k, v in usage_after.items()}
+    return traj
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 from typing import Callable
 
-from .agent import HttpChatPolicy, IdentityPolicy, PolicyError, ScriptedPolicy
+from .agent import MAX_TURNS, HttpChatPolicy, IdentityPolicy, PolicyError, ScriptedPolicy
 from .harness import (
     HarnessError,
     discover_tasks,
@@ -32,7 +32,7 @@ from .harness import (
     score_case,
 )
 from .operators import SubprocessScriptBackend
-from .reward import RewardWeights
+from .reward import DEFAULT_WEIGHTS, RewardWeights
 from .synthesis import (
     SynthesisError, is_bundle, read_bundle, synthesize_demo_task, verify_bundle, write_bundle,
 )
@@ -49,9 +49,10 @@ def _weights(args) -> RewardWeights:
 
 
 def _add_weight_args(p):
-    p.add_argument("--alpha", type=float, default=1.0, help="weight of exact-match reward")
-    p.add_argument("--beta", type=float, default=0.5, help="weight of partial credit")
-    p.add_argument("--gamma", type=float, default=0.2, help="weight of the process judge")
+    w = DEFAULT_WEIGHTS
+    p.add_argument("--alpha", type=float, default=w.alpha, help="weight of exact-match reward")
+    p.add_argument("--beta", type=float, default=w.beta, help="weight of partial credit")
+    p.add_argument("--gamma", type=float, default=w.gamma, help="weight of the process judge")
 
 
 def _add_policy_args(p):
@@ -86,7 +87,7 @@ def _count(what: str, least: int) -> Callable[[str], int]:
 
 
 def _add_episode_args(p):
-    p.add_argument("--max-turns", type=_count("a turn count", 1), default=5)
+    p.add_argument("--max-turns", type=_count("a turn count", 1), default=MAX_TURNS)
     p.add_argument(
         "--script-runner",
         dest="script_backend",

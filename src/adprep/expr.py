@@ -648,7 +648,8 @@ def date_writer(fmt: str) -> Callable[[DateFields], str]:
     is always four digits. A format of literal text and _WRITTEN_DIRECTIVES,
     one of them other than %%, becomes one %-template, compiled here once per
     format, that takes the fields as they are; any other format goes to
-    strftime, cell by cell."""
+    strftime, cell by cell, and raises UnicodeEncodeError where strftime
+    cannot write it (a lone surrogate), for the caller to report."""
     parts, picks = [], []
     for token in re.findall(r"%.?|[^%]+", fmt, re.DOTALL):
         if token[0] != "%":
@@ -806,7 +807,10 @@ def _format_date(node: Call, text: Cell, fmt: Cell) -> str:
     fields = _read_iso(text)
     if fields is None:
         raise _fail(f"cannot parse {text!r} as an ISO date", node)
-    return date_writer(fmt)(fields)
+    try:
+        return date_writer(fmt)(fields)
+    except UnicodeEncodeError as exc:
+        raise _fail(f"cannot write a date with format {fmt!r}: {exc.reason}", node) from None
 
 
 def _unknown_function(node: Call, *args: Cell) -> Cell:
@@ -920,12 +924,6 @@ def _compile_call(e: Call, args: list[Compiled]) -> Compiled:
         arg = args[0]
         return lambda row: arg(row) is None
     apply = _STRICT_FUNCTIONS.get(e.name, _unknown_function)
-    if len(args) == 1:
-        arg = args[0]
-        def call_1(row: tuple) -> Cell:
-            v = arg(row)
-            return None if v is None else apply(e, v)
-        return call_1
     def call(row: tuple) -> Cell:
         vs = [arg(row) for arg in args]  # every argument runs before the null check
         return None if None in vs else apply(e, *vs)

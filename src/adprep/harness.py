@@ -31,7 +31,7 @@ import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .agent import Task, Trajectory, TurnRecord, run_episode
+from .agent import MAX_TURNS, Task, Trajectory, TurnRecord, run_episode
 from .reward import DEFAULT_WEIGHTS, RewardBreakdown, RewardWeights, score_trajectory
 from .synthesis import SynthesisError, TaskBundle, is_bundle, read_bundle, read_target
 from .tables import TableError, _write_text, table_from_json, table_to_json
@@ -295,7 +295,7 @@ def score_case(
     *,
     weights: RewardWeights = DEFAULT_WEIGHTS,
     judge=None,
-    max_turns: int = 5,
+    max_turns: int = MAX_TURNS,
     script_backend=None,
     log_path: str | Path | None = None,
 ) -> tuple[Trajectory, RewardBreakdown]:
@@ -362,7 +362,7 @@ def run_benchmark(
     weights: RewardWeights = DEFAULT_WEIGHTS,
     judge_factory=None,
     threads: int = 1,
-    max_turns: int = 5,
+    max_turns: int = MAX_TURNS,
     script_backend=None,
     log_dir: str | Path | None = None,
 ) -> Report:

@@ -723,7 +723,11 @@ def _exec_standardize_datetime(op, t):
         if not isinstance(v, str):
             raise ExecError(op, f"row {r}: expected text, got {render_cell(v)!r}", detail=p["column"])
         raise ExecError(op, f"row {r}: cannot parse date {v!r}", detail=v)
-    cells = write_date_column(date_writer(p["format"]), column, fields)
+    try:
+        cells = write_date_column(date_writer(p["format"]), column, fields)
+    except UnicodeEncodeError as exc:
+        message = f"cannot write a date with format {p['format']!r}: {exc.reason}"
+        raise ExecError(op, message, detail=p["format"]) from None
     return _rebuild_column(t, idx, cells, op, fallback=TEXT)
 
 

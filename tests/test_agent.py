@@ -500,6 +500,89 @@ def test_scripted_policy_exhaustion_aborts_episode():
     assert traj.turns[0].action == "expand"
 
 
+class MeteredPolicy(ScriptedPolicy):
+    """A scripted policy that counts tokens in `usage_total` as an HTTP
+    policy does: each reply adds its length to "completion_tokens" and one
+    "prompt_tokens"; replies past the script raise like a dropped socket."""
+
+    def __init__(self, replies):
+        super().__init__(replies)
+        self.usage_total = {}
+
+    def complete(self, messages):
+        if self._cursor >= len(self.replies):
+            raise OSError("connection reset")
+        reply = super().complete(messages)
+        for k, v in (("prompt_tokens", 1), ("completion_tokens", len(reply))):
+            self.usage_total[k] = self.usage_total.get(k, 0) + v
+        return reply
+
+
+def test_usage_records_only_this_episodes_tokens():
+    answer_root = "<plan>movies will do</plan><answer>root\ntarget: movies</answer>"
+    policy = MeteredPolicy([answer_root, EXPAND_REPLY, ANSWER_REPLY])
+    first = run_episode(make_task(), policy)
+    assert first.usage == {"prompt_tokens": 1, "completion_tokens": len(answer_root)}
+    policy.usage_total["cached_tokens"] = 4  # a key the first episode never saw
+    second = run_episode(make_task(), policy)
+    assert second.status == "answered"
+    assert second.usage == {
+        "prompt_tokens": 2,
+        "completion_tokens": len(EXPAND_REPLY) + len(ANSWER_REPLY),
+        "cached_tokens": 0,
+    }
+
+
+def test_usage_is_none_for_a_policy_without_usage_total():
+    traj = run_episode(make_task(), ScriptedPolicy([EXPAND_REPLY, ANSWER_REPLY]))
+    assert traj.usage is None
+
+
+def test_transport_failure_after_an_expand_keeps_the_record():
+    traj = run_episode(make_task(), MeteredPolicy([EXPAND_REPLY]))
+    assert traj.status == "protocol_error"
+    assert traj.error == "OSError: connection reset"
+    assert [t.action for t in traj.turns] == ["expand"]
+    assert len(traj.turns[0].created_paths) == 2
+    assert traj.usage == {"prompt_tokens": 1, "completion_tokens": len(EXPAND_REPLY)}
+    assert traj.protocol_error_count == 0
+    assert traj.wall_time > 0.0
+    assert len(traj.tree.nodes) == 3
+
+
+def test_expand_under_a_missing_parent_is_bad_parent():
+    reply = '<plan>build on a node never made</plan><expand>parent: Count("movies")\nCount("directors")</expand>'
+    traj = run_episode(make_task(), ScriptedPolicy([EXPAND_REPLY, reply, ANSWER_REPLY]))
+    assert traj.status == "answered"
+    bad = traj.turns[1]
+    assert (bad.action, bad.category) == ("protocol_error", "bad_parent")
+    assert bad.failure_text == (
+        'no child Count("movies") under root; children: Deduplicate("movies", [], "first")'
+    )
+    assert bad.feedback.startswith(f"<execute>\nprotocol error (bad_parent): {bad.failure_text}\n")
+    assert bad.plan is None and bad.parent_path is None
+    assert traj.protocol_error_count == 1
+
+
+def test_a_date_format_strftime_cannot_write_fails_the_operator():
+    # a lone surrogate in the format has no text form for strftime
+    task = make_task()
+    task.sources["movies"] = make_table(
+        "movies", [("id", INT), ("released", TEXT)], [(1, "2016-11-11")]
+    )
+    reply = (
+        "<plan>write the release dates</plan><expand>parent: root\n"
+        'StandardizeDatetime("movies", "released", "%Y\udc80")</expand>'
+    )
+    traj = run_episode(task, ScriptedPolicy([reply]), max_turns=1)
+    assert traj.status == "turn_limit"
+    turn = traj.turns[0]
+    assert turn.action == "expand"
+    assert turn.failure_op_kind == "StandardizeDatetime"
+    assert turn.failure_detail == "%Y\udc80"
+    assert turn.created_paths == []
+
+
 def test_scripted_policy_from_non_utf8_file_is_a_policy_error(tmp_path):
     script = tmp_path / "replies.json"
     script.write_bytes(b"\xff\xfe")

@@ -3,11 +3,15 @@ every function, class and public method it defines is called outside the
 tests, and every default of a private function is passed by some caller."""
 
 import ast
+import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import adprep
 from adprep.expr import _ISO_FORMATS, _alternation, _date_pattern
@@ -364,6 +368,56 @@ def test_the_package_needs_no_newer_python():
             match, _ = _alternation(patterns, start)
             parsed = regex_parser.parse(match.__self__.pattern, match.__self__.flags)
             assert regex_opcodes(parsed) & NEWER_REGEX_OPCODES == set(), formats[start:]
+
+
+def _is_python(exe: str, version: str) -> bool:
+    """Whether `exe` starts and reports itself as Python `version`."""
+    try:
+        done = subprocess.run(
+            [exe, "-c", "import sys; print('%d.%d' % sys.version_info[:2])"],
+            capture_output=True, text=True, timeout=30,
+        )
+    except OSError:
+        return False
+    return done.returncode == 0 and done.stdout.strip() == version
+
+
+def find_python(version: str) -> str | None:
+    """An interpreter of Python `version`: `python<version>` on PATH if it
+    runs (a pyenv shim of a version not selected does not), else the one in
+    `pyenv prefix <version>`, or None."""
+    candidates = [shutil.which(f"python{version}")]
+    pyenv = shutil.which("pyenv")
+    if pyenv is not None:
+        done = subprocess.run([pyenv, "prefix", version], capture_output=True, text=True, timeout=30)
+        if done.returncode == 0 and done.stdout.strip():
+            prefix = done.stdout.strip().splitlines()[0]
+            candidates.append(str(Path(prefix) / "bin" / f"python{version}"))
+    return next((exe for exe in candidates if exe and _is_python(exe, version)), None)
+
+
+def test_the_cli_runs_on_the_oldest_python(tmp_path):
+    """synth, validate, run and score from the source tree on the oldest
+    Python that pyproject.toml admits, each exiting 0, the gt policy at 100%."""
+    version = "%d.%d" % oldest_python()
+    exe = find_python(version)
+    if exe is None:
+        pytest.skip(f"no Python {version} interpreter on PATH or in pyenv")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent), "PYTHONDONTWRITEBYTECODE": "1"}
+
+    def adprep_cli(*args: str) -> str:
+        done = subprocess.run(
+            [exe, "-m", "adprep", *args],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, (args, done.stderr)
+        return done.stdout
+
+    adprep_cli("synth", "suite", "--tasks", "3", "--seed", "1")
+    assert "3/3 bundles verify" in adprep_cli("validate", "suite")
+    ran = json.loads(adprep_cli("run", "suite", "--policy", "gt", "--log-dir", "logs", "--json"))
+    scored = json.loads(adprep_cli("score", "suite", "logs", "--json"))
+    assert (ran["n_tasks"], ran["accuracy"]) == (scored["n_tasks"], scored["accuracy"]) == (3, 100.0)
 
 
 # the functions allowed to write a file: the package's one writer, and the

@@ -403,6 +403,35 @@ def test_standardize_datetime_bad_cell_reports_value():
     assert "row 1" in err.value.message
 
 
+@pytest.mark.parametrize("op", [
+    make_operator("StandardizeDatetime", "t", "d", "%Y\udc80"),
+    make_operator("StandardizeDatetime", "t", "d", "%j\udc80"),
+])
+def test_standardize_datetime_format_strftime_cannot_write_is_an_exec_error(op):
+    # a lone surrogate has no text form, so strftime rejects the format
+    t = make_table("t", [("d", TEXT)], [(None,), ("2023-01-05",)])
+    with pytest.raises(ExecError) as err:
+        execute_operator(op, {"t": t})
+    assert err.value.detail == op.params["format"]
+    assert err.value.message == (
+        f"cannot write a date with format {op.params['format']!r}: surrogates not allowed"
+    )
+    # a column with no date to write never reaches strftime
+    empty = make_table("t", [("d", TEXT)], [(None,)])
+    assert execute_operator(op, {"t": empty})["t"].column("d") == (None,)
+
+
+def test_format_date_format_strftime_cannot_write_is_an_exec_error():
+    t = make_table("t", [("d", TEXT)], [("2023-01-05",)])
+    op = make_operator("AddNewColumn", "t", "e", 'format_date(col("d"), "\udc80")')
+    with pytest.raises(ExecError) as err:
+        execute_operator(op, {"t": t})
+    assert err.value.message == (
+        "row 0: cannot write a date with format '\\udc80': surrogates not allowed"
+        " in 'format_date(col(\"d\"), \"\\udc80\")'"
+    )
+
+
 def test_date_patterns_match_the_reference():
     assert DATE_PATTERNS == REF_DATE_PATTERNS
 
