@@ -52,7 +52,7 @@ from .operators import (
     serialize_operator_call,
     split_lines,
 )
-from .tables import Schema, Table, serialize_table
+from .tables import DTYPES, Schema, Table, markdown_row_cells, serialize_table
 from .tree import ReasoningTree, TreeError, TreeNode
 
 MAX_TURNS = 5
@@ -257,30 +257,36 @@ def render_schema(schema: Schema) -> str:
     return "\n".join(lines)
 
 
-def _render_state(state: TableSet) -> str:
+def _render_state(state: TableSet, rendered: dict[int, tuple[Table, str]]) -> str:
+    """The state's tables in name order. `rendered` is the episode's memo:
+    it maps id(table) to the table and its markdown, so each table object
+    renders once per episode, and holding the table keeps its id unique."""
     blocks = []
     for name in sorted(state):
         t = state[name]
-        blocks.append(f"table {name} ({t.n_rows} rows):\n{serialize_table(t, SAMPLE_ROWS)}")
+        seen = rendered.get(id(t))
+        if seen is None:
+            seen = rendered[id(t)] = (t, serialize_table(t, SAMPLE_ROWS))
+        blocks.append(f"table {name} ({t.n_rows} rows):\n{seen[1]}")
     return "\n\n".join(blocks) if blocks else "(no tables)"
 
 
-def initial_observation(task: Task) -> str:
+def initial_observation(task: Task, rendered: dict[int, tuple[Table, str]]) -> str:
     return (
         "Build the target table from the source tables.\n\n"
         + render_schema(task.target_schema)
         + "\n\nsource tables:\n\n"
-        + _render_state(task.sources)
+        + _render_state(task.sources, rendered)
     )
 
 
-def _expand_feedback(result, turns_left: int) -> str:
+def _expand_feedback(result, turns_left: int, rendered: dict[int, tuple[Table, str]]) -> str:
     lines = []
     if result.chain:
         lines.append("reached:")
         for node in result.chain:
             lines.append(f"node: {node.path_text}")
-            lines.append(_render_state(node.state))
+            lines.append(_render_state(node.state, rendered))
             lines.append("")
     if result.failure is not None:
         lines.append(f"failed at {result.leaf.path_text}: {result.failure.describe()}")
@@ -374,9 +380,10 @@ def run_episode(
     """
     t0 = time.monotonic()
     traj = Trajectory(task.task_id, STATUS_TURN_LIMIT, [], tree=ReasoningTree(task.sources))
+    rendered: dict[int, tuple[Table, str]] = {}  # the episode's table memo (_render_state)
     messages = [
         {"role": "system", "content": build_system_preamble()},
-        {"role": "user", "content": initial_observation(task)},
+        {"role": "user", "content": initial_observation(task, rendered)},
     ]
     usage_before = _usage_total(policy) or {}
     consecutive_errors = 0
@@ -443,7 +450,7 @@ def run_episode(
             record.failure_text = result.failure.describe()
             record.failure_op_kind = result.failure.op.kind
             record.failure_detail = result.failure.detail
-        record.feedback = _wrap_execute(_expand_feedback(result, max_turns - turns_used))
+        record.feedback = _wrap_execute(_expand_feedback(result, max_turns - turns_used, rendered))
         messages.append({"role": "user", "content": record.feedback})
 
     traj.wall_time = time.monotonic() - t0
@@ -537,23 +544,29 @@ class ScriptedPolicy:
         return reply
 
 
+# a target column line as render_schema writes it, and a source table's
+# title and header line as _render_state writes them
+_TARGET_COLUMN_RE = re.compile(rf"^- (.+?) \((?:{'|'.join(DTYPES)})\)(?::|$)", re.MULTILINE)
+_SOURCE_HEADER_RE = re.compile(r"^table (.+) \(\d+ rows\):\n(\|.*\|)$", re.MULTILINE)
+
+
 class IdentityPolicy:
     """Answers the source table whose header best overlaps the target columns.
 
     A deterministic no-model baseline: it reads the first observation, never
     expands, and immediately answers root with an explicit table choice.
+    Table and column names are read whole, spaces, parentheses and escaped
+    "|" included; the first table in name order wins a tie.
     """
 
     def complete(self, messages: list[dict]) -> str:
         obs = next(m["content"] for m in messages if m["role"] == "user")
-        target_cols = set(re.findall(r"^- (\S+) \(", obs, flags=re.MULTILINE))
+        target_cols = set(_TARGET_COLUMN_RE.findall(obs))
         best_name = None
         best_score = -1.0
-        for match in re.finditer(
-            r"^table (\S+) \(\d+ rows\):\n\| (.*) \|$", obs, flags=re.MULTILINE
-        ):
+        for match in _SOURCE_HEADER_RE.finditer(obs):
             name = match.group(1)
-            cols = {c.strip() for c in match.group(2).split("|")}
+            cols = set(markdown_row_cells(match.group(2)))
             union = target_cols | cols
             score = len(target_cols & cols) / len(union) if union else 0.0
             if score > best_score:

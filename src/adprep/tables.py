@@ -40,14 +40,20 @@ validate_cell when that cannot vouch for it: a moved clean column passes in
 the one pass at C speed, and a list column is checked cell by cell.
 
 The module also provides a deterministic markdown rendering used for agent
-observations, and csv file I/O with an optional JSON sidecar schema. A csv
-file and csv text (ExeCode's output) go through one parser, so the same
-text reads the same either way. The csv module writes Null, int, real and
-text cells as render_cell renders them, so the writer renders only bool and
-list columns and hands every other cell to it as it is. Without a sidecar,
-a csv column's dtype is the first of integer, real and boolean that parses
-the whole column, else text; an empty csv cell always reads as Null. Every
-schema file is read by read_schema, which names the file in each error.
+observations (serialize_table). It renders the sampled rows a column at a
+time, with one map per column whose cells are all exactly int, float or
+str (any other column cell by cell through render_cell), and escapes only
+when one regex search finds a character that needs it; the text is that of
+escaping every cell's render_cell, row by row. The agent renders each table
+object once per episode. The module also does csv file I/O with an optional
+JSON sidecar schema. A csv file and csv text (ExeCode's output) go through
+one parser, so the same text reads the same either way. The csv module
+writes Null, int, real and text cells as render_cell renders them, so the
+writer renders only bool and list columns and hands every other cell to it
+as it is. Without a sidecar, a csv column's dtype is the first of integer,
+real and boolean that parses the whole column, else text; an empty csv cell
+always reads as Null. Every schema file is read by read_schema, which names
+the file in each error.
 """
 
 from __future__ import annotations
@@ -60,7 +66,7 @@ import os
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Sequence
@@ -442,21 +448,58 @@ def _md_escape(s: str) -> str:
     return s.replace("\\", "\\\\").replace("|", "\\|").replace("\n", "\\n").replace("\r", "\\r")
 
 
+_MD_SPECIAL = re.compile(r"[\\|\n\r]")  # what _md_escape rewrites
+_TEXT_OF_TYPE = {int: str, float: repr}  # render_cell of an exact int or float
+
+
+def _column_texts(cells: tuple[Cell, ...]) -> Sequence[str]:
+    """render_cell of each cell of one column, with one map when every cell is
+    exactly int, float or str; any other column goes cell by cell."""
+    kinds = set(map(type, cells))
+    if kinds == {str}:
+        return cells
+    render = _TEXT_OF_TYPE.get(kinds.pop(), render_cell) if len(kinds) == 1 else render_cell
+    return list(map(render, cells))
+
+
 def serialize_table(t: Table, sample_rows: int = 5) -> str:
     """Deterministic markdown rendering: header, dtype row, sample rows, row count.
 
-    The output always has 3 + min(sample_rows, n_rows) lines.
+    The output always has 3 + min(sample_rows, n_rows) lines. The sample is
+    rendered a column at a time, and escaped only when a header or cell text
+    holds a character _md_escape rewrites.
     """
     if sample_rows < 0:
         raise ValueError("sample_rows must be >= 0")
-    lines = [
-        "| " + " | ".join(_md_escape(c.name) for c in t.schema.columns) + " |",
-        "| " + " | ".join(c.dtype for c in t.schema.columns) + " |",
+    cols = t.schema.columns
+    sample = t.rows[:sample_rows]
+    header = [c.name for c in cols]
+    columns = [_column_texts(cells) for cells in zip(*sample)]
+    if _MD_SPECIAL.search("".join(chain(header, *columns))):
+        header = list(map(_md_escape, header))
+        columns = [list(map(_md_escape, texts)) for texts in columns]
+    # a table of no columns still shows one (empty) line per sampled row
+    rows = zip(*columns) if columns else repeat((), len(sample))
+    return "\n".join([
+        "| " + " | ".join(header) + " |",
+        "| " + " | ".join(c.dtype for c in cols) + " |",
+        *["| " + " | ".join(texts) + " |" for texts in rows],
+        f"rows: {t.n_rows}",
+    ])
+
+
+_MD_CELL = re.compile(r"\|((?:\\.|[^\\|])*)(?=\|)")  # a cell, up to the next unescaped "|"
+_MD_ESCAPED = re.compile(r"\\(.)")
+_MD_UNESCAPED = {"n": "\n", "r": "\r"}  # any other escaped character stands for itself
+
+
+def markdown_row_cells(line: str) -> list[str]:
+    """The texts of one header or row line of serialize_table, unescaped:
+    "| a\\|b | c |" gives ["a|b", "c"]."""
+    return [
+        _MD_ESCAPED.sub(lambda m: _MD_UNESCAPED.get(m[1], m[1]), cell[1:-1])
+        for cell in _MD_CELL.findall(line)
     ]
-    for row in t.rows[:sample_rows]:
-        lines.append("| " + " | ".join(_md_escape(render_cell(v)) for v in row) + " |")
-    lines.append(f"rows: {t.n_rows}")
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

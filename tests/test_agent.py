@@ -13,6 +13,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from adprep.agent import (
+    MAX_TURNS,
+    SAMPLE_ROWS,
     HttpChatPolicy,
     IdentityPolicy,
     PolicyError,
@@ -22,15 +24,17 @@ from adprep.agent import (
     Trajectory,
     build_system_preamble,
     parse_reply,
+    render_schema,
     run_episode,
     split_chain,
 )
 from adprep.expr import FUNCTIONS
 from adprep.harness import load_trajectory_log, write_trajectory_log
 from adprep.operators import AGG_FNS, make_operator, serialize_operator_call
-from adprep.tables import INT, TEXT, ColumnSpec, Schema, make_table, tables_equal
+from adprep.tables import INT, TEXT, ColumnSpec, Schema, make_table, serialize_table, tables_equal
 from conftest import SPLITLINES_ONLY_BREAKS
 from reference_lexers import split_chain as reference_split_chain
+from reference_markdown import serialize_table as fresh_render
 
 
 def make_task(target_name="movies_directors_join"):
@@ -360,6 +364,104 @@ def test_dropped_trajectory_frees_its_tree_without_the_cycle_collector():
         gc.enable()
 
 
+def _call(kind, *args):
+    return serialize_operator_call(make_operator(kind, *args))
+
+
+def _fresh_state(state) -> str:
+    blocks = [f"table {n} ({state[n].n_rows} rows):\n{fresh_render(state[n], SAMPLE_ROWS)}" for n in sorted(state)]
+    return "\n\n".join(blocks) if blocks else "(no tables)"
+
+
+def _rebuilt_feedback(traj, record, turns_left) -> str:
+    """An expand turn's feedback from the tree's node states, each table rendered afresh."""
+    nodes = {n.path_text: n for n in traj.tree.nodes}
+    lines = ["reached:"] if record.created_paths else []
+    for path in record.created_paths:
+        lines += [f"node: {path}", _fresh_state(nodes[path].state), ""]
+    if record.failure_text is not None:
+        lines.append(f"failed at {record.leaf_path}: {record.failure_text}")
+    lines.append(f"turns remaining: {turns_left}")
+    return "<execute>\n" + "\n".join(lines).strip() + "\n</execute>"
+
+
+DEDUPE = _call("Deduplicate", "movies", [], "first")
+JOIN = _call("Join", "movies", "directors", ["director_id"], "inner")
+MEMO_EPISODES = {
+    # explore's shape: half the fix, a malformed reply, a decoy whose second
+    # op fails, the whole fix again from root (reusing the first half), answer
+    "explore": [
+        f"<plan>half</plan><expand>\nparent: root\n{DEDUPE}\n</expand>",
+        f"<expand>\nparent: root\n{DEDUPE}\n</expand>",
+        "<plan>decoy</plan><expand>\nparent: root\n"
+        + _call("Filter", "movies", 'not is_null(col("director_id"))')
+        + '\nSort("movies", ["no_such_column"], true)\n</expand>',
+        f"<plan>all</plan><expand>\nparent: root\n{DEDUPE}\n{JOIN}\n</expand>",
+        ANSWER_REPLY,
+    ],
+    # a two-table Join, then a Select below the reused Join node
+    "join": [
+        f"<plan>join</plan><expand>\nparent: root\n{JOIN}\n</expand>",
+        f"<plan>again</plan><expand>\nparent: root\n{JOIN}\n</expand>",
+        f"<plan>narrow</plan><expand>\nparent: root\n{JOIN}\n"
+        + _call("SelectColumn", "movies_directors_join", ["id", "title", "name"])
+        + "\n</expand>",
+        "<plan>done</plan><answer>\n" + JOIN + " -> "
+        + _call("SelectColumn", "movies_directors_join", ["id", "title", "name"])
+        + "\ntarget: movies_directors_join\n</answer>",
+    ],
+}
+
+
+@pytest.mark.parametrize("episode", sorted(MEMO_EPISODES))
+def test_each_table_object_renders_once_per_episode(episode, monkeypatch):
+    rendered_ids = []
+
+    def counting_render(t, sample_rows):
+        rendered_ids.append(id(t))  # the tree keeps every shown table alive
+        return serialize_table(t, sample_rows)
+
+    monkeypatch.setattr("adprep.agent.serialize_table", counting_render)
+    task = make_task()
+    source = weakref.ref(task.sources["directors"])
+    gc.disable()
+    try:
+        messages_seen = []
+
+        class Recorder(ScriptedPolicy):
+            def complete(self, messages):
+                messages_seen[:] = messages
+                return super().complete(messages)
+
+        traj = run_episode(task, Recorder(MEMO_EPISODES[episode]))
+        assert traj.status == "answered"
+        assert messages_seen[1]["content"] == (
+            "Build the target table from the source tables.\n\n"
+            + render_schema(task.target_schema)
+            + "\n\nsource tables:\n\n"
+            + _fresh_state(task.sources)
+        )
+        turns_used = 0
+        for record in traj.turns:
+            if record.action == "protocol_error":
+                continue
+            turns_used += 1
+            if record.action == "expand":
+                assert record.feedback == _rebuilt_feedback(traj, record, MAX_TURNS - turns_used)
+        # once per distinct table shown, and the episode showed some twice
+        nodes = {n.path_text: n for n in traj.tree.nodes}
+        shown = [id(t) for t in task.sources.values()] + [
+            id(t) for r in traj.turns for p in r.created_paths for t in nodes[p].state.values()
+        ]
+        assert sorted(rendered_ids) == sorted(set(shown))
+        assert len(shown) > len(rendered_ids)
+        # the memo dies with the episode: nothing holds a source table after it
+        del traj, task, nodes, messages_seen
+        assert source() is None
+    finally:
+        gc.enable()
+
+
 def test_protocol_errors_do_not_consume_turns():
     task = make_task()
     policy = ScriptedPolicy(["<plan>oops, no decision</plan>", EXPAND_REPLY, ANSWER_REPLY])
@@ -610,6 +712,45 @@ def test_identity_policy_picks_best_overlap():
     assert traj.status == "answered"
     assert traj.final_table.name == "movies"
     assert traj.answer_path == "root"
+
+
+def _identity_task(sources: dict, target_columns) -> Task:
+    tables = {
+        name: make_table(name, [(c, INT) for c in cols], [tuple(range(len(cols)))])
+        for name, cols in sources.items()
+    }
+    return Task("names", tables, Schema("want", tuple(ColumnSpec(c, INT) for c in target_columns)))
+
+
+def _jaccard_best(task: Task) -> str:
+    """The source whose real column set best overlaps the target's; the
+    first in name order on a tie, as the observation lists them."""
+    want = set(task.target_schema.column_names)
+
+    def score(name):
+        have = set(task.sources[name].column_names)
+        return len(want & have) / len(want | have)
+
+    return max(sorted(task.sources), key=score)
+
+
+@pytest.mark.parametrize("sources, target", [
+    # a spaced table name and a "|" in a column name
+    ({"my orders": ["id", "a|b"], "other": ["zzz"]}, ["id", "a|b"]),
+    # spaced column names
+    ({"a": ["order", "id"], "b": ["order id", "total amount"]}, ["order id", "total amount"]),
+    # a backslash, alone and before "|"
+    ({"o": ["y", "z"], "p": ["x\\", "y", "\\|q"]}, ["x\\", "y", "\\|q"]),
+    # parentheses in column and table names, and a dtype-like word in one
+    ({"a": ["qty", "other"], "sales (2023)": ["price (usd)", "qty", "n (int) m"]},
+     ["price (usd)", "qty", "n (int) m"]),
+])
+def test_identity_policy_reads_names_whole(sources, target):
+    task = _identity_task(sources, target)
+    best = _jaccard_best(task)
+    traj = run_episode(task, IdentityPolicy())
+    assert traj.status == "answered"
+    assert traj.final_table is task.sources[best]
 
 
 def test_trajectory_json_round_trip(tmp_path):

@@ -31,6 +31,7 @@ from adprep.tables import (
     cell_sort_key,
     infer_column,
     make_table,
+    markdown_row_cells,
     read_table,
     serialize_table,
     _csv_parse_column,
@@ -44,6 +45,7 @@ from adprep.tables import (
 )
 from conftest import random_cell, random_table
 import reference_csv
+import reference_markdown
 from reference_expr import cells_equal
 from reference_ops import compare_cells
 
@@ -821,6 +823,60 @@ def test_csv_writer_matches_the_per_cell_reference():
     plain = [t for t in tables_seen if not {c.dtype for c in t.schema.columns} & {BOOL, LIST}]
     assert 50 < len(plain) < 450
     assert "loud-int" in table_to_csv_text(CSV_WRITER_EDGE_TABLES[-1])
+
+
+# header and cell texts that need escaping, or sit next to text that does
+_MD_NAMES = ["a", "b c", "x|y", "back\\slash", "two\nlines", "cr\r", "naïve", "日付", "lone\udc80", "(p)"]
+_MD_TEXTS = ["plain", "x|y", "a\\b", "two\nlines", "cr\rhere", "\\|", "|", "\\", "naïve", "日本", "\ud800", " "]
+
+
+def _markdown_table(rng: random.Random) -> Table:
+    names = rng.sample(_MD_NAMES, rng.randint(0, 5))
+    dtypes = [rng.choice(DTYPES) for _ in names]
+    specials = rng.random() < 0.5  # else every text is a plain word
+    null_rate = rng.choice([0.0, 0.15, 0.5])
+
+    def cell(dtype):
+        if dtype == TEXT and specials and rng.random() < 0.5:
+            return rng.choice(_MD_TEXTS)
+        if dtype == LIST and specials and rng.random() < 0.5:
+            return (rng.choice(_MD_TEXTS), rng.randint(-5, 5))
+        return random_cell(rng, dtype, null_rate)
+
+    rows = [tuple(cell(dt) for dt in dtypes) for _ in range(rng.randint(0, 8))]
+    return make_table("t", list(zip(names, dtypes)), rows)
+
+
+def test_markdown_matches_the_per_cell_reference():
+    rng = random.Random(912)
+    tables_seen = [_markdown_table(rng) for _ in range(1500)]
+    subclassed = [
+        Table(
+            Schema("t", (ColumnSpec("i", INT), ColumnSpec("s|t", TEXT), ColumnSpec("r", REAL))),
+            rows,
+        )
+        for rows in [
+            ((_LoudInt(3), _LoudText("qu|iet"), _LoudReal(2.5)), (_LoudInt(-4), _LoudText("a"), 1.0)),
+            ((3, _LoudText("x"), None), (_LoudInt(5), "y", _LoudReal(-0.0))),
+            ((_LoudInt(1), _LoudText("plain"), None),),
+        ]
+    ]
+    for t in [*tables_seen, *subclassed, *CSV_WRITER_EDGE_TABLES]:
+        for n in (0, 1, 5, t.n_rows + 3):
+            assert serialize_table(t, n) == reference_markdown.serialize_table(t, n), (t, n)
+        # markdown_row_cells reads each line back to its unescaped texts
+        lines = serialize_table(t, t.n_rows).split("\n")
+        if t.schema.columns:
+            assert markdown_row_cells(lines[0]) == list(t.column_names)
+            assert [markdown_row_cells(ln) for ln in lines[2:-1]] == [
+                [tables.render_cell(v) for v in row] for row in t.rows
+            ]
+    # both kernel paths are taken: tables that need escaping and tables that do not
+    escaped = [t for t in tables_seen if "\\" in serialize_table(t, len(t.rows))]
+    assert 300 < len(escaped) < 1200
+    assert "loud-int" in serialize_table(subclassed[0]) and "qu\\|iet" in serialize_table(subclassed[0])
+    with pytest.raises(ValueError, match="sample_rows must be >= 0"):
+        serialize_table(tables_seen[0], -1)
 
 
 def test_csv_ragged_row_and_blank_line_messages():
