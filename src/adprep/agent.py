@@ -281,6 +281,8 @@ def initial_observation(task: Task, rendered: dict[int, tuple[Table, str]]) -> s
 
 
 def _expand_feedback(result, turns_left: int, rendered: dict[int, tuple[Table, str]]) -> str:
+    # parse_reply takes an expand of one operator or more, so the expand
+    # reached a node (new or reused) or failed at its first operator
     lines = []
     if result.chain:
         lines.append("reached:")
@@ -290,8 +292,6 @@ def _expand_feedback(result, turns_left: int, rendered: dict[int, tuple[Table, s
             lines.append("")
     if result.failure is not None:
         lines.append(f"failed at {result.leaf.path_text}: {result.failure.describe()}")
-    if not result.chain and result.failure is None:
-        lines.append("nothing new: every operator matched an existing node")
     lines.append(f"turns remaining: {turns_left}")
     return "\n".join(lines).strip()
 

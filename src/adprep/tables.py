@@ -47,7 +47,13 @@ when one regex search finds a character that needs it; the text is that of
 escaping every cell's render_cell, row by row. The agent renders each table
 object once per episode. The module also does csv file I/O with an optional
 JSON sidecar schema. A csv file and csv text (ExeCode's output) go through
-one parser, so the same text reads the same either way. The csv module
+one parser, so the same text reads the same either way. Text with no quote,
+carriage return or NUL is split with str.split: lines at newlines, one
+comma count per line checked at C speed, then the joined body split once and
+each column taken as a slice, with no list per row and no transpose. Any
+other text, and a ragged row or a field longer than csv.field_size_limit(),
+goes to csv.reader, which gives each error its text; NUL goes there because
+csv rejects it before Python 3.11 and reads it from 3.11 on. The csv module
 writes Null, int, real and text cells as render_cell renders them, so the
 writer renders only bool and list columns and hands every other cell to it
 as it is. Without a sidecar, a csv column's dtype is the first of integer,
@@ -429,18 +435,12 @@ def render_scalar(v: Cell) -> str:
     raise TableError(f"cannot render value of type {type(v).__name__} as text")
 
 
-def _jsonable(v: Cell) -> Any:
-    if isinstance(v, tuple):
-        return [_jsonable(x) for x in v]
-    return v
-
-
 def render_cell(v: Cell) -> str:
     """Cell text for csv and markdown output. Null renders as the empty string."""
     if v is None:
         return ""
     if isinstance(v, tuple):
-        return json.dumps(_jsonable(v), ensure_ascii=False)
+        return json.dumps(v, ensure_ascii=False)  # a tuple writes as a json list
     return render_scalar(v)
 
 
@@ -551,14 +551,9 @@ def schema_from_json(data: Any) -> Schema:
 
 
 def table_to_json(t: Table) -> dict:
-    """Full-fidelity embedding for logs: schema plus typed rows."""
-    rows = list(map(list, t.rows))
-    lists = [i for i, c in enumerate(t.schema.columns) if c.dtype == LIST]
-    if lists:  # only a list cell is a tuple to turn into a json list
-        for row in rows:
-            for i in lists:
-                row[i] = _jsonable(row[i])
-    return {"schema": schema_to_json(t.schema), "rows": rows}
+    """Full-fidelity embedding for logs: schema plus typed rows. The rows are
+    the table's own tuples, which json writes as lists, a list cell too."""
+    return {"schema": schema_to_json(t.schema), "rows": t.rows}
 
 
 def table_from_json(data: dict) -> Table:
@@ -736,33 +731,64 @@ def _csv_parse_column(
     return dtype, [fill() if c else None for c in cells]
 
 
+def _plain_csv_columns(text: str) -> tuple[list[str], list[list[str]]] | None:
+    r"""The header and the columns of csv `text` split with str.split, or None
+    when the text is left to csv.reader: it is empty, holds a quote, a "\r"
+    (a line end csv.reader also takes) or a NUL (which csv.reader rejects
+    before Python 3.11 and reads from 3.11 on), has a line whose comma count
+    differs from the header's, or has a field longer than
+    csv.field_size_limit(). Any other text is lines ending at "\n", each a
+    record of the fields between its commas, as csv.reader reads it; a blank
+    line is one empty field there and here."""
+    if not text or '"' in text or "\r" in text or "\0" in text:
+        return None
+    lines = text.split("\n")
+    if not lines[-1]:  # the last line's "\n"
+        lines.pop()
+    if len(set(map(str.count, lines, repeat(",")))) != 1:
+        return None
+    fields = ",".join(lines).split(",")
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, fields)) > limit:
+        return None
+    width = lines[0].count(",") + 1
+    return fields[:width], [fields[i::width] for i in range(width, 2 * width)]
+
+
 def _parse_csv(text: str, origin: str, name: str, schema: Schema | None) -> Table:
-    """The table csv `text` holds; `origin` (a file path, or "table 'name'")
+    r"""The table csv `text` holds; `origin` (a file path, or "table 'name'")
     starts every error message. A record ends at "\n", "\r\n" or "\r"
-    outside quotes."""
-    try:
-        data = list(csv.reader(io.StringIO(text, newline="")))
-    except csv.Error as exc:
-        raise TableIOError(f"{origin}: malformed csv: {exc}") from None
-    if not data:
-        raise TableIOError(f"{origin}: empty input, expected a header row")
-    if [] in data:  # a blank line is a record with a single empty field
-        data = [row or [""] for row in data]
-    header, raw_rows = data[0], data[1:]
+    outside quotes. Plain text is split by _plain_csv_columns, any other by
+    csv.reader; both give the same header and cells, and the checks below
+    are shared."""
+    plain = _plain_csv_columns(text)
+    if plain is not None:
+        header, columns = plain
+    else:
+        try:
+            data = list(csv.reader(io.StringIO(text, newline="")))
+        except csv.Error as exc:
+            raise TableIOError(f"{origin}: malformed csv: {exc}") from None
+        if not data:
+            raise TableIOError(f"{origin}: empty input, expected a header row")
+        if [] in data:  # a blank line is a record with a single empty field
+            data = [row or [""] for row in data]
+        header, raw_rows = data[0], data[1:]
     if "" in header:
         raise TableIOError(f"{origin}: empty column name in header")
     if len(set(header)) != len(header):
         raise TableIOError(f"{origin}: duplicate column names in header")
-    if set(map(len, raw_rows)) - {len(header)}:
-        i, row = next((i, row) for i, row in enumerate(raw_rows) if len(row) != len(header))
-        raise TableIOError(f"{origin}: row {i} has {len(row)} cells, expected {len(header)}")
+    if plain is None:  # the plain split took only rows as wide as the header
+        if set(map(len, raw_rows)) - {len(header)}:
+            i, row = next((i, row) for i, row in enumerate(raw_rows) if len(row) != len(header))
+            raise TableIOError(f"{origin}: row {i} has {len(row)} cells, expected {len(header)}")
+        columns = list(zip(*raw_rows)) or [()] * len(header)
     if schema is not None and tuple(header) != schema.column_names:
         raise TableIOError(
             f"{origin}: header {header} does not match sidecar columns "
             f"{list(schema.column_names)}"
         )
 
-    columns = list(zip(*raw_rows)) or [()] * len(header)
     dtypes = [None] * len(header) if schema is None else [c.dtype for c in schema.columns]
     typed = [
         _csv_parse_column(cells, dtype, origin, h)

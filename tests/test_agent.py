@@ -8,6 +8,7 @@ import re
 import socket
 import threading
 import weakref
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -32,7 +33,8 @@ from adprep.expr import FUNCTIONS
 from adprep.harness import load_trajectory_log, write_trajectory_log
 from adprep.operators import AGG_FNS, make_operator, serialize_operator_call
 from adprep.tables import INT, TEXT, ColumnSpec, Schema, make_table, serialize_table, tables_equal
-from conftest import SPLITLINES_ONLY_BREAKS
+from adprep.tree import ReasoningTree
+from conftest import SPLITLINES_ONLY_BREAKS, random_table
 from reference_lexers import split_chain as reference_split_chain
 from reference_markdown import serialize_table as fresh_render
 
@@ -519,6 +521,43 @@ Count("no_such_table")
     assert "failed at" in turn.feedback
     assert len(turn.created_paths) == 1
     assert len(traj.tree.nodes) == 2
+
+
+def test_every_parsed_expand_reaches_a_node_or_fails():
+    """parse_reply lets through no expand without an operator, and an expand
+    of one operator or more puts every node it reaches, new or reused, in
+    its chain, or records its failure: the feedback always has one of them
+    to report."""
+    with pytest.raises(ProtocolViolation, match="at least one operator line"):
+        parse_reply("<plan>p</plan><expand>parent: root\n</expand>")
+    rng = random.Random(4417)
+    seen = Counter()
+    for _ in range(60):
+        t = random_table(rng, name="t", dtypes=(INT, TEXT), min_cols=1)
+        tree = ReasoningTree({"t": t})
+        name = rng.choice(t.column_names)
+        candidates = [
+            'Deduplicate("t", [], "first")',
+            'DropNA("t", [], "any")',
+            f'Sort("t", ["{name}"], true)',
+            f'TopK("t", {rng.randint(0, 3)})',
+            'DropColumn("t", ["no such column"])',
+            'Count("no_such_table")',
+        ]
+        for _ in range(rng.randint(1, 8)):
+            parent = rng.choice(tree.nodes)
+            ops = [rng.choice(candidates) for _ in range(rng.randint(1, 3))]
+            if parent.children and rng.random() < 0.6:  # re-send an existing edge first
+                ops[0] = rng.choice(parent.children).op.text
+            reply = f"<plan>p</plan><expand>parent: {parent.path_text}\n" + "\n".join(ops) + "</expand>"
+            parsed = parse_reply(reply)
+            before = set(map(id, tree.nodes))
+            result = tree.expand(tree.resolve(parsed.parent), parsed.ops)
+            assert result.chain or result.failure is not None, reply
+            seen["reused"] += any(id(node) in before for node in result.chain)
+            seen["only reused"] += bool(result.chain) and set(map(id, result.chain)) <= before
+            seen["failed first"] += not result.chain
+    assert min(seen["reused"], seen["only reused"], seen["failed first"]) >= 20, seen
 
 
 def test_answer_with_unknown_chain_is_retryable():

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import ast
 import csv
 import io
 import json
 import math
+import os
 import random
+import subprocess
 from collections import Counter
 from functools import cmp_to_key
 from pathlib import Path
@@ -890,6 +893,12 @@ def test_csv_ragged_row_and_blank_line_messages():
     assert t.schema.columns[0].dtype == INT and t.rows == ((1,), (None,), (2,))
     t = table_from_csv_text("a,b\n", "t")
     assert [c.dtype for c in t.schema.columns] == [TEXT, TEXT] and t.rows == ()
+    limit = csv.field_size_limit()
+    too_long = rf"^table 't': malformed csv: field larger than field limit \({limit}\)$"
+    with pytest.raises(TableIOError, match=too_long):
+        table_from_csv_text("a\n" + "x" * (limit + 1) + "\n", "t")
+    t = table_from_csv_text("a,b\n" + "1,2\n" * (limit // 4 + 1), "t")
+    assert t.n_rows == limit // 4 + 1 and t.rows[-1] == (1, 2)
 
 
 def test_clean_csv_columns_parse_without_the_per_cell_parser(tmp_path, monkeypatch):
@@ -922,6 +931,172 @@ def test_clean_csv_columns_parse_without_the_per_cell_parser(tmp_path, monkeypat
     with pytest.raises(TableIOError, match="row 1 column 'i': cannot parse 'x' as int"):
         read_table(tmp_path / "bad.csv")
     assert calls == [INT, INT]  # the fall back is what names the bad cell
+
+
+# pieces of csv text: the characters csv.reader reads apart (comma, the line
+# ends, quote, NUL) and characters it reads as any other (spaces, the line
+# breaks of str.splitlines, non-ASCII)
+_CSV_PIECES = [",", ",", "\n", "\n", '"', "\r", "\r\n", "\0", " ", " ", "\x85", "\x0b",
+               "é", "日", "7", "-2", "3.5", "true", "[1]", "x y"]
+_PLAIN_CSV_CELLS = ["", "", "7", "-2", "3.5", "1e3", "TRUE", "false", "[1, 2]", "x y", " ", "é",
+                    "日本", "a b", "\x85", "\x0b", "9" * 25]
+_CSV_HEADER_NAMES = ["a", "b", "c d", " e", "é", "日", "x y", "f\x85", "g\x0b"]
+
+
+def _csv_sample(rng: random.Random) -> str:
+    """Csv text: free text of csv pieces, or a header and rows of plain cells,
+    at times with a ragged row, a blank line or one piece dropped in."""
+    if rng.random() < 0.3:
+        return "".join(rng.choice(_CSV_PIECES) for _ in range(rng.randint(0, 40)))
+    width = rng.randint(1, 4)
+    lines = [",".join(rng.sample(_CSV_HEADER_NAMES, width))]
+    for _ in range(rng.randint(0, 8)):
+        cells = width if rng.random() < 0.95 else rng.randint(0, width + 1)
+        lines.append(",".join(rng.choice(_PLAIN_CSV_CELLS) for _ in range(cells)))
+    text = "\n".join(lines) + rng.choice(["", "\n", "\n", "\n\n"])
+    if rng.random() < 0.3:
+        i = rng.randint(0, len(text))
+        text = text[:i] + rng.choice(_CSV_PIECES) + text[i:]
+    return text
+
+
+def _csv_sidecar(rng: random.Random, text: str) -> Schema | None:
+    """None, or a schema for the names of the text's first line (a random
+    dtype each), at times one that names a column the text does not have."""
+    names = text.split("\n")[0].split(",")
+    if rng.random() < 0.4 or "" in names or len(set(names)) != len(names):
+        return None
+    if rng.random() < 0.1:
+        names[rng.randrange(len(names))] += "?"
+    return Schema("t", tuple(ColumnSpec(n, rng.choice(DTYPES)) for n in names))
+
+
+def _csv_read_both(monkeypatch, text: str, schema: Schema | None):
+    """The outcome of reading `text`, and of reading it with the plain split
+    turned off, so that csv.reader reads every text."""
+    read = lambda: (lambda t: (t.schema, t.rows))(table_from_csv_text(text, "t", schema))
+    got = _outcome(read)
+    with monkeypatch.context() as m:
+        m.setattr(tables, "_plain_csv_columns", lambda text: None)
+        return got, _outcome(read)
+
+
+_LIMIT = csv.field_size_limit()
+# (text, whether it is split without csv.reader)
+CSV_SPLIT_EDGES = [
+    ("a,b\n", True),  # header only
+    ("a,b", True),
+    ("a\n1\n\n2\n", True),  # one column: a blank line is a Null cell
+    ("a,b\n1,2\n\n3,4\n", False),  # a blank line is a ragged row
+    ("a,b\n1,2", True),  # no final newline
+    ("a,b\n1,2\n3\n", False),  # ragged
+    ("a,b\n1,2,3\n", False),
+    ("\na\n1\n", True),  # the empty header name
+    ("a,a\n1,2\n", True),
+    ("", False),
+    ("\n", True),
+    ("a\n" + "x" * (_LIMIT + 1) + "\n", False),  # a field longer than the limit
+    ("x" * (_LIMIT + 1) + ",b\n", False),
+    ("a\n" + "x" * _LIMIT + "\n", True),
+    ("a,b\n" + "1,2\n" * (_LIMIT // 4 + 1), True),  # a long text of short fields
+    ('a,b\n1,"2"\n', False),
+    ("a,b\r\n1,2\r\n", False),
+    ("a,b\n1,\x002\n", False),
+]
+
+
+@pytest.mark.parametrize("text, plain", CSV_SPLIT_EDGES, ids=range(len(CSV_SPLIT_EDGES)))
+def test_csv_split_edges_read_as_csv_reader_reads_them(monkeypatch, text, plain):
+    assert (tables._plain_csv_columns(text) is not None) == plain
+    names = text.split("\n")[0].split(",")
+    schemas = [None]
+    if "" not in names and len(set(names)) == len(names):
+        schemas += [Schema("t", tuple(ColumnSpec(n, d) for n in names)) for d in (INT, TEXT)]
+    for schema in schemas:
+        got, want = _csv_read_both(monkeypatch, text, schema)
+        assert got == want
+
+
+def test_plain_csv_split_matches_csv_reader(monkeypatch):
+    """The str.split reader gives the same table, or the same error text, as
+    csv.reader for any csv text, with and without a sidecar."""
+    rng = random.Random(913)
+    seen = Counter()
+    for i in range(3000):
+        text = _csv_sample(rng)
+        schema = _csv_sidecar(rng, text)
+        got, want = _csv_read_both(monkeypatch, text, schema)
+        assert got == want, (i, text, schema)
+        plain = tables._plain_csv_columns(text) is not None
+        seen[plain, got[0], schema is not None] += 1
+    # both readers, tables and errors, with and without a sidecar
+    assert min(seen.values()) >= 20 and len(seen) == 8, seen
+
+
+def test_quote_free_csv_is_read_without_csv_reader(tmp_path, monkeypatch):
+    """A demo bundle with no quote in its csv files and a 1000-row table are
+    split with str.split; a silent fall back to csv.reader fails here."""
+    from adprep.synthesis import read_bundle, synthesize_demo_task, verify_bundle, write_bundle
+
+    for seed in range(20):
+        bundle = synthesize_demo_task(random.Random(seed), "task")
+        directory = write_bundle(bundle, tmp_path / f"b{seed}")
+        if not any('"' in p.read_text(encoding="utf-8") for p in directory.rglob("*.csv")):
+            break
+    else:
+        pytest.fail("no quote-free demo bundle in 20 seeds")
+    rng = random.Random(914)
+    big = make_table("big", [("i", INT), ("r", REAL), ("b", BOOL), ("s", TEXT), ("j", INT)], [
+        (rng.randint(-99, 99), rng.uniform(-1, 1), rng.random() < 0.5, rng.choice(["x", "y z"]), None)
+        for _ in range(1000)
+    ])
+    write_table(big, tmp_path / "big.csv")
+    calls = []
+    reader = csv.reader
+    monkeypatch.setattr(csv, "reader", lambda *a, **k: calls.append(a) or reader(*a, **k))
+    back = read_bundle(directory)
+    assert read_table(tmp_path / "big.csv").rows == big.rows
+    assert calls == []
+    verify_bundle(back)
+    assert back.sources == bundle.sources and back.target_table == bundle.target_table
+    table_from_csv_text('a\n"1"\n', "t")
+    assert len(calls) == 1  # the spy sees the reader when it runs
+
+
+NUL_PROBE = """
+import csv, io
+from adprep.tables import TableIOError, table_from_csv_text
+text = "a,b\\n1,\\x002\\n"
+try:
+    list(csv.reader(io.StringIO(text, newline="")))
+    want = None
+except csv.Error as exc:
+    want = str(exc)
+try:
+    table_from_csv_text(text, "t")
+    got = None
+except TableIOError as exc:
+    got = str(exc)
+print(repr((want, got)))
+"""
+
+
+def test_nul_reads_as_the_oldest_pythons_csv_reads_it():
+    """csv.reader rejects NUL before Python 3.11 ("line contains NUL") and
+    reads it from 3.11 on; csv text holding NUL goes to csv.reader, so on the
+    oldest Python that pyproject.toml admits it raises that csv error."""
+    from test_imports import find_python, oldest_python
+
+    version = "%d.%d" % oldest_python()
+    exe = find_python(version)
+    if exe is None:
+        pytest.skip(f"no Python {version} interpreter on PATH or in pyenv")
+    env = {**os.environ, "PYTHONPATH": str(Path(tables.__file__).parents[1]),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run([exe, "-c", NUL_PROBE], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    want, got = ast.literal_eval(done.stdout.strip())
+    assert got == (None if want is None else f"table 't': malformed csv: {want}")
 
 
 def test_deeply_nested_list_cell_is_a_table_io_error(tmp_path):
