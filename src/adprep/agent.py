@@ -469,7 +469,8 @@ class HttpChatPolicy:
 
     Sends {"model", "temperature", "messages"} as JSON and expects
     {"content": "..."} back, with an optional "usage" object whose integer
-    fields are accumulated into usage_total.
+    fields are accumulated into usage_total. A reply that cannot be fetched
+    or read raises PolicyError.
     """
 
     def __init__(
@@ -489,7 +490,7 @@ class HttpChatPolicy:
         self.usage_total: dict[str, int] = {}
 
     def complete(self, messages: list[dict]) -> str:
-        import urllib.error
+        import http.client
         import urllib.request
 
         payload = json.dumps({
@@ -503,18 +504,24 @@ class HttpChatPolicy:
             headers={"Content-Type": "application/json", **self.headers},
             method="POST",
         )
+        # OSError covers urllib's URLError and HTTPError, timeouts and resets
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as response:
                 body = json.loads(response.read().decode("utf-8"))
-        except (urllib.error.URLError, TimeoutError, json.JSONDecodeError, RecursionError) as exc:
+        except (
+            OSError, http.client.HTTPException, UnicodeDecodeError,
+            json.JSONDecodeError, RecursionError,
+        ) as exc:
             raise PolicyError(f"chat endpoint failed: {exc}") from None
+        if not isinstance(body, dict):
+            raise PolicyError(f"chat endpoint returned a json {type(body).__name__}, not an object")
         content = body.get("content")
         if not isinstance(content, str):
             raise PolicyError("chat endpoint returned no 'content' string")
         usage = body.get("usage")
         if isinstance(usage, dict):
             for k, v in usage.items():
-                if isinstance(v, int):
+                if type(v) is int:  # a json true is a bool, not a count
                     self.usage_total[k] = self.usage_total.get(k, 0) + v
         return content
 

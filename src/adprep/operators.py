@@ -66,11 +66,11 @@ from .tables import (
     cell_hash_key,
     cell_sort_key,
     clean_column_kind,
-    column_keys,
     infer_column,
     render_cell,
     render_scalar,
     row_keys,
+    sort_order,
     table_from_csv_text,
     table_to_csv_text,
     validate_cell,
@@ -925,13 +925,7 @@ def _exec_sort(op, t):
         raise ExecError(
             op, f"ascending has {len(asc)} entries for {len(idxs)} keys", detail=p["table"]
         )
-
-    # stable passes from the last key to the first; reverse=True keeps ties stable
-    order = list(range(t.n_rows))
-    for i, up in reversed(list(zip(idxs, asc))):
-        order.sort(key=column_keys(t, i, sort=True).__getitem__, reverse=not up)
-    rows = tuple(map(t.rows.__getitem__, order))
-    return Table.trusted(t.schema, rows)
+    return Table.trusted(t.schema, tuple(map(t.rows.__getitem__, sort_order(t, idxs, asc))))
 
 
 def _exec_topk(op, t):
@@ -1153,16 +1147,19 @@ def _stack(
     first = tables[0]
     base_names = first.column_names
     all_rows: list[tuple] = []
+    keys: list[tuple] = []
     for t in tables:
         if set(t.column_names) != set(base_names):
             raise ExecError(
                 op, f"table {t.name!r} columns {sorted(t.column_names)} do not match "
                     f"{sorted(base_names)}", detail=t.name,
             )
-        all_rows.extend(map(_picker([t.column_index(n) for n in base_names]), t.rows))
+        idxs = [t.column_index(n) for n in base_names]
+        all_rows.extend(map(_picker(idxs), t.rows))
+        if distinct:
+            # hash keys are equal exactly when cells are, whichever table keyed them
+            keys.extend(row_keys(t, idxs))
     if distinct:
-        # per-cell keys: a column may be int in one table and real in another
-        keys = [tuple(map(cell_hash_key, row)) for row in all_rows]
         all_rows = _dedupe_rows(all_rows, keys, "first")
     cells = [[row[j] for row in all_rows] for j in range(len(base_names))]
     return _table_of_columns(name, first.schema.columns, cells, op, description)

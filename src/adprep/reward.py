@@ -18,11 +18,10 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import chain
-from operator import eq, itemgetter
+from operator import eq
 
 from .operators import name_bearing_values, parse_operator_call
-from .tables import Table, cell_sort_key, self_keyed, tables_equal
+from .tables import Table, column_keys, sort_order, tables_equal
 from .agent import Trajectory
 
 
@@ -65,34 +64,15 @@ def shape_score(predicted: Table, target: Table) -> float:
     return math.exp(-abs(predicted.n_rows - target.n_rows) / target.n_rows)
 
 
-def _sort_key_columns(a: Table, b: Table, names: list[str]) -> tuple[list, list]:
-    """Per shared column, the cells of a and of b as sort keys that compare
-    alike across the two tables: the raw cells where the column is self_keyed
-    for sorting in both, else cell_sort_key of each cell on both sides. Sort
-    keys are equal exactly when their cells are, so they stand in for them."""
-    a_cols, b_cols = [], []
-    for n in names:
-        ia, ib = a.column_index(n), b.column_index(n)
-        ka = list(map(itemgetter(ia), a.rows))
-        kb = list(map(itemgetter(ib), b.rows))
-        if not (
-            self_keyed(a.schema.columns[ia].dtype, ka, sort=True)
-            and self_keyed(b.schema.columns[ib].dtype, kb, sort=True)
-        ):
-            ka, kb = list(map(cell_sort_key, ka)), list(map(cell_sort_key, kb))
-        a_cols.append(ka)
-        b_cols.append(kb)
-    return a_cols, b_cols
-
-
 def cell_score(predicted: Table, target: Table) -> float:
     """Fraction of positionally equal cells across the shared columns.
 
-    Both tables are projected onto the shared columns and canonically
-    sorted first, so stored row order never matters. Rows then pair up
-    position by position up to the shorter table, and the denominator
-    uses the longer one, so extra or missing rows cost credit. No shared
-    columns means no credit.
+    Each table's rows are put in cell order (sort_order) over the shared
+    columns, taken in name order, so stored row order never matters. Rows
+    then pair up position by position up to the shorter table, and two cells
+    match when their hash keys (column_keys) do, which each table keys on
+    its own. The denominator uses the longer table, so extra or missing rows
+    cost credit. No shared columns means no credit.
     """
     shared = sorted(set(predicted.column_names) & set(target.column_names))
     if not shared:
@@ -100,11 +80,24 @@ def cell_score(predicted: Table, target: Table) -> float:
     n_hi = max(predicted.n_rows, target.n_rows)
     if n_hi == 0:
         return 1.0
-    got_cols, want_cols = _sort_key_columns(predicted, target, shared)
-    got, want = sorted(zip(*got_cols)), sorted(zip(*want_cols))
-    # rows pair up to the shorter table, so their flattened cells do too
-    hits = sum(map(eq, chain.from_iterable(got), chain.from_iterable(want)))
+    sides = []
+    for t in (predicted, target):
+        idxs = [t.column_index(n) for n in shared]
+        order = sort_order(t, idxs)
+        sides.append([map(column_keys(t, i).__getitem__, order) for i in idxs])
+    # map stops at the shorter table
+    hits = sum(sum(map(eq, got, want)) for got, want in zip(*sides))
     return hits / (len(shared) * n_hi)
+
+
+def _similarities(predicted: Table, target: Table) -> tuple[bool, float, float, float]:
+    """Whether predicted matches target exactly, then its schema, shape and
+    cell similarity to it."""
+    exact = outcome_score(predicted, target) == 1.0
+    # equal row multisets sort into equal key lists, so every cell pairs;
+    # a table with no columns still gets cell_score's 0.0
+    cell = 1.0 if exact and predicted.column_names else cell_score(predicted, target)
+    return exact, schema_score(predicted, target), shape_score(predicted, target), cell
 
 
 def _partial_credit(exact: bool, schema: float, shape: float, cell: float) -> float:
@@ -115,12 +108,7 @@ def _partial_credit(exact: bool, schema: float, shape: float, cell: float) -> fl
 def partial_score(predicted: Table | None, target: Table) -> float:
     if predicted is None:
         return 0.0
-    return _partial_credit(
-        tables_equal(predicted, target),
-        schema_score(predicted, target),
-        shape_score(predicted, target),
-        cell_score(predicted, target),
-    )
+    return _partial_credit(*_similarities(predicted, target))
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +248,7 @@ def score_trajectory(
     if predicted is None:
         r_out = r_part = s_sch = s_shp = s_cnt = 0.0
     else:
-        exact = outcome_score(predicted, target) == 1.0
-        s_sch = schema_score(predicted, target)
-        s_shp = shape_score(predicted, target)
-        # equal row multisets sort into equal key lists, so every cell pairs;
-        # a table with no columns still gets cell_score's 0.0
-        s_cnt = 1.0 if exact and predicted.column_names else cell_score(predicted, target)
+        exact, s_sch, s_shp, s_cnt = _similarities(predicted, target)
         r_part = _partial_credit(exact, s_sch, s_shp, s_cnt)
         r_out = 1.0 if exact and traj.answered else 0.0
     judge_scores = (judge or RuleJudge()).score(traj)

@@ -6,8 +6,9 @@ Integers must fit in 64 bits, reals must be finite, and each cell's kind must
 match its column dtype. Table equality ignores row order and column order
 but requires exact cell values, with integers and integer-valued reals
 comparing equal (2 == 2.0). Cells have one order key, cell_sort_key (Null <
-Boolean < numeric < Text < List), which every sort uses, and one hash key,
-cell_hash_key, under which tables_equal compares the two row multisets.
+Boolean < numeric < Text < List), by which sort_order, the one row sort,
+orders rows, and one hash key, cell_hash_key, under which tables_equal
+compares the two row multisets.
 Whole columns are keyed at once (column_keys, row_keys): an int, real or
 text column holds only Null and its one kind, so its cells are their own
 hash keys and, when it holds no Null, their own sort keys; only bool and
@@ -356,39 +357,42 @@ def cell_hash_key(v: Cell) -> Any:
     return v
 
 
-def canonicalize(t: Table) -> Table:
-    """Reorder columns by name and rows lexicographically. Idempotent."""
-    cols = t.schema.columns
-    order = sorted(range(len(cols)), key=lambda i: cols[i].name)
-    new_cols = tuple(cols[i] for i in order)
-    new_rows = [tuple(row[i] for i in order) for row in t.rows]
-    new_rows.sort(key=lambda row: tuple(map(cell_sort_key, row)))
-    return Table.trusted(Schema(t.name, new_cols, t.schema.description), tuple(new_rows))
-
-
 _SELF_KEYED = (INT, REAL, TEXT)
 
 
-def self_keyed(dtype: str, cells: Sequence[Cell], sort: bool = False) -> bool:
-    """Whether a column's cells are their own keys. A checked or trusted int,
-    real or text column holds only Null and its one kind, and cell_hash_key
-    returns such a cell as it is. Raw cells also order as their cell_sort_key
-    tuples do, unless a Null (which orders against nothing) is among them."""
-    return dtype in _SELF_KEYED and not (sort and None in cells)
-
-
 def column_keys(t: Table, i: int, sort: bool = False) -> list:
-    """Column i's keys: cell_sort_key if `sort`, else cell_hash_key, per cell,
-    except that a self_keyed column is returned as its raw cells."""
+    """Column i's keys: cell_sort_key if `sort`, else cell_hash_key, per cell.
+    An int, real or text column holds only Null and its one kind, whose cells
+    are their own hash keys and, with no Null (which orders against nothing)
+    among them, their own sort keys; it is then returned as its cells."""
     cells = list(map(itemgetter(i), t.rows))
-    if self_keyed(t.schema.columns[i].dtype, cells, sort):
+    if t.schema.columns[i].dtype in _SELF_KEYED and not (sort and None in cells):
         return cells
     return list(map(cell_sort_key if sort else cell_hash_key, cells))
 
 
+def sort_order(t: Table, idxs: Sequence[int], ascending: Sequence[bool] = ()) -> list[int]:
+    """Row indexes in cell order over the columns idxs, ties in row order.
+    `ascending` holds one flag per key; left empty, every key ascends."""
+    ups = ascending or [True] * len(idxs)
+    # stable passes from the last key to the first; reverse=True keeps ties stable
+    order = list(range(t.n_rows))
+    for i, up in reversed(list(zip(idxs, ups))):
+        order.sort(key=column_keys(t, i, sort=True).__getitem__, reverse=not up)
+    return order
+
+
+def canonicalize(t: Table) -> Table:
+    """Reorder columns by name and rows lexicographically. Idempotent."""
+    cols = t.schema.columns
+    idxs = sorted(range(len(cols)), key=lambda i: cols[i].name)
+    rows = tuple(tuple(map(t.rows[r].__getitem__, idxs)) for r in sort_order(t, idxs))
+    return Table.trusted(Schema(t.name, tuple(cols[i] for i in idxs), t.schema.description), rows)
+
+
 def row_keys(t: Table, idxs: Sequence[int]) -> list[tuple]:
     """Each row's tuple of hash keys (column_keys) over the columns idxs.
-    Over all columns in order, with every column self_keyed, each row is its
+    Over all columns in order, every one int, real or text, each row is its
     own key tuple."""
     if not idxs:
         return [()] * t.n_rows

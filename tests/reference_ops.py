@@ -24,7 +24,7 @@ from conftest import COLUMN_POOL, WORDS, random_scalar, random_table
 
 from adprep.operators import ExecError, execute_operator, make_operator
 from adprep.tables import (
-    BOOL, INT, LIST, REAL, TEXT, Table, TableError, cell_sort_key, make_table,
+    BOOL, INT, LIST, REAL, TEXT, Schema, Table, TableError, cell_sort_key, make_table,
 )
 
 AGGS = ("sum", "avg", "min", "max", "count", "count_distinct", "first", "last", "concat")
@@ -1531,7 +1531,18 @@ def run_operator_trials(kind: str, n: int, seed: int) -> dict:
     return stats
 
 
-# --- scoring -----------------------------------------------------------------
+# --- ordering and scoring ----------------------------------------------------
+
+
+def ref_canonicalize(t: Table) -> Table:
+    """adprep.tables.canonicalize as it was before sort_order: rows sorted
+    by their tuples of cell_sort_key."""
+    cols = t.schema.columns
+    order = sorted(range(len(cols)), key=lambda i: cols[i].name)
+    new_cols = tuple(cols[i] for i in order)
+    new_rows = [tuple(row[i] for i in order) for row in t.rows]
+    new_rows.sort(key=lambda row: tuple(map(cell_sort_key, row)))
+    return Table.trusted(Schema(t.name, new_cols, t.schema.description), tuple(new_rows))
 
 
 def ref_cell_score(predicted: Table, target: Table) -> float:

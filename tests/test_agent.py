@@ -6,6 +6,7 @@ import json
 import random
 import re
 import socket
+import struct
 import threading
 import weakref
 from collections import Counter
@@ -833,7 +834,11 @@ class _ChatHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         _ChatHandler.requests.append(json.loads(self.rfile.read(length)))
-        status, body = _ChatHandler.responses.pop(0)
+        reply = _ChatHandler.responses.pop(0)
+        if callable(reply):  # a reply that breaks the protocol writes itself
+            reply(self)
+            return
+        status, body = reply
         payload = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -850,7 +855,9 @@ def chat_server():
     _ChatHandler.responses = []
     _ChatHandler.requests = []
     server = ThreadingHTTPServer(("127.0.0.1", 0), _ChatHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/chat", _ChatHandler
     server.shutdown()
@@ -883,6 +890,65 @@ def test_http_chat_policy_bad_body(chat_server):
     handler.responses = [(200, b"[" * 100_000)]
     with pytest.raises(PolicyError, match="chat endpoint failed"):
         policy.complete([{"role": "user", "content": "x"}])
+
+
+def _cut_off(reset: bool):
+    """A reply whose headers promise 100 bytes and whose connection ends after
+    10: closed, or with `reset` a TCP reset (SO_LINGER of 0)."""
+
+    def reply(handler):
+        handler.send_response(200)
+        handler.send_header("Content-Length", "100")
+        handler.end_headers()
+        handler.wfile.write(b'{"content"')
+        if reset:
+            linger = struct.pack("ii", 1, 0)
+            handler.connection.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, linger)
+            handler.connection.close()
+        handler.close_connection = True
+
+    return reply
+
+
+HTTP_FAULTS = {
+    "list-body": (200, ["content", "x"]),
+    "string-body": (200, "content"),
+    "non-utf8-body": (200, b'{"content": "\xff"}'),
+    "short-body": _cut_off(reset=False),
+    "reset-connection": _cut_off(reset=True),
+}
+
+
+@pytest.mark.parametrize("fault", list(HTTP_FAULTS))
+def test_http_chat_policy_fault_raises_policy_error(chat_server, fault):
+    endpoint, handler = chat_server
+    handler.responses = [HTTP_FAULTS[fault]]
+    policy = HttpChatPolicy(endpoint, "m", timeout=10.0)
+    with pytest.raises(PolicyError, match="chat endpoint"):
+        policy.complete([{"role": "user", "content": "x"}])
+    assert len(handler.requests) == 1
+    assert policy.usage_total == {}
+
+
+def test_http_chat_policy_counts_only_integer_usage(chat_server):
+    endpoint, handler = chat_server
+    handler.responses = [
+        (200, {"content": "a", "usage": {"prompt_tokens": True, "completion_tokens": 2}}),
+        (200, {"content": "b", "usage": {"prompt_tokens": 3, "completion_tokens": 1.5}}),
+    ]
+    policy = HttpChatPolicy(endpoint, "m")
+    assert policy.complete([{"role": "user", "content": "x"}]) == "a"
+    assert policy.complete([{"role": "user", "content": "x"}]) == "b"
+    assert policy.usage_total == {"prompt_tokens": 3, "completion_tokens": 2}
+
+
+def test_http_chat_fault_ends_the_episode_as_a_protocol_error(chat_server):
+    endpoint, handler = chat_server
+    handler.responses = [HTTP_FAULTS["list-body"]]
+    traj = run_episode(make_task(), HttpChatPolicy(endpoint, "m", timeout=10.0))
+    assert traj.status == "protocol_error"
+    assert traj.turns == []
+    assert traj.error.startswith("PolicyError: chat endpoint"), traj.error
 
 
 def test_http_chat_policy_error_status(chat_server):

@@ -32,6 +32,7 @@ from adprep.tables import (
     column_keys,
     make_table,
     row_keys,
+    sort_order,
     tables_equal,
 )
 
@@ -133,6 +134,14 @@ def test_tables_equal_across_a_column_permutation():
             assert seen[equal, cell_by_cell, False] > 10, seen
 
 
+def per_cell_sort_order(t: Table, idxs: list[int], ascending: list[bool]) -> list[int]:
+    """Stable cell_sort_key passes from the last key to the first."""
+    order = list(range(t.n_rows))
+    for i, up in reversed(list(zip(idxs, ascending))):
+        order.sort(key=lambda r: cell_sort_key(t.rows[r][i]), reverse=not up)
+    return order
+
+
 def test_index_sorts_by_column_keys_equal_sorts_by_cell_sort_key():
     rng = random.Random(5)
     for a, b in table_pairs(seed=12, n=300):
@@ -145,6 +154,12 @@ def test_index_sorts_by_column_keys_equal_sorts_by_cell_sort_key():
                 fast.sort(key=column_keys(t, i, sort=True).__getitem__, reverse=reverse)
                 slow.sort(key=lambda r: cell_sort_key(t.rows[r][i]), reverse=reverse)
             assert fast == slow, (t, passes)
+            # sort_order over random keys (repeats allowed), with random
+            # directions and with the all-ascending default
+            idxs = [rng.randrange(n) for _ in range(rng.randint(0, 3))]
+            ups = [rng.random() < 0.5 for _ in idxs]
+            assert sort_order(t, idxs, ups) == per_cell_sort_order(t, idxs, ups), (t, idxs, ups)
+            assert sort_order(t, idxs) == per_cell_sort_order(t, idxs, [True] * len(idxs)), (t, idxs)
 
 
 def test_cell_score_equals_the_per_cell_reference():

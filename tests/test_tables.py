@@ -49,6 +49,7 @@ from adprep.tables import (
 from conftest import random_cell, random_table
 import reference_csv
 import reference_markdown
+import reference_ops
 from reference_expr import cells_equal
 from reference_ops import compare_cells
 
@@ -90,6 +91,39 @@ def test_canonicalize_preserves_row_multiset():
         order = [t.column_names.index(n) for n in c.column_names]
         remapped = sorted(repr(tuple(row[i] for i in order)) for row in t.rows)
         assert remapped == sorted(repr(r) for r in c.rows)
+
+
+CANONICAL_EDGE_CELLS = {
+    INT: [2, 0, -1, 1, 2**63 - 1],
+    REAL: [2.0, -0.0, 0.0, 0.5, -1.0],
+    TEXT: ["", "a", "b", "\U0001F600"],
+    BOOL: [True, False],
+    LIST: [(), (2, "a"), (2.0, "a"), (-0.0,), (0,), (True,), (1,), (None,)],
+}
+
+
+def test_canonicalize_equals_the_reference_sort():
+    # few distinct cells per column, so many rows tie on the keys sorted so
+    # far, and equal keys hold unlike cells (2 and 2.0, -0.0 and 0.0); repr
+    # tells those apart, so ties must keep their row order as the reference does
+    rng = random.Random(31)
+    for _ in range(300):
+        if rng.random() < 0.5:
+            t = random_table(rng, max_rows=10, min_cols=0)
+        else:
+            names = rng.sample("abcde", rng.randint(0, 5))
+            dtypes = [rng.choice(DTYPES) for _ in names]
+            rows = [
+                tuple(
+                    None if rng.random() < 0.2 else rng.choice(CANONICAL_EDGE_CELLS[dt])
+                    for dt in dtypes
+                )
+                for _ in range(rng.randint(0, 12))
+            ]
+            t = make_table("t", list(zip(names, dtypes)), rows)
+        got, want = canonicalize(t), reference_ops.ref_canonicalize(t)
+        assert got.schema == want.schema, t
+        assert repr(got.rows) == repr(want.rows), t
 
 
 def test_tables_equal_ignores_permutations():
