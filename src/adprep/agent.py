@@ -58,6 +58,7 @@ from .tree import ReasoningTree, TreeError, TreeNode
 MAX_TURNS = 5
 MAX_CONSECUTIVE_PROTOCOL_ERRORS = 2
 SAMPLE_ROWS = 5  # rows of each table an observation shows
+MAX_REPLY_BYTES = 8 * 1024 * 1024  # the most HttpChatPolicy reads of one reply
 
 STATUS_ANSWERED = "answered"
 STATUS_TURN_LIMIT = "turn_limit"
@@ -470,7 +471,7 @@ class HttpChatPolicy:
     Sends {"model", "temperature", "messages"} as JSON and expects
     {"content": "..."} back, with an optional "usage" object whose integer
     fields are accumulated into usage_total. A reply that cannot be fetched
-    or read raises PolicyError.
+    or read, or is longer than MAX_REPLY_BYTES, raises PolicyError.
     """
 
     def __init__(
@@ -507,7 +508,10 @@ class HttpChatPolicy:
         # OSError covers urllib's URLError and HTTPError, timeouts and resets
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                body = json.loads(response.read().decode("utf-8"))
+                raw = response.read(MAX_REPLY_BYTES + 1)
+            if len(raw) > MAX_REPLY_BYTES:
+                raise PolicyError(f"chat endpoint reply is longer than {MAX_REPLY_BYTES} bytes")
+            body = json.loads(raw.decode("utf-8"))
         except (
             OSError, http.client.HTTPException, UnicodeDecodeError,
             json.JSONDecodeError, RecursionError,

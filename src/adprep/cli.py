@@ -159,22 +159,27 @@ def _cmd_validate(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def _cmd_run(args) -> int:
+def _report(args, build) -> int:
+    """Print the report `build()` returns, as text or with --json as JSON:
+    exit 0 when every task was attempted, else 1."""
     try:
-        factory = _policy_factory(args)
-        report = run_benchmark(
-            args.suite_dir,
-            factory,
-            weights=_weights(args),
-            threads=args.threads,
-            max_turns=args.max_turns,
-            script_backend=args.script_backend,
-            log_dir=args.log_dir,
-        )
+        report = build()
     except HarnessError as exc:
         return _err(str(exc))
     print(json.dumps(report.to_json(), sort_keys=True, indent=2) if args.json else report.to_text())
     return 0 if report.all_attempted else 1
+
+
+def _cmd_run(args) -> int:
+    return _report(args, lambda: run_benchmark(
+        args.suite_dir,
+        _policy_factory(args),
+        weights=_weights(args),
+        threads=args.threads,
+        max_turns=args.max_turns,
+        script_backend=args.script_backend,
+        log_dir=args.log_dir,
+    ))
 
 
 def _run_single_episode(args, bundle, policy) -> int:
@@ -214,12 +219,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    try:
-        report = replay_suite(args.suite_dir, args.log_dir, weights=_weights(args))
-    except HarnessError as exc:
-        return _err(str(exc))
-    print(json.dumps(report.to_json(), sort_keys=True, indent=2) if args.json else report.to_text())
-    return 0 if report.all_attempted else 1
+    return _report(args, lambda: replay_suite(args.suite_dir, args.log_dir, weights=_weights(args)))
 
 
 def _cmd_replay(args) -> int:

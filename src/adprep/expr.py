@@ -42,7 +42,7 @@ from functools import lru_cache
 from operator import ge, gt, itemgetter, le, lt
 from typing import Any, Callable, Sequence
 
-from .tables import INT64_MAX, INT64_MIN, Cell, cell_hash_key, render_scalar
+from .tables import INT, INT64_MAX, INT64_MIN, REAL, TEXT, Cell, cell_hash_key, render_scalar
 
 
 class ExprParseError(ValueError):
@@ -748,38 +748,53 @@ def _substr(node: Call, v: Cell, start: Cell, length: Cell) -> str:
     return v[start : start + length]
 
 
-def _to_int(node: Call, v: Cell) -> int:
-    if isinstance(v, bool):
-        return 1 if v else 0
-    if isinstance(v, int):
-        return v
-    if isinstance(v, float):
-        return _check_int(int(v), node)  # truncates toward zero
-    if isinstance(v, str):
-        try:
-            return _check_int(int(v, 10), node)
-        except ValueError:
-            raise _fail(f"cannot cast {v!r} to int", node) from None
-    raise _fail("to_int() cannot take a list", node)
-
-
-def _to_real(node: Call, v: Cell) -> float:
-    if isinstance(v, bool):
-        return 1.0 if v else 0.0
-    if isinstance(v, (int, float)):
-        return _check_real(float(v), node)
-    if isinstance(v, str):
-        try:
-            return _check_real(float(v), node)
-        except ValueError:
-            raise _fail(f"cannot cast {v!r} to real", node) from None
-    raise _fail("to_real() cannot take a list", node)
-
-
-def _to_text(node: Call, v: Cell) -> str:
+def cast_cell(v: Cell, dtype: str) -> Cell:
+    """A non-null cell cast to int, real, text or bool: the one cast rule of
+    CastType and of to_int / to_real / to_text, each of which wraps its
+    failures in its own error. A real truncates toward zero on the way to
+    int; text reads as int(v, 10) or float(v) reads it; bool takes a bool,
+    0 / 1, or the text true / false / 1 / 0 in any case. A list, text that
+    does not read, a non-finite real, or any other value cast to bool raises
+    ValueError. The 64-bit range is the caller's check."""
     if isinstance(v, tuple):
-        raise _fail("to_text() cannot take a list", node)
-    return render_scalar(v)
+        raise ValueError("cannot cast a list cell")
+    if dtype == INT:
+        return int(v, 10) if isinstance(v, str) else int(v)
+    if dtype == REAL:
+        out = float(v)
+        if not math.isfinite(out):
+            raise ValueError("non-finite real")
+        return out
+    if dtype == TEXT:
+        return render_scalar(v)
+    if isinstance(v, str):
+        low = v.lower()
+        if low in ("true", "1"):
+            return True
+        if low in ("false", "0"):
+            return False
+    elif isinstance(v, int) and v in (0, 1):  # a bool among them
+        return bool(v)
+    raise ValueError(f"cannot cast {v!r} to bool")
+
+
+def _cast_function(dtype: str) -> Callable[[Call, Cell], Cell]:
+    """The DSL's to_<dtype>: cast_cell, its failures raised as EvalErrors.
+    An int is returned as it is; text past 64 bits does not cast to int, and
+    a real past them overflows."""
+
+    def cast(node: Call, v: Cell) -> Cell:
+        if isinstance(v, tuple):
+            raise _fail(f"to_{dtype}() cannot take a list", node)
+        try:
+            out = cast_cell(v, dtype)
+            if dtype == INT and isinstance(v, str):
+                _check_int(out, node)  # an EvalError, so a ValueError: a failed cast
+        except ValueError:
+            raise _fail(f"cannot cast {v!r} to {dtype}", node) from None
+        return _check_int(out, node) if dtype == INT and isinstance(v, float) else out
+
+    return cast
 
 
 def _at(node: Call, v: Cell, idx: Cell) -> Cell:
@@ -839,9 +854,7 @@ _STRICT_FUNCTIONS: dict[str, Callable[..., Cell]] = {
     "substr": _substr,
     "contains": lambda node, v, part: _text_arg(part, node) in _text_arg(v, node),
     "starts_with": lambda node, v, prefix: _text_arg(v, node).startswith(_text_arg(prefix, node)),
-    "to_int": _to_int,
-    "to_real": _to_real,
-    "to_text": _to_text,
+    **{f"to_{dtype}": _cast_function(dtype) for dtype in (INT, REAL, TEXT)},
     "at": _at,
     "parse_date": _parse_date,
     "format_date": _format_date,

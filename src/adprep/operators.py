@@ -41,6 +41,7 @@ from .expr import (
     Expr,
     ExprParseError,
     Token,
+    cast_cell,
     compile_expr,
     date_reader,
     date_writer,
@@ -68,7 +69,6 @@ from .tables import (
     clean_column_kind,
     infer_column,
     render_cell,
-    render_scalar,
     row_keys,
     sort_order,
     table_from_csv_text,
@@ -731,45 +731,6 @@ def _exec_standardize_datetime(op, t):
     return _rebuild_column(t, idx, cells, op, fallback=TEXT)
 
 
-def _cast_cell(v: Cell, dtype: str) -> Cell:
-    if isinstance(v, tuple):
-        raise ValueError("cannot cast a list cell")
-    if dtype == INT:
-        if isinstance(v, bool):
-            return 1 if v else 0
-        if isinstance(v, int):
-            return v
-        if isinstance(v, float):
-            return int(v)  # truncates toward zero
-        return int(v, 10)
-    if dtype == REAL:
-        if isinstance(v, bool):
-            return 1.0 if v else 0.0
-        if isinstance(v, (int, float)):
-            return float(v)
-        out = float(v)
-        if not math.isfinite(out):
-            raise ValueError("non-finite real")
-        return out
-    if dtype == TEXT:
-        return render_scalar(v)
-    # bool
-    if isinstance(v, bool):
-        return v
-    if isinstance(v, int):
-        if v in (0, 1):
-            return bool(v)
-        raise ValueError("only 0 and 1 cast to bool")
-    if isinstance(v, str):
-        low = v.lower()
-        if low == "true" or v == "1":
-            return True
-        if low == "false" or v == "0":
-            return False
-        raise ValueError("not a boolean text")
-    raise ValueError(f"cannot cast {type(v).__name__} to bool")
-
-
 def _cast_column(cells: list[Cell], source: str, dtype: str) -> list[Cell] | None:
     """The cells of a text column cast to int at C speed, when
     clean_column_kind vouches for them as text; None for any other cast, or
@@ -796,7 +757,7 @@ def _exec_cast_type(op, t):
                 cells.append(None)
                 continue
             try:
-                cells.append(_cast_cell(v, dtype))
+                cells.append(cast_cell(v, dtype))
             except (ValueError, TypeError):
                 raise ExecError(
                     op, f"row {r}: cannot cast {render_cell(v)!r} to {dtype}",

@@ -13,7 +13,6 @@ tried and why it broke.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 from .operators import (
@@ -32,7 +31,13 @@ class TreeError(ValueError):
 
 @dataclass
 class FailureRecord:
-    """One failed operator attempt below a node."""
+    """One failed operator attempt below a node.
+
+    It copies the ExecError's message and detail rather than keeping the
+    exception: a kept exception holds its traceback, whose frames hold the
+    tables of the expand that raised it, so a source table would outlive
+    its episode.
+    """
 
     op: OperatorInstance
     message: str
@@ -48,42 +53,28 @@ class FailureRecord:
 class TreeNode:
     """One table-set state; `op` is the edge from its parent (None at the root).
 
-    A node holds its parent through a weakref, so a finished tree holds no
-    reference cycle and is freed as soon as its ReasoningTree is dropped: the
-    tree's node list owns every node, so `parent` and `prefix` need the
-    tree kept alive.
+    A node keeps its operator chain from the root (`prefix`) and that
+    chain's text, not a link to its parent, so a tree holds no reference
+    cycle and is freed as soon as its ReasoningTree is dropped.
     """
 
     def __init__(self, op: OperatorInstance | None, state: TableSet, parent: "TreeNode | None"):
         self.op = op
         self.state = state
-        self._parent = None if parent is None else weakref.ref(parent)
         self.children: list[TreeNode] = []
         self.failures: list[FailureRecord] = []
-        # the edge's call text and the node's path, each serialized once here
+        # the edge's call text, the chain and its text, each built once here
         self.op_text: str | None = None
+        self.prefix: tuple[OperatorInstance, ...] = ()
         self._path = "root"
         if op is None:
             return
         self.op_text = serialize_operator_call(op)
+        self.prefix = (*parent.prefix, op)
         if parent.op is None:
             self._path = self.op_text
         else:
             self._path = f"{parent._path} -> {self.op_text}"
-
-    @property
-    def parent(self) -> "TreeNode | None":
-        return None if self._parent is None else self._parent()
-
-    @property
-    def prefix(self) -> tuple[OperatorInstance, ...]:
-        """Operator chain from the root down to this node."""
-        ops = []
-        node = self
-        while node.op is not None:
-            ops.append(node.op)
-            node = node.parent
-        return tuple(reversed(ops))
 
     @property
     def path_text(self) -> str:

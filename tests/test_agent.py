@@ -8,12 +8,14 @@ import re
 import socket
 import struct
 import threading
+import time
 import weakref
 from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from adprep import agent
 from adprep.agent import (
     MAX_TURNS,
     SAMPLE_ROWS,
@@ -359,10 +361,10 @@ def test_dropped_trajectory_frees_its_tree_without_the_cycle_collector():
         ]))
         assert traj.status == "answered"
         leaf = traj.tree.nodes[-1]
-        assert leaf.parent.parent is traj.tree.root
         root = weakref.ref(traj.tree.root)
-        del traj, leaf
-        assert root() is None
+        del traj
+        assert root() is None  # a node kept alive does not keep its tree
+        assert len(leaf.prefix) == 2
     finally:
         gc.enable()
 
@@ -942,10 +944,38 @@ def test_http_chat_policy_counts_only_integer_usage(chat_server):
     assert policy.usage_total == {"prompt_tokens": 3, "completion_tokens": 2}
 
 
-def test_http_chat_fault_ends_the_episode_as_a_protocol_error(chat_server):
+def test_http_chat_policy_caps_the_reply(chat_server, monkeypatch):
     endpoint, handler = chat_server
-    handler.responses = [HTTP_FAULTS["list-body"]]
-    traj = run_episode(make_task(), HttpChatPolicy(endpoint, "m", timeout=10.0))
+    monkeypatch.setattr(agent, "MAX_REPLY_BYTES", 64)
+    at_cap = {"content": "x" * 49}
+    assert len(json.dumps(at_cap)) == 64
+    handler.responses = [(200, at_cap), (200, {"content": "x" * 50})]
+    policy = HttpChatPolicy(endpoint, "m", timeout=10.0)
+    assert policy.complete([{"role": "user", "content": "x"}]) == "x" * 49
+    with pytest.raises(PolicyError, match="^chat endpoint reply is longer than 64 bytes$"):
+        policy.complete([{"role": "user", "content": "x"}])
+
+
+def _slow_reply(handler):
+    """No reply until well past the policy's 0.2 s timeout."""
+    time.sleep(0.4)
+    handler.close_connection = True
+
+
+EPISODE_FAULTS = {
+    **HTTP_FAULTS,
+    "http-500": (500, {"content": "ignored"}),
+    "oversized-body": (200, {"content": "x" * 64}),
+    "slow-reply": _slow_reply,
+}
+
+
+@pytest.mark.parametrize("fault", list(EPISODE_FAULTS))
+def test_http_chat_fault_ends_the_episode_as_a_protocol_error(chat_server, monkeypatch, fault):
+    endpoint, handler = chat_server
+    monkeypatch.setattr(agent, "MAX_REPLY_BYTES", 64)  # every other fault's body is shorter
+    handler.responses = [EPISODE_FAULTS[fault]]
+    traj = run_episode(make_task(), HttpChatPolicy(endpoint, "m", timeout=0.2))
     assert traj.status == "protocol_error"
     assert traj.turns == []
     assert traj.error.startswith("PolicyError: chat endpoint"), traj.error

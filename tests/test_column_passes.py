@@ -16,10 +16,10 @@ import random
 import pytest
 
 from adprep import operators
+from adprep.expr import cast_cell as _cast_cell
 from adprep.expr import compile_expr, parse_expr
 from adprep.operators import (
     ExecError,
-    _cast_cell,
     _cast_column,
     execute_operator,
     make_operator,

@@ -130,11 +130,7 @@ def test_unnamed_definitions_are_found():
 
 
 # public names no code calls that stay anyway, each with its reason
-UNNAMED_ALLOWED = [
-    # acceptance criterion 4 (tests/test_acceptance.py) replays each node's
-    # operator chain to check the tree's invariants
-    "tree.py:TreeNode.prefix",
-]
+UNNAMED_ALLOWED = []
 
 
 def test_every_definition_has_a_caller_outside_the_tests():

@@ -103,7 +103,7 @@ def test_each_edge_is_serialized_once(monkeypatch):
         assert tree.resolve(leaf.prefix) is leaf
     assert len(calls) == 3
     assert leaf.path_text == " -> ".join(serialize_operator_call(op) for op in ops)
-    assert leaf.parent.path_text == f"{DEDUP} -> {DROPNA}"
+    assert tree.resolve(leaf.prefix[:-1]).path_text == f"{DEDUP} -> {DROPNA}"
 
 
 def test_resolve_of_extracted_path_is_identity_randomized():
