@@ -46,7 +46,6 @@ from .agent import (
     run_episode,
 )
 from .reward import (
-    RewardWeights,
     RuleJudge,
     outcome_score,
     partial_score,
@@ -103,7 +102,6 @@ __all__ = [
     "Task",
     "Trajectory",
     "run_episode",
-    "RewardWeights",
     "RuleJudge",
     "outcome_score",
     "partial_score",

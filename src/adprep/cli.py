@@ -32,7 +32,6 @@ from .harness import (
     score_case,
 )
 from .operators import SubprocessScriptBackend
-from .reward import DEFAULT_WEIGHTS, RewardWeights
 from .synthesis import (
     SynthesisError, is_bundle, read_bundle, synthesize_demo_task, verify_bundle, write_bundle,
 )
@@ -42,17 +41,6 @@ from .tables import TableIOError, serialize_table
 def _err(message: str) -> int:
     print(message, file=sys.stderr)
     return 2
-
-
-def _weights(args) -> RewardWeights:
-    return RewardWeights(alpha=args.alpha, beta=args.beta, gamma=args.gamma)
-
-
-def _add_weight_args(p):
-    w = DEFAULT_WEIGHTS
-    p.add_argument("--alpha", type=float, default=w.alpha, help="weight of exact-match reward")
-    p.add_argument("--beta", type=float, default=w.beta, help="weight of partial credit")
-    p.add_argument("--gamma", type=float, default=w.gamma, help="weight of the process judge")
 
 
 def _add_policy_args(p):
@@ -174,7 +162,6 @@ def _cmd_run(args) -> int:
     return _report(args, lambda: run_benchmark(
         args.suite_dir,
         _policy_factory(args),
-        weights=_weights(args),
         threads=args.threads,
         max_turns=args.max_turns,
         script_backend=args.script_backend,
@@ -187,7 +174,6 @@ def _run_single_episode(args, bundle, policy) -> int:
         traj, breakdown = score_case(
             bundle,
             policy,
-            weights=_weights(args),
             max_turns=args.max_turns,
             script_backend=args.script_backend,
             log_path=args.log,
@@ -219,7 +205,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    return _report(args, lambda: replay_suite(args.suite_dir, args.log_dir, weights=_weights(args)))
+    return _report(args, lambda: replay_suite(args.suite_dir, args.log_dir))
 
 
 def _cmd_replay(args) -> int:
@@ -255,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="print the report as JSON")
     _add_policy_args(p)
     _add_episode_args(p)
-    _add_weight_args(p)
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("solve", help="run one episode on a single bundle")
@@ -263,14 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_single_episode_args(p)
     _add_policy_args(p)
     _add_episode_args(p)
-    _add_weight_args(p)
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("score", help="re-score logged episodes against a suite")
     p.add_argument("suite_dir")
     p.add_argument("log_dir")
     p.add_argument("--json", action="store_true")
-    _add_weight_args(p)
     p.set_defaults(fn=_cmd_score)
 
     p = sub.add_parser("replay", help="re-drive one episode from a reply script")
@@ -278,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("script", help="json file holding the list of canned replies")
     _add_single_episode_args(p)
     _add_episode_args(p)
-    _add_weight_args(p)
     p.set_defaults(fn=_cmd_replay)
 
     return parser

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .agent import MAX_TURNS, Task, Trajectory, TurnRecord, run_episode
-from .reward import DEFAULT_WEIGHTS, RewardBreakdown, RewardWeights, score_trajectory
+from .reward import RewardBreakdown, score_trajectory
 from .synthesis import SynthesisError, TaskBundle, is_bundle, read_bundle, read_target
 from .tables import TableError, _write_text, table_from_json, table_to_json
 
@@ -43,9 +43,9 @@ class HarnessError(Exception):
     pass
 
 
-def compute_cost(wall_seconds: float, dollars_per_hour: float = GPU_DOLLARS_PER_HOUR) -> float:
+def compute_cost(wall_seconds: float) -> float:
     """Serving cost of holding the hardware for the given wall time."""
-    return dollars_per_hour * wall_seconds / 3600.0
+    return GPU_DOLLARS_PER_HOUR * wall_seconds / 3600.0
 
 
 @dataclass
@@ -70,7 +70,6 @@ class CaseResult:
 class Report:
     rows: list[CaseResult] = field(default_factory=list)
     note: str = ""
-    dollars_per_hour: float = GPU_DOLLARS_PER_HOUR
 
     @property
     def n_tasks(self) -> int:
@@ -96,7 +95,7 @@ class Report:
 
     @property
     def cost(self) -> float:
-        return compute_cost(self.wall_time_total, self.dollars_per_hour)
+        return compute_cost(self.wall_time_total)
 
     @property
     def mean_cost(self) -> float:
@@ -117,7 +116,7 @@ class Report:
         rows = []
         for r in self.rows:
             row = r.to_row()
-            row["cost"] = compute_cost(r.wall_time, self.dollars_per_hour)
+            row["cost"] = compute_cost(r.wall_time)
             rows.append(row)
         return {
             "note": self.note,
@@ -127,7 +126,7 @@ class Report:
             "wall_time_total": self.wall_time_total,
             "cost": self.cost,
             "mean_cost": self.mean_cost,
-            "dollars_per_hour": self.dollars_per_hour,
+            "dollars_per_hour": GPU_DOLLARS_PER_HOUR,
             "rows": rows,
         }
 
@@ -293,8 +292,6 @@ def score_case(
     bundle: TaskBundle,
     policy,
     *,
-    weights: RewardWeights = DEFAULT_WEIGHTS,
-    judge=None,
     max_turns: int = MAX_TURNS,
     script_backend=None,
     log_path: str | Path | None = None,
@@ -308,7 +305,7 @@ def score_case(
         max_turns=max_turns,
         script_backend=script_backend,
     )
-    breakdown = score_trajectory(traj, bundle.target_table, weights=weights, judge=judge)
+    breakdown = score_trajectory(traj, bundle.target_table)
     if log_path is not None:
         try:
             write_trajectory_log(log_path, traj, breakdown.to_json())
@@ -359,8 +356,6 @@ def run_benchmark(
     suite_dir: str | Path,
     policy_factory,
     *,
-    weights: RewardWeights = DEFAULT_WEIGHTS,
-    judge_factory=None,
     threads: int = 1,
     max_turns: int = MAX_TURNS,
     script_backend=None,
@@ -407,8 +402,6 @@ def run_benchmark(
             traj, breakdown = score_case(
                 bundle,
                 policy,
-                weights=weights,
-                judge=judge_factory() if judge_factory else None,
                 max_turns=max_turns,
                 script_backend=script_backend,
                 log_path=log_path,
@@ -436,13 +429,7 @@ def run_benchmark(
     return report
 
 
-def replay_suite(
-    suite_dir: str | Path,
-    log_dir: str | Path,
-    *,
-    weights: RewardWeights = DEFAULT_WEIGHTS,
-    judge=None,
-) -> Report:
+def replay_suite(suite_dir: str | Path, log_dir: str | Path) -> Report:
     """Re-score logged episodes against the suite's targets, no model needed.
 
     Each row is scored as run_benchmark scored it live: the outcome and
@@ -481,7 +468,7 @@ def replay_suite(
                 rows.append(CaseResult(task_id=task_id, status="missing_log"))
             continue
         try:
-            breakdown = score_trajectory(traj, target, weights=weights, judge=judge)
+            breakdown = score_trajectory(traj, target)
             rows.append(_case_from_scores(task_id, traj, breakdown))
         except Exception as exc:
             rows.append(_internal_error(task_id, exc))

@@ -1552,7 +1552,8 @@ def execute_operator(
         out = sig.handler(op, *args)
     except ExecError:
         raise
-    except (TableError, EvalError) as exc:
+    except (TableError, EvalError, OverflowError) as exc:
+        # OverflowError: an int literal past a float's range met float math
         raise ExecError(op, str(exc)) from None
     # an output named like a table already in the set keeps that table's slot
     new_state = {k: t for k, t in state.items() if k == out.name or k not in named}

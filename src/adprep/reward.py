@@ -2,15 +2,17 @@
 
 The total reward blends three signals:
 
-    total = alpha * outcome + beta * partial + gamma * process
+    total = ALPHA * outcome + BETA * partial + GAMMA * process
+
+with fixed weights; each report row and each log's "scores" carries the
+three signals, so a caller that wants another blend computes it from them.
 
 Outcome is all-or-nothing table equality. Partial credit averages three
 cheap similarities between the produced table and the target: column-name
 overlap, row-count closeness, and positional cell agreement. The process
 score judges how the episode was conducted (plans matching actions,
 reacting to failures, backtracking only away from dead ends). RuleJudge
-scores it from the turns alone; score_trajectory takes any other judge
-whose `score(trajectory)` returns JudgeScores.
+scores it from the turns alone.
 """
 
 from __future__ import annotations
@@ -25,18 +27,7 @@ from .tables import Table, column_keys, sort_order, tables_equal
 from .agent import Trajectory
 
 
-@dataclass(frozen=True)
-class RewardWeights:
-    alpha: float = 1.0
-    beta: float = 0.5
-    gamma: float = 0.2
-
-    def blend(self, outcome: float, partial: float, process: float) -> float:
-        """The total reward: alpha * outcome + beta * partial + gamma * process."""
-        return self.alpha * outcome + self.beta * partial + self.gamma * process
-
-
-DEFAULT_WEIGHTS = RewardWeights()
+ALPHA, BETA, GAMMA = 1.0, 0.5, 0.2
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +222,7 @@ class RewardBreakdown:
         return {**vars(self), "judge": dict(vars(self.judge))}
 
 
-def score_trajectory(
-    traj: Trajectory,
-    target: Table,
-    *,
-    weights: RewardWeights = DEFAULT_WEIGHTS,
-    judge=None,
-) -> RewardBreakdown:
+def score_trajectory(traj: Trajectory, target: Table) -> RewardBreakdown:
     """Score one episode against its target table.
 
     Only an answered episode solves its task: an empty_result whose 0-row
@@ -251,13 +236,13 @@ def score_trajectory(
         exact, s_sch, s_shp, s_cnt = _similarities(predicted, target)
         r_part = _partial_credit(exact, s_sch, s_shp, s_cnt)
         r_out = 1.0 if exact and traj.answered else 0.0
-    judge_scores = (judge or RuleJudge()).score(traj)
+    judge_scores = RuleJudge().score(traj)
     r_llm = judge_scores.mean
     return RewardBreakdown(
         outcome=r_out,
         partial=r_part,
         process=r_llm,
-        total=weights.blend(r_out, r_part, r_llm),
+        total=ALPHA * r_out + BETA * r_part + GAMMA * r_llm,
         schema_sim=s_sch,
         shape_sim=s_shp,
         cell_sim=s_cnt,

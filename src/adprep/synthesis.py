@@ -21,7 +21,7 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .expr import date_reader, date_writer, read_date_column, write_date_column
+from .expr import Call, ColRef, date_reader, date_writer, read_date_column, write_date_column
 from .operators import (
     OperatorInstance,
     OpParseError,
@@ -156,7 +156,7 @@ def _corrupt_uppercase(rng, t: Table):
     if tuple(shouted) == tuple(cells):
         return None  # nothing changed; not a corruption
     damaged = _swap_column(t, col, shouted)
-    expr = f'lower(col("{col}"))'
+    expr = Call("lower", (ColRef(col),))
     return damaged, make_operator("ValueTransform", t.name, col, expr)
 
 

@@ -82,8 +82,12 @@ class TreeNode:
         return self._path
 
     def child(self, op: OperatorInstance) -> "TreeNode | None":
-        """The first child whose edge equals `op`, or None."""
-        return next((c for c in self.children if c.op == op), None)
+        """The first child whose edge has `op`'s canonical call text, or None.
+
+        Text, not `==`: an op's literals compare with Python `==`, under
+        which `1`, `1.0` and `true` are one value, but each renders as
+        itself and may give a different table."""
+        return next((c for c in self.children if c.op_text == op.text), None)
 
 
 @dataclass
@@ -113,7 +117,7 @@ class ReasoningTree:
     def resolve(self, prefix) -> TreeNode:
         """Find the node reached by an operator chain from the root.
 
-        Follows the first child whose edge equals each operator in turn;
+        Follows the first child whose edge has each operator's call text;
         a miss raises TreeError naming the children that do exist.
         """
         node = self.root

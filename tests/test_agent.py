@@ -35,7 +35,7 @@ from adprep.agent import (
 from adprep.expr import FUNCTIONS
 from adprep.harness import load_trajectory_log, write_trajectory_log
 from adprep.operators import AGG_FNS, make_operator, serialize_operator_call
-from adprep.tables import INT, TEXT, ColumnSpec, Schema, make_table, serialize_table, tables_equal
+from adprep.tables import BOOL, INT, TEXT, ColumnSpec, Schema, make_table, serialize_table, tables_equal
 from adprep.tree import ReasoningTree
 from conftest import SPLITLINES_ONLY_BREAKS, random_table
 from reference_lexers import split_chain as reference_split_chain
@@ -725,6 +725,36 @@ def test_a_date_format_strftime_cannot_write_fails_the_operator():
     assert turn.failure_op_kind == "StandardizeDatetime"
     assert turn.failure_detail == "%Y\udc80"
     assert turn.created_paths == []
+
+
+def test_a_float_overflow_fails_the_operator():
+    # an int literal past a float's range meets float math
+    call = f'AddNewColumn("movies", "d", "to_real({"9" * 400})")'
+    reply = f"<plan>add d to movies</plan><expand>parent: root\n{call}</expand>"
+    traj = run_episode(make_task(), ScriptedPolicy([reply]), max_turns=1)
+    assert traj.status == "turn_limit"
+    turn = traj.turns[0]
+    assert (turn.action, turn.failure_op_kind) == ("expand", "AddNewColumn")
+    assert turn.failure_text.endswith("failed: int too large to convert to float")
+    assert turn.created_paths == []
+
+
+def test_an_expand_reuses_no_child_of_another_call_text():
+    # true and 1 are one value to Python's ==, but the second filter keeps
+    # no row, so it must not land on the first filter's node
+    t = make_table("t", [("a", INT), ("f", BOOL)], [(1, True), (2, False)])
+    is_true = 'Filter("t", "col(\\"f\\") == true")'
+    is_one = 'Filter("t", "col(\\"f\\") == 1")'
+    replies = [
+        f"<plan>filter t on f</plan><expand>parent: root\n{call}</expand>"
+        for call in (is_true, is_one)
+    ]
+    replies.append(f"<plan>answer t filtered on f</plan><answer>\n{is_one}\ntarget: t\n</answer>")
+    traj = run_episode(Task("reuse", {"t": t}, t.schema), ScriptedPolicy(replies))
+    assert [turn.created_paths for turn in traj.turns] == [[is_true], [is_one], []]
+    assert traj.answer_path == is_one
+    assert traj.final_table.n_rows == 0
+    assert traj.status == "empty_result"
 
 
 def test_scripted_policy_from_non_utf8_file_is_a_policy_error(tmp_path):

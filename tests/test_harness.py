@@ -53,7 +53,6 @@ def test_compute_cost():
     assert compute_cost(3600.0) == pytest.approx(0.91, abs=1e-9)
     assert compute_cost(1800.0) == pytest.approx(0.455, abs=1e-9)
     assert compute_cost(0.0) == 0.0
-    assert compute_cost(7200.0, dollars_per_hour=2.0) == pytest.approx(4.0, abs=1e-9)
 
 
 # -- benchmark runs ----------------------------------------------------------
@@ -229,19 +228,23 @@ def test_malformed_bundle_file_is_a_typed_load_error_row(tmp_path, name, text):
     assert by_id["task-001"].status == "answered"
 
 
-class _BrokenJudge:
-    """Raises on one task, as a broken judge or scorer would."""
+def _break_the_judge(monkeypatch):
+    """Make RuleJudge raise on one task, as a broken judge or scorer would."""
+    score = RuleJudge.score
 
-    def score(self, traj):
+    def broken(self, traj):
         if traj.task_id == "task-007":
             raise RuntimeError("judge fell over")
-        return RuleJudge().score(traj)
+        return score(self, traj)
+
+    monkeypatch.setattr(RuleJudge, "score", broken)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_a_task_that_raises_becomes_an_internal_error_row(tmp_path, threads):
+def test_a_task_that_raises_becomes_an_internal_error_row(tmp_path, monkeypatch, threads):
     suite = build_suite(tmp_path)
-    report = run_benchmark(suite, gt_replay_policy, judge_factory=_BrokenJudge, threads=threads)
+    _break_the_judge(monkeypatch)
+    report = run_benchmark(suite, gt_replay_policy, threads=threads)
     by_id = {r.task_id: r for r in report.rows}
     assert by_id["task-007"].status == "internal_error"
     assert by_id["task-007"].error == "RuntimeError: judge fell over"
@@ -252,11 +255,13 @@ def test_a_task_that_raises_becomes_an_internal_error_row(tmp_path, threads):
     assert report.accuracy == 75.0
 
 
-def test_a_log_that_fails_to_score_becomes_an_internal_error_row(tmp_path):
+def test_a_log_that_fails_to_score_becomes_an_internal_error_row(tmp_path, monkeypatch):
     suite = build_suite(tmp_path, seeds=(1, 7, 13))
     logs = tmp_path / "logs"
     run_benchmark(suite, gt_replay_policy, log_dir=logs)
-    judged = replay_suite(suite, logs, judge=_BrokenJudge())
+    with monkeypatch.context() as patch:
+        _break_the_judge(patch)
+        judged = replay_suite(suite, logs)
     assert {r.task_id: r.error for r in judged.rows} == {
         "task-001": None, "task-007": "RuntimeError: judge fell over", "task-013": None,
     }

@@ -1,6 +1,7 @@
 """Source hygiene: every module of the package uses each name it imports,
 every function, class and public method it defines is called outside the
-tests, and every default of a private function is passed by some caller."""
+tests, and every default of a function is passed by some caller or listed
+with its reason."""
 
 import ast
 import json
@@ -149,13 +150,17 @@ def test_every_definition_has_a_caller_outside_the_tests():
     assert unnamed_definitions(modules, elsewhere) == UNNAMED_ALLOWED
 
 
-def unpassed_defaults(modules: dict[str, str], elsewhere: dict[str, str]) -> list[str]:
+def unpassed_defaults(
+    modules: dict[str, str], elsewhere: dict[str, str], public: bool = False
+) -> list[str]:
     """`file:function(param)` for each defaulted parameter of a private
     function or method of `modules` (one leading underscore, not a dunder)
     that no call in `modules` or `elsewhere` passes, by keyword or by
-    position. Calls are matched on the called name (`f(...)`, `x.f(...)`); a
-    method's positions skip `self`, and a call with `*args` or `**kwargs`
-    passes every parameter."""
+    position. With `public`, the same for each public function or method and
+    each `__init__`, which is labelled and called by its class name. Calls
+    are matched on the called name (`f(...)`, `x.f(...)`); a method's
+    positions skip `self`, and a call with `*args` or `**kwargs` passes
+    every parameter."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
     calls: dict[str, list[ast.Call]] = {}
     for tree in [*trees.values(), *map(ast.parse, elsewhere.values())]:
@@ -166,17 +171,22 @@ def unpassed_defaults(modules: dict[str, str], elsewhere: dict[str, str]) -> lis
                 calls.setdefault(called, []).append(node)
     found = []
     for name, tree in trees.items():
-        methods = {
-            id(f) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for f in cls.body
+        owners = {
+            id(f): cls.name
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for f in cls.body
             if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
             and not any(getattr(d, "id", None) == "staticmethod" for d in f.decorator_list)
         }
         for node in ast.walk(tree):
-            if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and node.name.startswith("_") and not node.name.startswith("__")):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            called = node.name
+            if node.name == "__init__" and public and id(node) in owners:
+                called = owners[id(node)]
+            elif node.name.startswith("_") == public or node.name.startswith("__"):
                 continue
             args = node.args
-            positional = [a.arg for a in args.posonlyargs + args.args][id(node) in methods:]
+            positional = [a.arg for a in args.posonlyargs + args.args][id(node) in owners:]
             first = len(positional) - len(args.defaults)
             defaulted = [(i, positional[i]) for i in range(first, len(positional))]
             defaulted += [
@@ -187,9 +197,9 @@ def unpassed_defaults(modules: dict[str, str], elsewhere: dict[str, str]) -> lis
                     any(k.arg in (param, None) for k in call.keywords)
                     or any(isinstance(a, ast.Starred) for a in call.args)
                     or (i is not None and len(call.args) > i)
-                    for call in calls.get(node.name, ())
+                    for call in calls.get(called, ())
                 ):
-                    found.append(f"{name}:{node.name}({param})")
+                    found.append(f"{name}:{called}({param})")
     return found
 
 
@@ -207,6 +217,16 @@ def test_unpassed_defaults_are_found():
     }
     elsewhere = {"bench.py": "Box._s(1)\n"}
     assert unpassed_defaults(modules, elsewhere) == ["a.py:_f(b)", "a.py:_f(d)", "a.py:_m(b)"]
+    modules = {
+        "a.py": "def f(a, b=1, *, c=2):\n    pass\n\n"
+        "def _g(a=1):\n    pass\n\n"
+        "class Box:\n    def __init__(self, a=1, b=2):\n        pass\n\n"
+        "    def get(self, k=0):\n        pass\n\n"
+        "    def __eq__(self, other=None):\n        pass\n\n"
+        "f(0, c=1)\nBox(0)\n",
+    }
+    elsewhere = {"bench.py": "Box(1).get(k=1)\n"}
+    assert unpassed_defaults(modules, elsewhere, public=True) == ["a.py:f(b)", "a.py:Box(b)"]
 
 
 def test_every_private_default_is_passed_somewhere():
@@ -217,6 +237,35 @@ def test_every_private_default_is_passed_somewhere():
     perfbench = Path(__file__).resolve().parent.parent / "perfbench"
     elsewhere = {p.name: p.read_text(encoding="utf-8") for p in sorted(perfbench.glob("*.py"))}
     assert unpassed_defaults(modules, elsewhere) == []
+
+
+# public defaults that no caller passes but that stay, each with its reason
+PUBLIC_DEFAULTS_ALLOWED = {
+    "agent.py:HttpChatPolicy(timeout)":
+        "a library caller's slow endpoint may need longer than the 120 s default",
+    "agent.py:HttpChatPolicy(headers)":
+        "a library caller's endpoint that wants an API key reads it from a header",
+    "cli.py:main(argv)": "`python -m adprep` calls main() so that argparse reads sys.argv",
+    "pipeline.py:run_pipeline(script_backend)":
+        "a library caller runs an ExeCode pipeline with a backend; synthesis runs none",
+    "synthesis.py:corrupt_table(attempts)":
+        "bounds the draws per table; synthesize_task keeps the default",
+    "tables.py:make_table(description)": "the table description a Schema holds, as its builder",
+    "tables.py:table_from_csv_text(schema)":
+        "types csv text by a known schema, as read_table(schema=) types a file",
+}
+
+
+def test_every_public_default_is_passed_somewhere():
+    """The public twin of the check above: a defaulted parameter of a
+    public function, method or `__init__` that no call in the package or
+    perfbench/ passes is a knob only the tests turn, so it goes or is listed
+    in PUBLIC_DEFAULTS_ALLOWED with its reason."""
+    modules = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    elsewhere = {p.name: p.read_text(encoding="utf-8") for p in sorted(perfbench.glob("*.py"))}
+    found = unpassed_defaults(modules, elsewhere, public=True)
+    assert sorted(found) == sorted(PUBLIC_DEFAULTS_ALLOWED)
 
 
 def _lines_of(tree: ast.AST, path: str) -> set[int]:

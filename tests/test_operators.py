@@ -403,6 +403,22 @@ def test_standardize_datetime_bad_cell_reports_value():
     assert "row 1" in err.value.message
 
 
+HUGE = "9" * 400  # an int literal past a float's range
+
+
+@pytest.mark.parametrize("call", [
+    f'AddNewColumn("t", "d", "to_real({HUGE})")',
+    f'AddNewColumn("t", "d", "{HUGE} % 2.0")',
+    f'CalculateStatistic("t", "avg", "{HUGE}")',
+], ids=["to_real", "modulo", "avg"])
+def test_float_overflow_is_an_exec_error(call):
+    t = make_table("t", [("a", INT)], [(1,), (2,)])
+    with pytest.raises(ExecError) as err:
+        run(call, {"t": t})
+    assert err.value.op == parse_operator_call(call)
+    assert "too large" in err.value.message
+
+
 @pytest.mark.parametrize("op", [
     make_operator("StandardizeDatetime", "t", "d", "%Y\udc80"),
     make_operator("StandardizeDatetime", "t", "d", "%j\udc80"),

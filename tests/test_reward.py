@@ -8,9 +8,7 @@ import pytest
 from adprep.agent import Trajectory, TurnRecord, run_episode, ScriptedPolicy
 from adprep.harness import load_trajectory_log, write_trajectory_log
 from adprep.reward import (
-    DEFAULT_WEIGHTS,
     JudgeScores,
-    RewardWeights,
     RuleJudge,
     cell_score,
     outcome_score,
@@ -273,11 +271,3 @@ def test_score_trajectory_zero_table():
     assert breakdown.process == 1.0
     assert breakdown.total == pytest.approx(0.2)
 
-
-def test_custom_weights():
-    w = RewardWeights(alpha=2.0, beta=0.0, gamma=0.0)
-    task = make_task()
-    traj = run_episode(task, ScriptedPolicy([EXPAND_REPLY, ANSWER_REPLY]))
-    breakdown = score_trajectory(traj, traj.final_table, weights=w)
-    assert breakdown.total == pytest.approx(2.0)
-    assert DEFAULT_WEIGHTS.alpha == 1.0 and DEFAULT_WEIGHTS.beta == 0.5 and DEFAULT_WEIGHTS.gamma == 0.2

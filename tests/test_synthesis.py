@@ -210,6 +210,22 @@ def test_synthesize_task_builds_verified_bundle():
     assert trace.ok
 
 
+def test_uppercase_cleaner_of_a_quoted_column_name_round_trips(tmp_path):
+    # the cleaner is built as an expression tree, so a quote in the name is
+    # escaped when the call is written, not spliced into DSL text
+    t = make_table("people", [("id", INT), ('na"me', TEXT)], [(1, "ada"), (2, "grace")])
+    ops = [make_operator("Sort", "people", ["id"], True)]
+    bundle = synthesize_task(
+        random.Random(0), "quoted", {"people": t}, ops, max_corruptions=1, kinds=["uppercase_text"]
+    )
+    assert bundle.provenance["corruptions"] == {"people": ["uppercase_text"]}
+    assert bundle.sources["people"].column('na"me') == ("ADA", "GRACE")
+    assert serialize_pipeline(bundle.gt_pipeline[:1]) == (
+        'ValueTransform("people", "na\\"me", "lower(col(\\"na\\\\\\"me\\"))")\n'
+    )
+    verify_bundle(read_bundle(write_bundle(bundle, tmp_path / "quoted")))
+
+
 def test_synthesize_task_rejects_broken_task_ops():
     rng = random.Random(2)
     with pytest.raises(SynthesisError):

@@ -7,7 +7,7 @@ import pytest
 from adprep.operators import parse_operator_call
 from adprep.pipeline import parse_pipeline
 from adprep.tree import ReasoningTree, TreeError
-from adprep.tables import INT, TEXT, make_table
+from adprep.tables import BOOL, INT, REAL, TEXT, make_table
 from conftest import random_table
 
 
@@ -62,6 +62,28 @@ def test_expand_reuses_existing_children():
     tree.expand(tree.root, parse_pipeline(f"{DEDUP}\n{DROPNA}\n"))
     assert len(tree.root.children) == 1
     assert len(tree.nodes) == 3
+
+
+def test_expand_reuses_a_child_only_for_the_same_call_text():
+    # 1, 1.0 and true are one value to Python's ==, yet each literal keeps
+    # its own dtype, so each edge is a state of its own
+    t = make_table("t", [("a", INT), ("f", BOOL)], [(1, True), (2, False)])
+    tree = ReasoningTree({"t": t})
+
+    def leaf(call):
+        return tree.expand(tree.root, [parse_operator_call(call)]).leaf
+
+    plus_int = leaf('AddNewColumn("t", "b", "col(\\"a\\") + 1")')
+    plus_real = leaf('AddNewColumn("t", "b", "col(\\"a\\") + 1.0")')
+    is_true = leaf('Filter("t", "col(\\"f\\") == true")')
+    is_one = leaf('Filter("t", "col(\\"f\\") == 1")')
+    assert len(tree.root.children) == 4
+    assert plus_int.state["t"].column("b") == (2, 3)
+    assert plus_real.state["t"].column("b") == (2.0, 3.0)
+    assert plus_real.state["t"].schema.columns[-1].dtype == REAL
+    assert (is_true.state["t"].n_rows, is_one.state["t"].n_rows) == (1, 0)
+    for node in (plus_int, plus_real, is_true, is_one):
+        assert tree.resolve(node.prefix) is node
 
 
 def test_resolve_walks_prefix_and_reports_misses():
