@@ -37,11 +37,12 @@ from __future__ import annotations
 import functools
 import json
 import re
+import textwrap
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .expr import ExprParseError, tokenize
+from . import expr
 from .operators import (
     OperatorInstance,
     OpParseError,
@@ -164,8 +165,8 @@ def split_chain(text: str) -> list[str]:
     """Split an operator chain at the call lexer's ARROW tokens. Text the
     lexer rejects stays one part, whose parse reports the lexer's error."""
     try:
-        arrows = [pos for kind, _, pos in tokenize(text, call=True) if kind == "ARROW"]
-    except ExprParseError:
+        arrows = [pos for kind, _, pos in expr.tokenize(text, call=True) if kind == "ARROW"]
+    except expr.ExprParseError:
         return [text.strip()]
     starts, ends = [0, *(pos + 2 for pos in arrows)], [*arrows, len(text)]
     return [text[a:b].strip() for a, b in zip(starts, ends)]
@@ -336,8 +337,7 @@ the environment; never write one yourself.
 Operator calls are positional. Strings are double-quoted; lists use [...];
 maps use {{...}}. func parameters take a small expression language:
 col("name") reads a column; literals, + - * / %, comparisons, and/or/not;
-functions lower upper trim concat split replace substr contains starts_with
-is_null coalesce to_int to_real to_text at parse_date format_date if.
+{textwrap.fill("functions " + " ".join(expr.FUNCTIONS) + ".", 76)}
 Comparisons and arithmetic on null yield null.
 
 operators by category:

@@ -30,6 +30,11 @@ from strptime and strftime only after a setlocale call.
 
 Operator precedence, loosest first: or, and, comparison, additive,
 multiplicative, unary (not, -), then calls and atoms.
+
+The same lexer and parser read operator-call text, whose `func` arguments
+hold DSL text: parse_call shares parse_expr's literal rule, comma lists and
+nesting cap, and each syntax error carries its position. print_value writes
+the values of both grammars.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from functools import lru_cache
 from operator import ge, gt, itemgetter, le, lt
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Container, Sequence
 
 from .tables import INT, INT64_MAX, INT64_MIN, REAL, TEXT, Cell, cell_hash_key, render_scalar
 
@@ -114,9 +119,9 @@ FUNCTIONS: dict[str, tuple[int, int | None]] = {
     "if": (3, 3),
 }
 
-# Deepest nesting the parsers accept. A level is a parenthesis, a call, a unary
-# operator or one more operator in a binary chain, so the cap bounds the
-# recursion of parsing and of evaluating and printing the resulting tree.
+# Deepest nesting the parser accepts. A level is a parenthesis, a call, a unary
+# operator, one more operator in a binary chain or a list in call text, so the
+# cap bounds the recursion of parsing and of evaluating and printing the tree.
 MAX_DEPTH = 64
 
 
@@ -231,10 +236,19 @@ _PRECEDENCE = {
 _UNARY_PREC = 6
 
 
+_KEYWORDS = {"true": True, "false": False, "null": None}
+_NO_LITERAL = object()  # literal() found none at the cursor
+
+
 class _Parser:
-    def __init__(self, src: str):
+    """Recursive descent over tokenize's tokens: DSL text, or operator-call
+    text when `call` is set. One cursor, one literal rule, one comma list
+    and one nesting cap serve both grammars."""
+
+    def __init__(self, src: str, call: bool = False):
         self.src = src
-        self.tokens = tokenize(src)
+        self.call = call
+        self.tokens = tokenize(src, call)
         self.i = 0
         self.depth = 0
 
@@ -257,13 +271,41 @@ class _Parser:
         """Go one nesting level down; callers restore self.depth on the way up."""
         self.depth += 1
         if self.depth > MAX_DEPTH:
-            raise ExprParseError(f"expression nests deeper than {MAX_DEPTH} levels", self.cur[2])
+            what = "lists nest" if self.call else "expression nests"
+            raise ExprParseError(f"{what} deeper than {MAX_DEPTH} levels", self.cur[2])
 
-    def parse(self) -> Expr:
-        e = self.binary()
+    def end(self) -> None:
         k, v, pos = self.cur
         if k != "EOF":
             raise ExprParseError(f"unexpected trailing input {v!r}", pos)
+
+    def literal(self) -> Any:
+        """The number, string, true, false or null at the cursor, consumed;
+        _NO_LITERAL, with the cursor left in place, for any other token."""
+        kind, value, pos = self.cur
+        if kind == "REAL":
+            value = real_literal(value, self.src, pos)
+        elif kind == "IDENT" and value in _KEYWORDS:
+            value = _KEYWORDS[value]
+        elif kind != "INT" and kind != "STRING":
+            return _NO_LITERAL
+        self.i += 1
+        return value
+
+    def items(self, item: Callable[[], Any], close: str) -> list:
+        """item() for each entry of a comma list, then the `close` token."""
+        out = []
+        if self.cur[0] != close:
+            out.append(item())
+            while self.cur[0] == "COMMA":
+                self.i += 1
+                out.append(item())
+        self.expect(close)
+        return out
+
+    def parse(self) -> Expr:
+        e = self.binary()
+        self.end()
         return e
 
     def binary(self, prec: int = 1) -> Expr:
@@ -283,31 +325,22 @@ class _Parser:
 
     def unary_expr(self) -> Expr:
         kind, value, _ = self.cur
-        if kind == "OP" and value == "-":
+        if (kind == "OP" and value == "-") or (kind == "IDENT" and value == "not"):
             self.advance()
             self.deeper()
             operand = self.unary_expr()
             self.depth -= 1
             # fold negative numeric literals so printing round-trips
-            if isinstance(operand, Lit) and isinstance(operand.value, (int, float)) \
-                    and not isinstance(operand.value, bool):
+            if value == "-" and isinstance(operand, Lit) and _is_number(operand.value):
                 return Lit(-operand.value)
-            return Unary("-", operand)
-        if kind == "IDENT" and value == "not":
-            self.advance()
-            self.deeper()
-            operand = self.unary_expr()
-            self.depth -= 1
-            return Unary("not", operand)
+            return Unary(value, operand)
         return self.atom()
 
     def atom(self) -> Expr:
-        kind, value, pos = self.cur
-        if kind == "REAL":
-            value = real_literal(value, self.src, pos)
-        if kind == "INT" or kind == "REAL" or kind == "STRING":
-            self.advance()
+        value = self.literal()
+        if value is not _NO_LITERAL:
             return Lit(value)
+        kind, value, pos = self.cur
         if kind == "LPAREN":
             self.advance()
             self.deeper()
@@ -316,15 +349,6 @@ class _Parser:
             self.expect("RPAREN")
             return e
         if kind == "IDENT":
-            if value == "true":
-                self.advance()
-                return Lit(True)
-            if value == "false":
-                self.advance()
-                return Lit(False)
-            if value == "null":
-                self.advance()
-                return Lit(None)
             if value == "col":
                 self.advance()
                 self.expect("LPAREN")
@@ -337,15 +361,9 @@ class _Parser:
             if value in FUNCTIONS:
                 self.advance()
                 self.expect("LPAREN")
-                args = []
                 self.deeper()
-                if self.cur[0] != "RPAREN":
-                    args.append(self.binary())
-                    while self.cur[0] == "COMMA":
-                        self.advance()
-                        args.append(self.binary())
+                args = self.items(self.binary, "RPAREN")
                 self.depth -= 1
-                self.expect("RPAREN")
                 lo, hi = FUNCTIONS[value]
                 if len(args) < lo or (hi is not None and len(args) > hi):
                     raise ExprParseError(
@@ -357,10 +375,60 @@ class _Parser:
             raise ExprParseError(f"unknown identifier {value!r}", pos)
         raise ExprParseError(f"expected expression, found {value!r}", pos)
 
+    # the call grammar: a value is a literal, a bare identifier (read as
+    # text), a list of values, or a map whose keys and values are text
+
+    def value(self) -> Any:
+        value = self.literal()
+        if value is not _NO_LITERAL:
+            return value
+        kind, value, pos = self.cur
+        if kind == "IDENT":
+            self.advance()
+            return value
+        if kind == "LBRACK":
+            self.deeper()
+            self.advance()
+            values = self.items(self.value, "RBRACK")
+            self.depth -= 1
+            return values
+        if kind == "LBRACE":
+            self.advance()
+            return dict(self.items(self.map_entry, "RBRACE"))
+        raise ExprParseError(f"expected a value, found {value!r}", pos)
+
+    def map_entry(self) -> tuple[str, str]:
+        key = self.map_text("map key")
+        self.expect("COLON")
+        return key, self.map_text("map value")
+
+    def map_text(self, what: str) -> str:
+        kind, value, pos = self.cur
+        if kind != "STRING" and kind != "IDENT":
+            raise ExprParseError(f"expected text for {what}, found {value!r}", pos)
+        self.advance()
+        return value
+
 
 def parse_expr(src: str) -> Expr:
     """Parse DSL source text into an expression tree."""
     return _Parser(src).parse()
+
+
+def parse_call(src: str, names: Container[str]) -> tuple[str, list]:
+    """Read operator-call text such as Deduplicate("t", ["id"], "first") as
+    (operator name, argument values). A name not in `names` is an error
+    before any later one; every error is an ExprParseError with its position."""
+    parser = _Parser(src, call=True)
+    kind, name, pos = parser.advance()
+    if kind != "IDENT":
+        raise ExprParseError(f"expected an operator name, found {name!r}", pos)
+    if name not in names:
+        raise ExprParseError(f"unknown operator {name!r}", pos)
+    parser.expect("LPAREN")
+    args = parser.items(parser.value, "RPAREN")
+    parser.end()
+    return name, args
 
 
 # ---------------------------------------------------------------------------
@@ -381,19 +449,31 @@ def _prec(e: Expr) -> int:
     return 7
 
 
+def print_value(v: Any) -> str:
+    """Canonical text of a value, which the parser reads back: null, true or
+    false, a quoted string or a number; and as call text writes them, a list
+    of values, a map of text to text, or an expression as its quoted DSL."""
+    if isinstance(v, str):
+        return _string_literal(v)
+    if v is None:
+        return "null"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (int, float)):
+        return repr(v)
+    if isinstance(v, list):
+        return "[" + ", ".join(map(print_value, v)) + "]"
+    if isinstance(v, dict):
+        return "{" + ", ".join(f"{_string_literal(k)}: {_string_literal(x)}" for k, x in v.items()) + "}"
+    return _string_literal(print_expr(v))
+
+
 def print_expr(e: Expr) -> str:
     """Render an expression back to canonical DSL text; parse round-trips."""
     if isinstance(e, ColRef):
         return f"col({_string_literal(e.name)})"
     if isinstance(e, Lit):
-        v = e.value
-        if v is None:
-            return "null"
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, str):
-            return _string_literal(v)
-        return repr(v) if isinstance(v, float) else str(v)
+        return print_value(e.value)
     if isinstance(e, Unary):
         inner = print_expr(e.operand)
         if _prec(e.operand) < _UNARY_PREC:

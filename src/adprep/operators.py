@@ -11,7 +11,9 @@ Strings may be double- or single-quoted; bare identifiers are accepted
 wherever text is expected, so unquoted table and column names also parse.
 A scalar is accepted where a list is expected and becomes a one-element
 list. `func` parameters carry expression DSL source (see expr); ExeCode's
-`func` is raw script text for the pluggable backend.
+`func` is raw script text for the pluggable backend. expr.parse_call reads
+call text, expr.print_value writes it, and make_operator types the values by
+the operator's signature; a `func` tree is printed and parsed again.
 
 Execution is pure. Each handler maps the tables its operator names to one
 output table, and execute_operator alone applies the consume rule: every
@@ -33,26 +35,23 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Protocol, Sequence
 
 from .expr import (
-    MAX_DEPTH,
     TEXT_METHODS,
     Call,
     ColRef,
     EvalError,
     Expr,
     ExprParseError,
-    Token,
     cast_cell,
     compile_expr,
     date_reader,
     date_writer,
+    parse_call,
     parse_expr,
     print_expr,
+    print_value,
     read_date_column,
-    real_literal,
-    tokenize,
     write_date_column,
     _is_number,
-    _string_literal as _quote,
 )
 from .tables import (
     BOOL,
@@ -120,8 +119,8 @@ class ExecError(Exception):
 # registry
 # ---------------------------------------------------------------------------
 
-# parameter kinds drive parsing, serialization, and which values count as
-# table/column names for plan-consistency checks
+# parameter kinds drive how make_operator types a value, and which values
+# count as table/column names for plan-consistency checks
 P_TABLE = "table"
 P_TABLE_LIST = "table_list"
 P_COLUMN = "column"
@@ -176,7 +175,8 @@ class OperatorInstance:
 
     @functools.cached_property
     def text(self) -> str:
-        return _render_call(self)
+        # make_operator writes params in the order of the signature
+        return f"{self.kind}({', '.join(map(print_value, self.params.values()))})"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return self.text
@@ -216,86 +216,6 @@ def name_bearing_values(op: OperatorInstance) -> list[str]:
 # ---------------------------------------------------------------------------
 # call parsing
 # ---------------------------------------------------------------------------
-
-class _CallParser:
-    """Recursive descent over the call grammar of the DSL's lexer."""
-
-    def __init__(self, src: str):
-        self.src = src
-        try:
-            self.tokens = tokenize(src, call=True)
-        except ExprParseError as exc:
-            raise OpParseError(str(exc)) from None
-        self.i = 0
-
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> Token:
-        tok = self.cur
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str) -> Any:
-        k, v, _ = self.cur
-        if k != kind:
-            raise OpParseError(f"expected {kind}, found {v!r}")
-        return self.advance()[1]
-
-    def value(self, depth: int = 0) -> Any:
-        k, v, pos = self.cur
-        if k == "REAL":
-            try:
-                v = real_literal(v, self.src, pos)
-            except ExprParseError as exc:
-                raise OpParseError(str(exc)) from None
-        if k in ("STRING", "INT", "REAL"):
-            self.advance()
-            return v
-        if k == "IDENT":
-            self.advance()
-            if v == "true":
-                return True
-            if v == "false":
-                return False
-            if v == "null":
-                return None
-            return v  # bare identifier reads as text
-        if k == "LBRACK":
-            if depth >= MAX_DEPTH:
-                raise OpParseError(f"lists nest deeper than {MAX_DEPTH} levels")
-            self.advance()
-            items = []
-            if self.cur[0] != "RBRACK":
-                items.append(self.value(depth + 1))
-                while self.cur[0] == "COMMA":
-                    self.advance()
-                    items.append(self.value(depth + 1))
-            self.expect("RBRACK")
-            return items
-        if k == "LBRACE":
-            self.advance()
-            entries = {}
-            if self.cur[0] != "RBRACE":
-                while True:
-                    key = self._map_text("map key")
-                    self.expect("COLON")
-                    entries[key] = self._map_text("map value")
-                    if self.cur[0] != "COMMA":
-                        break
-                    self.advance()
-            self.expect("RBRACE")
-            return entries
-        raise OpParseError(f"expected a value, found {v!r}")
-
-    def _map_text(self, what: str) -> str:
-        k, v, _ = self.cur
-        if k in ("STRING", "IDENT"):
-            self.advance()
-            return v
-        raise OpParseError(f"expected text for {what}, found {v!r}")
-
 
 def _coerce_text(v: Any, p: Param, kind: str) -> str:
     if not isinstance(v, str):
@@ -337,7 +257,7 @@ def _coerce_param(v: Any, p: Param, op_kind: str) -> Any:
         return dict(v)
     if p.kind == P_EXPR:
         if isinstance(v, Expr):
-            return v
+            v = print_expr(v)  # a built tree gets the checks parsed text gets
         if not isinstance(v, str):
             raise OpParseError(f"parameter {p.name!r} expects DSL text, got {v!r}")
         try:
@@ -390,24 +310,11 @@ def parse_operator_call(src: str) -> OperatorInstance:
     A bounded memo keyed on the text hands every caller of one text the same
     instance, so treat it as read-only. A malformed text raises OpParseError
     on every call: errors are not remembered."""
-    parser = _CallParser(src)
-    k, v, _ = parser.cur
-    if k != "IDENT":
-        raise OpParseError(f"expected an operator name, found {v!r}")
-    parser.advance()
-    if v not in REGISTRY:
-        raise OpParseError(f"unknown operator {v!r}")
-    parser.expect("LPAREN")
-    args = []
-    if parser.cur[0] != "RPAREN":
-        args.append(parser.value())
-        while parser.cur[0] == "COMMA":
-            parser.advance()
-            args.append(parser.value())
-    parser.expect("RPAREN")
-    if parser.cur[0] != "EOF":
-        raise OpParseError(f"unexpected trailing input {parser.cur[1]!r}")
-    return make_operator(v, *args)
+    try:
+        kind, args = parse_call(src, REGISTRY)
+    except ExprParseError as exc:
+        raise OpParseError(str(exc)) from None
+    return make_operator(kind, *args)
 
 
 _LINE_BREAK = re.compile(r"\r\n?|\n")
@@ -421,34 +328,10 @@ def split_lines(text: str) -> list[str]:
     return _LINE_BREAK.split(text)
 
 
-def _render_value(v: Any, p: Param) -> str:
-    if p.kind == P_EXPR:
-        return _quote(print_expr(v))
-    if p.kind in NAME_KINDS or p.kind in (P_TEXT, P_CODE, P_ENUM):
-        return _quote(v)
-    if p.kind in NAME_LIST_KINDS:
-        return "[" + ", ".join(_quote(x) for x in v) + "]"
-    if p.kind in (P_RENAME_MAP, P_AGG_MAP):
-        return "{" + ", ".join(f"{_quote(k)}: {_quote(val)}" for k, val in v.items()) + "}"
-    if p.kind == P_INT:
-        return str(v)
-    if p.kind == P_ASCENDING:
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        return "[" + ", ".join("true" if x else "false" for x in v) + "]"
-    raise AssertionError(f"unhandled param kind {p.kind}")
-
-
 def serialize_operator_call(op: OperatorInstance) -> str:
     """Canonical call text, rendered once per instance; parse_operator_call
     round-trips it."""
     return op.text
-
-
-def _render_call(op: OperatorInstance) -> str:
-    sig = REGISTRY[op.kind]
-    rendered = ", ".join(_render_value(op.params[p.name], p) for p in sig.params)
-    return f"{op.kind}({rendered})"
 
 
 # ---------------------------------------------------------------------------
@@ -1469,7 +1352,7 @@ REGISTRY: dict[str, OperatorSig] = {
              Param("table", P_TABLE), Param("k", P_INT)),
         # aggregation
         _sig("GroupBy", "aggregation", _exec_group_by,
-             "group by key columns; agg maps column -> sum|avg|min|max|count|count_distinct|first|last|concat",
+             "group by key columns; agg maps column -> " + "|".join(AGG_FNS),
              Param("table", P_TABLE), Param("by", P_COLUMN_LIST), Param("agg", P_AGG_MAP)),
         _sig("Count", "aggregation", _exec_count,
              "reduce the table to a 1x1 count of rows",

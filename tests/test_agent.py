@@ -848,8 +848,8 @@ def test_system_preamble_mentions_operators():
 
 
 def test_system_preamble_names_every_dsl_function_and_aggregate():
-    """The preamble lists the DSL functions and GroupBy's aggregates by hand,
-    so a function or aggregate added to the code must be added there too."""
+    """The preamble's function line is built from expr.FUNCTIONS and
+    GroupBy's doc from AGG_FNS, so each names every one of them."""
     text = build_system_preamble()
     functions = re.search(r"\nfunctions (.*?)\.\n", text, re.S).group(1).split()
     assert sorted(functions) == sorted(FUNCTIONS)

@@ -346,6 +346,19 @@ def test_dates_are_written_by_the_date_kernel_only():
     assert strftime_uses(modules) == []
 
 
+def test_the_grammar_is_read_in_expr_only():
+    """expr's parser reads both call text and DSL text, and print_value
+    writes every literal, so outside expr.py no module names the lexer's
+    tokens, the finite-real check, the nesting cap or the string writer;
+    agent.split_chain alone reads call tokens, to cut a chain at its arrows."""
+    modules = {
+        p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py")) if p.name != "expr.py"
+    }
+    assert name_uses(modules, "tokenize", ("agent.py", "split_chain")) == []
+    for word in ("Token", "real_literal", "MAX_DEPTH", "_string_literal"):
+        assert name_uses(modules, word, ("", "")) == [], word
+
+
 # regex syntax that `re` takes only from Python 3.11: an atomic group or a
 # possessive quantifier, as text and as the opcodes re's parser gives them
 NEWER_REGEX = re.compile(r"\(\?>|[*+?}]\+")

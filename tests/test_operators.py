@@ -1,6 +1,7 @@
 """Operator registry, call syntax, and executor behavior."""
 
 import random
+import re
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime
@@ -44,6 +45,7 @@ from adprep.tables import (
     BOOL, INT, LIST, REAL, TEXT, INT64_MAX, ColumnSpec, Schema, Table, make_table,
     tables_equal,
 )
+import reference_call
 import reference_expr
 from reference_expr import expr_nodes
 from reference_ops import GENERATORS as REF_GENERATORS
@@ -150,6 +152,25 @@ def test_parse_expr_parameter_becomes_ast():
     assert op.params["func"] == Binary(">", ColRef("a"), Lit(1))
 
 
+def test_a_built_tree_gets_the_checks_parsed_text_gets():
+    from adprep.expr import MAX_DEPTH, Call, ColRef, Unary
+
+    deep = ColRef("a")
+    for _ in range(MAX_DEPTH + 1):
+        deep = Unary("not", deep)
+    for tree, message in [
+        (Call("nope", (ColRef("a"),)), "unknown identifier 'nope'"),
+        (Call("upper", ()), "upper() takes 1..1 arguments, got 0"),
+        (deep, f"expression nests deeper than {MAX_DEPTH} levels"),
+    ]:
+        with pytest.raises(OpParseError) as err:
+            make_operator("ValueTransform", "t", "a", tree)
+        assert str(err.value).startswith(f"ValueTransform func: embedded DSL error: {message} at position")
+    op = make_operator("ValueTransform", "t", "a", Call("upper", (ColRef("a"),)))
+    assert op.params["func"] == Call("upper", (ColRef("a"),))
+    assert parse_operator_call(op.text) == op
+
+
 def test_parse_errors():
     for bad, fragment in [
         ('Nope("t")', "unknown operator"),
@@ -167,6 +188,14 @@ def test_parse_errors():
         with pytest.raises(OpParseError) as err:
             parse_operator_call(bad)
         assert fragment in str(err.value)
+    # a grammar error in call text ends with its position, as a lexer error does
+    for bad, message in [
+        ('DropNA("t", ["a"], ', "expected a value, found None at position 19"),
+        ('RenameColumn("t", {"a" "b"})', "expected COLON, found 'b' at position 23"),
+    ]:
+        with pytest.raises(OpParseError) as err:
+            parse_operator_call(bad)
+        assert str(err.value) == message
 
 
 def test_overflowing_real_literal_is_a_parse_error():
@@ -191,6 +220,68 @@ def test_parse_call_fuzz_raises_only_op_parse_error():
             parse_operator_call(f"{rng.choice(kinds)}({args}{rng.choice([')', ''])}")
         except OpParseError:
             pass
+
+
+# call texts in every form the grammar reads: both quotes, bare identifiers,
+# a scalar for a list, signed and exponent numbers, maps; and last, lists
+# nested to the cap, which make_operator rejects, and one level past it
+_CALL_SEEDS = [
+    "Deduplicate(movies, id, first)",
+    "RenameColumn('t', {a: 'b', \"c d\": e})",
+    'GroupBy("t", [], {"x": "sum", y: count})',
+    'Sort("t", ["a", b], [true, false])',
+    'TopK("t", -12)',
+    'Filter("t", \'col("a") > -.5e-3 or is_null(col("b"))\')',
+    'ExeCode(["a"], "out", "line one\\nline two")',
+    'DropNA("t", ' + "[" * 64 + '"a"' + "]" * 64 + ', "any")',
+    'Sort("t", "a", ' + "[" * 65 + "true" + "]" * 65 + ")",
+]
+# pieces a mutation inserts: the call grammar's punctuation, literals and keywords
+_CALL_PIECES = [
+    "(", ")", "[", "]", "{", "}", ",", ":", "->", '"', "'", "\\", "-", ".", "e", " ",
+    "1", "-.5", "2.5e3", "1e400", "true", "false", "null", "x", '"y"', "col", "[[",
+]
+
+
+def _mutated_call(rng: random.Random, text: str, kinds: list[str]) -> str:
+    """`text` with up to three spans deleted, replaced or grown by a piece,
+    and one time in five another operator's name."""
+    if rng.random() < 0.2:
+        text = rng.choice(kinds) + text[text.index("("):]
+    for _ in range(rng.randint(0, 3)):
+        i = rng.randint(0, len(text))
+        j = i if rng.random() < 0.4 else min(len(text), i + rng.randint(1, 3))
+        piece = "" if rng.random() < 0.3 else rng.choice(_CALL_PIECES)
+        text = text[:i] + piece + text[j:]
+    return text
+
+
+def test_call_parser_matches_the_parser_it_replaced():
+    """parse_operator_call against the call parser and writer it replaced
+    (reference_call) on 20 000 seeded mutants of call texts: the same
+    accept or reject, an equal instance with the same text, and the same
+    error, to which a grammar error now adds its position."""
+    rng = random.Random(3401)
+    seeds = _CALL_SEEDS + [REF_GENERATORS[kind](rng)[1].text for kind in REF_GENERATORS for _ in range(5)]
+    kinds = sorted(REGISTRY) + ["Nope", "col"]
+    outcomes = Counter()
+    for _ in range(20_000):
+        text = _mutated_call(rng, rng.choice(seeds), kinds)
+        try:
+            want = reference_call.parse_call(text)
+        except OpParseError as exc:
+            want = str(exc)
+        try:
+            got = parse_operator_call.__wrapped__(text)
+        except OpParseError as exc:
+            got = str(exc)
+        if isinstance(want, str):
+            assert isinstance(got, str) and re.fullmatch(re.escape(want) + r"( at position \d+)?", got), text
+            outcomes["reject"] += 1
+        else:
+            assert got == want and got.text == reference_call.render_call(want), text
+            outcomes["accept"] += 1
+    assert min(outcomes.values()) > 2_000, outcomes
 
 
 def test_serialize_round_trip():
