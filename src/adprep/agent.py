@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import re
 import textwrap
 import time
@@ -483,6 +484,8 @@ class HttpChatPolicy:
         timeout: float = 120.0,
         headers: dict[str, str] | None = None,
     ):
+        if not math.isfinite(temperature):
+            raise ValueError(f"temperature must be finite, got {temperature}")
         self.endpoint = endpoint
         self.model = model
         self.temperature = temperature
@@ -498,7 +501,7 @@ class HttpChatPolicy:
             "model": self.model,
             "temperature": self.temperature,
             "messages": messages,
-        }).encode("utf-8")
+        }, allow_nan=False).encode("utf-8")
         request = urllib.request.Request(
             self.endpoint,
             data=payload,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import shlex
 import sys
@@ -54,7 +55,7 @@ def _add_policy_args(p):
     p.add_argument("--scripts", help="directory of <task_id>.json reply arrays (policy=scripted)")
     p.add_argument("--endpoint", help="chat completion URL (policy=http)")
     p.add_argument("--model", help="model name sent to the endpoint (policy=http)")
-    p.add_argument("--temperature", type=float, default=0.01)
+    p.add_argument("--temperature", type=_finite, default=0.01)
 
 
 def _script_backend(text: str) -> SubprocessScriptBackend | None:
@@ -72,6 +73,13 @@ def _count(what: str, least: int) -> Callable[[str], int]:
             raise argparse.ArgumentTypeError(f"expected {what} >= {least}, got {n}")
         return n
     return count
+
+
+def _finite(text: str) -> float:
+    """An argparse type for a real flag: a finite float (JSON has no NaN or inf)."""
+    if not math.isfinite(x := float(text)):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text}")
+    return x
 
 
 def _add_episode_args(p):

@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -66,6 +67,7 @@ from .tables import (
     cell_hash_key,
     cell_sort_key,
     clean_column_kind,
+    column_texts,
     infer_column,
     render_cell,
     row_keys,
@@ -783,7 +785,11 @@ def _exec_topk(op, t):
 # aggregation
 # ---------------------------------------------------------------------------
 
-def _fold(fn: str, cells: list[Cell], op: OperatorInstance, where: str) -> Cell:
+def _fold(fn: str, cells: list[Cell], op: OperatorInstance, where: str,
+          numeric: bool = False) -> Cell:
+    """One aggregate of one group's cells. `numeric`: the cells' column is
+    INT or REAL, so every non-null cell is a finite non-bool number (the
+    Table invariant) and needs no kind check."""
     present = [c for c in cells if c is not None]
     if fn == "count":
         return len(present)
@@ -798,12 +804,14 @@ def _fold(fn: str, cells: list[Cell], op: OperatorInstance, where: str) -> Cell:
     if not present:
         return None
     if fn in ("sum", "avg"):
-        if not all(_is_number(c) for c in present):
+        if not numeric and not all(_is_number(c) for c in present):
             raise ExecError(op, f"{fn} needs numeric values in {where}", detail=where)
         total = sum(present)
         if fn == "sum":
             return total
         return total / len(present)
+    if numeric:
+        return (min if fn == "min" else max)(present)
     # min / max need one comparable kind
     kinds = {type(True) if isinstance(c, bool) else (float if _is_number(c) else type(c)) for c in present}
     if len(kinds) > 1 or next(iter(kinds)) is tuple:
@@ -836,18 +844,22 @@ def _exec_group_by(op, t):
     if dupes := _duplicates([c.name for c in specs]):
         raise ExecError(op, f"duplicate output column {dupes[0]!r}", detail=dupes[0])
 
-    groups: dict[tuple, list[tuple]] = {}
+    groups: defaultdict[tuple, list[tuple]] = defaultdict(list)
     for k, row in zip(row_keys(t, key_idxs), t.rows):
-        groups.setdefault(k, []).append(row)
+        groups[k].append(row)
 
-    key_cells = [[] for _ in key_idxs]
-    agg_cells = [[] for _ in agg]
-    for rows in groups.values():
-        for j, i in enumerate(key_idxs):
-            key_cells[j].append(rows[0][i])
-        for j, (col, fn) in enumerate(agg.items()):
-            cells = [row[agg_idxs[col]] for row in rows]
-            agg_cells[j].append(_fold(fn, cells, op, f"column {col!r}"))
+    firsts = [rows[0] for rows in groups.values()]
+    key_cells = [list(map(itemgetter(i), firsts)) for i in key_idxs]
+    folds = [
+        (itemgetter(i), fn, f"column {col!r}", t.schema.columns[i].dtype in (INT, REAL))
+        for (col, fn), i in zip(agg.items(), agg_idxs.values())
+    ]
+    # group by group, so a failing fold names the first group that fails
+    agg_rows = [
+        [_fold(fn, list(map(get, rows)), op, where, numeric) for get, fn, where, numeric in folds]
+        for rows in groups.values()
+    ]
+    agg_cells = [list(cells) for cells in zip(*agg_rows)] or [[] for _ in agg]
     return _table_of_columns(t.name, specs, key_cells + agg_cells, op, t.schema.description)
 
 
@@ -909,9 +921,12 @@ def _exec_join(op, left, right):
     r_rest_names = {right.schema.columns[i].name for i in r_rest}
 
     cols: list[ColumnSpec] = []
-    for li, ri in zip(l_keys, r_keys):
+    promoted = []  # key positions where an int key meets a real one
+    for j, (li, ri) in enumerate(zip(l_keys, r_keys)):
         lc, rc = left.schema.columns[li], right.schema.columns[ri]
         cols.append(ColumnSpec(lc.name, _reconcile_dtype(lc, rc, op), lc.description))
+        if lc.dtype != rc.dtype:
+            promoted.append(j)
     for i in l_rest:
         c = left.schema.columns[i]
         name = f"{c.name}_left" if c.name in r_rest_names else c.name
@@ -937,46 +952,25 @@ def _exec_join(op, left, right):
     l_pad, r_pad = (None,) * len(l_rest), (None,) * len(r_rest)
     l_row_keys = row_keys(left, l_keys)
     r_row_keys = row_keys(right, r_keys)
-    rows = []
-    matched_right_keys = set()
-    if how in ("inner", "left", "outer"):
+    if how != "right":
         r_index = index(r_row_keys, map(r_part, right.rows))
-        for k, l_row in zip(l_row_keys, left.rows):
-            matches = r_index.get(k)
-            if matches:
-                matched_right_keys.add(k)
-                lp = l_part(l_row)
-                rows.extend([lp + rp for rp in matches])
-            elif how in ("left", "outer"):
-                rows.append(l_part(l_row) + r_pad)
+        get = r_index.get
+        # an unmatched left row is padded in a left or outer join, dropped in an inner one
+        pads = () if how == "inner" else (r_pad,)
+        rows = [lp + rp for k, lp in zip(l_row_keys, map(l_part, left.rows))
+                for rp in get(k) or pads]
         if how == "outer":
-            for k, r_row in zip(r_row_keys, right.rows):
-                if k not in matched_right_keys:
-                    rows.append(r_lead(r_row) + l_pad + r_part(r_row))
+            matched = r_index.keys() & l_row_keys
+            rows += [r_lead(r_row) + l_pad + r_part(r_row)
+                     for k, r_row in zip(r_row_keys, right.rows) if k not in matched]
     else:  # right join: every right row survives, in right order
-        l_index = index(l_row_keys, map(l_part, left.rows))
-        for k, r_row in zip(r_row_keys, right.rows):
-            matches = l_index.get(k)
-            rp = r_part(r_row)
-            if matches:
-                rows.extend([lp + rp for lp in matches])
-            else:
-                rows.append(r_lead(r_row) + l_pad + rp)
+        get = index(l_row_keys, map(l_part, left.rows)).get
+        rows = [lp + rp for k, r_row, rp in zip(r_row_keys, right.rows, map(r_part, right.rows))
+                for lp in get(k) or (r_lead(r_row) + l_pad,)]
 
-    # coerce int cells in promoted key columns
-    real_keys = [
-        j for j in range(len(l_keys))
-        if cols[j].dtype == REAL
-    ]
-    if real_keys:
-        fixed_rows = []
-        for row in rows:
-            row = list(row)
-            for j in real_keys:
-                if isinstance(row[j], int) and not isinstance(row[j], bool):
-                    row[j] = float(row[j])
-            fixed_rows.append(tuple(row))
-        rows = fixed_rows
+    for j in promoted:  # the int cells of a promoted key become floats
+        rows = [row[:j] + (float(row[j]) if type(row[j]) is int else row[j],) + row[j + 1:]
+                for row in rows]
 
     return _build_table(f"{p['left']}_{p['right']}_join", cols, rows)
 
@@ -1029,52 +1023,48 @@ def _exec_pivot(op, t):
     val_idx = _col_index(t, p["values"], op)
     aggfunc = p["aggfunc"]
 
-    index_keys: list[tuple] = []
-    index_reps: dict[tuple, tuple] = {}
-    labels: list[str] = []
-    buckets: dict[tuple, dict[str, list[Cell]]] = {}
-    for r, (row, ik) in enumerate(zip(t.rows, row_keys(t, idx_idxs))):
-        cv = row[col_idx]
-        if cv is None or cv == "":  # a label names an output column
-            what = "null" if cv is None else "empty"
-            raise ExecError(op, f"row {r}: {what} value in columns column", detail=p["columns"])
-        label = render_cell(cv)
-        if ik not in index_reps:
-            index_reps[ik] = tuple(row[i] for i in idx_idxs)
-            index_keys.append(ik)
-        if label not in buckets.setdefault(ik, {}):
-            buckets[ik][label] = []
-        if label not in labels:
-            labels.append(label)
-        buckets[ik][label].append(row[val_idx])
-
+    col_cells = list(map(itemgetter(col_idx), t.rows))
+    if bad := [col_cells.index(v) for v in (None, "") if v in col_cells]:
+        r = min(bad)  # a label names an output column
+        what = "null" if col_cells[r] is None else "empty"
+        raise ExecError(op, f"row {r}: {what} value in columns column", detail=p["columns"])
+    row_labels = column_texts(col_cells)
+    labels = list(dict.fromkeys(row_labels))
     for label in labels:
         if label in p["index"]:
             raise ExecError(op, f"pivot column {label!r} collides with an index column", detail=label)
 
+    # index key -> label -> values, both in the order first seen
+    index_keys = row_keys(t, idx_idxs)
+    buckets: defaultdict[tuple, defaultdict[str, list[Cell]]] = defaultdict(lambda: defaultdict(list))
+    for ik, label, v in zip(index_keys, row_labels, map(itemgetter(val_idx), t.rows)):
+        buckets[ik][label].append(v)
+
     if aggfunc == "first_strict":
-        for ik in index_keys:
-            for label, vals in buckets[ik].items():
+        for by_label in buckets.values():
+            for label, vals in by_label.items():
                 if len(vals) > 1:
                     raise ExecError(
                         op, f"duplicate entries for index/column pair ({label!r})", detail=label
                     )
 
     fold_fn = "first" if aggfunc == "first_strict" else aggfunc
-    label_cells: dict[str, list[Cell]] = {label: [] for label in labels}
-    for ik in index_keys:
-        for label in labels:
-            vals = buckets[ik].get(label)
-            if vals is None:
-                label_cells[label].append(None)  # no match
-            else:
-                label_cells[label].append(_fold(fold_fn, vals, op, f"column {p['values']!r}"))
+    where, numeric = f"column {p['values']!r}", t.schema.columns[val_idx].dtype in (INT, REAL)
+    # index key by index key, so a failing fold names the first key that fails
+    label_rows = [
+        [_fold(fold_fn, by_label[label], op, where, numeric) if label in by_label else None
+         for label in labels]
+        for by_label in buckets.values()
+    ]
 
     label_dtype = _agg_fallback(fold_fn, t.schema.columns[val_idx].dtype)
     specs = [t.schema.columns[i] for i in idx_idxs]
     specs += [ColumnSpec(label, label_dtype) for label in labels]
-    cells = [[index_reps[ik][j] for ik in index_keys] for j in range(len(idx_idxs))]
-    cells += [label_cells[label] for label in labels]
+    # a key's last write in reverse row order is its first row
+    first_rows = dict(zip(reversed(index_keys), reversed(t.rows)))
+    index_rows = list(map(first_rows.__getitem__, buckets))
+    cells = [list(map(itemgetter(i), index_rows)) for i in idx_idxs]
+    cells += [list(c) for c in zip(*label_rows)]
     return _table_of_columns(f"{t.name}_pivot", specs, cells, op)
 
 

@@ -456,7 +456,7 @@ _MD_SPECIAL = re.compile(r"[\\|\n\r]")  # what _md_escape rewrites
 _TEXT_OF_TYPE = {int: str, float: repr}  # render_cell of an exact int or float
 
 
-def _column_texts(cells: tuple[Cell, ...]) -> Sequence[str]:
+def column_texts(cells: Sequence[Cell]) -> Sequence[str]:
     """render_cell of each cell of one column, with one map when every cell is
     exactly int, float or str; any other column goes cell by cell."""
     kinds = set(map(type, cells))
@@ -478,7 +478,7 @@ def serialize_table(t: Table, sample_rows: int = 5) -> str:
     cols = t.schema.columns
     sample = t.rows[:sample_rows]
     header = [c.name for c in cols]
-    columns = [_column_texts(cells) for cells in zip(*sample)]
+    columns = [column_texts(cells) for cells in zip(*sample)]
     if _MD_SPECIAL.search("".join(chain(header, *columns))):
         header = list(map(_md_escape, header))
         columns = [list(map(_md_escape, texts)) for texts in columns]

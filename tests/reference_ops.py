@@ -1489,6 +1489,40 @@ GENERATORS = {
 assert set(GENERATORS) == set(REF_HANDLERS)
 
 
+def check_agreement(tables: dict[str, Table], op, ref_params, where: str) -> ExecError | None:
+    """Run one call on the engine and on the reference: either both fail
+    (the engine's ExecError is returned) or both give the same tables, which
+    the checked constructor also accepts as they stand (None is returned).
+    Raises AssertionError on the first disagreement."""
+    engine_out = engine_err = None
+    try:
+        engine_out = execute_operator(op, dict(tables))
+    except ExecError as exc:
+        engine_err = exc
+    ref_out = ref_err = None
+    try:
+        ref_out = REF_HANDLERS[op.kind](ref_params, plain_state(tables))
+    except RefError as exc:
+        ref_err = exc
+    if engine_err is not None and ref_err is not None:
+        return engine_err
+    assert engine_err is None, f"{where}: engine failed ({engine_err}) but reference passed"
+    assert ref_err is None, f"{where}: reference failed ({ref_err}) but engine passed"
+    for t in engine_out.values():
+        # handlers build outputs unchecked; the checked constructor must agree
+        assert isinstance(t.rows, tuple) and all(isinstance(r, tuple) for r in t.rows), (
+            f"{where}: table {t.name!r} rows are not a tuple of tuples"
+        )
+        try:
+            rechecked = Table(t.schema, t.rows)
+        except TableError as exc:
+            raise AssertionError(f"{where}: output fails the cell check: {exc}") from None
+        assert rechecked == t, f"{where}: table {t.name!r} changes when re-checked"
+    diff = diff_states(engine_out, ref_out)
+    assert diff is None, f"{where}: {diff}\ncall: {op!r}"
+    return None
+
+
 def run_operator_trials(kind: str, n: int, seed: int) -> dict:
     """Run n randomized engine-vs-reference trials for one operator kind.
 
@@ -1500,34 +1534,8 @@ def run_operator_trials(kind: str, n: int, seed: int) -> dict:
     for trial in range(n):
         tables, op, ref_params = GENERATORS[kind](rng)
         where = f"{kind} trial {trial} (seed {seed})"
-        engine_out = engine_err = None
-        try:
-            engine_out = execute_operator(op, dict(tables))
-        except ExecError as exc:
-            engine_err = exc
-        ref_out = ref_err = None
-        try:
-            ref_out = REF_HANDLERS[kind](ref_params, plain_state(tables))
-        except RefError as exc:
-            ref_err = exc
-        if engine_err is not None and ref_err is not None:
-            stats["fail"] += 1
-            continue
-        assert engine_err is None, f"{where}: engine failed ({engine_err}) but reference passed"
-        assert ref_err is None, f"{where}: reference failed ({ref_err}) but engine passed"
-        for t in engine_out.values():
-            # handlers build outputs unchecked; the checked constructor must agree
-            assert isinstance(t.rows, tuple) and all(isinstance(r, tuple) for r in t.rows), (
-                f"{where}: table {t.name!r} rows are not a tuple of tuples"
-            )
-            try:
-                rechecked = Table(t.schema, t.rows)
-            except TableError as exc:
-                raise AssertionError(f"{where}: output fails the cell check: {exc}") from None
-            assert rechecked == t, f"{where}: table {t.name!r} changes when re-checked"
-        diff = diff_states(engine_out, ref_out)
-        assert diff is None, f"{where}: {diff}\ncall: {op!r}"
-        stats["ok"] += 1
+        failed = check_agreement(tables, op, ref_params, where) is not None
+        stats["fail" if failed else "ok"] += 1
     return stats
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import json
+import math
 import random
 import re
 import socket
@@ -859,13 +860,19 @@ def test_system_preamble_names_every_dsl_function_and_aggregate():
 
 # -- http policy -------------------------------------------------------------
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not a JSON token")
+
+
 class _ChatHandler(BaseHTTPRequestHandler):
     responses = []
     requests = []
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
-        _ChatHandler.requests.append(json.loads(self.rfile.read(length)))
+        # strict, as a real endpoint is: NaN and Infinity are no JSON
+        body = json.loads(self.rfile.read(length), parse_constant=_no_constant)
+        _ChatHandler.requests.append(body)
         reply = _ChatHandler.responses.pop(0)
         if callable(reply):  # a reply that breaks the protocol writes itself
             reply(self)
@@ -911,6 +918,18 @@ def test_http_chat_policy(chat_server):
     assert sent["model"] == "test-model"
     assert sent["temperature"] == 0.25
     assert sent["messages"] == messages
+
+
+@pytest.mark.parametrize("temperature", [math.nan, math.inf, -math.inf])
+def test_http_chat_policy_refuses_a_non_finite_temperature(chat_server, temperature):
+    endpoint, handler = chat_server
+    with pytest.raises(ValueError, match="^temperature must be finite"):
+        HttpChatPolicy(endpoint, "m", temperature=temperature)
+    policy = HttpChatPolicy(endpoint, "m")
+    policy.temperature = temperature  # past the constructor's check
+    with pytest.raises(ValueError, match="JSON compliant"):
+        policy.complete([{"role": "user", "content": "x"}])
+    assert handler.requests == []  # nothing was sent
 
 
 def test_http_chat_policy_bad_body(chat_server):

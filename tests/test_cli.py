@@ -455,6 +455,9 @@ def test_an_unusable_report_or_score_log_dir_is_reported_not_raised(
     ("run", "--max-turns", "0"),
     ("solve", "--max-turns", "-2"),
     ("run", "--threads", "-3"),
+    ("run", "--temperature", "nan"),
+    ("solve", "--temperature", "inf"),
+    ("run", "--temperature", "-Infinity"),
 ])
 def test_a_bad_flag_value_is_a_usage_error(suite, tmp_path, capsys, command, flag, value):
     """Rejected while parsing: nothing runs and nothing is written."""

@@ -162,6 +162,48 @@ def test_index_sorts_by_column_keys_equal_sorts_by_cell_sort_key():
             assert sort_order(t, idxs) == per_cell_sort_order(t, idxs, [True] * len(idxs)), (t, idxs)
 
 
+# first-key cells that are all distinct, by dtype, and pairs that tie
+DISTINCT_FIRST = {
+    INT: list(range(-100, 100)),
+    REAL: [i / 4 for i in range(-100, 100)],
+    TEXT: ["", "\U0001F600", *(f"w{i}" for i in range(198))],
+    LIST: [(i,) for i in range(-100, 100)],
+}
+FIRST_TIES = {INT: (1, 1), REAL: (-0.0, 0.0), TEXT: ("w1", "w1"), LIST: ((1,), (1.0,))}
+
+
+def test_sort_order_over_tie_free_and_tied_first_keys_equals_the_per_cell_order():
+    """A first key whose cells are all distinct, or that tie by 1 / 1.0 in a
+    list, -0.0 / 0.0, equal cells or two nulls, under mixed ascending flags,
+    orders rows as the per-cell tuple sort does. Tables of up to 100 rows put
+    some ties late in the first column."""
+    rng = random.Random(31)
+    seen = Counter()
+    for _ in range(400):
+        n = rng.choice([rng.randint(2, 12), rng.randint(65, 100)])
+        first = rng.choice(list(DISTINCT_FIRST))
+        cells = rng.sample(DISTINCT_FIRST[first], n)
+        tie = rng.choice(["none", "none", "pair", "nulls"])
+        j, k = rng.sample(range(n), 2)
+        if tie == "pair":
+            cells[j], cells[k] = FIRST_TIES[first]
+        elif tie == "nulls":
+            cells[j] = cells[k] = None
+        later = [rng.choice(list(EDGE_CELLS)) for _ in range(rng.randint(1, 3))]
+        rows = [
+            (c, *(None if rng.random() < 0.2 else rng.choice(EDGE_CELLS[d]) for d in later))
+            for c in cells
+        ]
+        t = make_table("t", [(f"c{i}", d) for i, d in enumerate([first, *later])], rows)
+        idxs = list(range(len(later) + 1))
+        ups = [rng.random() < 0.5 for _ in idxs]
+        assert sort_order(t, idxs, ups) == per_cell_sort_order(t, idxs, ups), (t, ups)
+        assert sort_order(t, idxs) == per_cell_sort_order(t, idxs, [True] * len(idxs)), t
+        seen[tie] += 1
+        seen["late tie"] += tie != "none" and max(j, k) >= 64
+    assert min(seen.values()) > 30, seen
+
+
 def test_cell_score_equals_the_per_cell_reference():
     for a, b in table_pairs(seed=13, n=400):
         assert cell_score(a, b) == ref_cell_score(a, b), (a, b)
