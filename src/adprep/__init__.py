@@ -1,11 +1,11 @@
 """Autonomous data preparation toolkit.
 
 Modules cover the full loop: a typed table model (tables), a row expression
-DSL (expr), the tabular operator registry and executor (operators),
-pipeline running (pipeline), the reasoning tree over materialized states
+DSL (expr), the tabular operator registry and executor (operators), the
+reasoning tree over materialized states, which runs every operator chain
 (tree), the interactive agent protocol (agent), reward scoring (reward),
-reversible task synthesis (synthesis), and the benchmark harness plus CLI
-(harness, cli).
+reversible task synthesis and the pipeline text of its bundles (synthesis),
+and the benchmark harness plus CLI (harness, cli).
 """
 
 from .tables import (
@@ -34,8 +34,7 @@ from .operators import (
     registry_help,
     serialize_operator_call,
 )
-from .pipeline import parse_pipeline, run_pipeline, serialize_pipeline
-from .tree import FailureRecord, ReasoningTree, TreeError
+from .tree import FailureRecord, ReasoningTree, TreeError, run_pipeline
 from .agent import (
     HttpChatPolicy,
     IdentityPolicy,
@@ -55,7 +54,9 @@ from .synthesis import (
     SynthesisError,
     TaskBundle,
     corrupt_table,
+    parse_pipeline,
     read_bundle,
+    serialize_pipeline,
     synthesize_demo_task,
     synthesize_task,
     verify_bundle,

@@ -144,11 +144,14 @@ def _cmd_validate(args) -> int:
         return _err(f"{root}: no task bundles found")
     failures = 0
     for d in dirs:
+        bundle = None
         try:
-            verify_bundle(read_bundle(d))
+            bundle = read_bundle(d)
+            verify_bundle(bundle)
         except (SynthesisError, TableIOError) as exc:
             failures += 1
-            print(f"FAIL {d.name}: {exc}")
+            # a read error names a file or nothing; a verify error leads with the task id
+            print(f"FAIL {d.name}: {exc}" if bundle is None else f"FAIL {exc}")
             continue
         print(f"ok   {d.name}")
     print(f"{len(dirs) - failures}/{len(dirs)} bundles verify")

@@ -113,8 +113,12 @@ class ExecError(Exception):
         self.message = message
         self.detail = detail
         kind = op.kind if op is not None else "?"
-        suffix = f" ({detail})" if detail and detail not in message else ""
-        super().__init__(f"{kind}: {message}{suffix}")
+        super().__init__(f"{kind}: {with_detail(message, detail)}")
+
+
+def with_detail(message: str, detail: str) -> str:
+    """The message, plus " (detail)" when it does not already hold the detail."""
+    return f"{message} ({detail})" if detail and detail not in message else message
 
 
 # ---------------------------------------------------------------------------

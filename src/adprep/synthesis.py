@@ -29,8 +29,10 @@ from .operators import (
     execute_operator,
     ExecError,
     make_operator,
+    parse_operator_call,
+    serialize_operator_call,
+    split_lines,
 )
-from .pipeline import parse_pipeline, run_pipeline, serialize_pipeline
 from .tables import (
     BOOL,
     INT,
@@ -49,6 +51,7 @@ from .tables import (
     write_schema,
     write_table,
 )
+from .tree import run_pipeline
 
 CANONICAL_DATE = "%Y-%m-%d"
 _read_canonical_date = date_reader([CANONICAL_DATE])
@@ -225,17 +228,14 @@ def corrupt_table(
 # ---------------------------------------------------------------------------
 
 def _pipeline_output(ops, sources: TableSet, failure_prefix: str) -> Table:
-    """Run the pipeline and return the one table its last step produced."""
-    trace = run_pipeline(ops, sources)
-    if not trace.ok:
-        raise SynthesisError(f"{failure_prefix}: {trace.failure}")
-    before, after = trace.states[-2], trace.states[-1]
-    fresh = [t for name, t in after.items() if before.get(name) is not t]
-    if len(fresh) != 1:
-        raise SynthesisError(
-            f"expected the pipeline step to produce one table, found {len(fresh)}"
-        )
-    return fresh[0]
+    """Run the pipeline and return the one table its last step produced: the
+    one table object the state before it lacks (execute_operator always adds
+    exactly one)."""
+    result = run_pipeline(ops, sources)
+    if not result.ok:
+        raise SynthesisError(f"{failure_prefix}: {result.failure}")
+    before = result.chain[-2].state if len(result.chain) > 1 else sources
+    return next(t for name, t in result.leaf.state.items() if before.get(name) is not t)
 
 
 def synthesize_task(
@@ -374,6 +374,26 @@ def _dir_prefix(root: Path) -> str:
 def is_bundle(directory: str | Path) -> bool:
     """Whether `directory` holds a task bundle, i.e. a target schema."""
     return os.path.exists(os.path.join(directory, "target_schema.json"))
+
+
+def serialize_pipeline(ops) -> str:
+    """One canonical operator call per line, with a trailing newline."""
+    return "".join(serialize_operator_call(op) + "\n" for op in ops)
+
+
+def parse_pipeline(text: str) -> list[OperatorInstance]:
+    """Parse pipeline text, one call per line; blank lines and lines
+    starting with # are skipped, and errors carry the 1-based line number."""
+    ops = []
+    for lineno, line in enumerate(split_lines(text), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        try:
+            ops.append(parse_operator_call(stripped))
+        except OpParseError as exc:
+            raise OpParseError(f"line {lineno}: {exc}") from None
+    return ops
 
 
 def write_bundle(bundle: TaskBundle, directory: str | Path) -> Path:

@@ -9,6 +9,8 @@ Execution is partial-by-design: when the k-th operator of an expansion
 fails, the first k-1 successes still become nodes, and the failure is
 recorded on the deepest node reached so later decisions can see what was
 tried and why it broke.
+`expand` is the one code that runs an operator chain, an episode's or
+(through `run_pipeline`) synthesis's.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .operators import (
     TableSet,
     execute_operator,
     serialize_operator_call,
+    with_detail,
 )
 
 
@@ -43,11 +46,12 @@ class FailureRecord:
     message: str
     detail: str = ""
 
+    def __str__(self) -> str:
+        """The text of the ExecError this record copies."""
+        return f"{self.op.kind}: {with_detail(self.message, self.detail)}"
+
     def describe(self) -> str:
-        text = f"{serialize_operator_call(self.op)} failed: {self.message}"
-        if self.detail and self.detail not in self.message:
-            text += f" ({self.detail})"
-        return text
+        return f"{serialize_operator_call(self.op)} failed: {with_detail(self.message, self.detail)}"
 
 
 class TreeNode:
@@ -166,3 +170,9 @@ class ReasoningTree:
             chain.append(child)
             node = child
         return ExpandResult(chain, leaf=node)
+
+
+def run_pipeline(ops, initial: TableSet) -> ExpandResult:
+    """Run an operator chain from a table set: a fresh tree expanded from its root."""
+    tree = ReasoningTree(initial)
+    return tree.expand(tree.root, ops)

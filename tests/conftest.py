@@ -8,6 +8,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from adprep.operators import execute_operator
 from adprep.tables import BOOL, INT, LIST, REAL, TEXT, Table, make_table
 
 WORDS = [
@@ -67,3 +68,12 @@ def random_table_set(rng: random.Random, n_tables: int = 2, **kwargs) -> dict[st
         name = f"t{i}"
         out[name] = random_table(rng, name=name, **kwargs)
     return out
+
+
+def replay_chain(ops, state):
+    """The table set an operator chain reaches from `state`, by calling
+    execute_operator once per op: an oracle for the tree's node states that
+    shares none of the tree's code. An ExecError propagates."""
+    for op in ops:
+        state = execute_operator(op, state)
+    return state

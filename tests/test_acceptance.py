@@ -15,7 +15,6 @@ import reference_ops as ref
 from adprep.agent import ScriptedPolicy, Task, run_episode, split_chain
 from adprep.harness import compute_cost, gt_replay_policy, run_benchmark
 from adprep.operators import execute_operator, parse_operator_call
-from adprep.pipeline import run_pipeline
 from adprep.reward import (
     RuleJudge,
     cell_score,
@@ -37,7 +36,7 @@ from adprep.tables import (
     tables_equal,
 )
 
-from conftest import random_table
+from conftest import random_table, replay_chain
 
 
 def verdict(n: int, desc: str):
@@ -203,11 +202,10 @@ def test_criterion_4_tree_invariants():
         sources = film_sources()
         for node in nodes:
             # (a) a node's state is exactly its root-path pipeline re-executed
-            trace = run_pipeline(list(node.prefix), sources)
-            assert trace.ok
-            assert set(trace.states[-1]) == set(node.state)
+            replayed = replay_chain(node.prefix, sources)
+            assert set(replayed) == set(node.state)
             for name in node.state:
-                assert tables_equal(trace.states[-1][name], node.state[name])
+                assert tables_equal(replayed[name], node.state[name])
             # (c) the node's printed path resolves back to the node itself
             assert tree.resolve(node.prefix) is node
             if node.path_text != "root":
@@ -331,9 +329,7 @@ def test_criterion_9_worked_end_to_end():
         parse_operator_call('Deduplicate("movies", [], "first")'),
         parse_operator_call('Join("movies", "directors", ["director_id"], "inner")'),
     ]
-    trace = run_pipeline(ops, sources)
-    assert trace.ok
-    target = trace.states[-1]["movies_directors_join"]
+    target = replay_chain(ops, sources)["movies_directors_join"]
     task = Task("film-demo", sources, target.schema)
 
     chain = 'Deduplicate("movies", [], "first") -> Join("movies", "directors", ["director_id"], "inner")'

@@ -17,11 +17,12 @@ import pytest
 
 from adprep.harness import gt_replay_policy, score_case
 from adprep.operators import make_operator
-from adprep.pipeline import parse_pipeline, serialize_pipeline
 from adprep.synthesis import (
     SynthesisError,
     TaskBundle,
+    parse_pipeline,
     read_bundle,
+    serialize_pipeline,
     synthesize_task,
     verify_bundle,
     write_bundle,

@@ -68,6 +68,21 @@ def test_validate_flags_tampering(suite, capsys):
     assert "ok   task-000" in out
 
 
+def test_validate_names_a_task_that_does_not_verify_once(suite, capsys):
+    target = suite / "task-001" / "target_table.csv"
+    lines = target.read_text().splitlines()
+    target.write_text("\n".join(lines + lines[-1:]) + "\n")  # a doubled last row
+    (suite / "task-002" / "gt_pipeline.txt").write_text('Count("ghost")\n')
+    capsys.readouterr()
+    assert main(["validate", str(suite)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "ok   task-000",
+        "FAIL task-001: ground truth no longer rebuilds the target",
+        "FAIL task-002: ground truth fails: Count: no table named 'ghost'",
+        "1/3 bundles verify",
+    ]
+
+
 def test_validate_single_bundle_and_missing_dir(suite, tmp_path, capsys):
     capsys.readouterr()
     assert main(["validate", str(suite / "task-002")]) == 0

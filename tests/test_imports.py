@@ -246,8 +246,6 @@ PUBLIC_DEFAULTS_ALLOWED = {
     "agent.py:HttpChatPolicy(headers)":
         "a library caller's endpoint that wants an API key reads it from a header",
     "cli.py:main(argv)": "`python -m adprep` calls main() so that argparse reads sys.argv",
-    "pipeline.py:run_pipeline(script_backend)":
-        "a library caller runs an ExeCode pipeline with a backend; synthesis runs none",
     "synthesis.py:corrupt_table(attempts)":
         "bounds the draws per table; synthesize_task keeps the default",
     "tables.py:make_table(description)": "the table description a Schema holds, as its builder",

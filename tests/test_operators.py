@@ -40,11 +40,11 @@ from adprep.operators import (
     registry_help,
     serialize_operator_call,
 )
-from adprep.pipeline import run_pipeline
 from adprep.tables import (
     BOOL, INT, LIST, REAL, TEXT, INT64_MAX, ColumnSpec, Schema, Table, make_table,
     tables_equal,
 )
+from adprep.tree import ReasoningTree
 import reference_call
 import reference_expr
 from reference_expr import expr_nodes
@@ -1190,10 +1190,11 @@ def test_execode_subprocess_launch_failure_is_an_exec_error(tmp_path):
     op = make_operator("ExeCode", ["t"], "out", "print('a')")
     with pytest.raises(ExecError, match="cannot launch script backend"):
         execute_operator(op, {"t": t}, script_backend=backend)
-    trace = run_pipeline([op], {"t": t}, script_backend=backend)
-    assert trace.states == [{"t": t}]
-    assert isinstance(trace.failure, ExecError)
-    assert "cannot launch script backend" in trace.failure.message
+    tree = ReasoningTree({"t": t})
+    result = tree.expand(tree.root, [op], script_backend=backend)
+    assert result.chain == [] and result.leaf is tree.root and tree.root.state == {"t": t}
+    assert result.failure.op == op and tree.root.failures == [result.failure]
+    assert "cannot launch script backend" in result.failure.message
 
 
 # --- executor discipline ----------------------------------------------------

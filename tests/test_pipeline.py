@@ -1,13 +1,14 @@
-"""Pipeline execution and text round-trip."""
+"""Pipeline text round-trip (synthesis) and chain runs from a table set (tree)."""
 
 import random
 
 import pytest
 
 from adprep.operators import OpParseError, make_operator
-from adprep.pipeline import parse_pipeline, run_pipeline, serialize_pipeline
+from adprep.synthesis import parse_pipeline, serialize_pipeline
 from adprep.tables import INT, TEXT, make_table, tables_equal
-from conftest import SPLITLINES_ONLY_BREAKS, random_table_set
+from adprep.tree import run_pipeline
+from conftest import SPLITLINES_ONLY_BREAKS, random_table_set, replay_chain
 
 PIPELINE_TEXT = """
 # tidy up and join
@@ -65,13 +66,12 @@ def test_pipeline_lines_break_only_at_cr_and_lf(ch):
 
 def test_run_pipeline_records_every_state():
     ops = parse_pipeline(PIPELINE_TEXT)
-    trace = run_pipeline(ops, sample_state())
-    assert trace.ok
-    assert len(trace.states) == 3
-    assert set(trace.states[0]) == {"movies", "directors"}
-    assert set(trace.states[1]) == {"movies", "directors"}
-    assert set(trace.states[2]) == {"movies_directors_join"}
-    assert trace.states[1]["movies"].n_rows == 2
+    result = run_pipeline(ops, sample_state())
+    assert result.ok
+    assert [node.op for node in result.chain] == ops and result.leaf is result.chain[-1]
+    assert set(result.chain[0].state) == {"movies", "directors"}
+    assert set(result.chain[1].state) == {"movies_directors_join"}
+    assert result.chain[0].state["movies"].n_rows == 2
 
 
 def test_run_pipeline_short_circuits():
@@ -80,13 +80,14 @@ def test_run_pipeline_short_circuits():
         'DropColumn("movies", ["missing"])\n'
         'Count("movies")\n'
     )
-    trace = run_pipeline(ops, sample_state())
-    assert not trace.ok
-    assert len(trace.states) == 2  # one operator ran before the failing one
-    assert trace.failure.op == ops[1]
-    assert trace.failure.detail == "missing"
-    # the failing operator left no partial state behind
-    assert set(trace.states[-1]) == {"movies", "directors"}
+    result = run_pipeline(ops, sample_state())
+    assert not result.ok
+    assert len(result.chain) == 1  # one operator ran before the failing one
+    assert result.failure.op == ops[1]
+    assert result.failure.detail == "missing"
+    # the failing operator left no partial state behind, and its record sits on the leaf
+    assert result.leaf is result.chain[0] and result.leaf.failures == [result.failure]
+    assert set(result.leaf.state) == {"movies", "directors"}
 
 
 def test_run_pipeline_does_not_touch_input():
@@ -99,9 +100,10 @@ def test_run_pipeline_does_not_touch_input():
 
 def test_empty_pipeline_is_identity():
     state = sample_state()
-    trace = run_pipeline([], state)
-    assert trace.ok
-    assert trace.states[-1] == state
+    result = run_pipeline([], state)
+    assert result.ok
+    assert result.chain == []
+    assert result.leaf.state == state and result.leaf.op is None
 
 
 def test_random_pipelines_round_trip_and_replay():
@@ -116,7 +118,8 @@ def test_random_pipelines_round_trip_and_replay():
         text = serialize_pipeline(ops)
         assert parse_pipeline(text) == ops
         a = run_pipeline(ops, state)
-        b = run_pipeline(ops, state)
-        assert a.ok and b.ok
-        for ta, tb in zip(a.states[-1].values(), b.states[-1].values()):
+        assert a.ok
+        b = replay_chain(ops, state)
+        assert list(a.leaf.state) == list(b)
+        for ta, tb in zip(a.leaf.state.values(), b.values()):
             assert tables_equal(ta, tb)

@@ -11,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from adprep import synthesis
 from adprep.operators import ExecError, execute_operator, make_operator
-from adprep.pipeline import run_pipeline, serialize_pipeline
 from adprep.synthesis import (
     ALTERNATE_DATE_FORMATS,
     CANONICAL_DATE,
@@ -20,6 +20,7 @@ from adprep.synthesis import (
     SynthesisError,
     corrupt_table,
     read_bundle,
+    serialize_pipeline,
     synthesize_demo_task,
     synthesize_task,
     verify_bundle,
@@ -40,7 +41,7 @@ from adprep.tables import (
     tables_equal,
     write_schema,
 )
-from conftest import SPLITLINES_ONLY_BREAKS
+from conftest import SPLITLINES_ONLY_BREAKS, replay_chain
 from reference_ops import _date_text
 
 
@@ -206,8 +207,8 @@ def test_synthesize_task_builds_verified_bundle():
     verify_bundle(bundle)
     assert bundle.target_table.column_names == ("id", "name", "score")
     # sources hold the damaged tables, target was built from clean ones
-    trace = run_pipeline(bundle.gt_pipeline, dict(bundle.sources))
-    assert trace.ok
+    rebuilt = replay_chain(bundle.gt_pipeline, dict(bundle.sources))
+    assert tables_equal(rebuilt[bundle.target_table.name], bundle.target_table)
 
 
 def test_uppercase_cleaner_of_a_quoted_column_name_round_trips(tmp_path):
@@ -232,6 +233,62 @@ def test_synthesize_task_rejects_broken_task_ops():
         synthesize_task(rng, "bad", {"staff": clean_table()}, [make_operator("Count", "ghost")])
     with pytest.raises(SynthesisError):
         synthesize_task(rng, "empty", {"staff": clean_table()}, [])
+
+
+# -- the exact texts of a failed synthesis or verify ---------------------------
+
+def drop_every_column(t):
+    """An op whose ExecError detail (the table name) is not in its message."""
+    return make_operator("DropColumn", t.name, list(t.column_names))
+
+
+SORT_STAFF = [make_operator("Sort", "staff", ["id"], True)]
+
+
+@pytest.mark.parametrize("op, text", [
+    (drop_every_column(clean_table()), "DropColumn: cannot drop every column (staff)"),
+    (make_operator("Count", "ghost"), "Count: no table named 'ghost'"),  # detail in the message
+])
+def test_a_task_failing_on_clean_sources_names_its_op(op, text):
+    with pytest.raises(SynthesisError) as info:
+        synthesize_task(random.Random(2), "bad", {"staff": clean_table()}, [op])
+    assert str(info.value) == f"task pipeline fails on clean sources: {text}"
+
+
+def test_a_failing_cleaner_is_a_ground_truth_failure(monkeypatch):
+    monkeypatch.setitem(CORRUPTIONS, "unfixable", lambda rng, t: (t, drop_every_column(t)))
+    monkeypatch.setattr(synthesis, "_cleaner_restores", lambda cleaner, damaged, pristine: True)
+    with pytest.raises(SynthesisError) as info:
+        synthesize_task(random.Random(2), "bad", {"staff": clean_table()}, SORT_STAFF,
+                        max_corruptions=1, kinds=["unfixable"])
+    assert str(info.value) == (
+        "ground truth fails on corrupted sources: DropColumn: cannot drop every column (staff)"
+    )
+
+
+def test_a_wrong_cleaner_is_caught_by_the_rebuild_check(monkeypatch):
+    # lower() does not undo upper() on "Ada"; only _cleaner_restores refuses it
+    t = make_table("staff", [("id", INT), ("name", TEXT)], [(1, "Ada"), (2, "grace")])
+    refused = corrupt_table(random.Random(2), t, attempts=1, kinds=["uppercase_text"])
+    assert refused.rejected == ["uppercase_text"]
+    monkeypatch.setattr(synthesis, "_cleaner_restores", lambda cleaner, damaged, pristine: True)
+    with pytest.raises(SynthesisError) as info:
+        synthesize_task(random.Random(2), "bad", {"staff": t}, SORT_STAFF,
+                        max_corruptions=1, kinds=["uppercase_text"])
+    assert str(info.value) == "ground truth does not rebuild the target table"
+
+
+def test_verify_bundle_failure_texts_lead_with_the_task_id():
+    bundle = synthesize_task(random.Random(2), "t-9", {"staff": clean_table()}, SORT_STAFF)
+    failing = replace(bundle, gt_pipeline=(drop_every_column(clean_table()),))
+    with pytest.raises(SynthesisError) as info:
+        verify_bundle(failing)
+    assert str(info.value) == "t-9: ground truth fails: DropColumn: cannot drop every column (staff)"
+    target = bundle.target_table
+    drifted = replace(bundle, target_table=type(target)(target.schema, target.rows[:-1]))
+    with pytest.raises(SynthesisError) as info:
+        verify_bundle(drifted)
+    assert str(info.value) == "t-9: ground truth no longer rebuilds the target"
 
 
 def test_demo_tasks_always_verify():

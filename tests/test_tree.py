@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from adprep.operators import parse_operator_call
-from adprep.pipeline import parse_pipeline
+from adprep.operators import ExecError, execute_operator, parse_operator_call
+from adprep.synthesis import parse_pipeline
 from adprep.tree import ReasoningTree, TreeError
 from adprep.tables import BOOL, INT, REAL, TEXT, make_table
 from conftest import random_table
@@ -147,3 +147,19 @@ def test_resolve_of_extracted_path_is_identity_randomized():
             tree.expand(parent, parse_pipeline(text + "\n"))
         for node in tree.nodes:
             assert tree.resolve(node.prefix) is node
+
+
+@pytest.mark.parametrize("call, text", [
+    ('DropColumn("people", ["id", "name"])', "DropColumn: cannot drop every column (people)"),
+    (BAD, "DropColumn: table 'people' has no column 'ghost'"),
+])
+def test_a_failure_record_reads_as_the_exec_error_it_copies(call, text):
+    """The " (detail)" suffix has one home, operators.with_detail, for the
+    ExecError text, the record's str() and the feedback's describe()."""
+    op = parse_operator_call(call)
+    with pytest.raises(ExecError) as err:
+        execute_operator(op, start_state())
+    tree = ReasoningTree(start_state())
+    record = tree.expand(tree.root, [op]).failure
+    assert str(record) == str(err.value) == text
+    assert record.describe() == f"{call} failed: {text.split(': ', 1)[1]}"
