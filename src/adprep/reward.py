@@ -17,12 +17,13 @@ scores it from the turns alone.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
 from operator import eq
 
-from .operators import name_bearing_values, parse_operator_call
+from .operators import PARSE_MEMO_SIZE, name_bearing_values, parse_operator_call
 from .tables import Table, column_keys, sort_order, tables_equal
 from .agent import Trajectory
 
@@ -117,9 +118,13 @@ class JudgeScores:
         return (self.consistency + self.responsiveness + self.backtracking) / 3.0
 
 
+@functools.lru_cache(maxsize=PARSE_MEMO_SIZE)
+def _mention_pattern(value: str) -> re.Pattern:
+    return re.compile(rf"(?<![A-Za-z0-9_]){re.escape(value)}(?![A-Za-z0-9_])", re.IGNORECASE)
+
+
 def _mentions(plan: str, value: str) -> bool:
-    pattern = r"(?<![A-Za-z0-9_])" + re.escape(value) + r"(?![A-Za-z0-9_])"
-    return re.search(pattern, plan, flags=re.IGNORECASE) is not None
+    return _mention_pattern(value).search(plan) is not None
 
 
 class RuleJudge:

@@ -371,9 +371,16 @@ def _dir_prefix(root: Path) -> str:
     return "" if str(root) == "." else os.path.join(root, "")
 
 
+# what write_bundle writes into a bundle directory
+_BUNDLE_ENTRIES = (
+    "sources", "target_schema.json", "target_table.csv", "gt_pipeline.txt", "provenance.json"
+)
+
+
 def is_bundle(directory: str | Path) -> bool:
-    """Whether `directory` holds a task bundle, i.e. a target schema."""
-    return os.path.exists(os.path.join(directory, "target_schema.json"))
+    """Whether `directory` holds a task bundle, i.e. any entry write_bundle
+    writes; a bundle that lost some of them then fails as it is read."""
+    return any(os.path.exists(os.path.join(directory, e)) for e in _BUNDLE_ENTRIES)
 
 
 def serialize_pipeline(ops) -> str:

@@ -16,7 +16,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from adprep import agent
+from adprep import agent, cli
 from adprep.agent import (
     MAX_TURNS,
     SAMPLE_ROWS,
@@ -776,6 +776,10 @@ def test_scripted_policy_fresh_and_from_file(tmp_path):
     assert traj2.status == "answered"
     with pytest.raises(PolicyError):
         ScriptedPolicy.from_file(tmp_path / "missing.json")
+    for data in ({"replies": [EXPAND_REPLY]}, [EXPAND_REPLY, 3]):
+        path.write_text(json.dumps(data))
+        with pytest.raises(PolicyError, match="expected a json array of reply strings$"):
+            ScriptedPolicy.from_file(path)
 
 
 def test_identity_policy_picks_best_overlap():
@@ -918,6 +922,23 @@ def test_http_chat_policy(chat_server):
     assert sent["model"] == "test-model"
     assert sent["temperature"] == 0.25
     assert sent["messages"] == messages
+
+
+def test_cli_run_with_the_http_policy(chat_server, tmp_path, capsys):
+    """`run --policy http` needs an endpoint and a model, and sends each
+    turn to that endpoint with the --temperature given."""
+    endpoint, handler = chat_server
+    suite = tmp_path / "suite"
+    assert cli.main(["synth", str(suite), "--tasks", "1", "--seed", "5"]) == 0
+    run = ["run", str(suite), "--policy", "http", "--json", "--model", "m"]
+    capsys.readouterr()
+    assert cli.main(run) == 2
+    assert capsys.readouterr().err == "--policy http needs --endpoint and --model\n"
+    reply = "<plan>hand over the source orders as it is</plan><answer>root</answer>"
+    handler.responses = [(200, {"content": reply})]
+    assert cli.main(run + ["--endpoint", endpoint, "--temperature", "0.3"]) == 0
+    assert [r["status"] for r in json.loads(capsys.readouterr().out)["rows"]] == ["answered"]
+    assert [(r["model"], r["temperature"]) for r in handler.requests] == [("m", 0.3)]
 
 
 @pytest.mark.parametrize("temperature", [math.nan, math.inf, -math.inf])

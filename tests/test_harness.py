@@ -287,6 +287,8 @@ def test_empty_suite(tmp_path):
     assert report.n_tasks == 0
     assert report.to_text() == "no tasks"
     assert report.all_attempted
+    # replay has no tasks to score either, so it never looks for a log dir
+    assert replay_suite(empty, tmp_path / "no-logs").note == "no tasks"
     with pytest.raises(HarnessError):
         run_benchmark(tmp_path / "missing", gt_replay_policy)
 

@@ -228,10 +228,6 @@ def test_seeded_file_mutants_through_every_command_keep_the_law(tmp_path, monkey
         mutate(path, kind, rng)
         bundle = next((p for p in path.parts if p.startswith("task-")), "task-000")
         task = bundle.removesuffix(".jsonl") if logs in path.parents else bundle
-        # harness.discover_tasks passes over a directory without target_schema.json
-        # (a FOUND line in CHANGES.md), so that mutant's task drops out uncounted;
-        # test_a_task_without_its_target_schema_is_still_counted pins the gap
-        lost = kind == "delete" and path.name == "target_schema.json"
         before = _tree(tmp_path, out_dir)
         for argv in (
             ("validate", suite),
@@ -247,11 +243,11 @@ def test_seeded_file_mutants_through_every_command_keep_the_law(tmp_path, monkey
             if argv[0] == "validate":
                 fails = [line for line in out.splitlines() if line.startswith("FAIL ")]
                 assert all(line.startswith(f"FAIL {task}: ") for line in fails), (where, fails)
-                assert lost or out.endswith(f"{3 - len(fails)}/3 bundles verify\n"), (where, out)
+                assert out.endswith(f"{3 - len(fails)}/3 bundles verify\n"), (where, out)
                 assert code == (1 if fails else 0), where
             elif argv[0] in ("run", "score"):
                 rows = json.loads(out)["rows"]
-                assert lost or len(rows) == 3, (where, rows)
+                assert len(rows) == 3, (where, rows)
                 errors += [r["error"] for r in rows if r["status"] == "load_error"]
                 attempted = all(r["status"] not in ("load_error", "missing_log", "internal_error")
                                 and not r["error"] for r in rows)
@@ -273,8 +269,6 @@ def test_seeded_file_mutants_through_every_command_keep_the_law(tmp_path, monkey
     }, codes
 
 
-@pytest.mark.xfail(strict=True, reason="FOUND in CHANGES.md: harness.discover_tasks "
-                   "skips a task directory without target_schema.json")
 def test_a_task_without_its_target_schema_is_still_counted(tmp_path):
     """A suite of three tasks, one of which lost its target schema, is
     still a suite of three: validate fails that task and run and score

@@ -286,6 +286,84 @@ def test_tables_equal_matches_canonical_reference():
         assert tables_equal(t, other) == _reference_tables_equal(t, other)
 
 
+def _copied(t):
+    """t with fresh row tuples, so row comparison cannot stop at identity."""
+    return Table(t.schema, tuple(tuple([*row]) for row in t.rows))
+
+
+def _multiset_equal(a, b):
+    """tables_equal without its sequence shortcut: the two row multisets."""
+    names = a.column_names
+    return (
+        sorted(names) == sorted(b.column_names)
+        and tables._hashed_rows(a, names) == tables._hashed_rows(b, names)
+    )
+
+
+def test_same_order_tables_compare_as_sequences(monkeypatch):
+    """Int, real and text tables whose columns and rows agree in order are
+    equal without building a row multiset; any other pair builds both."""
+    rng = random.Random(41)
+    big = make_table("big", [("id", INT), ("x", REAL), ("s", TEXT)],
+                     [(i, rng.random(), f"n{i % 97}") for i in range(20_000)])
+    ints = make_table("a", [("a", INT), ("b", TEXT)], [(2, "p"), (None, "q"), (2, "p")])
+    reals = make_table("b", [("a", REAL), ("b", TEXT)], [(2.0, "p"), (None, "q"), (2.0, "p")])
+
+    def refuse(t, names):
+        raise AssertionError("the row multisets were built")
+
+    hashed_rows = tables._hashed_rows
+    monkeypatch.setattr(tables, "_hashed_rows", refuse)
+    assert tables_equal(big, _copied(big))
+    assert tables_equal(ints, _copied(ints)) and tables_equal(ints, reals)
+
+    built = []
+    monkeypatch.setattr(tables, "_hashed_rows", lambda t, names: built.append(t) or hashed_rows(t, names))
+    bools = make_table("c", [("a", BOOL), ("b", INT)], [(True, 1), (False, 0)])
+    lists = make_table("d", [("a", LIST), ("b", INT)], [((1, "x"), 1), ((), 0)])
+    swapped = make_table("e", [("b", TEXT), ("a", INT)], [("p", 2), ("q", None), ("p", 2)])
+    one_off = make_table("f", [("a", INT), ("b", TEXT)], [(2, "p"), (None, "q"), (3, "p")])
+    ab = make_table("g", [("a", INT), ("b", INT)], [(1, 2)])
+    ba = make_table("h", [("b", INT), ("a", INT)], [(1, 2)])  # same rows, names swapped
+    for a, b, equal in ((bools, _copied(bools), True), (lists, _copied(lists), True),
+                        (ints, swapped, True), (ints, one_off, False), (ab, ba, False)):
+        built.clear()
+        assert tables_equal(a, b) == equal, (a, b)
+        assert built == [a, b], (a, b)
+
+
+def test_same_order_shortcut_agrees_with_the_multisets():
+    """On pairs whose rows agree in order but for one column, tables_equal
+    answers as the row multisets alone answer: 2 and 2.0 are equal, True
+    and 1 are not, nor 2**53 + 1 and float(2**53); -0.0 and 0.0 are, and so
+    are Nulls in the same cells."""
+    cases = [
+        (7, INT, 8, INT, False),
+        ("p", TEXT, "q", TEXT, False),
+        (2, INT, 2.0, REAL, True),
+        (True, BOOL, 1, INT, False),
+        (2**53 + 1, INT, float(2**53), REAL, False),
+        (-0.0, REAL, 0.0, REAL, True),
+        (None, INT, None, INT, True),
+    ]
+    rng = random.Random(43)
+    for _ in range(60):
+        for x, x_dtype, y, y_dtype, equal in cases:
+            t = random_table(rng, dtypes=(INT, REAL, TEXT), min_rows=1, max_rows=10, max_cols=3)
+            r, c = rng.randrange(t.n_rows), rng.randint(0, len(t.column_names))
+
+            def with_column(value, dtype):
+                # a column "z" at c, Null but in row r, where it holds value
+                specs = list(t.schema.columns)
+                specs.insert(c, ColumnSpec("z", dtype))
+                rows = [(*row[:c], value if i == r else None, *row[c:]) for i, row in enumerate(t.rows)]
+                return Table(Schema("t", tuple(specs)), tuple(rows))
+
+            a, b = with_column(x, x_dtype), with_column(y, y_dtype)
+            assert tables_equal(a, b) == _multiset_equal(a, b) == equal, (a, b)
+            assert tables_equal(b, a) == equal, (a, b)
+
+
 def test_nan_and_inf_rejected():
     with pytest.raises(TableError):
         make_table("t", [("a", "real")], [(float("nan"),)])
