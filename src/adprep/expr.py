@@ -21,12 +21,13 @@ Dates have no dedicated cell kind: parse_date(x, fmt) yields ISO text
 ("%Y-%m-%d", or "%Y-%m-%dT%H:%M:%S" when fmt carries a time part) and
 format_date(x, fmt) rewrites ISO text in fmt. The date kernel below reads
 and writes every date of the package: date_reader reads text against a list
-of patterns with one regex, read_date_column reads each distinct text of a
-column once, and date_writer writes the fields with a template compiled once
-per format. The template writes %Y (always four digits), %m, %d, %H, %M, %S,
-%y, %B, %b and %%; a format with any other directive goes to strftime. Month
-names are read and written in English whatever LC_TIME holds, which differs
-from strptime and strftime only after a setlocale call.
+of patterns with one regex per pattern, tried in order, read_date_column
+reads each distinct text of a column once, and date_writer writes the fields
+with a template compiled once per format. The template writes %Y (always
+four digits), %m, %d, %H, %M, %S, %y, %B, %b and %%; a format with any other
+directive goes to strftime. Month names are read and written in English
+whatever LC_TIME holds, which differs from strptime and strftime only after
+a setlocale call.
 
 Operator precedence, loosest first: or, and, comparison, additive,
 multiplicative, unary (not, -), then calls and atoms.
@@ -625,51 +626,34 @@ def _date_pattern(pattern: str) -> tuple[str, list[int], str, str]:
     return "".join(parts), [keys.index(key) + 1 for key in order], year, month
 
 
-def _alternation(patterns: list[tuple[str, list[int], str, str]], start: int):
-    """One regex over patterns[start:], each an alternative in list order
-    that must consume the whole text, and for the group that wraps each
-    alternative (m.lastindex when it wins): the pattern's index, getters of
-    its (year, month, day) and (H, M, S) groups, whether its year has two
-    digits, and its month names."""
-    alternatives, layouts, group = [], {}, 0
-    for k in range(start, len(patterns)):
-        text, numbers, year, month = patterns[k]
-        wrap = group + 1
-        at = [wrap + n for n in numbers]
-        layouts[wrap] = (
-            k, itemgetter(*at[:3]), itemgetter(*at[3:]) if at[3:] else None,
-            year == "y", _MONTH_NUMBERS.get(month),
-        )
-        # an atomic group written as `re` takes it before Python 3.11: the
-        # lookahead keeps the pattern's first match, as re.match gives it,
-        # and the backreference consumes it, so a match that stops short of
-        # the end fails the whole alternative
-        alternatives.append(f"(?=({text}))\\{wrap}\\Z")
-        group = wrap + len(numbers)
-    return re.compile("|".join(alternatives), re.IGNORECASE).match, layouts
-
-
 def date_reader(patterns: Sequence[str], min_year: int = 1) -> Callable[[str], DateFields | None]:
     """The date kernel's reader: a function that reads text as the first of
     `patterns` that `datetime.strptime(text, pattern)` reads in the C locale
     with a year of at least `min_year`, or returns None where none does.
 
-    One regex, compiled here, holds every pattern as an alternative in list
-    order. It matches case-insensitively, reads a whitespace run of a pattern
-    as \\s+, and an alternative must consume the whole text. The winner's
+    Each pattern is one regex, compiled here, and they are tried in list
+    order. A regex matches case-insensitively and reads a whitespace run of
+    its pattern as \\s+; it reads the text when its first match ends at the
+    end of the text, the check strptime makes after its own match. The
     groups go through int(), the %y pivot (00-68 is the 2000s, 69-99 the
     1900s) and the month-name table; a date that does not exist (Feb 30,
     second 60, year 0), a name that is no month or a year below `min_year`
-    falls through to the patterns after it, as strptime's ValueError would."""
-    patterns = [_date_pattern(p) for p in patterns]
-    whole = _alternation(patterns, 0)
-    suffixes = {}  # patterns[k:] for a k that a reading fell through to
+    goes on to the next pattern, as strptime's ValueError would."""
+    readers = []
+    for pattern in patterns:
+        text, numbers, year, month = _date_pattern(pattern)
+        hms = itemgetter(*numbers[3:]) if numbers[3:] else None
+        readers.append((
+            re.compile(text, re.IGNORECASE).match, itemgetter(*numbers[:3]), hms,
+            year == "y", _MONTH_NUMBERS.get(month),
+        ))
     min_year = max(min_year, 1)
 
     def read(text: str) -> DateFields | None:
-        match, layouts = whole
-        while (m := match(text)) is not None:
-            k, ymd, hms, short_year, names = layouts[m.lastindex]
+        for match, ymd, hms, short_year, names in readers:
+            m = match(text)
+            if m is None or m.end() != len(text):
+                continue
             year, month, day = ymd(m)
             year = int(year)
             if short_year:
@@ -684,11 +668,6 @@ def date_reader(patterns: Sequence[str], min_year: int = 1) -> Callable[[str], D
                 and (day < 29 or month != 2 or (year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)))
             ):
                 return year, month, day, hour, minute, second
-            if k + 1 == len(patterns):
-                break
-            if k + 1 not in suffixes:
-                suffixes[k + 1] = _alternation(patterns, k + 1)
-            match, layouts = suffixes[k + 1]
         return None
 
     return read

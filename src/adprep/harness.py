@@ -32,6 +32,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .agent import MAX_TURNS, Task, Trajectory, TurnRecord, run_episode
+from .operators import OpParseError, parse_operator_call
 from .reward import RewardBreakdown, score_trajectory
 from .synthesis import SynthesisError, TaskBundle, is_bundle, read_bundle, read_target
 from .tables import TableError, _write_text, table_from_json, table_to_json
@@ -251,6 +252,8 @@ def load_trajectory_log(path: str | Path) -> Trajectory:
                 raise HarnessError(f"{path}: record {n} is not a turn")
             _check_types(path, "turn", line, _TURN_TYPES)
             turns.append(TurnRecord(**{k: v for k, v in line.items() if k != "record"}))
+            for text in turns[-1].op_texts:
+                parse_operator_call(text)  # the judge reads each call
         _check_types(path, "result", result, _RESULT_TYPES)
         values = {name: result[name] for name, _, _ in _RESULT_TYPES if name in result}
         status = values.pop("status")
@@ -258,7 +261,7 @@ def load_trajectory_log(path: str | Path) -> Trajectory:
             values["final_table"] = table_from_json(values["final_table"])
     except KeyError as exc:
         raise HarnessError(f"{path}: log record lacks {exc}") from None
-    except (TypeError, TableError) as exc:
+    except (TypeError, TableError, OpParseError) as exc:
         raise HarnessError(f"{path}: malformed log record: {exc}") from None
     return Trajectory(task_id, status, turns, **values)
 

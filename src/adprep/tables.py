@@ -108,10 +108,8 @@ class TableIOError(TableError):
     """Malformed table file: csv text or a JSON schema."""
 
 
-def value_kind(value: Cell) -> str | None:
-    """Dtype name for a cell value, or None for Null."""
-    if value is None:
-        return None
+def value_kind(value: Cell) -> str:
+    """Dtype name for a non-null cell value; every caller handles Null first."""
     if isinstance(value, bool):
         return BOOL
     if isinstance(value, int):
@@ -239,21 +237,15 @@ class Table:
             object.__setattr__(self, "rows", rows)
             return
         # some column needs a cell-by-cell look: check row by row, so the first
-        # error is the first bad cell in row order
+        # error is the first bad cell in row order, and name each cell's place
+        table, names = f"table {self.name!r} row ", [f" column {c.name!r}" for c in cols]
         checked = []
         for r, row in enumerate(rows):
             row = tuple(row)
             if len(row) != len(cols):
-                raise TableError(
-                    f"table {self.name!r} row {r}: expected {len(cols)} cells, got {len(row)}"
-                )
-            try:
-                checked.append(tuple(map(validate_cell, row, dtypes, repeat(""))))
-            except TableError:
-                # check the row again, naming each cell, so the error says where
-                for v, c in zip(row, cols):
-                    validate_cell(v, c.dtype, f"table {self.name!r} row {r} column {c.name!r}")
-                raise
+                raise TableError(f"{table}{r}: expected {len(cols)} cells, got {len(row)}")
+            at = f"{table}{r}"
+            checked.append(tuple(map(validate_cell, row, dtypes, map(at.__add__, names))))
         object.__setattr__(self, "rows", tuple(checked))
 
     @classmethod
@@ -682,8 +674,9 @@ def _csv_typed(values: Sequence[str], dtype: str) -> Sequence[Cell] | None:
 
 
 def _csv_parse_cell(text: str, dtype: str) -> Cell:
-    """Typed value of a non-empty csv cell, checked as validate_cell would;
-    raises ValueError (or RecursionError for a deeply nested list)."""
+    """Typed value of a non-empty csv cell of an int, real, bool or list
+    column (_csv_typed takes every text column), checked as validate_cell
+    would; raises ValueError (or RecursionError for a deeply nested list)."""
     if dtype == INT:
         if not _INT_RE.fullmatch(text):
             raise ValueError("not an integer")
@@ -705,12 +698,10 @@ def _csv_parse_cell(text: str, dtype: str) -> Cell:
         if low == "false":
             return False
         raise ValueError("not a boolean")
-    if dtype == LIST:
-        v = json.loads(text)
-        if not isinstance(v, list):
-            raise ValueError("not a json list")
-        return tuple(_validate_scalar(x, "list element") for x in v)
-    return text
+    v = json.loads(text)
+    if not isinstance(v, list):
+        raise ValueError("not a json list")
+    return tuple(_validate_scalar(x, "list element") for x in v)
 
 
 def _csv_parse_column(

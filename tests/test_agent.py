@@ -830,6 +830,12 @@ def test_identity_policy_reads_names_whole(sources, target):
     assert traj.final_table is task.sources[best]
 
 
+def test_identity_policy_with_no_source_answers_the_start_state():
+    traj = run_episode(_identity_task({}, ["a"]), IdentityPolicy())
+    assert traj.turns[0].reply == "<plan>no sources visible; answer the start state</plan><answer>root</answer>"
+    assert (traj.status, traj.answer_path, traj.final_table) == ("empty_result", "root", None)
+
+
 def test_trajectory_json_round_trip(tmp_path):
     # a live episode comes back from its log field for field, minus the tree
     task = make_task()

@@ -89,6 +89,9 @@ def test_validate_single_bundle_and_missing_dir(suite, tmp_path, capsys):
     assert "1/1 bundles verify" in capsys.readouterr().out
     assert main(["validate", str(tmp_path / "nope")]) == 2
     assert "does not exist" in capsys.readouterr().err
+    (tmp_path / "empty").mkdir()
+    assert main(["validate", str(tmp_path / "empty")]) == 2
+    assert capsys.readouterr().err.strip().endswith("empty: no task bundles found")
 
 
 @pytest.mark.parametrize("name, text", [
@@ -195,7 +198,7 @@ def test_score_after_run(suite, tmp_path, capsys):
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
     assert main(["score", str(suite), str(logs), "--json"]) == 1
     statuses = [row["status"] for row in json.loads(capsys.readouterr().out)["rows"]]
-    assert sorted(statuses) == ["answered", "internal_error", "missing_log"]
+    assert sorted(statuses) == ["answered", "load_error", "missing_log"]
 
 
 def test_score_reports_a_mistyped_result_field_as_a_load_error(suite, tmp_path, capsys):
@@ -311,6 +314,15 @@ def test_empty_result_matching_an_empty_target_scores_outcome_0(tmp_path, capsys
 def test_solve_bad_bundle(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "nothing")]) == 2
     assert capsys.readouterr().err
+
+
+def test_solve_without_a_policy_it_can_build_exits_2(suite, tmp_path, capsys):
+    bundle_dir = str(suite / "task-001")
+    capsys.readouterr()
+    assert main(["solve", bundle_dir, "--policy", "scripted"]) == 2
+    assert "--policy scripted needs --scripts DIR" in capsys.readouterr().err
+    assert main(["solve", bundle_dir, "--policy", "scripted", "--scripts", str(tmp_path)]) == 2
+    assert "task-001.json" in capsys.readouterr().err
 
 
 def test_out_of_range_file_cell_is_reported_not_raised(suite, tmp_path, capsys):

@@ -23,6 +23,7 @@ from adprep.expr import (
     Unary,
     _ISO_FORMATS,
     compile_expr,
+    date_reader,
     date_writer,
     parse_expr,
     print_expr,
@@ -192,6 +193,27 @@ def test_eval_string_functions():
     assert eval_expr(parse_expr('concat("n=", 2)'), {}) == "n=2"
 
 
+@pytest.mark.parametrize("text, message", [
+    ('split("a-b", "")', "split() separator must be non-empty"),
+    ('replace("abc", "", "x")', "replace() needs a non-empty search string"),
+    ('substr("abc", -1, 2)', "substr() start and length must be non-negative"),
+    ('substr("abc", 0, -2)', "substr() start and length must be non-negative"),
+])
+def test_text_functions_refuse_an_empty_pattern_or_a_negative_span(text, message):
+    with pytest.raises(EvalError) as err:
+        compile_expr(parse_expr(text), [])(())
+    assert str(err.value).startswith(message)
+
+
+def test_a_hand_built_tree_holding_a_non_node_is_a_type_error():
+    """parse_expr builds only nodes; a tree built by hand may hold anything."""
+    for bad in (Unary("-", "x"), Call("lower", (Lit("A"), 3))):
+        with pytest.raises(TypeError, match="not an expression node: "):
+            print_expr(bad)
+        with pytest.raises(TypeError, match="not an expression node: "):
+            compile_expr(bad, [])
+
+
 def test_eval_list_indexing():
     row = {"v": ("x", "y")}
     assert eval_expr(parse_expr('at(col("v"), 1)'), row) == "y"
@@ -238,6 +260,17 @@ def test_date_writer_writes_what_strftime_writes():
                 date_writer(fmt)(dt.timetuple()[:6])
             continue
         assert date_writer(fmt)(dt.timetuple()[:6]) == want, (fmt, dt)
+
+
+@pytest.mark.parametrize("pattern, message", [
+    ("%Bx %d %Y", "has a letter right after a month name"),
+    ("%Y-%m", "needs one year, month and day"),
+    ("%Y-%m-%d %H:%M", "and all or none of %H, %M and %S"),
+    ("%Y-%m-%d-%d", "needs one year, month and day"),
+])
+def test_a_pattern_the_date_reader_cannot_read_as_strptime_is_refused(pattern, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        date_reader([pattern])
 
 
 def test_format_date_reads_the_first_iso_format_strptime_reads():

@@ -11,6 +11,7 @@ import pytest
 
 from adprep.agent import IdentityPolicy, ScriptedPolicy, Trajectory, TurnRecord
 from adprep.harness import (
+    CaseResult,
     HarnessError,
     Report,
     compute_cost,
@@ -265,18 +266,8 @@ def test_a_log_that_fails_to_score_becomes_an_internal_error_row(tmp_path, monke
     assert {r.task_id: r.error for r in judged.rows} == {
         "task-001": None, "task-007": "RuntimeError: judge fell over", "task-013": None,
     }
-
-    path = logs / "task-007.jsonl"
-    records = [json.loads(line) for line in path.read_text().splitlines()]
-    next(r for r in records if r["record"] == "turn")["op_texts"] = ['Nope("x"']
-    path.write_text("".join(json.dumps(r) + "\n" for r in records))
-    report = replay_suite(suite, logs)
-    by_id = {r.task_id: r for r in report.rows}
-    assert by_id["task-007"].status == "internal_error"
-    assert by_id["task-007"].error.startswith("OpParseError: ")
-    assert [r.status for r in report.rows].count("internal_error") == 1
-    assert by_id["task-001"].status == by_id["task-013"].status == "answered"
-    assert not report.all_attempted
+    assert [r.status for r in judged.rows] == ["answered", "internal_error", "answered"]
+    assert not judged.all_attempted
 
 
 def test_empty_suite(tmp_path):
@@ -287,10 +278,18 @@ def test_empty_suite(tmp_path):
     assert report.n_tasks == 0
     assert report.to_text() == "no tasks"
     assert report.all_attempted
+    summary = report.to_json()
+    assert (summary["accuracy"], summary["completion"], summary["mean_cost"]) == (0.0, 0.0, 0.0)
     # replay has no tasks to score either, so it never looks for a log dir
     assert replay_suite(empty, tmp_path / "no-logs").note == "no tasks"
     with pytest.raises(HarnessError):
         run_benchmark(tmp_path / "missing", gt_replay_policy)
+
+
+def test_a_report_with_rows_prints_its_note_last():
+    report = Report([CaseResult("task-001", "answered", outcome=1.0)], note="one of two suites")
+    assert report.to_text().splitlines()[-1] == "one of two suites"
+    assert report.to_text().splitlines()[-2].startswith("tasks: 1  accuracy: 100.0%  completion: 100.0%")
 
 
 def test_discover_skips_non_bundles(tmp_path):
@@ -431,6 +430,28 @@ def test_mistyped_turn_field_becomes_a_load_error_row(tmp_path, key, value):
     by_id = {r.task_id: r for r in replay_suite(suite, logs).rows}
     assert by_id["task-007"].status == "load_error"
     assert by_id["task-001"].status == "answered"
+
+
+@pytest.mark.parametrize("text", ["", 'Nope("x"', 'Sort("t", ["a"], [true], 1)'])
+def test_a_malformed_call_text_in_a_log_becomes_a_load_error_row(tmp_path, text):
+    """The judge parses each turn's call texts, so the load parses them
+    first: a text that is no call stops there and names the log."""
+    suite = build_suite(tmp_path, seeds=(1, 7))
+    logs = tmp_path / "logs"
+    run_benchmark(suite, gt_replay_policy, log_dir=logs)
+    path = logs / "task-007.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    next(r for r in records if r["record"] == "turn")["op_texts"].append(text)
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    with pytest.raises(HarnessError, match="task-007.jsonl: malformed log record: "):
+        load_trajectory_log(path)
+
+    report = replay_suite(suite, logs)
+    by_id = {r.task_id: r for r in report.rows}
+    assert by_id["task-007"].status == "load_error"
+    assert "task-007.jsonl" in by_id["task-007"].error
+    assert by_id["task-001"].status == "answered"
+    assert not report.all_attempted
 
 
 def test_every_turn_field_is_type_checked_on_load(tmp_path):

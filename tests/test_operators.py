@@ -30,8 +30,11 @@ from adprep.operators import (
     PARSE_MEMO_SIZE,
     REGISTRY,
     ExecError,
+    OperatorInstance,
     OpParseError,
+    Param,
     SubprocessScriptBackend,
+    _coerce_param,
     _read_any_date,
     execute_operator,
     make_operator,
@@ -1143,6 +1146,21 @@ def test_execode_output_cells_are_checked():
         run('ExeCode(["t"], "result", "pass")', {"t": t}, script_backend=backend)
 
 
+def test_execode_backend_that_misbehaves_is_an_exec_error():
+    t = make_table("t", [("a", INT)], [(1,)])
+
+    def broken(code, tables, target):
+        raise RuntimeError("backend fell over")
+
+    for fn, message in [
+        (broken, "script backend failed: backend fell over"),
+        (lambda code, tables, target: [(1,)], "script backend returned a non-table"),
+    ]:
+        with pytest.raises(ExecError) as err:
+            run('ExeCode(["t"], "result", "pass")', {"t": t}, script_backend=CallableScriptBackend(fn))
+        assert err.value.message == message
+
+
 def test_execode_subprocess_round_trip():
     t = make_table("t", [("a", INT), ("b", TEXT)], [(1, "x"), (2, "y")])
     code = (
@@ -1182,6 +1200,9 @@ def test_execode_subprocess_output_keeps_a_quoted_cr_and_must_be_utf8():
     with pytest.raises(ExecError) as err:
         execute_operator(op, {"t": t}, script_backend=backend)
     assert "not UTF-8" in err.value.message and err.value.detail == "stdout"
+    op = make_operator("ExeCode", ["t"], "out", write(b"a,b\n1\n"))
+    with pytest.raises(ExecError, match="script output is not a csv table: "):
+        execute_operator(op, {"t": t}, script_backend=backend)
 
 
 def test_execode_subprocess_launch_failure_is_an_exec_error(tmp_path):
@@ -1259,6 +1280,32 @@ def test_a_duplicate_name_error_names_the_repeated_name(call, duplicate):
     with pytest.raises(ExecError) as err:
         run(call, {"t": t})
     assert err.value.detail == duplicate
+
+
+@pytest.mark.parametrize("call, columns, row, message, detail", [
+    ('MissingValueImputation("t", "a", "mean")', [("a", REAL)], (1e308,),
+     "mean is not finite", "a"),
+    ('Stack("t", ["variable"], ["a"])', [("variable", TEXT), ("a", INT)], ("x", 1),
+     "id_vars column 'variable' collides with an output column", "variable"),
+    ('WideToLong("t", ["a"], ["i"], "j")', [("i", INT), ("a_1", INT), ("a-1", INT)], (1, 2, 3),
+     "columns collide on stub/suffix pair ('a', '1')", "a-1"),
+])
+def test_an_operator_that_cannot_build_its_output_names_why(call, columns, row, message, detail):
+    t = make_table("t", columns, [row, row])
+    with pytest.raises(ExecError) as err:
+        run(call, {"t": t})
+    assert (err.value.message, err.value.detail) == (message, detail)
+
+
+def test_a_hand_built_operator_of_no_known_kind_is_an_exec_error():
+    """make_operator and the parser admit only registered kinds and param
+    kinds; an instance or a Param built by hand past them still fails typed."""
+    op = OperatorInstance("Nope", {})
+    with pytest.raises(ExecError) as err:
+        execute_operator(op, {})
+    assert (err.value.op, err.value.message, err.value.detail) == (op, "unknown operator 'Nope'", "Nope")
+    with pytest.raises(AssertionError, match="unhandled param kind nokind"):
+        _coerce_param(1, Param("x", "nokind"), "Nope")
 
 
 def test_unknown_column_in_func_fails_only_on_an_evaluated_row():

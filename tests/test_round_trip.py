@@ -431,7 +431,12 @@ def _turn(rng, index):
         plan=maybe(),
         category=maybe(),
         parent_path=maybe(),
-        op_texts=[adversarial_text(rng) for _ in range(rng.randint(0, 3))],
+        # the load parses each call text, as the judge reads it: the text
+        # rides in a call as its title
+        op_texts=[
+            make_operator("Subtitle", "t", adversarial_text(rng), "c").text
+            for _ in range(rng.randint(0, 3))
+        ],
         created_paths=[adversarial_text(rng) for _ in range(rng.randint(0, 2))],
         leaf_path=maybe(),
         failure_text=maybe(),

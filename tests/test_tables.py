@@ -36,6 +36,8 @@ from adprep.tables import (
     make_table,
     markdown_row_cells,
     read_table,
+    render_cell,
+    schema_from_json,
     serialize_table,
     _csv_parse_column,
     sidecar_path,
@@ -387,6 +389,26 @@ def test_int64_bounds_enforced():
 def test_cell_error_names_table_row_and_column():
     with pytest.raises(TableError, match="table 't' row 1 column 'b': non-finite"):
         make_table("t", [("a", INT), ("b", REAL)], [(1, 2.0), (3, math.nan)])
+
+
+def test_make_table_takes_column_specs_as_they_are():
+    spec = ColumnSpec("a", INT, "an id")
+    t = make_table("t", [spec, ("b", TEXT)], [(1, "x")])
+    assert t.schema.columns == (spec, ColumnSpec("b", TEXT))
+
+
+def test_a_hand_built_cell_of_no_cell_type_is_a_table_error():
+    """Every reader and operator builds cells of the five kinds; a value
+    built by hand past them is refused where it is typed or rendered."""
+    with pytest.raises(TableError, match="unsupported cell value of type object"):
+        infer_column([1, object()])
+    with pytest.raises(TableError, match="cannot render value of type dict as text"):
+        render_cell({})
+
+
+def test_schema_json_whose_columns_are_no_list_is_a_table_io_error():
+    with pytest.raises(TableIOError, match="malformed schema json: 'columns' must be a list, got dict"):
+        schema_from_json({"table_name": "t", "columns": {"a": "int"}})
 
 
 def test_duplicate_column_names_rejected():
