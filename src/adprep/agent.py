@@ -66,6 +66,7 @@ STATUS_ANSWERED = "answered"
 STATUS_TURN_LIMIT = "turn_limit"
 STATUS_PROTOCOL_ERROR = "protocol_error"
 STATUS_EMPTY_RESULT = "empty_result"
+EPISODE_STATUSES = (STATUS_ANSWERED, STATUS_TURN_LIMIT, STATUS_PROTOCOL_ERROR, STATUS_EMPTY_RESULT)
 
 
 class PolicyError(Exception):

@@ -14,7 +14,8 @@ kind:
 TurnRecord and Trajectory declare these records: the writer takes its
 fields from them, and the loader checks each field's JSON value against its
 annotation (`str | None` is text or null, `dict[str, int] | None` an object
-of integers or null, ...) and names the log and the field that fails.
+of integers or null, ...), takes a status only from agent.EPISODE_STATUSES,
+and names the log and the field that fails.
 
 The log is the one serialized form of an episode, and every score is taken
 from what it holds: the result embeds the produced table and the process
@@ -31,8 +32,13 @@ import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .agent import MAX_TURNS, Task, Trajectory, TurnRecord, run_episode
-from .operators import OpParseError, parse_operator_call
+from .agent import (
+    EPISODE_STATUSES, MAX_TURNS, STATUS_ANSWERED, ScriptedPolicy, Task, Trajectory, TurnRecord,
+    run_episode,
+)
+from .operators import (
+    OpParseError, name_bearing_values, parse_operator_call, serialize_operator_call,
+)
 from .reward import RewardBreakdown, score_trajectory
 from .synthesis import SynthesisError, TaskBundle, is_bundle, read_bundle, read_target
 from .tables import TableError, _write_text, table_from_json, table_to_json
@@ -88,7 +94,7 @@ class Report:
         """Percent of tasks that ended with an answer at all."""
         if not self.rows:
             return 0.0
-        return 100.0 * sum(1 for r in self.rows if r.status == "answered") / len(self.rows)
+        return 100.0 * sum(1 for r in self.rows if r.status == STATUS_ANSWERED) / len(self.rows)
 
     @property
     def wall_time_total(self) -> float:
@@ -257,6 +263,11 @@ def load_trajectory_log(path: str | Path) -> Trajectory:
         _check_types(path, "result", result, _RESULT_TYPES)
         values = {name: result[name] for name, _, _ in _RESULT_TYPES if name in result}
         status = values.pop("status")
+        if status not in EPISODE_STATUSES:
+            raise HarnessError(
+                f"{path}: result status must be one of {', '.join(EPISODE_STATUSES)}, "
+                f"not {status!r}"
+            )
         if values.get("final_table") is not None:
             values["final_table"] = table_from_json(values["final_table"])
     except KeyError as exc:
@@ -325,9 +336,6 @@ def gt_replay_policy(bundle: TaskBundle):
     synthesize_task accepts, ends `empty_result` with outcome 0, so accuracy
     is 100% only on a verifying suite without such tasks.
     """
-    from .agent import ScriptedPolicy
-    from .operators import name_bearing_values, serialize_operator_call
-
     calls = [serialize_operator_call(op) for op in bundle.gt_pipeline]
     names = sorted({n for op in bundle.gt_pipeline for n in name_bearing_values(op)})
     plan_hint = ", ".join(names)

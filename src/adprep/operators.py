@@ -470,25 +470,26 @@ def _build_table(
     """An operator's output table, its cells not checked again. A cell
     either moved as it is from a checked table (whole rows, or the columns
     _rebuild_column and _append_column leave in place) or sits in a column
-    _resolve_column checked. Every column an operator builds column-wise
-    (_table_of_columns) takes that check: a moved clean column passes it at
-    C speed, and a list column is checked cell by cell."""
+    _resolve_column checked. Every output built from new rows
+    (_table_of_rows) takes that check column by column: a moved clean column
+    passes it at C speed, and a list column is checked cell by cell."""
     return Table.trusted(Schema(name, tuple(cols), description), tuple(rows))
 
 
-def _table_of_columns(
-    name: str, specs: Sequence[ColumnSpec], columns: list[list[Cell]],
+def _table_of_rows(
+    name: str, specs: Sequence[ColumnSpec], rows: Iterable[tuple],
     op: OperatorInstance, description: str | None = None,
 ) -> Table:
-    """An output table built a column at a time. Each spec names a column,
-    gives the dtype an all-null column falls back to and its description: a
+    """An output table built from new rows. Each spec names a column, gives
+    the dtype an all-null column falls back to and its description: a
     column moved as it is passes its source's spec, a new column
     ColumnSpec(name, fallback). Every column goes through _resolve_column,
     which infers its dtype and checks its cells; a moved clean column passes
     in the one pass inference makes."""
+    rows = list(rows)
     cols, resolved = [], []
-    for spec, cells in zip(specs, columns):
-        dtype, cells = _resolve_column(spec.name, cells, op, spec.dtype)
+    for j, spec in enumerate(specs):
+        dtype, cells = _resolve_column(spec.name, list(map(itemgetter(j), rows)), op, spec.dtype)
         cols.append(ColumnSpec(spec.name, dtype, spec.description))
         resolved.append(cells)
     return _build_table(name, cols, zip(*resolved), description)
@@ -517,7 +518,7 @@ def _exec_imputation(op, t):
         raise ExecError(op, f"column {p['column']!r} has no non-null values", detail=p["column"])
     mode = p["mode"]
     if mode in ("mean", "median"):
-        if not all(_is_number(c) for c in present):
+        if t.schema.columns[idx].dtype not in (INT, REAL):
             raise ExecError(op, f"{mode} needs a numeric column", detail=p["column"])
         if mode == "mean":
             fill = sum(present) / len(present)
@@ -700,24 +701,18 @@ def _exec_split_column(op, t):
     for name in targets:
         if name in remaining:
             raise ExecError(op, f"target column {name!r} already exists", detail=name)
-    pieces = []
+    nulls, rows = (None,) * len(targets), []
     for r, (row, v) in enumerate(zip(t.rows, _func_cells(op, t, src_idx))):
         if row[src_idx] is None:
-            pieces.append((None,) * len(targets))
-            continue
-        if not isinstance(v, tuple):
+            piece = nulls
+        elif not isinstance(v, tuple):
             raise ExecError(op, f"row {r}: func must yield a list", detail=p["source"])
-        padded = tuple(v[: len(targets)]) + (None,) * max(0, len(targets) - len(v))
-        pieces.append(padded)
-    specs, cells = [], []
-    for j, c in enumerate(t.schema.columns):
-        if j == src_idx:
-            specs += [ColumnSpec(target, TEXT) for target in targets]
-            cells += [[piece[k] for piece in pieces] for k in range(len(targets))]
         else:
-            specs.append(c)
-            cells.append([row[j] for row in t.rows])
-    return _table_of_columns(t.name, specs, cells, op, t.schema.description)
+            piece = (v + nulls)[: len(targets)]  # cut or padded with nulls to the targets
+        rows.append(row[:src_idx] + piece + row[src_idx + 1:])
+    specs = list(t.schema.columns)
+    specs[src_idx:src_idx + 1] = [ColumnSpec(target, TEXT) for target in targets]
+    return _table_of_rows(t.name, specs, rows, op, t.schema.description)
 
 
 def _exec_concatenate(op, t):
@@ -852,19 +847,18 @@ def _exec_group_by(op, t):
     for k, row in zip(row_keys(t, key_idxs), t.rows):
         groups[k].append(row)
 
-    firsts = [rows[0] for rows in groups.values()]
-    key_cells = [list(map(itemgetter(i), firsts)) for i in key_idxs]
+    pick_keys = _picker(key_idxs)
     folds = [
         (itemgetter(i), fn, f"column {col!r}", t.schema.columns[i].dtype in (INT, REAL))
         for (col, fn), i in zip(agg.items(), agg_idxs.values())
     ]
     # group by group, so a failing fold names the first group that fails
-    agg_rows = [
-        [_fold(fn, list(map(get, rows)), op, where, numeric) for get, fn, where, numeric in folds]
-        for rows in groups.values()
+    rows = [
+        pick_keys(group[0])
+        + tuple([_fold(fn, list(map(get, group)), op, where, num) for get, fn, where, num in folds])
+        for group in groups.values()
     ]
-    agg_cells = [list(cells) for cells in zip(*agg_rows)] or [[] for _ in agg]
-    return _table_of_columns(t.name, specs, key_cells + agg_cells, op, t.schema.description)
+    return _table_of_rows(t.name, specs, rows, op, t.schema.description)
 
 
 def _exec_count(op, t):
@@ -882,7 +876,7 @@ def _exec_calculate_statistic(op, t):
         result: Cell = 0
     else:
         result = _fold(stat, present, op, "func values")
-    return _table_of_columns(t.name, [ColumnSpec(stat, INT)], [[result]], op, t.schema.description)
+    return _table_of_rows(t.name, [ColumnSpec(stat, INT)], [(result,)], op, t.schema.description)
 
 
 # ---------------------------------------------------------------------------
@@ -1003,8 +997,7 @@ def _stack(
             keys.extend(row_keys(t, idxs))
     if distinct:
         all_rows = _dedupe_rows(all_rows, keys, "first")
-    cells = [[row[j] for row in all_rows] for j in range(len(base_names))]
-    return _table_of_columns(name, first.schema.columns, cells, op, description)
+    return _table_of_rows(name, first.schema.columns, all_rows, op, description)
 
 
 def _exec_union(op, tables):
@@ -1054,22 +1047,22 @@ def _exec_pivot(op, t):
 
     fold_fn = "first" if aggfunc == "first_strict" else aggfunc
     where, numeric = f"column {p['values']!r}", t.schema.columns[val_idx].dtype in (INT, REAL)
+    # a key's last write in reverse row order is its first row
+    first_rows = dict(zip(reversed(index_keys), reversed(t.rows)))
+    pick_index = _picker(idx_idxs)
     # index key by index key, so a failing fold names the first key that fails
-    label_rows = [
-        [_fold(fold_fn, by_label[label], op, where, numeric) if label in by_label else None
-         for label in labels]
-        for by_label in buckets.values()
+    rows = [
+        pick_index(first_rows[ik]) + tuple(
+            [_fold(fold_fn, by_label[label], op, where, numeric) if label in by_label else None
+             for label in labels]
+        )
+        for ik, by_label in buckets.items()
     ]
 
     label_dtype = _agg_fallback(fold_fn, t.schema.columns[val_idx].dtype)
     specs = [t.schema.columns[i] for i in idx_idxs]
     specs += [ColumnSpec(label, label_dtype) for label in labels]
-    # a key's last write in reverse row order is its first row
-    first_rows = dict(zip(reversed(index_keys), reversed(t.rows)))
-    index_rows = list(map(first_rows.__getitem__, buckets))
-    cells = [list(map(itemgetter(i), index_rows)) for i in idx_idxs]
-    cells += [list(c) for c in zip(*label_rows)]
-    return _table_of_columns(f"{t.name}_pivot", specs, cells, op)
+    return _table_of_rows(f"{t.name}_pivot", specs, rows, op)
 
 
 def _exec_stack(op, t):
@@ -1087,18 +1080,11 @@ def _exec_stack(op, t):
             raise ExecError(op, f"id_vars column {reserved!r} collides with an output column",
                             detail=reserved)
 
-    id_cells: list[list[Cell]] = [[] for _ in id_idxs]
-    var_cells: list[Cell] = []
-    val_cells: list[Cell] = []
-    for row in t.rows:
-        for name, vi in zip(p["value_vars"], val_idxs):
-            for j, ii in enumerate(id_idxs):
-                id_cells[j].append(row[ii])
-            var_cells.append(name)
-            val_cells.append(row[vi])
+    pick_ids, pairs = _picker(id_idxs), list(zip(p["value_vars"], val_idxs))
+    rows = [pick_ids(row) + (name, row[vi]) for row in t.rows for name, vi in pairs]
     specs = [t.schema.columns[i] for i in id_idxs]
     specs += [ColumnSpec("variable", TEXT), ColumnSpec("value", TEXT)]
-    return _table_of_columns(f"{t.name}_stack", specs, id_cells + [var_cells, val_cells], op)
+    return _table_of_rows(f"{t.name}_stack", specs, rows, op)
 
 
 def _exec_wide_to_long(op, t):
@@ -1138,19 +1124,16 @@ def _exec_wide_to_long(op, t):
     if j_name in p["i"] or j_name in stubs:
         raise ExecError(op, f"j column {j_name!r} collides", detail=j_name)
 
-    i_cells: list[list[Cell]] = [[] for _ in i_idxs]
-    j_cells: list[Cell] = []
-    stub_cells: list[list[Cell]] = [[] for _ in stubs]
-    for row in t.rows:
-        for suffix in suffixes:
-            for k, ii in enumerate(i_idxs):
-                i_cells[k].append(row[ii])
-            j_cells.append(suffix)
-            for k, stub in enumerate(stubs):
-                idx = col_map.get((stub, suffix))
-                stub_cells[k].append(None if idx is None else row[idx])
+    # a row gains a null and the suffix; one picker per suffix reads the id
+    # cells, the suffix and each stub's column, or the null where it has none
+    n = len(t.schema.columns)
+    pickers = [
+        (suffix, _picker([*i_idxs, n + 1, *[col_map.get((stub, suffix), n) for stub in stubs]]))
+        for suffix in suffixes
+    ]
+    rows = [pick(row + (None, suffix)) for row in t.rows for suffix, pick in pickers]
     specs = [t.schema.columns[i] for i in i_idxs] + [ColumnSpec(n, TEXT) for n in [j_name, *stubs]]
-    return _table_of_columns(f"{t.name}_widetolong", specs, i_cells + [j_cells] + stub_cells, op)
+    return _table_of_rows(f"{t.name}_widetolong", specs, rows, op)
 
 
 def _exec_transpose(op, t):
@@ -1180,8 +1163,7 @@ def _exec_explode(op, t):
             exploded.append(tuple(e if j == idx else row[j] for j in range(len(row))))
     specs = list(t.schema.columns)
     specs[idx] = ColumnSpec(specs[idx].name, TEXT, specs[idx].description)
-    cells = [[row[j] for row in exploded] for j in range(len(specs))]
-    return _table_of_columns(f"{t.name}_explode", specs, cells, op, t.schema.description)
+    return _table_of_rows(f"{t.name}_explode", specs, exploded, op, t.schema.description)
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,6 @@ class Corruption:
     """One accepted piece of damage and the operator that undoes it."""
 
     name: str
-    table: str
     cleaner: OperatorInstance
 
 
@@ -218,7 +217,7 @@ def corrupt_table(
         if not _cleaner_restores(cleaner, damaged, result.table):
             result.rejected.append(name)
             continue
-        result.applied.append(Corruption(name, t.name, cleaner))
+        result.applied.append(Corruption(name, cleaner))
         result.table = damaged
     return result
 

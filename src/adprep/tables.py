@@ -40,7 +40,7 @@ first bad cell. Table.trusted skips the check; it is for tables whose cells
 are already valid for their columns: operator outputs. An operator that
 keeps rows or leaves columns in place moves cells from checked tables. Every
 other column of its output, each one it computes and each one of an output
-it builds a column at a time, goes through infer_column, and through
+it builds from new rows, goes through infer_column, and through
 validate_cell when that cannot vouch for it: a moved clean column passes in
 the one pass at C speed, and a list column is checked cell by cell.
 

@@ -432,6 +432,29 @@ def test_mistyped_turn_field_becomes_a_load_error_row(tmp_path, key, value):
     assert by_id["task-001"].status == "answered"
 
 
+@pytest.mark.parametrize("status", ["", "victory", "load_error"])
+def test_a_log_whose_status_is_no_episode_status_becomes_a_load_error_row(tmp_path, status):
+    """An episode ends with one of four statuses, so the load takes no other
+    text: not an empty one, not an unknown one, and not a row status the
+    harness gives a task it could not load."""
+    suite = build_suite(tmp_path, seeds=(1, 7))
+    logs = tmp_path / "logs"
+    run_benchmark(suite, gt_replay_policy, log_dir=logs)
+    path = logs / "task-007.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    records[-1]["status"] = status
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    with pytest.raises(HarnessError, match="task-007.jsonl: result status must be one of "):
+        load_trajectory_log(path)
+
+    report = replay_suite(suite, logs)
+    by_id = {r.task_id: r for r in report.rows}
+    assert by_id["task-007"].status == "load_error"
+    assert "task-007.jsonl" in by_id["task-007"].error
+    assert by_id["task-001"].status == "answered"
+    assert not report.all_attempted
+
+
 @pytest.mark.parametrize("text", ["", 'Nope("x"', 'Sort("t", ["a"], [true], 1)'])
 def test_a_malformed_call_text_in_a_log_becomes_a_load_error_row(tmp_path, text):
     """The judge parses each turn's call texts, so the load parses them

@@ -27,6 +27,7 @@ import shutil
 import pytest
 
 from adprep import cli
+from adprep.agent import EPISODE_STATUSES
 from adprep.harness import gt_replay_policy, replay_suite, run_benchmark
 from adprep.synthesis import synthesize_demo_task, write_bundle
 
@@ -106,9 +107,10 @@ def test_every_leaf_swap_in_what_score_reads_is_a_typed_row(tmp_path, monkeypatc
         path.write_bytes(original)
     assert swaps == len(SWAPS) * (8 + 5 + 68)
     # the swaps reach answered rows, not only load errors; none reaches the
-    # judge with a call it cannot parse, since the log load parses each one
+    # judge with a call it cannot parse, since the log load parses each one,
+    # and none gives a row a status no episode ends with
     assert {"answered", "load_error"} <= statuses
-    assert "internal_error" not in statuses
+    assert statuses <= {*EPISODE_STATUSES, "load_error"}
 
 
 def _cli(*argv):

@@ -417,10 +417,11 @@ def test_imputation_rejects_all_null_and_text_mean():
     t = make_table("t", [("a", INT)], [(None,)])
     with pytest.raises(ExecError):
         run('MissingValueImputation("t", "a", "mean")', {"t": t})
-    t = make_table("t", [("a", TEXT)], [("x",), (None,)])
-    with pytest.raises(ExecError) as err:
-        run('MissingValueImputation("t", "a", "mean")', {"t": t})
-    assert "numeric" in str(err.value)
+    for dtype, cell in ((TEXT, "x"), (BOOL, True)):
+        t = make_table("t", [("a", dtype)], [(cell,), (None,)])
+        with pytest.raises(ExecError) as err:
+            run('MissingValueImputation("t", "a", "mean")', {"t": t})
+        assert "numeric" in str(err.value)
 
 
 def test_deduplicate_first_and_last():

@@ -1,6 +1,7 @@
-"""Output schemas of the operators that build their output a column at a
-time: each column's name, dtype and description, the dtype an all-null
-column falls back to, and the list cells a reshaping operator moves.
+"""Output schemas of the operators whose output is built from new rows:
+each column's name, dtype and description, the dtype an all-null column
+falls back to (a zero-row input gives every operator all-null columns), and
+the list cells a reshaping operator moves.
 
 The operator oracle compares plain tables, so descriptions and fallbacks
 are pinned here: a column moved as it is keeps its source's dtype and
@@ -86,6 +87,14 @@ def test_moved_columns_keep_their_spec_and_new_ones_have_no_description(
      [("k", LIST, "key"), ("v_count", INT, None), ("w_avg", REAL, None)]),
     ('Stack("e", ["k"], ["w"])',
      [("k", LIST, "key"), ("variable", TEXT, None), ("value", TEXT, None)]),
+    ('SplitColumn("e", "v", ["a", "b"], "split(col(\\"v\\"), \\",\\")")',
+     [("k", LIST, "key"), ("a", TEXT, None), ("b", TEXT, None), ("w", INT, None)]),
+    ('Pivot("e", ["k"], "v", "w", "sum")', [("k", LIST, "key")]),
+    ('WideToLong("e", ["w"], ["k"], "j")',
+     [("k", LIST, "key"), ("j", TEXT, None), ("w", TEXT, None)]),
+    ('Explode("e", "k")', [("k", TEXT, "key"), ("v", TEXT, None), ("w", INT, None)]),
+    ('Union(["e", "e"], "all")', [("k", LIST, "key"), ("v", TEXT, None), ("w", INT, None)]),
+    ('Append("e", "e")', [("k", LIST, "key"), ("v", TEXT, None), ("w", INT, None)]),
 ])
 def test_an_all_null_column_takes_the_fallback(call, expected):
     # no rows, so every column is all-null: a moved column keeps its source
@@ -93,6 +102,13 @@ def test_an_all_null_column_takes_the_fallback(call, expected):
     empty = table("e", [("k", LIST, "key"), ("v", TEXT, None), ("w", INT, None)], [])
     out = next(iter(run(call, {"e": empty}).values()))
     assert columns(out) == expected and out.rows == ()
+
+
+def test_a_sum_over_no_rows_is_one_int_row():
+    empty = table("e", [("k", LIST, "key"), ("w", INT, None)], [], description="none")
+    out = run('CalculateStatistic("e", "sum", "col(\\"w\\")")', {"e": empty})["e"]
+    assert columns(out) == [("sum", INT, None)] and out.schema.description == "none"
+    assert out.rows == ((0,),)
 
 
 def test_explode_of_empty_lists_is_a_text_column_of_nulls():

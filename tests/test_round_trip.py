@@ -456,7 +456,7 @@ def test_trajectory_log_round_trip_law(tmp_path):
         final = random_file_table(rng, adversarial_text(rng, empty_ok=False), adversarial_text)
         traj = Trajectory(
             adversarial_text(rng),
-            rng.choice(["answered", "empty_result", "turn_limit", "protocol_abort"]),
+            rng.choice(["answered", "empty_result", "turn_limit", "protocol_error"]),
             [_turn(rng, k) for k in range(rng.randint(0, 4))],
             answer_path=adversarial_text(rng),
             answer_plan=adversarial_text(rng),
