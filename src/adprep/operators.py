@@ -431,7 +431,9 @@ def _resolve_column(
 def _rebuild_column(
     t: Table, idx: int, cells: list[Cell], op: OperatorInstance, fallback: str | None = None
 ) -> Table:
-    """Replace one column with computed cells, re-inferring its dtype."""
+    """Replace one column with computed cells, re-inferring its dtype; the
+    other columns move as they are. Synthesis builds its column corruptions
+    with it too."""
     old = t.schema.columns[idx]
     dtype, cells = _resolve_column(old.name, cells, op, fallback or old.dtype)
     cols = list(t.schema.columns)
@@ -467,8 +469,9 @@ def _subset_indexes(t: Table, subset: list[str], op: OperatorInstance) -> list[i
 def _build_table(
     name: str, cols: Sequence[ColumnSpec], rows: Iterable[tuple], description: str | None = None
 ) -> Table:
-    """An operator's output table, its cells not checked again. A cell
-    either moved as it is from a checked table (whole rows, or the columns
+    """An operator's output table, or a synthesis column corruption's
+    (through _rebuild_column), its cells not checked again. A cell either
+    moved as it is from a checked table (whole rows, or the columns
     _rebuild_column and _append_column leave in place) or sits in a column
     _resolve_column checked. Every output built from new rows
     (_table_of_rows) takes that check column by column: a moved clean column
@@ -894,14 +897,12 @@ def _reconcile_dtype(a: ColumnSpec, b: ColumnSpec, op: OperatorInstance) -> str:
 
 
 def _picker(idxs: Sequence[int]) -> Callable[[tuple], tuple]:
-    """Row -> the tuple of its cells at idxs. itemgetter returns a bare cell
-    for one index and takes no empty list, so those two are spelled out."""
+    """Tuple row -> the tuple of its cells at idxs. itemgetter returns a bare
+    cell for one index and takes no empty list, so those two get a slice of
+    the row, which is a tuple."""
     if len(idxs) > 1:
         return itemgetter(*idxs)
-    if idxs:
-        i = idxs[0]
-        return lambda row: (row[i],)
-    return lambda row: ()
+    return itemgetter(slice(idxs[0], idxs[0] + 1) if idxs else slice(0))
 
 
 def _exec_join(op, left, right):

@@ -26,6 +26,7 @@ from .operators import (
     OperatorInstance,
     OpParseError,
     TableSet,
+    _rebuild_column,
     execute_operator,
     ExecError,
     make_operator,
@@ -94,22 +95,12 @@ class TaskBundle:
 # corruption catalog
 # ---------------------------------------------------------------------------
 
-def _swap_column(t: Table, col: str, cells, dtype=None) -> Table:
-    i = t.column_index(col)
-    specs = [(c.name, dtype if (c.name == col and dtype) else c.dtype, c.description)
-             for c in t.schema.columns]
-    rows = [list(r) for r in t.rows]
-    for r, cell in zip(rows, cells):
-        r[i] = cell
-    return make_table(t.name, specs, rows)
-
-
 def _corrupt_duplicate_rows(rng, t: Table):
     if t.n_rows == 0:
         return None
     count = rng.randint(1, min(3, t.n_rows))
     picks = [t.rows[rng.randrange(t.n_rows)] for _ in range(count)]
-    damaged = Table(t.schema, t.rows + tuple(picks))
+    damaged = Table.trusted(t.schema, t.rows + tuple(picks))
     return damaged, make_operator("Deduplicate", t.name, [], "first")
 
 
@@ -124,7 +115,7 @@ def _corrupt_inject_nulls(rng, t: Table):
         row = list(t.rows[rng.randrange(t.n_rows)])
         row[t.column_index(col)] = None
         extra.append(tuple(row))
-    damaged = Table(t.schema, t.rows + tuple(extra))
+    damaged = Table.trusted(t.schema, t.rows + tuple(extra))
     return damaged, make_operator("DropNA", t.name, [col], "any")
 
 
@@ -142,8 +133,8 @@ def _corrupt_date_format(rng, t: Table):
     col = rng.choice(list(read))
     fmt = rng.choice(ALTERNATE_DATE_FORMATS)
     rewritten = write_date_column(date_writer(fmt), t.column(col), read[col])
-    damaged = _swap_column(t, col, rewritten)
-    return damaged, make_operator("StandardizeDatetime", t.name, col, CANONICAL_DATE)
+    cleaner = make_operator("StandardizeDatetime", t.name, col, CANONICAL_DATE)
+    return _rebuild_column(t, t.column_index(col), rewritten, cleaner, TEXT), cleaner
 
 
 def _corrupt_uppercase(rng, t: Table):
@@ -157,9 +148,8 @@ def _corrupt_uppercase(rng, t: Table):
     shouted = [None if v is None else v.upper() for v in cells]
     if tuple(shouted) == tuple(cells):
         return None  # nothing changed; not a corruption
-    damaged = _swap_column(t, col, shouted)
-    expr = Call("lower", (ColRef(col),))
-    return damaged, make_operator("ValueTransform", t.name, col, expr)
+    cleaner = make_operator("ValueTransform", t.name, col, Call("lower", (ColRef(col),)))
+    return _rebuild_column(t, t.column_index(col), shouted, cleaner, TEXT), cleaner
 
 
 def _corrupt_stringify(rng, t: Table):
@@ -169,8 +159,8 @@ def _corrupt_stringify(rng, t: Table):
     spec = rng.choice(candidates)
     cells = t.column(spec.name)
     as_text = [None if v is None else render_scalar(v) for v in cells]
-    damaged = _swap_column(t, spec.name, as_text, dtype=TEXT)
-    return damaged, make_operator("CastType", t.name, spec.name, spec.dtype)
+    cleaner = make_operator("CastType", t.name, spec.name, spec.dtype)
+    return _rebuild_column(t, t.column_index(spec.name), as_text, cleaner, TEXT), cleaner
 
 
 CORRUPTIONS = {

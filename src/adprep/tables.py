@@ -23,8 +23,8 @@ sequences and builds no multiset: over such cells == is cell_hash_key
 equality, and two equal sequences are equal multisets.
 
 Cells are checked once, where they enter. Table(schema, rows) checks every
-cell and is the constructor for untrusted input: make_table, table_from_json
-(logs and final tables) and synthesis corruption use it. It checks a column in
+cell and is the constructor for untrusted input: make_table and
+table_from_json (logs and final tables) use it. It checks a column in
 one pass at C speed (clean_column_kind) when every non-null cell is exactly
 the column's Python type (int, float, str or bool), with the 64-bit range
 of an int column read off its min and max and the reals tested with
@@ -37,12 +37,13 @@ int or real column, then int / float and the range check over all of them,
 or one set of lowered texts for a bool column. A column that pass does not
 take (a list column, a bad cell) is parsed cell by cell, which names the
 first bad cell. Table.trusted skips the check; it is for tables whose cells
-are already valid for their columns: operator outputs. An operator that
-keeps rows or leaves columns in place moves cells from checked tables. Every
-other column of its output, each one it computes and each one of an output
-it builds from new rows, goes through infer_column, and through
-validate_cell when that cannot vouch for it: a moved clean column passes in
-the one pass at C speed, and a list column is checked cell by cell.
+are already valid for their columns: operator outputs and synthesis
+corruptions. An operator or corruption that keeps rows or leaves columns in
+place moves cells from checked tables. Every other column of its output,
+each one it computes and each one of an output it builds from new rows,
+goes through infer_column, and through validate_cell when that cannot vouch
+for it: a moved clean column passes in the one pass at C speed, and a list
+column is checked cell by cell.
 
 The module also provides a deterministic markdown rendering used for agent
 observations (serialize_table). It renders the sampled rows a column at a
@@ -276,8 +277,7 @@ class Table:
         raise TableError(f"table {self.name!r} has no column {name!r}")
 
     def column(self, name: str) -> tuple[Cell, ...]:
-        i = self.column_index(name)
-        return tuple(row[i] for row in self.rows)
+        return tuple(map(itemgetter(self.column_index(name)), self.rows))
 
 
 def column_specs(cols: Sequence[ColumnSpec | tuple]) -> tuple[ColumnSpec, ...]:

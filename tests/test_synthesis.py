@@ -35,13 +35,14 @@ from adprep.tables import (
     REAL,
     TEXT,
     Schema,
+    Table,
     TableIOError,
     make_table,
     read_schema,
     tables_equal,
     write_schema,
 )
-from conftest import SPLITLINES_ONLY_BREAKS, replay_chain
+from conftest import SPLITLINES_ONLY_BREAKS, random_table, replay_chain
 from reference_ops import _date_text
 
 
@@ -189,6 +190,71 @@ def test_stacked_corruptions_unwind_in_reverse():
         # forward order must not be assumed correct; check it can differ
         if len(result.applied) >= 2:
             assert result.table.name == pristine.name
+
+
+def described_table():
+    t = clean_table()
+    cols = [(c.name, c.dtype, f"the {c.name} of one member") for c in t.schema.columns]
+    return make_table(t.name, cols, t.rows, description="one row per member of staff")
+
+
+@pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+def test_a_corruption_keeps_the_table_and_column_descriptions(kind):
+    pristine = described_table()
+    result = corrupt_table(random.Random(11), pristine, max_corruptions=1, attempts=20, kinds=[kind])
+    assert [c.name for c in result.applied] == [kind]
+    damaged = result.table.schema
+    assert damaged.description == "one row per member of staff"
+    assert [c.description for c in damaged.columns] == [
+        c.description for c in pristine.schema.columns
+    ]
+
+
+def _seeded_source(rng):
+    """A random table with nulls, int, real, text, bool and list columns, and
+    a text column of canonical dates for date_format to rewrite."""
+    t = random_table(rng, min_rows=1, max_cols=5, null_rate=rng.choice([0.0, 0.2]))
+    dates = [
+        None if rng.random() < 0.2
+        else f"20{rng.randint(10, 29)}-{rng.randint(1, 12):02d}-{rng.randint(1, 28):02d}"
+        for _ in t.rows
+    ]
+    cols = [*t.schema.columns, ("when", TEXT)]
+    return make_table(t.name, cols, [row + (d,) for row, d in zip(t.rows, dates)])
+
+
+def test_every_corruption_builds_a_table_the_checked_constructor_accepts_as_is():
+    """A corruption builds its damaged table without checking every cell
+    again; Table() over the same schema and rows gives those rows back cell
+    for cell, each cell of the same type."""
+    made = set()
+    for seed in range(60):
+        rng = random.Random(seed)
+        source = _seeded_source(rng)
+        for kind, corrupt in sorted(CORRUPTIONS.items()):
+            out = corrupt(rng, source)
+            if out is None:
+                continue
+            damaged = out[0]
+            checked = Table(damaged.schema, damaged.rows)
+            assert repr(checked.rows) == repr(damaged.rows), (seed, kind)
+            made.add(kind)
+    assert made == set(CORRUPTIONS)
+
+
+def test_synthesizing_a_task_builds_no_checked_table(monkeypatch):
+    """Only the caller's sources are checked cell by cell: corruptions,
+    cleaners and the task pipeline move cells of checked tables."""
+    sources = {"staff": clean_table()}
+    checked = []
+    check = Table.__post_init__
+    monkeypatch.setattr(Table, "__post_init__", lambda t: (checked.append(t.name), check(t)))
+    applied = set()
+    for seed in range(12):
+        bundle = synthesize_task(random.Random(seed), "t", sources, SORT_STAFF, max_corruptions=4)
+        applied.update(*bundle.provenance["corruptions"].values())
+    assert applied == set(CORRUPTIONS)
+    assert checked == []
 
 
 # -- whole tasks -------------------------------------------------------------

@@ -31,6 +31,7 @@ from adprep.tables import (
     TableIOError,
     canonicalize,
     cell_hash_key,
+    find_empty_text,
     cell_sort_key,
     infer_column,
     make_table,
@@ -508,6 +509,19 @@ def test_csv_empty_cell_is_null(tmp_path):
     path.write_text("a\n\n1\n")
     t = read_table(path)
     assert t.rows == ((None,), (1,))
+
+
+def test_find_empty_text_names_the_first_empty_text_cell_in_row_order():
+    cols = [("i", INT), ("b", BOOL), ("l", LIST), ("s", TEXT), ("u", TEXT)]
+    t = make_table("t", cols, [
+        (0, False, ("",), "x", None),
+        (1, True, (), "y", ""),
+        (2, None, None, "", ""),
+    ])
+    assert find_empty_text(t) == (1, "u")
+    # 0, False, Null and a list holding "" are not empty text
+    assert find_empty_text(make_table("t", cols, t.rows[:1])) is None
+    assert find_empty_text(make_table("t", cols, [])) is None
 
 
 def test_csv_ragged_row_rejected(tmp_path):
