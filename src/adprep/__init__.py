@@ -14,14 +14,13 @@ from .tables import (
     ColumnSpec,
     TableError,
     TableIOError,
-    canonicalize,
     tables_equal,
     serialize_table,
     make_table,
     read_table,
     write_table,
 )
-from .expr import EvalError, ExprParseError, parse_expr, print_expr
+from .expr import EvalError, ExprParseError, parse_expr
 from .operators import (
     ExecError,
     OperatorInstance,
@@ -31,25 +30,18 @@ from .operators import (
     execute_operator,
     make_operator,
     parse_operator_call,
-    registry_help,
     serialize_operator_call,
 )
 from .tree import FailureRecord, ReasoningTree, TreeError, run_pipeline
 from .agent import (
     HttpChatPolicy,
-    IdentityPolicy,
     PolicyError,
     ScriptedPolicy,
     Task,
     Trajectory,
     run_episode,
 )
-from .reward import (
-    RuleJudge,
-    outcome_score,
-    partial_score,
-    score_trajectory,
-)
+from .reward import RuleJudge, score_trajectory
 from .synthesis import (
     SynthesisError,
     TaskBundle,
@@ -62,7 +54,7 @@ from .synthesis import (
     verify_bundle,
     write_bundle,
 )
-from .harness import Report, gt_replay_policy, replay_suite, run_benchmark
+from .harness import HarnessError, Report, gt_replay_policy, replay_suite, run_benchmark
 
 __all__ = [
     "Table",
@@ -70,7 +62,6 @@ __all__ = [
     "ColumnSpec",
     "TableError",
     "TableIOError",
-    "canonicalize",
     "tables_equal",
     "serialize_table",
     "make_table",
@@ -79,7 +70,6 @@ __all__ = [
     "EvalError",
     "ExprParseError",
     "parse_expr",
-    "print_expr",
     "ExecError",
     "OperatorInstance",
     "OpParseError",
@@ -88,7 +78,6 @@ __all__ = [
     "execute_operator",
     "make_operator",
     "parse_operator_call",
-    "registry_help",
     "serialize_operator_call",
     "parse_pipeline",
     "run_pipeline",
@@ -97,15 +86,12 @@ __all__ = [
     "ReasoningTree",
     "TreeError",
     "HttpChatPolicy",
-    "IdentityPolicy",
     "PolicyError",
     "ScriptedPolicy",
     "Task",
     "Trajectory",
     "run_episode",
     "RuleJudge",
-    "outcome_score",
-    "partial_score",
     "score_trajectory",
     "SynthesisError",
     "TaskBundle",
@@ -115,6 +101,7 @@ __all__ = [
     "synthesize_task",
     "verify_bundle",
     "write_bundle",
+    "HarnessError",
     "Report",
     "gt_replay_policy",
     "replay_suite",

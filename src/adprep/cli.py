@@ -247,7 +247,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="benchmark a policy over a suite")
     p.add_argument("suite_dir")
-    p.add_argument("--threads", type=_count("a thread count", 1), default=1)
+    p.add_argument(
+        "--threads", type=_count("a thread count", 1), default=1,
+        help="tasks run on this many threads, which overlap only the policy's waits "
+        "(--policy http); an in-process policy runs no faster than on one",
+    )
     p.add_argument("--log-dir", help="write one JSONL trajectory log per task")
     p.add_argument("--json", action="store_true", help="print the report as JSON")
     _add_policy_args(p)

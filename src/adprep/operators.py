@@ -609,7 +609,7 @@ _read_any_date = date_reader(DATE_PATTERNS, min_year=1000)
 def _exec_standardize_datetime(op, t):
     p = op.params
     idx = _col_index(t, p["column"], op)
-    column = [row[idx] for row in t.rows]
+    column = list(map(itemgetter(idx), t.rows))
     fields = read_date_column(_read_any_date, column)
     if isinstance(fields, int):
         r, v = fields, column[fields]

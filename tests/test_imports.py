@@ -1,9 +1,11 @@
 """Source hygiene: every module of the package uses each name it imports,
 every function, class and public method it defines is called outside the
-tests, and every default of a function is passed by some caller or listed
-with its reason."""
+tests, every default of a function is passed by some caller or listed
+with its reason, and the package exports exactly the names README
+documents."""
 
 import ast
+import inspect
 import json
 import os
 import re
@@ -581,3 +583,78 @@ def test_commands_import_only_what_they_use(tmp_path):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr[-2000:]
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def documented_names(readme: str) -> set[str]:
+    """The names in the first column of the table under README's "Library
+    use": the public surface README documents."""
+    section = re.search(r"^## Library use\n(.*?)(?=^## |\Z)", readme, re.DOTALL | re.M).group(1)
+    return set(re.findall(r"^\| `(\w+)` \|", section, re.M))
+
+
+def adprep_reads(readme: str, sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(where, X) for each `adprep.X` in a code block of `readme` or in the
+    code of `sources` ({file name: source}), and each X imported by `from
+    adprep import X`. README's python blocks are read as code, its other
+    blocks as text."""
+    blocks = {
+        f"README.md block {i}": (lang, block)
+        for i, (lang, block) in enumerate(re.findall(r"^```(\w*)\n(.*?)^```", readme, re.DOTALL | re.M))
+    }
+    found = [
+        (where, x) for where, (lang, block) in blocks.items() if lang != "python"
+        for x in re.findall(r"\badprep\.(\w+)", block)
+    ]
+    code = {**sources, **{where: block for where, (lang, block) in blocks.items() if lang == "python"}}
+    for name, source in code.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "adprep":
+                found.append((name, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module == "adprep" and not node.level:
+                found += [(name, alias.name) for alias in node.names]
+    return found
+
+
+def test_adprep_reads_and_documented_names_are_found():
+    readme = (
+        "## Library use\n\n```python\nimport adprep\nfrom adprep import Table, Gone\n"
+        "adprep.tables.read_table\n```\n\n```text\n$ python -m adprep.cli\nadprep.Lost\n```\n\n"
+        "| name | what it is |\n| --- | --- |\n| `Table` | a table |\n| `Hidden` | `Other` |\n\n"
+        "## Next\n\n| `Outside` | not in the section |\n"
+    )
+    assert documented_names(readme) == {"Table", "Hidden"}
+    sources = {"bench.py": '"""adprep.Prose"""\nimport adprep\nadprep.agent.parse_reply\n'
+               "from adprep import tables, Missing\nfrom .adprep import Relative\n"}
+    assert sorted(adprep_reads(readme, sources)) == [
+        ("README.md block 0", "Gone"), ("README.md block 0", "Table"),
+        ("README.md block 0", "tables"), ("README.md block 1", "Lost"),
+        ("README.md block 1", "cli"), ("bench.py", "Missing"),
+        ("bench.py", "agent"), ("bench.py", "tables"),
+    ]
+
+
+def test_the_package_exports_exactly_the_names_readme_documents():
+    """`adprep.__all__`, the public names the package binds, and the first
+    column of README's "Library use" table are one set of names; a name
+    README does not document lives in its own module only."""
+    exported = set(adprep.__all__)
+    assert len(exported) == len(adprep.__all__)
+    bound = {n for n, v in vars(adprep).items() if not n.startswith("_") and not inspect.ismodule(v)}
+    documented = documented_names((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert sorted(exported - documented) == [], "exported, but not in README's table"
+    assert sorted(documented - exported) == [], "in README's table, but not exported"
+    assert bound == exported
+
+
+def test_every_adprep_name_readme_and_perfbench_read_exists():
+    """Each `adprep.X` that a README code block or perfbench/ reads is a
+    submodule or an exported name, so trimming `__all__` cannot break an
+    example or the benchmark."""
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted((ROOT / "perfbench").glob("*.py"))}
+    modules = {p.stem for p in PACKAGE.glob("*.py")}
+    reads = adprep_reads((ROOT / "README.md").read_text(encoding="utf-8"), sources)
+    assert reads
+    assert [(where, x) for where, x in reads if x not in modules and x not in adprep.__all__] == []

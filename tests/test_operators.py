@@ -174,6 +174,13 @@ def test_a_built_tree_gets_the_checks_parsed_text_gets():
     assert parse_operator_call(op.text) == op
 
 
+def test_make_operator_names_an_unknown_kind():
+    # call text never gets here with an unknown kind: the parser rejects it first
+    with pytest.raises(OpParseError) as err:
+        make_operator("NoSuchOp", "t")
+    assert str(err.value) == "unknown operator 'NoSuchOp'"
+
+
 def test_parse_errors():
     for bad, fragment in [
         ('Nope("t")', "unknown operator"),
